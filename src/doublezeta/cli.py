@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from mpmath import mp
@@ -59,28 +58,19 @@ def cmd_bernoulli(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ verify
 
 
-def _verify_one_k(K: int) -> tuple[int, bool, str]:
-    report = matrices.verify_inverse(K)
-    detail = (
-        f"p_eq_q={report.p_eq_q} pa_is_identity={report.pa_is_identity} "
-        f"ap_is_identity={report.ap_is_identity} det_nonzero={report.det_nonzero}"
-    )
-    return K, report.all_pass, detail
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     lines: list[str] = []
     ok = True
     if args.kind == "conjecture":
-        ks = range(args.k_min, args.k_max + 1)
-        if args.parallel > 1:
-            with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-                results = list(pool.map(_verify_one_k, ks))
-        else:
-            results = [_verify_one_k(K) for K in ks]
-        for K, passed, detail in results:
-            ok &= passed
-            lines.append(f"K={K}: {'pass' if passed else 'FAIL ' + detail}")
+        for K in range(args.k_min, args.k_max + 1):
+            rep = matrices.verify_inverse(K)
+            ok &= rep.all_pass
+            lines.append(
+                f"K={K}: pass"
+                if rep.all_pass
+                else f"K={K}: FAIL p_eq_q={rep.p_eq_q} pa_is_identity={rep.pa_is_identity} "
+                f"ap_is_identity={rep.ap_is_identity} det_nonzero={rep.det_nonzero}"
+            )
     elif args.kind == "carlitz":
         cache = BernoulliCache()
         for n in range(args.max + 1):
@@ -103,30 +93,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.kind == "closed-forms":
         cache = BernoulliCache()
         for K in range(args.k_min, args.k_max + 1):
-            p = matrices.build_p(K, cache)
-            pb = matrices.matrix_multiply(p, matrices.build_b_part(K))
-            pc = matrices.matrix_multiply(p, matrices.build_c_part(K))
-            k_ok = True
-            for s in range(1, K):
-                for sp in range(1, K):
-                    vb = matrices.pb_closed(K, s, sp, cache)
-                    vc = matrices.pc_closed(K, s, sp, cache)
-                    delta = Fraction(1 if s == sp else 0)
-                    good = (
-                        vb == pb.at(s - 1, sp - 1)
-                        and vc == pc.at(s - 1, sp - 1)
-                        and vb + vc == delta
-                    )
-                    k_ok &= good
-                    if not good:
-                        lines.append(
-                            f"K={K} (s={s}, s'={sp}): FAIL closed="
-                            f"{format_rational(vb)}+{format_rational(vc)} "
-                            f"product={format_rational(pb.at(s - 1, sp - 1))}"
-                            f"+{format_rational(pc.at(s - 1, sp - 1))}"
-                        )
-            ok &= k_ok
-            lines.append(f"K={K}: {'pass' if k_ok else 'FAIL'}")
+            bad = matrices.verify_closed_forms(K, cache)
+            for s, sp, vb, vc, pb, pc in bad:
+                lines.append(
+                    f"K={K} (s={s}, s'={sp}): FAIL closed="
+                    f"{format_rational(vb)}+{format_rational(vc)} "
+                    f"product={format_rational(pb)}+{format_rational(pc)}"
+                )
+            ok &= not bad
+            lines.append(f"K={K}: {'FAIL' if bad else 'pass'}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if ok else EXIT_IDENTITY_FAILURE
 
@@ -309,14 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=int, default=6)
     p.add_argument("--m-max", type=int, default=12)
     p.add_argument("--order", type=int, default=48)
-    p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("matrix", help="export one of the matrices A, B, C, P, Q")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--which", choices=["A", "B", "C", "P", "Q"], required=True)
-    p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_matrix)
 
@@ -370,6 +343,9 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         parser.error("--K must be >= 2")
     if args.command == "verify" and args.kind == "conjecture" and args.k_min < 2:
         parser.error("--k-min must be >= 2")
+    if args.command == "verify" and args.kind in ("conjecture", "closed-forms"):
+        if args.k_max < args.k_min:
+            parser.error("--k-max must be >= --k-min")
     if args.command == "audit" and args.digits < 10:
         parser.error("--digits must be >= 10 for audits")
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
+from typing import Callable
 
 from .bernoulli import BernoulliCache
 from .rationals import binomial, format_rational
@@ -31,6 +32,7 @@ __all__ = [
     "verify_inverse",
     "pb_closed",
     "pc_closed",
+    "verify_closed_forms",
     "matrix_to_json",
 ]
 
@@ -62,9 +64,9 @@ class RationalMatrix:
         ]
 
 
-def _from_rows(rows: list[list[Fraction]]) -> RationalMatrix:
+def _from_rows(rows: list[list[int | Fraction]]) -> RationalMatrix:
     return RationalMatrix(
-        len(rows), len(rows[0]), tuple(x for row in rows for x in row)
+        len(rows), len(rows[0]), tuple(Fraction(x) for row in rows for x in row)
     )
 
 
@@ -105,42 +107,40 @@ def build_c_part(K: int) -> RationalMatrix:
     return _from_rows(rows)
 
 
-def _p_entry(K: int, s: int, r: int, cache: BernoulliCache) -> Fraction:
-    total = Fraction(0)
-    for n in range(2 * K - 2 * s + 1):
-        bn = cache.get(n)
-        if bn:
-            total += (
-                binomial(2 * r - 1, 2 * K - 2 * s - n + 1)
-                * binomial(n + 2 * s - 2, n)
-                * bn
-            )
-    return Fraction(2, 2 * s - 1) * total
+def _bernoulli_weights(K: int, s: int, cache: BernoulliCache) -> tuple[list[int], int]:
+    """(2/(2s-1)) C(n+2s-2, n) B_n for n = 0..2K-2s, as integers over one denominator.
+
+    These weights are the part shared by the P, Q, (PB) and (PC) sums;
+    only the binomial factor in front of them changes between those.
+    """
+    terms = [comb(n + 2 * s - 2, n) * cache.get(n) for n in range(2 * K - 2 * s + 1)]
+    denom = lcm(*(t.denominator for t in terms))
+    return [2 * t.numerator * (denom // t.denominator) for t in terms], (2 * s - 1) * denom
 
 
-def _q_entry(K: int, s: int, r: int, cache: BernoulliCache) -> Fraction:
-    total = Fraction(0)
-    for n in range(2 * K - 2 * s + 1):
-        bn = cache.get(n)
-        if bn:
-            total += (
-                binomial(2 * K - 2 * r, 2 * K - 2 * s - n + 1)
-                * binomial(n + 2 * s - 2, n)
-                * bn
-            )
-    return -Fraction(2, 2 * s - 1) * total
+def _bernoulli_sum(
+    weights: tuple[list[int], int], coeff: Callable[[int], int], n_start: int = 0
+) -> Fraction:
+    """sum_{n >= n_start} coeff(n) * weights[n], exactly."""
+    nums, denom = weights
+    total = sum(coeff(n) * nums[n] for n in range(n_start, len(nums)) if nums[n])
+    return Fraction(total, denom)
 
 
 def build_p(K: int, cache: BernoulliCache | None = None) -> RationalMatrix:
     """P_{s,r} = (2/(2s-1)) sum_n C(2r-1, 2K-2s-n+1) C(n+2s-2, n) B_n.
 
-    The sum runs n = 0..2K-2s; odd-n terms are kept and vanish through
-    B_n = 0 rather than being skipped.
+    The sum runs n = 0..2K-2s; odd-n terms vanish through B_n = 0.
     """
     _check_k(K)
     if cache is None:
         cache = BernoulliCache()
-    rows = [[_p_entry(K, s, r, cache) for r in range(1, K)] for s in range(1, K)]
+    rows = []
+    for s in range(1, K):
+        w, top = _bernoulli_weights(K, s, cache), 2 * K - 2 * s + 1
+        rows.append(
+            [_bernoulli_sum(w, lambda n: comb(2 * r - 1, top - n)) for r in range(1, K)]
+        )
     return _from_rows(rows)
 
 
@@ -149,7 +149,12 @@ def build_q(K: int, cache: BernoulliCache | None = None) -> RationalMatrix:
     _check_k(K)
     if cache is None:
         cache = BernoulliCache()
-    rows = [[_q_entry(K, s, r, cache) for r in range(1, K)] for s in range(1, K)]
+    rows = []
+    for s in range(1, K):
+        w, top = _bernoulli_weights(K, s, cache), 2 * K - 2 * s + 1
+        rows.append(
+            [-_bernoulli_sum(w, lambda n: comb(2 * K - 2 * r, top - n)) for r in range(1, K)]
+        )
     return _from_rows(rows)
 
 
@@ -257,19 +262,10 @@ def _check_indices(K: int, s: int, sp: int) -> None:
         raise IndexError(f"indices (s={s}, s'={sp}) out of range for K={K}")
 
 
-def _closed_sum(K: int, s: int, sp: int, n_start: int, cache: BernoulliCache) -> Fraction:
-    # sum over even n only; the paper's even-n reductions of (PB)/(PC)
-    total = Fraction(0)
-    for n in range(n_start, 2 * K - 2 * s + 1):
-        bn = cache.get(n)
-        if bn:
-            total += (
-                binomial(2 * K - 2 * sp, 2 * s - 2 * sp + n - 1)
-                * binomial(n + 2 * s - 2, n)
-                * Fraction(2) ** (2 * s - 2 * sp + n - 2)
-                * bn
-            )
-    return Fraction(2, 2 * s - 1) * total
+def _closed_coeff(K: int, s: int, sp: int) -> Callable[[int], int]:
+    """n -> C(2K-2s', 2s-2s'+n-1) 2^(2s-2s'+n-2), the (PB)/(PC) binomial factor."""
+    top, e = 2 * K - 2 * sp, 2 * s - 2 * sp
+    return lambda n: comb(top, e + n - 1) << (e + n - 2)
 
 
 def pb_closed(K: int, s: int, sp: int, cache: BernoulliCache | None = None) -> Fraction:
@@ -282,7 +278,7 @@ def pb_closed(K: int, s: int, sp: int, cache: BernoulliCache | None = None) -> F
     if cache is None:
         cache = BernoulliCache()
     n_start = 2 * sp - 2 * s + 2 if s <= sp else 0
-    return _closed_sum(K, s, sp, n_start, cache)
+    return _bernoulli_sum(_bernoulli_weights(K, s, cache), _closed_coeff(K, s, sp), n_start)
 
 
 def pc_closed(K: int, s: int, sp: int, cache: BernoulliCache | None = None) -> Fraction:
@@ -295,11 +291,37 @@ def pc_closed(K: int, s: int, sp: int, cache: BernoulliCache | None = None) -> F
     _check_indices(K, s, sp)
     if cache is None:
         cache = BernoulliCache()
+    weights, coeff = _bernoulli_weights(K, s, cache), _closed_coeff(K, s, sp)
     if s == sp:
-        return Fraction(1) - _closed_sum(K, s, sp, 2, cache)
+        return 1 - _bernoulli_sum(weights, coeff, 2)
     if s < sp:
-        return -_closed_sum(K, s, sp, 2 * sp - 2 * s + 2, cache)
-    return -_closed_sum(K, s, sp, 0, cache)
+        return -_bernoulli_sum(weights, coeff, 2 * sp - 2 * s + 2)
+    return -_bernoulli_sum(weights, coeff, 0)
+
+
+def verify_closed_forms(
+    K: int, cache: BernoulliCache | None = None
+) -> list[tuple[int, int, Fraction, Fraction, Fraction, Fraction]]:
+    """Exact check that the closed forms equal P B and P C and sum to I.
+
+    Returns every offending entry, in row-major order, as a tuple
+    (s, s', pb_closed, pc_closed, (PB)_{s,s'}, (PC)_{s,s'}); an empty
+    list means the check passed.
+    """
+    if cache is None:
+        cache = BernoulliCache()
+    p = build_p(K, cache)
+    pb = matrix_multiply(p, build_b_part(K))
+    pc = matrix_multiply(p, build_c_part(K))
+    bad = []
+    for s in range(1, K):
+        for sp in range(1, K):
+            vb = pb_closed(K, s, sp, cache)
+            vc = pc_closed(K, s, sp, cache)
+            pb_sp, pc_sp = pb.at(s - 1, sp - 1), pc.at(s - 1, sp - 1)
+            if vb != pb_sp or vc != pc_sp or vb + vc != (1 if s == sp else 0):
+                bad.append((s, sp, vb, vc, pb_sp, pc_sp))
+    return bad
 
 
 def matrix_to_json(K: int, name: str, matrix: RationalMatrix) -> str:

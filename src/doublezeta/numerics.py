@@ -22,6 +22,7 @@ from mpmath import mp, mpf
 
 from .bernoulli import BernoulliCache
 from .matrices import build_a
+from .reductions import h_ab_coefficients, h_value
 
 __all__ = [
     "BigFloat",
@@ -344,8 +345,6 @@ def audit_h_ab(a: int, b: int, digits: int = 30) -> HAuditReport:
     depth-2 targets zeta(3), zeta(2,3), zeta(3,2).  Deeper targets would
     need an independent depth >= 3 summation engine and are rejected.
     """
-    from .reductions import h_ab_coefficients, h_value
-
     supported = {(0, 0), (1, 0), (0, 1)}
     if (a, b) not in supported:
         raise ValueError(

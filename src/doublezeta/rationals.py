@@ -26,25 +26,22 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-def binomial(n: int, k: int) -> Fraction:
+def binomial(n: int, k: int) -> int:
     """Generalized binomial coefficient C(n, k) for integer arguments.
 
     Defined by the falling-factorial product n(n-1)...(n-k+1)/k! for
-    k >= 1 and by 1 for k = 0.  For an integer 0 <= n < k this vanishes.
-    k < 0 returns 0 (empty-selection convention), making the function
-    total so identity sweeps never fault on out-of-range indices.
+    k >= 1 and by 1 for k = 0, so it is always an integer.  For an
+    integer 0 <= n < k this vanishes.  k < 0 returns 0 (empty-selection
+    convention), making the function total so identity sweeps never
+    fault on out-of-range indices.
     """
     if k < 0:
-        return Fraction(0)
-    if k == 0:
-        return Fraction(1)
+        return 0
     if n >= 0:
         # math.comb already implements the 0 <= n < k -> 0 convention
-        return Fraction(math.comb(n, k))
-    num = 1
-    for i in range(k):
-        num *= n - i
-    return Fraction(num, math.factorial(k))
+        return math.comb(n, k)
+    # upper negation: C(n, k) = (-1)^k C(k-n-1, k)
+    return (-1) ** k * math.comb(k - n - 1, k)
 
 
 def format_rational(x: Fraction) -> str:

@@ -72,6 +72,21 @@ def test_matrix_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "conjecture", "--k-min", "5", "--k-max", "3"],
+        ["verify", "closed-forms", "--k-min", "5", "--k-max", "3"],
+        ["verify", "conjecture", "--k-max", "3", "--parallel", "2"],
+        ["matrix", "--K", "3", "--which", "A", "--format", "json"],
+    ],
+)
+def test_verify_and_matrix_usage_errors(capsys, argv):
+    code, out, _ = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+
+
 def test_reduce_h(capsys):
     code, out, _ = run(["reduce", "h", "--a", "1", "--b", "0"], capsys)
     assert code == 0

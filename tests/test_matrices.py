@@ -18,6 +18,7 @@ from doublezeta.matrices import (
     matrix_to_json,
     pb_closed,
     pc_closed,
+    verify_closed_forms,
     verify_inverse,
 )
 
@@ -158,6 +159,7 @@ def test_closed_forms_match_products(cache):
             for sp in range(1, K):
                 assert pb_closed(K, s, sp, cache) == pb.at(s - 1, sp - 1)
                 assert pc_closed(K, s, sp, cache) == pc.at(s - 1, sp - 1)
+        assert verify_closed_forms(K, cache) == []
 
 
 def test_closed_form_index_errors(cache):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -51,10 +52,14 @@ def test_canonical_lowest_terms():
     assert x.numerator == -3 and x.denominator == 2
 
 
-@given(st.integers(0, 60), st.integers(0, 60))
+@given(st.integers(-60, 60), st.integers(0, 60))
 def test_binomial_symmetry_and_integrality(n, k):
-    if k <= n:
-        b = binomial(n, k)
+    b = binomial(n, k)
+    assert type(b) is int
+    if n < 0:
+        # falling-factorial definition n(n-1)...(n-k+1)/k!
+        assert b == Fraction(math.prod(range(n - k + 1, n + 1)), math.factorial(k))
+    elif k <= n:
         assert b == binomial(n, n - k)
         assert b.denominator == 1 and b >= 0
 
