@@ -62,8 +62,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lines: list[str] = []
     ok = True
     if args.kind == "conjecture":
+        cache = BernoulliCache()
         for K in range(args.k_min, args.k_max + 1):
-            rep = matrices.verify_inverse(K)
+            rep = matrices.verify_inverse(K, cache)
             ok &= rep.all_pass
             lines.append(
                 f"K={K}: pass"

@@ -16,7 +16,7 @@ from math import comb, lcm
 from typing import Callable
 
 from .bernoulli import BernoulliCache
-from .rationals import binomial, format_rational
+from .rationals import format_rational
 
 __all__ = [
     "RationalMatrix",
@@ -64,10 +64,11 @@ class RationalMatrix:
         ]
 
 
-def _from_rows(rows: list[list[int | Fraction]]) -> RationalMatrix:
-    return RationalMatrix(
-        len(rows), len(rows[0]), tuple(Fraction(x) for row in rows for x in row)
-    )
+def _from_rows(rows: list[list], denoms: list[int] | None = None) -> RationalMatrix:
+    """rows[i][j] / denoms[i] as a RationalMatrix; the denominators default to 1."""
+    denoms = denoms or [1] * len(rows)
+    entries = tuple(Fraction(x, d) for row, d in zip(rows, denoms) for x in row)
+    return RationalMatrix(len(rows), len(rows[0]), entries)
 
 
 def _check_k(K: int) -> None:
@@ -75,56 +76,72 @@ def _check_k(K: int) -> None:
         raise ValueError(f"K must be >= 2 (matrices are (K-1)x(K-1)), got {K}")
 
 
+def _b_rows(K: int) -> list[list[int]]:
+    _check_k(K)
+    return [[comb(2 * K - 2 * s, 2 * r - 1) for s in range(1, K)] for r in range(1, K)]
+
+
+def _c_rows(K: int) -> list[list[int]]:
+    _check_k(K)
+    return [[comb(2 * K - 2 * s, 2 * K - 2 * r) for s in range(1, K)] for r in range(1, K)]
+
+
+def _a_rows(K: int) -> list[list[int]]:
+    return [
+        [b + c for b, c in zip(b_row, c_row)]
+        for b_row, c_row in zip(_b_rows(K), _c_rows(K))
+    ]
+
+
 def build_a(K: int) -> RationalMatrix:
     """A_{r,s} = C(2K-2s, 2r-1) + C(2K-2s, 2K-2r), indices 1..K-1."""
-    _check_k(K)
-    rows = [
-        [
-            binomial(2 * K - 2 * s, 2 * r - 1) + binomial(2 * K - 2 * s, 2 * K - 2 * r)
-            for s in range(1, K)
-        ]
-        for r in range(1, K)
-    ]
-    return _from_rows(rows)
+    return _from_rows(_a_rows(K))
 
 
 def build_b_part(K: int) -> RationalMatrix:
     """B_{r,s} = C(2K-2s, 2r-1); vanishes when r + s > K."""
-    _check_k(K)
-    rows = [
-        [binomial(2 * K - 2 * s, 2 * r - 1) for s in range(1, K)] for r in range(1, K)
-    ]
-    return _from_rows(rows)
+    return _from_rows(_b_rows(K))
 
 
 def build_c_part(K: int) -> RationalMatrix:
     """C_{r,s} = C(2K-2s, 2K-2r); vanishes when r < s."""
-    _check_k(K)
-    rows = [
-        [binomial(2 * K - 2 * s, 2 * K - 2 * r) for s in range(1, K)]
-        for r in range(1, K)
-    ]
-    return _from_rows(rows)
+    return _from_rows(_c_rows(K))
 
 
 def _bernoulli_weights(K: int, s: int, cache: BernoulliCache) -> tuple[list[int], int]:
     """(2/(2s-1)) C(n+2s-2, n) B_n for n = 0..2K-2s, as integers over one denominator.
 
     These weights are the part shared by the P, Q, (PB) and (PC) sums;
-    only the binomial factor in front of them changes between those.
+    only the binomial factor in front of them changes between those, so
+    the denominator d_s serves for row s of P, Q, PB and PC alike.
     """
     terms = [comb(n + 2 * s - 2, n) * cache.get(n) for n in range(2 * K - 2 * s + 1)]
     denom = lcm(*(t.denominator for t in terms))
     return [2 * t.numerator * (denom // t.denominator) for t in terms], (2 * s - 1) * denom
 
 
-def _bernoulli_sum(
-    weights: tuple[list[int], int], coeff: Callable[[int], int], n_start: int = 0
-) -> Fraction:
-    """sum_{n >= n_start} coeff(n) * weights[n], exactly."""
-    nums, denom = weights
-    total = sum(coeff(n) * nums[n] for n in range(n_start, len(nums)) if nums[n])
-    return Fraction(total, denom)
+def _bernoulli_sum(nums: list[int], coeff: Callable[[int], int], n_start: int = 0) -> int:
+    """sum_{n >= n_start} coeff(n) * nums[n], the numerator over the weights' denominator."""
+    return sum(coeff(n) * nums[n] for n in range(n_start, len(nums)) if nums[n])
+
+
+def _inverse_rows(
+    K: int, cache: BernoulliCache | None, q: bool = False
+) -> tuple[list[list[int]], list[tuple[list[int], int]]]:
+    """Rows s = 1..K-1 of P (of Q if q) as numerators over d_s, and their weights."""
+    _check_k(K)
+    if cache is None:
+        cache = BernoulliCache()
+    upper, sign = ((lambda r: 2 * K - 2 * r), -1) if q else ((lambda r: 2 * r - 1), 1)
+    rows, weights = [], []
+    for s in range(1, K):
+        nums, denom = _bernoulli_weights(K, s, cache)
+        top = 2 * K - 2 * s + 1
+        rows.append(
+            [sign * _bernoulli_sum(nums, lambda n: comb(upper(r), top - n)) for r in range(1, K)]
+        )
+        weights.append((nums, denom))
+    return rows, weights
 
 
 def build_p(K: int, cache: BernoulliCache | None = None) -> RationalMatrix:
@@ -132,36 +149,28 @@ def build_p(K: int, cache: BernoulliCache | None = None) -> RationalMatrix:
 
     The sum runs n = 0..2K-2s; odd-n terms vanish through B_n = 0.
     """
-    _check_k(K)
-    if cache is None:
-        cache = BernoulliCache()
-    rows = []
-    for s in range(1, K):
-        w, top = _bernoulli_weights(K, s, cache), 2 * K - 2 * s + 1
-        rows.append(
-            [_bernoulli_sum(w, lambda n: comb(2 * r - 1, top - n)) for r in range(1, K)]
-        )
-    return _from_rows(rows)
+    rows, weights = _inverse_rows(K, cache)
+    return _from_rows(rows, [d for _, d in weights])
 
 
 def build_q(K: int, cache: BernoulliCache | None = None) -> RationalMatrix:
     """Q_{s,r} = -(2/(2s-1)) sum_n C(2K-2r, 2K-2s-n+1) C(n+2s-2, n) B_n."""
-    _check_k(K)
-    if cache is None:
-        cache = BernoulliCache()
-    rows = []
-    for s in range(1, K):
-        w, top = _bernoulli_weights(K, s, cache), 2 * K - 2 * s + 1
-        rows.append(
-            [-_bernoulli_sum(w, lambda n: comb(2 * K - 2 * r, top - n)) for r in range(1, K)]
-        )
-    return _from_rows(rows)
+    rows, weights = _inverse_rows(K, cache, q=True)
+    return _from_rows(rows, [d for _, d in weights])
+
+
+def _diagonal(diag: list[int]) -> list[list[int]]:
+    return [[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)]
 
 
 def identity_matrix(n: int) -> RationalMatrix:
-    return RationalMatrix(
-        n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n))
-    )
+    return _from_rows(_diagonal([1] * n))
+
+
+def _product(a: list[list], b: list[list]) -> list[list]:
+    """Plain product of two matrices given as row lists (int or Fraction entries)."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def matrix_multiply(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -169,17 +178,7 @@ def matrix_multiply(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
         raise ValueError(
             f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}"
         )
-    out = []
-    for i in range(a.rows):
-        arow = a.entries[i * a.cols : (i + 1) * a.cols]
-        for j in range(b.cols):
-            out.append(
-                sum(
-                    (arow[k] * b.entries[k * b.cols + j] for k in range(a.cols)),
-                    Fraction(0),
-                )
-            )
-    return RationalMatrix(a.rows, b.cols, tuple(out))
+    return _from_rows(_product(a.row_lists(), b.row_lists()))
 
 
 def determinant_fraction_free(a: RationalMatrix) -> Fraction:
@@ -239,20 +238,26 @@ class InverseReport:
 
 
 def verify_inverse(K: int, cache: BernoulliCache | None = None) -> InverseReport:
-    """Exact check that P = Q and P A = A P = I and det A != 0."""
-    _check_k(K)
+    """Exact check that P = Q and P A = A P = I and det A != 0.
+
+    All in integers, with row s of P and of Q as numerators n_s over d_s
+    and L = lcm of the d_s: P = Q by equal n_s, P A = I by n_s A = d_s e_s,
+    and A P = I by A (L P) = L I.
+    """
     if cache is None:
         cache = BernoulliCache()
-    a = build_a(K)
-    p = build_p(K, cache)
-    q = build_q(K, cache)
-    ident = identity_matrix(K - 1)
+    a = _a_rows(K)
+    p, weights = _inverse_rows(K, cache)
+    q, _ = _inverse_rows(K, cache, q=True)
+    denoms = [d for _, d in weights]
+    big = lcm(*denoms)
+    lp = [[big // d * x for x in row] for row, d in zip(p, denoms)]
     return InverseReport(
         K=K,
         p_eq_q=p == q,
-        pa_is_identity=matrix_multiply(p, a) == ident,
-        ap_is_identity=matrix_multiply(a, p) == ident,
-        det_nonzero=determinant_fraction_free(a) != 0,
+        pa_is_identity=_product(p, a) == _diagonal(denoms),
+        ap_is_identity=_product(a, lp) == _diagonal([big] * (K - 1)),
+        det_nonzero=determinant_fraction_free(_from_rows(a)) != 0,
     )
 
 
@@ -262,65 +267,54 @@ def _check_indices(K: int, s: int, sp: int) -> None:
         raise IndexError(f"indices (s={s}, s'={sp}) out of range for K={K}")
 
 
-def _closed_coeff(K: int, s: int, sp: int) -> Callable[[int], int]:
-    """n -> C(2K-2s', 2s-2s'+n-1) 2^(2s-2s'+n-2), the (PB)/(PC) binomial factor."""
-    top, e = 2 * K - 2 * sp, 2 * s - 2 * sp
-    return lambda n: comb(top, e + n - 1) << (e + n - 2)
-
-
-def pb_closed(K: int, s: int, sp: int, cache: BernoulliCache | None = None) -> Fraction:
-    """(P B)_{s,s'} from the closed-form Bernoulli sum, no matrix product.
+def _pb_numerator(K: int, s: int, sp: int, nums: list[int]) -> int:
+    """(P B)_{s,s'} over d_s: sum_n C(2K-2s', 2s-2s'+n-1) 2^(2s-2s'+n-2) nums[n].
 
     For s <= s' the sum starts at n = 2s'-2s+2; for s > s' it starts at
     n = 0 and picks up the B_1 term through the merged power of two.
     """
+    top, e = 2 * K - 2 * sp, 2 * s - 2 * sp
+    n_start = 2 - e if s <= sp else 0
+    return _bernoulli_sum(nums, lambda n: comb(top, e + n - 1) << (e + n - 2), n_start)
+
+
+def pb_closed(K: int, s: int, sp: int, cache: BernoulliCache | None = None) -> Fraction:
+    """(P B)_{s,s'} from the closed-form Bernoulli sum, no matrix product."""
     _check_indices(K, s, sp)
     if cache is None:
         cache = BernoulliCache()
-    n_start = 2 * sp - 2 * s + 2 if s <= sp else 0
-    return _bernoulli_sum(_bernoulli_weights(K, s, cache), _closed_coeff(K, s, sp), n_start)
+    nums, denom = _bernoulli_weights(K, s, cache)
+    return Fraction(_pb_numerator(K, s, sp, nums), denom)
 
 
 def pc_closed(K: int, s: int, sp: int, cache: BernoulliCache | None = None) -> Fraction:
-    """(P C)_{s,s'} from the closed-form case analysis.
+    """(P C)_{s,s'} = delta_{s,s'} - (P B)_{s,s'}, because P C = P A - P B = I - P B.
 
-    The diagonal case carries the extra 1 contributed by the r = s,
-    n = 1 term; off-diagonal cases are the negated companion sums so
-    that PB + PC is exactly the identity.
+    The delta is the extra 1 contributed by the r = s, n = 1 term.
     """
-    _check_indices(K, s, sp)
-    if cache is None:
-        cache = BernoulliCache()
-    weights, coeff = _bernoulli_weights(K, s, cache), _closed_coeff(K, s, sp)
-    if s == sp:
-        return 1 - _bernoulli_sum(weights, coeff, 2)
-    if s < sp:
-        return -_bernoulli_sum(weights, coeff, 2 * sp - 2 * s + 2)
-    return -_bernoulli_sum(weights, coeff, 0)
+    return (1 if s == sp else 0) - pb_closed(K, s, sp, cache)
 
 
 def verify_closed_forms(
     K: int, cache: BernoulliCache | None = None
 ) -> list[tuple[int, int, Fraction, Fraction, Fraction, Fraction]]:
-    """Exact check that the closed forms equal P B and P C and sum to I.
+    """Exact check that the closed forms equal P B and P C.
 
-    Returns every offending entry, in row-major order, as a tuple
+    Compares integer numerators over d_s, row by row.  Returns every
+    offending entry, in row-major order, as a tuple
     (s, s', pb_closed, pc_closed, (PB)_{s,s'}, (PC)_{s,s'}); an empty
     list means the check passed.
     """
-    if cache is None:
-        cache = BernoulliCache()
-    p = build_p(K, cache)
-    pb = matrix_multiply(p, build_b_part(K))
-    pc = matrix_multiply(p, build_c_part(K))
+    p, weights = _inverse_rows(K, cache)
+    pb, pc = _product(p, _b_rows(K)), _product(p, _c_rows(K))
     bad = []
-    for s in range(1, K):
+    for s, (pb_row, pc_row, (nums, denom)) in enumerate(zip(pb, pc, weights), 1):
         for sp in range(1, K):
-            vb = pb_closed(K, s, sp, cache)
-            vc = pc_closed(K, s, sp, cache)
-            pb_sp, pc_sp = pb.at(s - 1, sp - 1), pc.at(s - 1, sp - 1)
-            if vb != pb_sp or vc != pc_sp or vb + vc != (1 if s == sp else 0):
-                bad.append((s, sp, vb, vc, pb_sp, pc_sp))
+            vb = _pb_numerator(K, s, sp, nums)
+            vc = (denom if s == sp else 0) - vb
+            if vb != pb_row[sp - 1] or vc != pc_row[sp - 1]:
+                entries = (vb, vc, pb_row[sp - 1], pc_row[sp - 1])
+                bad.append((s, sp, *(Fraction(x, denom) for x in entries)))
     return bad
 
 

@@ -162,6 +162,35 @@ def test_closed_forms_match_products(cache):
         assert verify_closed_forms(K, cache) == []
 
 
+class BadBernoulliCache(BernoulliCache):
+    """B_4 is -1/30; returning 1/29 must fail every check that uses B_4."""
+
+    def get(self, n: int) -> Fraction:
+        return Fraction(1, 29) if n == 4 else super().get(n)
+
+
+@pytest.mark.parametrize("K", [3, 5, 8])
+def test_checks_fail_under_a_corrupted_cache(K):
+    bad = BadBernoulliCache()
+    report = verify_inverse(K, bad)
+    assert not report.p_eq_q
+    assert not report.pa_is_identity
+    assert not report.ap_is_identity
+    assert report.det_nonzero
+    offending = verify_closed_forms(K, bad)
+    assert offending
+    p = build_p(K, bad)
+    pb = matrix_multiply(p, build_b_part(K))
+    pc = matrix_multiply(p, build_c_part(K))
+    for s, sp, *values in offending:
+        assert values == [
+            pb_closed(K, s, sp, bad),
+            pc_closed(K, s, sp, bad),
+            pb.at(s - 1, sp - 1),
+            pc.at(s - 1, sp - 1),
+        ]
+
+
 def test_closed_form_index_errors(cache):
     with pytest.raises(IndexError):
         pb_closed(3, 0, 1, cache)
