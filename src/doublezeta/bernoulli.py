@@ -1,14 +1,22 @@
 """Exact Bernoulli numbers in the B_1 = -1/2 convention.
 
-Computed by the recursion B_0 = 1, B_n = -n! * sum_{k<n} B_k / (k!(n-k+1)!).
-Note the convention: B_1 = -1/2 (the "first" Bernoulli numbers).  Every
-downstream formula in this package assumes it.
+Even-index values come from the zigzag numbers A_n, the last entries of
+the rows of the Seidel boustrophedon (Entringer) triangle: E(0,0) = 1,
+E(m,0) = 0, E(m,k) = E(m,k-1) + E(m-1,m-k), A_m = E(m,m).  For even m >= 2,
+
+    B_m = (-1)^(m/2-1) * m * A_{m-1} / (2^m (2^m - 1)),
+
+so each new index costs m integer additions and one Fraction.  See
+Millar, Sloane and Young, J. Combin. Theory Ser. A 76 (1996), and Brent
+and Harvey, "Fast computation of Bernoulli, tangent and secant numbers"
+(2011).  Note the convention: B_1 = -1/2 (the "first" Bernoulli numbers).
+Every downstream formula in this package assumes it.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from itertools import accumulate
 
 __all__ = ["BernoulliCache", "bernoulli_number", "bernoulli_range"]
 
@@ -17,11 +25,13 @@ class BernoulliCache:
     """Append-only cache of B_0, B_1, ... owned by a single task.
 
     The cache is a value, not global state: independent instances always
-    agree entrywise because the recursion is deterministic.
+    agree entrywise because the triangle is deterministic.  Besides the
+    values it keeps only the last boustrophedon row, row ``high_water``.
     """
 
     def __init__(self) -> None:
         self._values: list[Fraction] = [Fraction(1)]
+        self._row: list[int] = [1]
 
     @property
     def high_water(self) -> int:
@@ -36,16 +46,19 @@ class BernoulliCache:
         return self._values[n]
 
     def _extend(self, n: int) -> None:
-        while len(self._values) <= n:
-            m = len(self._values)
-            if m % 2 == 1 and m >= 3:
-                self._values.append(Fraction(0))
-                continue
-            total = Fraction(0)
-            for k, bk in enumerate(self._values):
-                if bk:
-                    total += Fraction(bk, math.factorial(k) * math.factorial(m - k + 1))
-            self._values.append(-math.factorial(m) * total)
+        values, row = self._values, self._row
+        while len(values) <= n:
+            m = len(values)
+            zigzag = row[-1]  # A_{m-1}
+            row = list(accumulate(reversed(row), initial=0))
+            if m == 1:
+                values.append(Fraction(-1, 2))
+            elif m % 2:
+                values.append(Fraction(0))
+            else:
+                sign = 1 if m % 4 == 2 else -1
+                values.append(Fraction(sign * m * zigzag, (1 << m) * ((1 << m) - 1)))
+        self._row = row
 
 
 def bernoulli_number(n: int, cache: BernoulliCache | None = None) -> Fraction:

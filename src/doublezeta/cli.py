@@ -208,11 +208,12 @@ def _bigfloat_fields(x: numerics.BigFloat, digits: int) -> dict:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    cache = BernoulliCache()
     if args.kind == "euler":
         rows = []
         r_values = [args.r] if args.r is not None else list(range(1, args.K))
         for r in r_values:
-            rep = numerics.audit_euler_constant(args.K, r, args.digits)
+            rep = numerics.audit_euler_constant(args.K, r, args.digits, cache)
             rows.append(
                 {
                     "r": r,
@@ -229,7 +230,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             )
         payload = {"kind": "euler_audit", "K": args.K, "digits": args.digits, "rows": rows}
     else:
-        rep = numerics.audit_h_ab(args.a, args.b, args.digits)
+        rep = numerics.audit_h_ab(args.a, args.b, args.digits, cache)
         payload = {
             "kind": "h_audit",
             "a": args.a,
@@ -248,11 +249,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_zeta(args: argparse.Namespace) -> int:
+    cache = BernoulliCache()
     if args.k is not None:
-        value = numerics.zeta_single(args.k, args.digits)
+        value = numerics.zeta_single(args.k, args.digits, cache)
         label = f"zeta({args.k})"
     elif args.k1 is not None and args.k2 is not None:
-        value = numerics.zeta_double(args.k1, args.k2, args.digits)
+        value = numerics.zeta_double(args.k1, args.k2, args.digits, cache)
         label = f"zeta({args.k1},{args.k2})"
     else:
         raise CliError(EXIT_USAGE, "zeta needs --k, or both --k1 and --k2")
@@ -347,6 +349,11 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     if args.command == "verify" and args.kind in ("conjecture", "closed-forms"):
         if args.k_max < args.k_min:
             parser.error("--k-max must be >= --k-min")
+    if args.command == "verify" and args.kind == "carlitz" and args.max < 0:
+        parser.error("--max must be >= 0")
+    if args.command == "verify" and args.kind == "series":
+        if args.s_max < 1 or args.m_max < 1:
+            parser.error("--s-max and --m-max must be >= 1")
     if args.command == "audit" and args.digits < 10:
         parser.error("--digits must be >= 10 for audits")
 

@@ -10,6 +10,10 @@ Single zeta tails use Euler-Maclaurin with the classical periodic-
 Bernoulli remainder bound; double zeta tails expand the inner partial
 sum by the same machinery, reducing the outer tail to a finite
 combination of single-zeta tails plus a rigorously bounded remainder.
+
+The functions that need Bernoulli numbers take an optional
+:class:`BernoulliCache`; a caller making several evaluations passes one
+cache to all of them, otherwise each call makes its own.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ __all__ = [
     "HAuditReport",
     "audit_h_ab",
 ]
-
-_BERNOULLI = BernoulliCache()
 
 
 def _slack(x) -> mpf:
@@ -104,7 +106,9 @@ def _rising(k: int, j: int) -> int:
     return math.factorial(k + j - 1) // math.factorial(k - 1)
 
 
-def _zeta_tail(k: int, start: int, target: mpf) -> tuple[mpf, mpf]:
+def _zeta_tail(
+    k: int, start: int, target: mpf, cache: BernoulliCache
+) -> tuple[mpf, mpf]:
     """sum_{m >= start} m^{-k} by Euler-Maclaurin, with remainder bound.
 
     Derivative terms j = 1..J-1 are added until the periodic-Bernoulli
@@ -116,7 +120,7 @@ def _zeta_tail(k: int, start: int, target: mpf) -> tuple[mpf, mpf]:
     prev_bound = mpf("inf")
     J = 1
     while True:
-        b2j = _BERNOULLI.get(2 * J)
+        b2j = cache.get(2 * J)
         b2j_f = mpf(b2j.numerator) / mpf(b2j.denominator)
         # remainder bound valid for the state with terms j = 1..J-1 included
         bound = (
@@ -142,31 +146,38 @@ def _choose_cutoff(digits: int) -> int:
     return max(16, digits)
 
 
-def zeta_single(k: int, digits: int = 30) -> BigFloat:
+def zeta_single(
+    k: int, digits: int = 30, cache: BernoulliCache | None = None
+) -> BigFloat:
     """Riemann zeta at an integer k >= 2, |error| <= 10^-digits."""
     if k < 2:
         raise ValueError(f"zeta_single requires k >= 2, got {k}")
     if digits < 1:
         raise ValueError("digits must be >= 1")
+    if cache is None:
+        cache = BernoulliCache()
     with mp.workdps(2 * digits + 15):
         target = mpf(10) ** (-(digits + 10))
         M = _choose_cutoff(digits)
         partial = mpf(0)
         for m in range(1, M):
             partial += mpf(m) ** (-k)
-        tail, bound = _zeta_tail(k, M, target)
+        tail, bound = _zeta_tail(k, M, target, cache)
         value = partial + tail
         err = bound + _slack(value) * (M + 4)
         return BigFloat(value, err)
 
 
-def zeta_double(k1: int, k2: int, digits: int = 30) -> BigFloat:
+def zeta_double(
+    k1: int, k2: int, digits: int = 30, cache: BernoulliCache | None = None
+) -> BigFloat:
     """Double zeta sum_{j < m} j^{-k1} m^{-k2}, |error| <= 10^-digits.
 
-    Requires k2 >= 2 (convergence of the outer sum).  The outer tail is
-    written as zeta(k1) * tail(k2) minus sum_{m > M} m^{-k2} T(m) with
-    T(m) = sum_{j >= m} j^{-k1}; T is expanded by Euler-Maclaurin into
+    Requires k2 >= 2 (convergence of the outer sum).  For k1 >= 2 the outer
+    tail is written as zeta(k1) * tail(k2) minus sum_{m > M} m^{-k2} T(m)
+    with T(m) = sum_{j >= m} j^{-k1}; T is expanded by Euler-Maclaurin into
     powers of m, so the correction is again a sum of single-zeta tails.
+    k1 = 1 (then k2 >= 3) is evaluated by Euler's formula instead.
     """
     if k2 < 2:
         raise ValueError(f"zeta_double requires k2 >= 2, got k2={k2}")
@@ -176,6 +187,10 @@ def zeta_double(k1: int, k2: int, digits: int = 30) -> BigFloat:
         raise ValueError("zeta(1, 2) is divergent in this summation order")
     if digits < 1:
         raise ValueError("digits must be >= 1")
+    if cache is None:
+        cache = BernoulliCache()
+    if k1 == 1:
+        return _zeta_one(k2, digits, cache)
     with mp.workdps(2 * digits + 15):
         target = mpf(10) ** (-(digits + 10))
         M = max(_choose_cutoff(digits), 2 * digits)
@@ -187,8 +202,8 @@ def zeta_double(k1: int, k2: int, digits: int = 30) -> BigFloat:
             inner += mpf(m - 1) ** (-k1)
             direct += mpf(m) ** (-k2) * inner
 
-        z1 = zeta_single(k1, digits + 10)
-        t2, t2_bound = _zeta_tail(k2, M + 1, target)
+        z1 = zeta_single(k1, digits + 10, cache)
+        t2, t2_bound = _zeta_tail(k2, M + 1, target, cache)
 
         # Euler-Maclaurin expansion of T(m) = sum_{j>=m} j^{-k1} in powers
         # of 1/m; each power folds into a single-zeta tail of the outer sum.
@@ -198,7 +213,7 @@ def zeta_double(k1: int, k2: int, digits: int = 30) -> BigFloat:
             (k1, mpf("0.5")),
         ]
         for j in range(1, J):
-            b2j = _BERNOULLI.get(2 * j)
+            b2j = cache.get(2 * j)
             c = (
                 mpf(b2j.numerator)
                 / mpf(b2j.denominator)
@@ -206,7 +221,7 @@ def zeta_double(k1: int, k2: int, digits: int = 30) -> BigFloat:
                 * _rising(k1, 2 * j - 1)
             )
             powers.append((k1 + 2 * j - 1, c))
-        b2J = _BERNOULLI.get(2 * J)
+        b2J = cache.get(2 * J)
         rho = (
             2
             * abs(mpf(b2J.numerator) / mpf(b2J.denominator))
@@ -218,11 +233,11 @@ def zeta_double(k1: int, k2: int, digits: int = 30) -> BigFloat:
         correction = mpf(0)
         corr_bound = mpf(0)
         for alpha, c in powers:
-            tv, tb = _zeta_tail(k2 + alpha, M + 1, target)
+            tv, tb = _zeta_tail(k2 + alpha, M + 1, target, cache)
             correction += c * tv
             corr_bound += abs(c) * tb
         # T-expansion remainder summed over the outer tail
-        rem_tail, rem_bound = _zeta_tail(k2 + k1 + 2 * J - 1, M + 1, target)
+        rem_tail, rem_bound = _zeta_tail(k2 + k1 + 2 * J - 1, M + 1, target, cache)
         corr_bound += rho * (rem_tail + rem_bound)
 
         value = direct + z1.value * t2 - correction
@@ -235,6 +250,17 @@ def zeta_double(k1: int, k2: int, digits: int = 30) -> BigFloat:
         return BigFloat(value, err)
 
 
+def _zeta_one(k: int, digits: int, cache: BernoulliCache) -> BigFloat:
+    """zeta(1, k) = (k/2) zeta(k+1) - 1/2 sum_{j=1}^{k-2} zeta(j+1) zeta(k-j)."""
+    inner = digits + 5
+    with mp.workdps(2 * inner + 15):
+        value = zeta_single(k + 1, inner, cache).scale(Fraction(k, 2))
+        for j in range(1, k - 1):
+            product = zeta_single(j + 1, inner, cache) * zeta_single(k - j, inner, cache)
+            value = value - product.scale(Fraction(1, 2))
+        return value
+
+
 def pi_value(digits: int = 30) -> BigFloat:
     """pi with an error bound of a few ulps at the working precision."""
     if digits < 1:
@@ -244,13 +270,18 @@ def pi_value(digits: int = 30) -> BigFloat:
         return BigFloat(v, _slack(v))
 
 
-def eval_products(K: int, digits: int = 30) -> list[BigFloat]:
+def eval_products(
+    K: int, digits: int = 30, cache: BernoulliCache | None = None
+) -> list[BigFloat]:
     """zeta(2s) * zeta(2K+1-2s) for s = 1..K-1, bounds propagated."""
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
+    if cache is None:
+        cache = BernoulliCache()
     with mp.workdps(2 * digits + 15):
         return [
-            zeta_single(2 * s, digits) * zeta_single(2 * K + 1 - 2 * s, digits)
+            zeta_single(2 * s, digits, cache)
+            * zeta_single(2 * K + 1 - 2 * s, digits, cache)
             for s in range(1, K)
         ]
 
@@ -289,7 +320,9 @@ class AuditReport:
     printed_constant_consistent: bool
 
 
-def audit_euler_constant(K: int, r: int, digits: int = 40) -> AuditReport:
+def audit_euler_constant(
+    K: int, r: int, digits: int = 40, cache: BernoulliCache | None = None
+) -> AuditReport:
     """Compare zeta(2r, 2K+1-2r) against the A-weighted product sum.
 
     residual_ratio = (lhs - sum_s A_{r,s} products_s) / zeta(2K+1); the
@@ -300,14 +333,16 @@ def audit_euler_constant(K: int, r: int, digits: int = 40) -> AuditReport:
         raise ValueError(f"K must be >= 2, got {K}")
     if not 1 <= r <= K - 1:
         raise ValueError(f"row r={r} out of range for K={K}")
+    if cache is None:
+        cache = BernoulliCache()
     with mp.workdps(2 * digits + 15):
         a = build_a(K)
-        products = eval_products(K, digits)
-        lhs = zeta_double(2 * r, 2 * K + 1 - 2 * r, digits)
+        products = eval_products(K, digits, cache)
+        lhs = zeta_double(2 * r, 2 * K + 1 - 2 * r, digits, cache)
         rhs = products[0].scale(a.at(r - 1, 0))
         for s in range(2, K):
             rhs = rhs + products[s - 1].scale(a.at(r - 1, s - 1))
-        z_odd = zeta_single(2 * K + 1, digits)
+        z_odd = zeta_single(2 * K + 1, digits, cache)
         residual = (lhs - rhs) / z_odd
         reconstructed = rational_reconstruct(residual, 64)
         consistent = bool(
@@ -338,7 +373,9 @@ class HAuditReport:
     agrees_within_bounds: bool
 
 
-def audit_h_ab(a: int, b: int, digits: int = 30) -> HAuditReport:
+def audit_h_ab(
+    a: int, b: int, digits: int = 30, cache: BernoulliCache | None = None
+) -> HAuditReport:
     """Check the H(a,b) coefficient formula against direct summation.
 
     Supported scope: (a, b) in {(0,0), (1,0), (0,1)} - the depth-1 and
@@ -352,6 +389,8 @@ def audit_h_ab(a: int, b: int, digits: int = 30) -> HAuditReport:
         )
     if digits < 1:
         raise ValueError("digits must be >= 1")
+    if cache is None:
+        cache = BernoulliCache()
     with mp.workdps(2 * digits + 15):
         K = a + b + 1
         table = h_ab_coefficients(a, b)
@@ -361,16 +400,16 @@ def audit_h_ab(a: int, b: int, digits: int = 30) -> HAuditReport:
             n = K - r
             hv = h_value(n)
             h_num = _pi_power(pi_bf, 2 * n).scale(hv.coefficient)
-            contrib = (h_num * zeta_single(2 * r + 1, digits)).scale(term.coeff)
+            contrib = (h_num * zeta_single(2 * r + 1, digits, cache)).scale(term.coeff)
             formula = contrib if formula is None else formula + contrib
         assert formula is not None
 
         if (a, b) == (0, 0):
-            direct = zeta_single(3, digits)
+            direct = zeta_single(3, digits, cache)
         elif (a, b) == (1, 0):
-            direct = zeta_double(2, 3, digits)
+            direct = zeta_double(2, 3, digits, cache)
         else:
-            direct = zeta_double(3, 2, digits)
+            direct = zeta_double(3, 2, digits, cache)
 
         diff = abs(formula.value - direct.value)
         agrees = bool(diff <= formula.error_bound + direct.error_bound)

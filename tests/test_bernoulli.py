@@ -18,6 +18,21 @@ def bernoulli_oracle(n: int) -> Fraction:
     return total
 
 
+def bernoulli_recursion(n_max: int) -> list[Fraction]:
+    """B_0..B_{n_max} by B_n = -n! * sum_{k<n} B_k / (k!(n-k+1)!)."""
+    values = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        if m % 2 == 1 and m >= 3:
+            values.append(Fraction(0))
+            continue
+        total = Fraction(0)
+        for k, bk in enumerate(values):
+            if bk:
+                total += Fraction(bk, math.factorial(k) * math.factorial(m - k + 1))
+        values.append(-math.factorial(m) * total)
+    return values
+
+
 def test_stated_values():
     assert bernoulli_number(0) == 1
     assert bernoulli_number(1) == Fraction(-1, 2)
@@ -33,6 +48,18 @@ def test_derived_values_against_oracle(n, expected):
 @pytest.mark.parametrize("n", range(0, 25))
 def test_matches_oracle_entrywise(n):
     assert bernoulli_number(n) == bernoulli_oracle(n)
+
+
+def test_matches_recursion_through_300():
+    assert bernoulli_range(300) == bernoulli_recursion(300)
+
+
+def test_von_staudt_clausen_denominators():
+    cache = BernoulliCache()
+    primes = [p for p in range(2, 402) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    for n in range(2, 401, 2):
+        expected = math.prod(p for p in primes if n % (p - 1) == 0)
+        assert cache.get(n).denominator == expected, n
 
 
 def test_range_examples():
@@ -67,13 +94,15 @@ def test_sign_alternation_of_even_values():
 
 
 def test_cache_determinism_and_fill_order():
-    a = BernoulliCache()
-    b = BernoulliCache()
-    a.get(30)
-    for n in (7, 30, 2, 19):
-        b.get(n)
-    assert [a.get(i) for i in range(31)] == [b.get(i) for i in range(31)]
-    assert a.high_water >= 30
+    for order in ((7, 30, 2, 19), (401, 7, 250)):
+        top = max(order)
+        a = BernoulliCache()
+        b = BernoulliCache()
+        a.get(top)
+        for n in order:
+            b.get(n)
+        assert [a.get(i) for i in range(top + 1)] == [b.get(i) for i in range(top + 1)]
+        assert a.high_water >= top
 
 
 def test_generating_function_consistency():

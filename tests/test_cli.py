@@ -79,6 +79,9 @@ def test_matrix_usage_error(capsys):
         ["verify", "closed-forms", "--k-min", "5", "--k-max", "3"],
         ["verify", "conjecture", "--k-max", "3", "--parallel", "2"],
         ["matrix", "--K", "3", "--which", "A", "--format", "json"],
+        ["verify", "carlitz", "--max", "-3"],
+        ["verify", "series", "--s-max", "0"],
+        ["verify", "series", "--m-max", "0"],
     ],
 )
 def test_verify_and_matrix_usage_errors(capsys, argv):

@@ -52,6 +52,22 @@ def test_zeta_single_rejects_bad_args():
         zeta_double(2, 1, 30)
 
 
+@pytest.mark.parametrize("digits", [30, 80])
+def test_zeta_double_k1_one_matches_euler_formula(digits):
+    # Euler: zeta(1, k) = (k/2) zeta(k+1) - 1/2 sum_{j=1}^{k-2} zeta(j+1) zeta(k-j)
+    target = mpf(10) ** -digits
+    z3 = zeta_double(1, 3, digits)
+    with mp.workdps(digits + 30):
+        assert abs(z3.value - mp.pi**4 / 360) <= z3.error_bound <= target
+    for k in range(4, 10):
+        z = zeta_double(1, k, digits)
+        with mp.workdps(digits + 30):
+            ref = mpf(k) / 2 * mpmath.zeta(k + 1) - sum(
+                mpmath.zeta(j + 1) * mpmath.zeta(k - j) for j in range(1, k - 1)
+            ) / 2
+            assert abs(z.value - ref) <= z.error_bound <= target, k
+
+
 def test_zeta_double_reference_values():
     zd = zeta_double(2, 3, 30)
     assert str(zd.value).startswith("0.22881039")
