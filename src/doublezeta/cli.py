@@ -208,12 +208,11 @@ def _bigfloat_fields(x: numerics.BigFloat, digits: int) -> dict:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    cache = BernoulliCache()
     if args.kind == "euler":
         rows = []
         r_values = [args.r] if args.r is not None else list(range(1, args.K))
         for r in r_values:
-            rep = numerics.audit_euler_constant(args.K, r, args.digits, cache)
+            rep = numerics.audit_euler_constant(args.K, r, args.digits)
             rows.append(
                 {
                     "r": r,
@@ -230,7 +229,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             )
         payload = {"kind": "euler_audit", "K": args.K, "digits": args.digits, "rows": rows}
     else:
-        rep = numerics.audit_h_ab(args.a, args.b, args.digits, cache)
+        rep = numerics.audit_h_ab(args.a, args.b, args.digits)
         payload = {
             "kind": "h_audit",
             "a": args.a,
@@ -249,12 +248,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_zeta(args: argparse.Namespace) -> int:
-    cache = BernoulliCache()
     if args.k is not None:
-        value = numerics.zeta_single(args.k, args.digits, cache)
+        value = numerics.zeta_single(args.k, args.digits)
         label = f"zeta({args.k})"
     elif args.k1 is not None and args.k2 is not None:
-        value = numerics.zeta_double(args.k1, args.k2, args.digits, cache)
+        value = numerics.zeta_double(args.k1, args.k2, args.digits)
         label = f"zeta({args.k1},{args.k2})"
     else:
         raise CliError(EXIT_USAGE, "zeta needs --k, or both --k1 and --k2")

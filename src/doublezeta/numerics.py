@@ -11,9 +11,9 @@ Bernoulli remainder bound; double zeta tails expand the inner partial
 sum by the same machinery, reducing the outer tail to a finite
 combination of single-zeta tails plus a rigorously bounded remainder.
 
-The functions that need Bernoulli numbers take an optional
-:class:`BernoulliCache`; a caller making several evaluations passes one
-cache to all of them, otherwise each call makes its own.
+``zeta_single`` and ``zeta_double`` take an optional
+:class:`BernoulliCache`, which a caller making several evaluations passes
+to all of them; otherwise each call makes its own.
 """
 
 from __future__ import annotations
@@ -177,14 +177,12 @@ def zeta_double(
     tail is written as zeta(k1) * tail(k2) minus sum_{m > M} m^{-k2} T(m)
     with T(m) = sum_{j >= m} j^{-k1}; T is expanded by Euler-Maclaurin into
     powers of m, so the correction is again a sum of single-zeta tails.
-    k1 = 1 (then k2 >= 3) is evaluated by Euler's formula instead.
+    k1 = 1 is evaluated by Euler's formula instead.
     """
     if k2 < 2:
         raise ValueError(f"zeta_double requires k2 >= 2, got k2={k2}")
     if k1 < 1:
         raise ValueError(f"zeta_double requires k1 >= 1, got k1={k1}")
-    if k1 == 1 and k2 == 2:
-        raise ValueError("zeta(1, 2) is divergent in this summation order")
     if digits < 1:
         raise ValueError("digits must be >= 1")
     if cache is None:
@@ -254,10 +252,10 @@ def _zeta_one(k: int, digits: int, cache: BernoulliCache) -> BigFloat:
     """zeta(1, k) = (k/2) zeta(k+1) - 1/2 sum_{j=1}^{k-2} zeta(j+1) zeta(k-j)."""
     inner = digits + 5
     with mp.workdps(2 * inner + 15):
-        value = zeta_single(k + 1, inner, cache).scale(Fraction(k, 2))
+        z = {i: zeta_single(i, inner, cache) for i in range(2, k + 2)}
+        value = z[k + 1].scale(Fraction(k, 2))
         for j in range(1, k - 1):
-            product = zeta_single(j + 1, inner, cache) * zeta_single(k - j, inner, cache)
-            value = value - product.scale(Fraction(1, 2))
+            value = value - (z[j + 1] * z[k - j]).scale(Fraction(1, 2))
         return value
 
 
@@ -270,14 +268,11 @@ def pi_value(digits: int = 30) -> BigFloat:
         return BigFloat(v, _slack(v))
 
 
-def eval_products(
-    K: int, digits: int = 30, cache: BernoulliCache | None = None
-) -> list[BigFloat]:
+def eval_products(K: int, digits: int = 30) -> list[BigFloat]:
     """zeta(2s) * zeta(2K+1-2s) for s = 1..K-1, bounds propagated."""
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
-    if cache is None:
-        cache = BernoulliCache()
+    cache = BernoulliCache()
     with mp.workdps(2 * digits + 15):
         return [
             zeta_single(2 * s, digits, cache)
@@ -320,9 +315,7 @@ class AuditReport:
     printed_constant_consistent: bool
 
 
-def audit_euler_constant(
-    K: int, r: int, digits: int = 40, cache: BernoulliCache | None = None
-) -> AuditReport:
+def audit_euler_constant(K: int, r: int, digits: int = 40) -> AuditReport:
     """Compare zeta(2r, 2K+1-2r) against the A-weighted product sum.
 
     residual_ratio = (lhs - sum_s A_{r,s} products_s) / zeta(2K+1); the
@@ -333,11 +326,10 @@ def audit_euler_constant(
         raise ValueError(f"K must be >= 2, got {K}")
     if not 1 <= r <= K - 1:
         raise ValueError(f"row r={r} out of range for K={K}")
-    if cache is None:
-        cache = BernoulliCache()
+    cache = BernoulliCache()
     with mp.workdps(2 * digits + 15):
         a = build_a(K)
-        products = eval_products(K, digits, cache)
+        products = eval_products(K, digits)
         lhs = zeta_double(2 * r, 2 * K + 1 - 2 * r, digits, cache)
         rhs = products[0].scale(a.at(r - 1, 0))
         for s in range(2, K):
@@ -373,9 +365,7 @@ class HAuditReport:
     agrees_within_bounds: bool
 
 
-def audit_h_ab(
-    a: int, b: int, digits: int = 30, cache: BernoulliCache | None = None
-) -> HAuditReport:
+def audit_h_ab(a: int, b: int, digits: int = 30) -> HAuditReport:
     """Check the H(a,b) coefficient formula against direct summation.
 
     Supported scope: (a, b) in {(0,0), (1,0), (0,1)} - the depth-1 and
@@ -389,8 +379,7 @@ def audit_h_ab(
         )
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    if cache is None:
-        cache = BernoulliCache()
+    cache = BernoulliCache()
     with mp.workdps(2 * digits + 15):
         K = a + b + 1
         table = h_ab_coefficients(a, b)

@@ -53,18 +53,20 @@ def test_zeta_single_rejects_bad_args():
 
 
 @pytest.mark.parametrize("digits", [30, 80])
-def test_zeta_double_k1_one_matches_euler_formula(digits):
-    # Euler: zeta(1, k) = (k/2) zeta(k+1) - 1/2 sum_{j=1}^{k-2} zeta(j+1) zeta(k-j)
+def test_zeta_double_k1_one(digits):
+    # zeta(1, 2) = zeta(3) and zeta(1, 3) = pi^4/360 (Euler); for k >= 4 the
+    # reference is sum_m H_{m-1} m^-k = 1/(k-1)! int_0^1 (-log t)^(k-1)
+    # (-log(1-t)) / (1-t) dt by quadrature, independent of Euler's formula.
     target = mpf(10) ** -digits
-    z3 = zeta_double(1, 3, digits)
-    with mp.workdps(digits + 30):
-        assert abs(z3.value - mp.pi**4 / 360) <= z3.error_bound <= target
-    for k in range(4, 10):
+    closed = {2: lambda: mpmath.zeta(3), 3: lambda: mp.pi**4 / 360}
+    for k in range(2, 10):
         z = zeta_double(1, k, digits)
         with mp.workdps(digits + 30):
-            ref = mpf(k) / 2 * mpmath.zeta(k + 1) - sum(
-                mpmath.zeta(j + 1) * mpmath.zeta(k - j) for j in range(1, k - 1)
-            ) / 2
+            if k in closed:
+                ref = closed[k]()
+            else:
+                f = lambda t: (-mp.log(t)) ** (k - 1) * -mp.log1p(-t) / (1 - t)
+                ref = mp.quad(f, [0, mpf(1) / 2, 1]) / mp.factorial(k - 1)
             assert abs(z.value - ref) <= z.error_bound <= target, k
 
 
