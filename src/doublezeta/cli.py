@@ -142,13 +142,24 @@ def _load_audited_constants(K: int, path: str | None) -> list[Fraction]:
             f"audit file {path!r} not found; run `audit euler --K {K} "
             f"--digits 40 --out {path}` first",
         )
+    except ValueError as exc:
+        raise _unusable(path, f"it is not JSON ({exc})")
+    if not isinstance(payload, dict):
+        raise _unusable(path, "it is not a JSON object")
     if payload.get("K") != K:
         raise CliError(
             EXIT_MISSING_PREREQUISITE,
             f"audit file {path!r} is for K={payload.get('K')}, need K={K}",
         )
+    rows = payload.get("rows")
+    if not (
+        isinstance(rows, list)
+        and len(rows) == K - 1
+        and all(isinstance(row, dict) for row in rows)
+    ):
+        raise _unusable(path, f"'rows' must be a list of {K - 1} row objects")
     constants = []
-    for row in payload["rows"]:
+    for row in rows:
         rec = row.get("reconstructed")
         if rec is None:
             raise CliError(
@@ -156,8 +167,15 @@ def _load_audited_constants(K: int, path: str | None) -> list[Fraction]:
                 f"audit file {path!r} has no reconstructed constant for "
                 f"row r={row.get('r')}; rerun the audit at higher precision",
             )
-        constants.append(parse_rational(rec))
+        try:
+            constants.append(parse_rational(rec))
+        except (TypeError, ValueError):
+            raise _unusable(path, f"its reconstructed constant {rec!r} is not a rational")
     return constants
+
+
+def _unusable(path: str, reason: str) -> CliError:
+    return CliError(EXIT_MISSING_PREREQUISITE, f"audit file {path!r} is not usable: {reason}")
 
 
 class CliError(SystemExit):
@@ -354,6 +372,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             parser.error("--s-max and --m-max must be >= 1")
     if args.command == "audit" and args.digits < 10:
         parser.error("--digits must be >= 10 for audits")
+    if args.command == "zeta" and args.k is not None and (args.k1, args.k2) != (None, None):
+        parser.error("give --k, or both --k1 and --k2, not both forms")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -4,16 +4,19 @@ Mathematical indices r, s run 1..K-1 and map to zero-based storage by
 subtracting 1; that mapping lives entirely in this module.  A is the
 integer matrix of Euler-reduction coefficients, B and C its binomial
 split (A = B + C), and P, Q the two Bernoulli-sum formulas for A^{-1}
-that the package verifies are equal and do invert A.
+that the package verifies are equal and do invert A.  P, Q and the (PB)
+closed form are int products W G of a Bernoulli weight matrix W (one
+denominator per row) with a binomial matrix G; RationalMatrix is for export.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
-from typing import Callable
+from math import comb, lcm, prod
+from operator import mul
 
 from .bernoulli import BernoulliCache
 from .rationals import format_rational
@@ -108,40 +111,50 @@ def build_c_part(K: int) -> RationalMatrix:
     return _from_rows(_c_rows(K))
 
 
-def _bernoulli_weights(K: int, s: int, cache: BernoulliCache) -> tuple[list[int], int]:
-    """(2/(2s-1)) C(n+2s-2, n) B_n for n = 0..2K-2s, as integers over one denominator.
+def _weight_rows(
+    K: int, cache: BernoulliCache | None, s_values: Sequence[int]
+) -> tuple[list[list[int]], list[int]]:
+    """Rows s of the Bernoulli weight matrix W, and their denominators d_s.
 
-    These weights are the part shared by the P, Q, (PB) and (PC) sums;
-    only the binomial factor in front of them changes between those, so
-    the denominator d_s serves for row s of P, Q, PB and PC alike.
+    W[s][j] = 2 C(j-2, j-2s) b_{j-2s} for 2s <= j <= 2K and 0 below, where
+    b_n = D B_n over D = lcm of the denominators of B_0..B_{2K-2}, so row s
+    is over d_s = (2s-1) D.  j = n + 2s: the binomial factor in front of B_n
+    in P, Q and the (PB) closed form depends on j and the column only.
     """
-    terms = [comb(n + 2 * s - 2, n) * cache.get(n) for n in range(2 * K - 2 * s + 1)]
-    denom = lcm(*(t.denominator for t in terms))
-    return [2 * t.numerator * (denom // t.denominator) for t in terms], (2 * s - 1) * denom
-
-
-def _bernoulli_sum(nums: list[int], coeff: Callable[[int], int], n_start: int = 0) -> int:
-    """sum_{n >= n_start} coeff(n) * nums[n], the numerator over the weights' denominator."""
-    return sum(coeff(n) * nums[n] for n in range(n_start, len(nums)) if nums[n])
-
-
-def _inverse_rows(
-    K: int, cache: BernoulliCache | None, q: bool = False
-) -> tuple[list[list[int]], list[tuple[list[int], int]]]:
-    """Rows s = 1..K-1 of P (of Q if q) as numerators over d_s, and their weights."""
     _check_k(K)
     if cache is None:
         cache = BernoulliCache()
-    upper, sign = ((lambda r: 2 * K - 2 * r), -1) if q else ((lambda r: 2 * r - 1), 1)
-    rows, weights = [], []
-    for s in range(1, K):
-        nums, denom = _bernoulli_weights(K, s, cache)
-        top = 2 * K - 2 * s + 1
-        rows.append(
-            [sign * _bernoulli_sum(nums, lambda n: comb(upper(r), top - n)) for r in range(1, K)]
-        )
-        weights.append((nums, denom))
-    return rows, weights
+    bern = [cache.get(n) for n in range(2 * K - 1)]
+    big = lcm(*(x.denominator for x in bern))
+    b = [x.numerator * (big // x.denominator) for x in bern]
+    rows = [
+        [2 * comb(j - 2, j - 2 * s) * b[j - 2 * s] if j >= 2 * s else 0 for j in range(2 * K + 1)]
+        for s in s_values
+    ]
+    return rows, [(2 * s - 1) * big for s in s_values]
+
+
+def _g_p(K: int) -> list[list[int]]:
+    """G_P[j][r] = C(2r-1, 2K+1-j), so that P = W G_P."""
+    return [[comb(2 * r - 1, 2 * K + 1 - j) for r in range(1, K)] for j in range(2 * K + 1)]
+
+
+def _g_q(K: int) -> list[list[int]]:
+    """G_Q[j][r] = -C(2K-2r, 2K+1-j), so that Q = W G_Q."""
+    return [[-comb(2 * K - 2 * r, 2 * K + 1 - j) for r in range(1, K)] for j in range(2 * K + 1)]
+
+
+def _g_pb(K: int, sp_values: Sequence[int]) -> list[list[int]]:
+    """G_PB[j][s'] = C(2K-2s', j-2s'-1) 2^(j-2s'-2) for j >= 2s'+2, and 0 below.
+
+    The zeros are where the closed-form sum starts: at j = 2s'+2 for s <= s';
+    for s > s' (sum from n = 0) every nonzero weight has j >= 2s >= 2s'+2.
+    """
+    return [
+        [comb(2 * K - 2 * sp, j - 2 * sp - 1) << (j - 2 * sp - 2) if j >= 2 * sp + 2 else 0
+         for sp in sp_values]
+        for j in range(2 * K + 1)
+    ]
 
 
 def build_p(K: int, cache: BernoulliCache | None = None) -> RationalMatrix:
@@ -149,14 +162,14 @@ def build_p(K: int, cache: BernoulliCache | None = None) -> RationalMatrix:
 
     The sum runs n = 0..2K-2s; odd-n terms vanish through B_n = 0.
     """
-    rows, weights = _inverse_rows(K, cache)
-    return _from_rows(rows, [d for _, d in weights])
+    w, denoms = _weight_rows(K, cache, range(1, K))
+    return _from_rows(_product(w, _g_p(K)), denoms)
 
 
 def build_q(K: int, cache: BernoulliCache | None = None) -> RationalMatrix:
     """Q_{s,r} = -(2/(2s-1)) sum_n C(2K-2r, 2K-2s-n+1) C(n+2s-2, n) B_n."""
-    rows, weights = _inverse_rows(K, cache, q=True)
-    return _from_rows(rows, [d for _, d in weights])
+    w, denoms = _weight_rows(K, cache, range(1, K))
+    return _from_rows(_product(w, _g_q(K)), denoms)
 
 
 def _diagonal(diag: list[int]) -> list[list[int]]:
@@ -170,7 +183,7 @@ def identity_matrix(n: int) -> RationalMatrix:
 def _product(a: list[list], b: list[list]) -> list[list]:
     """Plain product of two matrices given as row lists (int or Fraction entries)."""
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def matrix_multiply(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -181,25 +194,11 @@ def matrix_multiply(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     return _from_rows(_product(a.row_lists(), b.row_lists()))
 
 
-def determinant_fraction_free(a: RationalMatrix) -> Fraction:
-    """Exact determinant by Bareiss (fraction-free) elimination.
-
-    Rows are scaled to integers first; elimination then stays in the
-    integers, which keeps intermediate growth under control for the
-    integer matrices A_K.
-    """
-    if a.rows != a.cols:
-        raise ValueError("determinant requires a square matrix")
-    n = a.rows
-    scale = Fraction(1)
-    m: list[list[int]] = []
-    for row in a.row_lists():
-        d = lcm(*(x.denominator for x in row))
-        scale *= d
-        m.append([int(x * d) for x in row])
-
-    sign = 1
-    prev = 1
+def _bareiss(rows: list[list[int]]) -> int:
+    """Determinant of a square int matrix by Bareiss (fraction-free) elimination, on a copy."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign = prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
@@ -208,13 +207,23 @@ def determinant_fraction_free(a: RationalMatrix) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1]) / scale
+    return sign * m[n - 1][n - 1]
+
+
+def determinant_fraction_free(a: RationalMatrix) -> Fraction:
+    """Exact determinant by Bareiss (fraction-free) elimination on rows scaled to integers."""
+    if a.rows != a.cols:
+        raise ValueError("determinant requires a square matrix")
+    rows = a.row_lists()
+    scales = [lcm(*(x.denominator for x in row)) for row in rows]
+    m = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(rows, scales)]
+    return Fraction(_bareiss(m), prod(scales))
 
 
 @dataclass(frozen=True)
@@ -242,14 +251,11 @@ def verify_inverse(K: int, cache: BernoulliCache | None = None) -> InverseReport
 
     All in integers, with row s of P and of Q as numerators n_s over d_s
     and L = lcm of the d_s: P = Q by equal n_s, P A = I by n_s A = d_s e_s,
-    and A P = I by A (L P) = L I.
+    A P = I by A (L P) = L I, and det A by Bareiss elimination on A's rows.
     """
-    if cache is None:
-        cache = BernoulliCache()
     a = _a_rows(K)
-    p, weights = _inverse_rows(K, cache)
-    q, _ = _inverse_rows(K, cache, q=True)
-    denoms = [d for _, d in weights]
+    w, denoms = _weight_rows(K, cache, range(1, K))
+    p, q = _product(w, _g_p(K)), _product(w, _g_q(K))
     big = lcm(*denoms)
     lp = [[big // d * x for x in row] for row, d in zip(p, denoms)]
     return InverseReport(
@@ -257,7 +263,7 @@ def verify_inverse(K: int, cache: BernoulliCache | None = None) -> InverseReport
         p_eq_q=p == q,
         pa_is_identity=_product(p, a) == _diagonal(denoms),
         ap_is_identity=_product(a, lp) == _diagonal([big] * (K - 1)),
-        det_nonzero=determinant_fraction_free(_from_rows(a)) != 0,
+        det_nonzero=_bareiss(a) != 0,
     )
 
 
@@ -267,24 +273,15 @@ def _check_indices(K: int, s: int, sp: int) -> None:
         raise IndexError(f"indices (s={s}, s'={sp}) out of range for K={K}")
 
 
-def _pb_numerator(K: int, s: int, sp: int, nums: list[int]) -> int:
-    """(P B)_{s,s'} over d_s: sum_n C(2K-2s', 2s-2s'+n-1) 2^(2s-2s'+n-2) nums[n].
-
-    For s <= s' the sum starts at n = 2s'-2s+2; for s > s' it starts at
-    n = 0 and picks up the B_1 term through the merged power of two.
-    """
-    top, e = 2 * K - 2 * sp, 2 * s - 2 * sp
-    n_start = 2 - e if s <= sp else 0
-    return _bernoulli_sum(nums, lambda n: comb(top, e + n - 1) << (e + n - 2), n_start)
-
-
 def pb_closed(K: int, s: int, sp: int, cache: BernoulliCache | None = None) -> Fraction:
-    """(P B)_{s,s'} from the closed-form Bernoulli sum, no matrix product."""
+    """(P B)_{s,s'} from the closed-form Bernoulli sum, no matrix product.
+
+    (2/(2s-1)) sum_n C(2K-2s', 2s-2s'+n-1) 2^(2s-2s'+n-2) C(n+2s-2, n) B_n,
+    which is row s of W times column s' of G_PB.
+    """
     _check_indices(K, s, sp)
-    if cache is None:
-        cache = BernoulliCache()
-    nums, denom = _bernoulli_weights(K, s, cache)
-    return Fraction(_pb_numerator(K, s, sp, nums), denom)
+    (w,), (denom,) = _weight_rows(K, cache, [s])
+    return Fraction(_product([w], _g_pb(K, [sp]))[0][0], denom)
 
 
 def pc_closed(K: int, s: int, sp: int, cache: BernoulliCache | None = None) -> Fraction:
@@ -305,16 +302,16 @@ def verify_closed_forms(
     (s, s', pb_closed, pc_closed, (PB)_{s,s'}, (PC)_{s,s'}); an empty
     list means the check passed.
     """
-    p, weights = _inverse_rows(K, cache)
+    w, denoms = _weight_rows(K, cache, range(1, K))
+    p = _product(w, _g_p(K))
     pb, pc = _product(p, _b_rows(K)), _product(p, _c_rows(K))
+    closed = _product(w, _g_pb(K, range(1, K)))
     bad = []
-    for s, (pb_row, pc_row, (nums, denom)) in enumerate(zip(pb, pc, weights), 1):
-        for sp in range(1, K):
-            vb = _pb_numerator(K, s, sp, nums)
+    for s, (cb_row, pb_row, pc_row, denom) in enumerate(zip(closed, pb, pc, denoms), 1):
+        for sp, (vb, xb, xc) in enumerate(zip(cb_row, pb_row, pc_row), 1):
             vc = (denom if s == sp else 0) - vb
-            if vb != pb_row[sp - 1] or vc != pc_row[sp - 1]:
-                entries = (vb, vc, pb_row[sp - 1], pc_row[sp - 1])
-                bad.append((s, sp, *(Fraction(x, denom) for x in entries)))
+            if vb != xb or vc != xc:
+                bad.append((s, sp, *(Fraction(x, denom) for x in (vb, vc, xb, xc))))
     return bad
 
 

@@ -52,5 +52,8 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    """Inverse of :func:`format_rational`."""
-    return Fraction(s)
+    """Inverse of :func:`format_rational`.  Raises ValueError on malformed text."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None

@@ -57,12 +57,6 @@ class TruncatedSeries:
             tuple(self.coefficients[i] + other.coefficients[i] for i in range(n + 1))
         )
 
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coefficients[i] - other.coefficients[i] for i in range(n + 1))
-        )
-
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         n = min(self.order, other.order)
         a, b = self.coefficients, other.coefficients

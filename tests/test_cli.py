@@ -82,6 +82,8 @@ def test_matrix_usage_error(capsys):
         ["verify", "carlitz", "--max", "-3"],
         ["verify", "series", "--s-max", "0"],
         ["verify", "series", "--m-max", "0"],
+        ["zeta", "--k", "3", "--k1", "2", "--k2", "3"],
+        ["reduce", "inverse", "--K", "2", "--constants", "explicit:1/0"],
     ],
 )
 def test_verify_and_matrix_usage_errors(capsys, argv):
@@ -134,6 +136,50 @@ def test_reduce_inverse_audited_missing_file(capsys, tmp_path):
     )
     assert code == 3
     assert "audit euler" in err
+
+
+@pytest.mark.parametrize(
+    "K, content",
+    [
+        (2, "[1, 2]"),
+        (2, '{"K": 2}'),
+        (2, '{"K": 2, "rows": {"r": 1}}'),
+        (3, '{"K": 3, "rows": [{"r": 1, "reconstructed": "-11"}]}'),
+        (2, '{"K": 2, "rows": [["-11/2"]]}'),
+        (2, '{"K": 2, "rows": [{"r": 1, "reconstructed": "1/0"}]}'),
+        (2, '{"K": 2, "rows": [{"r": 1, "reconstructed": "abc"}]}'),
+        (2, "not json"),
+    ],
+    ids=[
+        "not-an-object",
+        "no-rows",
+        "rows-not-a-list",
+        "too-few-rows",
+        "row-not-an-object",
+        "zero-denominator",
+        "not-a-rational",
+        "not-json",
+    ],
+)
+def test_reduce_inverse_audited_unusable_file(capsys, tmp_path, K, content):
+    path = tmp_path / "audit.json"
+    path.write_text(content)
+    code, out, err = run(
+        [
+            "reduce",
+            "inverse",
+            "--K",
+            str(K),
+            "--constants",
+            "audited",
+            "--audit-file",
+            str(path),
+        ],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert str(path) in err
 
 
 def test_audit_then_audited_inverse(capsys, tmp_path):

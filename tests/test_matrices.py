@@ -109,8 +109,10 @@ def test_build_p_q_small(cache):
 
 
 def test_p_is_gauss_inverse_of_a(cache):
-    for K in range(2, 8):
-        assert build_p(K, cache) == gauss_inverse(build_a(K))
+    for K in range(2, 13):
+        inverse = gauss_inverse(build_a(K))
+        assert build_p(K, cache) == inverse
+        assert build_q(K, cache) == inverse
 
 
 def test_matrix_multiply(cache):

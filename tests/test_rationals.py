@@ -96,3 +96,9 @@ def test_serialization_round_trip():
         assert format_rational(parse_rational(s)) == s
     assert format_rational(Fraction(5)) == "5"
     assert format_rational(Fraction(-1, 2)) == "-1/2"
+
+
+@pytest.mark.parametrize("text", ["1/0", "abc"])
+def test_parse_rational_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
