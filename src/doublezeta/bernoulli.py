@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
 __all__ = ["BernoulliCache", "bernoulli_number", "bernoulli_range"]
 
@@ -26,12 +27,14 @@ class BernoulliCache:
 
     The cache is a value, not global state: independent instances always
     agree entrywise because the triangle is deterministic.  Besides the
-    values it keeps only the last boustrophedon row, row ``high_water``.
+    values it keeps only the last boustrophedon row, row ``high_water``,
+    and the last result of ``scaled``.
     """
 
     def __init__(self) -> None:
         self._values: list[Fraction] = [Fraction(1)]
         self._row: list[int] = [1]
+        self._scaled: tuple[int, tuple[tuple[int, ...], int]] | None = None
 
     @property
     def high_water(self) -> int:
@@ -44,6 +47,20 @@ class BernoulliCache:
             raise ValueError(f"Bernoulli index must be >= 0, got {n}")
         self._extend(n)
         return self._values[n]
+
+    def scaled(self, n: int) -> tuple[tuple[int, ...], int]:
+        """(b, D) with b_k = D B_k for k <= n, D the lcm of the denominators of B_0..B_n.
+
+        The values come from ``get``; the last result is kept, so a sweep
+        that asks for the same n again does no lcm and no division.
+        """
+        if n < 0:
+            raise ValueError(f"Bernoulli index must be >= 0, got {n}")
+        if self._scaled is None or self._scaled[0] != n:
+            bern = [self.get(k) for k in range(n + 1)]
+            big = lcm(*(x.denominator for x in bern))
+            self._scaled = (n, (tuple(x.numerator * (big // x.denominator) for x in bern), big))
+        return self._scaled[1]
 
     def _extend(self, n: int) -> None:
         values, row = self._values, self._row

@@ -358,7 +358,7 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         parser.error("--max must be >= 0")
     if args.command in ("matrix",) and args.K < 2:
         parser.error("--K must be >= 2 (matrices are (K-1)x(K-1))")
-    if args.command == "reduce" and args.kind in ("euler", "inverse") and args.K < 2:
+    if args.command in ("reduce", "audit") and args.kind in ("euler", "inverse") and args.K < 2:
         parser.error("--K must be >= 2")
     if args.command == "verify" and args.kind == "conjecture" and args.k_min < 2:
         parser.error("--k-min must be >= 2")

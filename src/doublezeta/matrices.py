@@ -124,9 +124,7 @@ def _weight_rows(
     _check_k(K)
     if cache is None:
         cache = BernoulliCache()
-    bern = [cache.get(n) for n in range(2 * K - 1)]
-    big = lcm(*(x.denominator for x in bern))
-    b = [x.numerator * (big // x.denominator) for x in bern]
+    b, big = cache.scaled(2 * K - 2)
     rows = [
         [2 * comb(j - 2, j - 2 * s) * b[j - 2 * s] if j >= 2 * s else 0 for j in range(2 * K + 1)]
         for s in s_values

@@ -1,9 +1,16 @@
-"""Truncated formal power series over exact rationals.
+"""Truncated formal power series, and the reflection and Carlitz checks.
 
 A series knows its coefficients up to a truncation order N; terms of
 degree > N are *unknown*, not zero.  Arithmetic therefore never claims
 coefficients beyond the minimum order of its inputs, and identity checks
 only compare degrees both sides actually know.
+
+``TruncatedSeries`` is the public and reference type.  The checks
+themselves run in integers, on one Bernoulli vector b_n = D B_n from
+``BernoulliCache.scaled``: Carlitz's identity compares binomial sums of
+the b_n, and the reflection identity compares exponential-generating-
+function (EGF) coefficients a_k = k! [t^k] f scaled by D, in which a
+derivative is a shift and a product with e^t is a binomial sum.
 """
 
 from __future__ import annotations
@@ -11,10 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial, perm
+from operator import mul
 from typing import Sequence
 
 from .bernoulli import BernoulliCache
-from .rationals import binomial, format_rational
+from .rationals import format_rational
 
 __all__ = [
     "TruncatedSeries",
@@ -125,6 +134,40 @@ def build_fs(s: int, order: int, cache: BernoulliCache | None = None) -> Truncat
     return TruncatedSeries((Fraction(0),) * shift + gf.coefficients)
 
 
+def _reflection_egf(
+    s: int, m: int, order: int, cache: BernoulliCache | None
+) -> tuple[list[int], list[int], int]:
+    """Both sides of the reflection identity as integer EGF coefficients, and D.
+
+    With (b, D) = cache.scaled(order), f_s has the EGF coefficients
+    a_k = k!/(k-2s+2)! b_{k-2s+2} for k >= 2s-2 and 0 below.  So f_s^(p) has
+    a_{i+p}, e^t f_s^(m) has sum_j C(i,j) a_{j+m}, and the polynomial term
+    of degree 2s-1-p has (-1)^{m-p} C(m,p) (2s-1)! D.  Entry i of either
+    side is its [t^i] coefficient times i! D, for i <= order - m.
+    """
+    if s < 1 or m < 1:
+        raise ValueError("s and m must be >= 1")
+    if order < 2 * s - 2 + m:
+        raise ValueError(
+            f"order {order} leaves no comparable coefficient for s={s}, m={m}"
+        )
+    if cache is None:
+        cache = BernoulliCache()
+    b, big = cache.scaled(order)
+    shift = 2 * s - 2
+    a = [0] * shift + [perm(k, shift) * b[k - shift] for k in range(shift, order + 1)]
+    cmp_order = order - m
+
+    lhs = [sum(comb(i, j) * a[j + m] for j in range(i + 1)) for i in range(cmp_order + 1)]
+    signed = [(-1) ** (m - p) * comb(m, p) for p in range(m + 1)]
+    rhs = [sum(map(mul, signed, a[i : i + m + 1])) for i in range(cmp_order + 1)]
+    for p in range(min(m, 2 * s - 1) + 1):
+        deg = 2 * s - 1 - p
+        if deg <= cmp_order:
+            rhs[deg] += signed[p] * factorial(2 * s - 1) * big
+    return lhs, rhs, big
+
+
 def reflection_sides(
     s: int, m: int, order: int, cache: BernoulliCache | None = None
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -135,35 +178,11 @@ def reflection_sides(
     sum_{p<=min(m,2s-1)} (-1)^{m-p} C(m,p) (2s-1)!/(2s-1-p)! t^{2s-1-p}.
     Both are truncated to order N - m, the largest degree both know.
     """
-    if s < 1 or m < 1:
-        raise ValueError("s and m must be >= 1")
-    if order < 2 * s - 2 + m:
-        raise ValueError(
-            f"order {order} leaves no comparable coefficient for s={s}, m={m}"
-        )
-    if cache is None:
-        cache = BernoulliCache()
-    fs = build_fs(s, order, cache)
-    cmp_order = order - m
-
-    lhs = exp_series(1, cmp_order) * fs.derivative(m)
-
-    rhs = TruncatedSeries((Fraction(0),) * (cmp_order + 1))
-    for p in range(m + 1):
-        coeff = (-1) ** (m - p) * binomial(m, p)
-        rhs = rhs + fs.derivative(p).truncate(cmp_order).scale(coeff)
-
-    poly = [Fraction(0)] * (cmp_order + 1)
-    for p in range(min(m, 2 * s - 1) + 1):
-        deg = 2 * s - 1 - p
-        if deg <= cmp_order:
-            poly[deg] += (
-                (-1) ** (m - p)
-                * binomial(m, p)
-                * Fraction(math.factorial(2 * s - 1), math.factorial(deg))
-            )
-    rhs = rhs + TruncatedSeries(tuple(poly))
-    return lhs, rhs
+    lhs, rhs, big = _reflection_egf(s, m, order, cache)
+    return tuple(
+        TruncatedSeries(tuple(Fraction(x, factorial(i) * big) for i, x in enumerate(side)))
+        for side in (lhs, rhs)
+    )
 
 
 @dataclass(frozen=True)
@@ -194,24 +213,28 @@ def verify_reflection(
     s: int, m: int, order: int, cache: BernoulliCache | None = None
 ) -> tuple[bool, Mismatch | None]:
     """Check the reflection identity coefficient-wise up to order - m."""
-    lhs, rhs = reflection_sides(s, m, order, cache)
-    bad = first_mismatch(lhs, rhs)
-    return bad is None, bad
+    lhs, rhs, big = _reflection_egf(s, m, order, cache)
+    for i, (x, y) in enumerate(zip(lhs, rhs)):
+        if x != y:
+            den = factorial(i) * big
+            return False, Mismatch(i, Fraction(x, den), Fraction(y, den))
+    return True, None
 
 
 def verify_carlitz(m: int, n: int, cache: BernoulliCache | None = None) -> bool:
     """Carlitz's symmetric Bernoulli identity for nonnegative m, n.
 
-    (-1)^m sum_k C(m,k) B_{n+k}  ==  (-1)^n sum_k C(n,k) B_{m+k}.
+    (-1)^m sum_k C(m,k) B_{n+k}  ==  (-1)^n sum_k C(n,k) B_{m+k}, compared
+    as integers b = D B over the vector through 2 max(m, n): it covers both
+    sides' indices and stays the same across a sweep over m <= n.
     """
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
     if cache is None:
         cache = BernoulliCache()
-    lhs = (-1) ** m * sum(
-        (binomial(m, k) * cache.get(n + k) for k in range(m + 1)), Fraction(0)
-    )
-    rhs = (-1) ** n * sum(
-        (binomial(n, k) * cache.get(m + k) for k in range(n + 1)), Fraction(0)
-    )
-    return lhs == rhs
+    b, _ = cache.scaled(2 * max(m, n))
+
+    def side(p: int, q: int) -> int:
+        return (-1) ** p * sum(comb(p, k) * b[q + k] for k in range(p + 1))
+
+    return side(m, n) == side(n, m)

@@ -112,3 +112,35 @@ def test_generating_function_consistency():
     gf = bernoulli_gf(32, cache)
     for n in range(33):
         assert gf[n] == cache.get(n) / math.factorial(n)
+
+
+def test_scaled_vector_through_300():
+    cache = BernoulliCache()
+    values = bernoulli_range(300)
+    for n in range(301):
+        b, big = cache.scaled(n)
+        assert big == math.lcm(*(x.denominator for x in values[: n + 1])), n
+        assert [Fraction(x, big) for x in b] == values[: n + 1], n
+
+
+def test_scaled_vector_is_independent_of_call_order():
+    fresh = {n: BernoulliCache().scaled(n) for n in (0, 1, 5, 10, 120, 300)}
+    for order in ((300, 10, 300, 0, 120), (1, 5, 1, 300, 5), (120, 10, 0, 10)):
+        cache = BernoulliCache()
+        for n in order:
+            assert cache.scaled(n) == fresh[n], (order, n)
+
+
+def test_scaled_vector_uses_the_subclass_get():
+    class Bad(BernoulliCache):
+        def get(self, n: int) -> Fraction:
+            return Fraction(1, 29) if n == 4 else super().get(n)
+
+    b, big = Bad().scaled(10)
+    assert big == math.lcm(2, 6, 29, 42, 30, 66)
+    assert Fraction(b[4], big) == Fraction(1, 29)
+    assert [Fraction(x, big) for i, x in enumerate(b) if i != 4] == [
+        x for i, x in enumerate(bernoulli_range(10)) if i != 4
+    ]
+    with pytest.raises(ValueError):
+        BernoulliCache().scaled(-1)

@@ -84,6 +84,8 @@ def test_matrix_usage_error(capsys):
         ["verify", "series", "--m-max", "0"],
         ["zeta", "--k", "3", "--k1", "2", "--k2", "3"],
         ["reduce", "inverse", "--K", "2", "--constants", "explicit:1/0"],
+        ["audit", "euler", "--K", "1"],
+        ["audit", "euler", "--K", "0"],
     ],
 )
 def test_verify_and_matrix_usage_errors(capsys, argv):

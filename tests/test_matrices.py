@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,14 @@ def test_determinant_against_permutation_oracle(cache):
         assert determinant_fraction_free(a) == naive_determinant(a)
     rational = mat([[Fraction(1, 2), 3], [Fraction(-2, 7), Fraction(5, 3)]])
     assert determinant_fraction_free(rational) == naive_determinant(rational)
+
+
+
+def test_determinant_is_signed_double_factorial():
+    # Observed, not stated in the paper: det A_K = eps_K (2K-1)!!, eps_K = -1 iff K = 3 mod 4.
+    for K in range(2, 41):
+        sign = -1 if K % 4 == 3 else 1
+        assert determinant_fraction_free(build_a(K)) == sign * math.prod(range(1, 2 * K, 2)), K
 
 
 @pytest.mark.parametrize("K", [2, 3, 10])

@@ -1,10 +1,14 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from doublezeta import cli
 from doublezeta.bernoulli import BernoulliCache
+from doublezeta.rationals import binomial
 from doublezeta.series import (
+    Mismatch,
     TruncatedSeries,
     bernoulli_gf,
     build_fs,
@@ -30,6 +34,44 @@ def sympy_fs_coefficients(s: int, order: int) -> list[Fraction]:
     expr = t ** (2 * s - 1) / (sympy.exp(t) - 1)
     poly = sympy.series(expr, t, 0, order + 1).removeO()
     return [Fraction(str(poly.coeff(t, i))) for i in range(order + 1)]
+
+
+def reference_sides(s: int, m: int, order: int, cache) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """The reflection sides from TruncatedSeries arithmetic and Fraction sums."""
+    fs = build_fs(s, order, cache)
+    cmp_order = order - m
+    lhs = exp_series(1, cmp_order) * fs.derivative(m)
+    rhs = TruncatedSeries((Fraction(0),) * (cmp_order + 1))
+    for p in range(m + 1):
+        coeff = (-1) ** (m - p) * binomial(m, p)
+        rhs = rhs + fs.derivative(p).truncate(cmp_order).scale(coeff)
+    poly = [Fraction(0)] * (cmp_order + 1)
+    for p in range(min(m, 2 * s - 1) + 1):
+        deg = 2 * s - 1 - p
+        if deg <= cmp_order:
+            poly[deg] += (
+                (-1) ** (m - p)
+                * binomial(m, p)
+                * Fraction(math.factorial(2 * s - 1), math.factorial(deg))
+            )
+    return lhs, rhs + TruncatedSeries(tuple(poly))
+
+
+def carlitz_side(m: int, n: int, cache) -> Fraction:
+    """(-1)^m sum_k C(m,k) B_{n+k} as a Fraction sum."""
+    return (-1) ** m * sum(
+        (binomial(m, k) * cache.get(n + k) for k in range(m + 1)), Fraction(0)
+    )
+
+
+def corrupted_cache(index: int) -> type[BernoulliCache]:
+    """A BernoulliCache whose B_index is 1/29."""
+
+    class Corrupted(BernoulliCache):
+        def get(self, n: int) -> Fraction:
+            return Fraction(1, 29) if n == index else super().get(n)
+
+    return Corrupted
 
 
 def test_series_from_coefficients():
@@ -150,12 +192,63 @@ def test_carlitz_examples(cache):
 
 def test_carlitz_sides_values(cache):
     # (0,2): both sides B_2 = 1/6; (1,2): both sides -1/6
-    from doublezeta.rationals import binomial
+    assert carlitz_side(0, 2, cache) == carlitz_side(2, 0, cache) == Fraction(1, 6)
+    assert carlitz_side(1, 2, cache) == carlitz_side(2, 1, cache) == Fraction(-1, 6)
 
-    def side(m, n):
-        return (-1) ** m * sum(
-            (binomial(m, k) * cache.get(n + k) for k in range(m + 1)), Fraction(0)
-        )
 
-    assert side(0, 2) == side(2, 0) == Fraction(1, 6)
-    assert side(1, 2) == side(2, 1) == Fraction(-1, 6)
+@pytest.mark.parametrize("index", [1, 4, 10])
+def test_carlitz_matches_reference_under_a_corrupted_cache(index):
+    bad, ref = corrupted_cache(index)(), corrupted_cache(index)()
+    verdicts = []
+    for n in range(61):
+        for m in range(n + 1):
+            expected = carlitz_side(m, n, ref) == carlitz_side(n, m, ref)
+            assert verify_carlitz(m, n, bad) == expected, (m, n)
+            verdicts.append(expected)
+    assert not all(verdicts)
+
+
+@pytest.mark.parametrize("index", [1, 4, 10])
+def test_reflection_matches_reference_under_a_corrupted_cache(index):
+    bad, ref = corrupted_cache(index)(), corrupted_cache(index)()
+    failures = 0
+    for s in range(1, 7):
+        for m in range(1, 13):
+            bad_at = first_mismatch(*reference_sides(s, m, 48, ref))
+            assert verify_reflection(s, m, 48, bad) == (bad_at is None, bad_at), (s, m)
+            failures += bad_at is not None
+    assert failures
+
+
+def test_reflection_sides_match_reference(cache):
+    for s in range(1, 7):
+        for m in range(1, 13):
+            for order in (2 * s - 2 + m, 48):
+                assert reflection_sides(s, m, order, cache) == reference_sides(s, m, order, cache)
+
+
+@pytest.mark.parametrize("index", [1, 4, 10])
+def test_cli_fail_lines_under_a_corrupted_cache(monkeypatch, capsys, index):
+    monkeypatch.setattr(cli, "BernoulliCache", corrupted_cache(index))
+    ref = corrupted_cache(index)()
+    expected = [
+        f"(m={m}, n={n}): FAIL"
+        for n in range(13)
+        for m in range(n + 1)
+        if carlitz_side(m, n, ref) != carlitz_side(n, m, ref)
+    ]
+    assert expected
+    assert cli.main(["verify", "carlitz", "--max", "12"]) == cli.EXIT_IDENTITY_FAILURE
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == expected + ["carlitz m<=n<=12: FAIL"]
+
+    expected = []
+    for s in range(1, 3):
+        for m in range(1, 4):
+            bad_at = first_mismatch(*reference_sides(s, m, 16, ref))
+            if bad_at is not None:
+                expected.append(f"(s={s}, m={m}, order=16): FAIL {bad_at}")
+    assert expected
+    cli.main(["verify", "series", "--s-max", "2", "--m-max", "3", "--order", "16"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "FAIL" in line] == expected
