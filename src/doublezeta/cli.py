@@ -227,13 +227,15 @@ def _bigfloat_fields(x: numerics.BigFloat, digits: int) -> dict:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     if args.kind == "euler":
+        if args.r is None:
+            reports = numerics.audit_euler(args.K, args.digits)
+        else:
+            reports = [numerics.audit_euler_constant(args.K, args.r, args.digits)]
         rows = []
-        r_values = [args.r] if args.r is not None else list(range(1, args.K))
-        for r in r_values:
-            rep = numerics.audit_euler_constant(args.K, r, args.digits)
+        for rep in reports:
             rows.append(
                 {
-                    "r": r,
+                    "r": rep.r,
                     "lhs": _bigfloat_fields(rep.lhs, args.digits),
                     "rhs_products": _bigfloat_fields(rep.rhs_products, args.digits),
                     "residual_ratio": _bigfloat_fields(rep.residual_ratio, args.digits),

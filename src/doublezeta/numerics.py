@@ -14,6 +14,13 @@ combination of single-zeta tails plus a rigorously bounded remainder.
 ``zeta_single`` and ``zeta_double`` take an optional
 :class:`BernoulliCache`, which a caller making several evaluations passes
 to all of them; otherwise each call makes its own.
+
+The Euler audit runs one pass per K: every row r = 1..K-1 of weight 2K+1
+uses the same single zetas, products and zeta(2K+1), so they are evaluated
+once.  The outer tails that the T(m) expansion of zeta(k1, k2) folds into
+are sums over m > M of m^-(k2+alpha) with k2 + alpha running over
+k1 + k2 - 1, k1 + k2, ..., so they depend on the weight only; the audit
+memoises them in a dict that lives for one call and serves every row.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from mpmath import mp, mpf
 
@@ -36,6 +44,7 @@ __all__ = [
     "eval_products",
     "rational_reconstruct",
     "AuditReport",
+    "audit_euler",
     "audit_euler_constant",
     "HAuditReport",
     "audit_h_ab",
@@ -122,20 +131,13 @@ def _zeta_tail(
     while True:
         b2j = cache.get(2 * J)
         b2j_f = mpf(b2j.numerator) / mpf(b2j.denominator)
+        fact = mpf(math.factorial(2 * J))
+        power = M ** (1 - k - 2 * J)
         # remainder bound valid for the state with terms j = 1..J-1 included
-        bound = (
-            2
-            * abs(b2j_f)
-            / mpf(math.factorial(2 * J))
-            * _rising(k, 2 * J)
-            * M ** (1 - k - 2 * J)
-            / (k + 2 * J - 1)
-        )
+        bound = 2 * abs(b2j_f) / fact * _rising(k, 2 * J) * power / (k + 2 * J - 1)
         if bound <= target or bound >= prev_bound or J > 400:
             return tail, bound + _slack(tail) * (J + 4)
-        tail += b2j_f / mpf(math.factorial(2 * J)) * _rising(k, 2 * J - 1) * M ** (
-            1 - k - 2 * J
-        )
+        tail += b2j_f / fact * _rising(k, 2 * J - 1) * power
         prev_bound = bound
         J += 1
 
@@ -189,9 +191,31 @@ def zeta_double(
         cache = BernoulliCache()
     if k1 == 1:
         return _zeta_one(k2, digits, cache)
+    return _zeta_double(k1, k2, digits, cache, {})
+
+
+def _zeta_double(
+    k1: int,
+    k2: int,
+    digits: int,
+    cache: BernoulliCache,
+    tails: dict[tuple[int, int], tuple[mpf, mpf]],
+) -> BigFloat:
+    """zeta_double for k1 >= 2, with the outer tails memoised in ``tails``.
+
+    ``tails`` maps (exponent, digits) to _zeta_tail(exponent, M + 1, target);
+    M and target depend on digits only, so evaluations of one weight k1 + k2
+    that share the dict reuse every tail of the T(m) expansion.
+    """
     with mp.workdps(2 * digits + 15):
         target = mpf(10) ** (-(digits + 10))
         M = max(_choose_cutoff(digits), 2 * digits)
+
+        def outer_tail(exponent: int) -> tuple[mpf, mpf]:
+            key = (exponent, digits)
+            if key not in tails:
+                tails[key] = _zeta_tail(exponent, M + 1, target, cache)
+            return tails[key]
 
         # direct part: m = 2..M with incremental inner partial sums
         inner = mpf(0)
@@ -201,7 +225,7 @@ def zeta_double(
             direct += mpf(m) ** (-k2) * inner
 
         z1 = zeta_single(k1, digits + 10, cache)
-        t2, t2_bound = _zeta_tail(k2, M + 1, target, cache)
+        t2, t2_bound = outer_tail(k2)
 
         # Euler-Maclaurin expansion of T(m) = sum_{j>=m} j^{-k1} in powers
         # of 1/m; each power folds into a single-zeta tail of the outer sum.
@@ -231,11 +255,11 @@ def zeta_double(
         correction = mpf(0)
         corr_bound = mpf(0)
         for alpha, c in powers:
-            tv, tb = _zeta_tail(k2 + alpha, M + 1, target, cache)
+            tv, tb = outer_tail(k2 + alpha)
             correction += c * tv
             corr_bound += abs(c) * tb
         # T-expansion remainder summed over the outer tail
-        rem_tail, rem_bound = _zeta_tail(k2 + k1 + 2 * J - 1, M + 1, target, cache)
+        rem_tail, rem_bound = outer_tail(k2 + k1 + 2 * J - 1)
         corr_bound += rho * (rem_tail + rem_bound)
 
         value = direct + z1.value * t2 - correction
@@ -274,11 +298,13 @@ def eval_products(K: int, digits: int = 30) -> list[BigFloat]:
         raise ValueError(f"K must be >= 2, got {K}")
     cache = BernoulliCache()
     with mp.workdps(2 * digits + 15):
-        return [
-            zeta_single(2 * s, digits, cache)
-            * zeta_single(2 * K + 1 - 2 * s, digits, cache)
-            for s in range(1, K)
-        ]
+        z = {k: zeta_single(k, digits, cache) for k in range(2, 2 * K)}
+        return _products(K, z)
+
+
+def _products(K: int, z: dict[int, BigFloat]) -> list[BigFloat]:
+    # at the caller's working precision, from z[k] = zeta(k), k = 2..2K-1
+    return [z[2 * s] * z[2 * K + 1 - 2 * s] for s in range(1, K)]
 
 
 def rational_reconstruct(x: BigFloat, max_denominator: int = 64) -> Fraction | None:
@@ -315,6 +341,11 @@ class AuditReport:
     printed_constant_consistent: bool
 
 
+def audit_euler(K: int, digits: int = 40) -> list[AuditReport]:
+    """audit_euler_constant for every row r = 1..K-1, in one pass over K."""
+    return _audit_rows(K, range(1, K), digits)
+
+
 def audit_euler_constant(K: int, r: int, digits: int = 40) -> AuditReport:
     """Compare zeta(2r, 2K+1-2r) against the A-weighted product sum.
 
@@ -322,34 +353,49 @@ def audit_euler_constant(K: int, r: int, digits: int = 40) -> AuditReport:
     printed constant is consistent iff -1/2 lies within the residual's
     error bound.  Disagreement is reported, never raised.
     """
+    return _audit_rows(K, [r], digits)[0]
+
+
+def _audit_rows(K: int, rows: Sequence[int], digits: int) -> list[AuditReport]:
+    # A, the single zetas, the products and zeta(2K+1) are shared by every
+    # row; so are the outer tails, since every row has weight 2K+1.
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
-    if not 1 <= r <= K - 1:
-        raise ValueError(f"row r={r} out of range for K={K}")
+    for r in rows:
+        if not 1 <= r <= K - 1:
+            raise ValueError(f"row r={r} out of range for K={K}")
     cache = BernoulliCache()
+    tails: dict[tuple[int, int], tuple[mpf, mpf]] = {}
     with mp.workdps(2 * digits + 15):
         a = build_a(K)
-        products = eval_products(K, digits)
-        lhs = zeta_double(2 * r, 2 * K + 1 - 2 * r, digits, cache)
-        rhs = products[0].scale(a.at(r - 1, 0))
-        for s in range(2, K):
-            rhs = rhs + products[s - 1].scale(a.at(r - 1, s - 1))
-        z_odd = zeta_single(2 * K + 1, digits, cache)
-        residual = (lhs - rhs) / z_odd
-        reconstructed = rational_reconstruct(residual, 64)
-        consistent = bool(
-            abs(residual.value - mpf("-0.5")) <= residual.error_bound
-        )
-        return AuditReport(
-            K=K,
-            r=r,
-            digits=digits,
-            lhs=lhs,
-            rhs_products=rhs,
-            residual_ratio=residual,
-            reconstructed=reconstructed,
-            printed_constant_consistent=consistent,
-        )
+        ks = [*range(2, 2 * K), 2 * K + 1]
+        z = {k: zeta_single(k, digits, cache) for k in ks}
+        products = _products(K, z)
+        z_odd = z[2 * K + 1]
+        reports = []
+        for r in rows:
+            lhs = _zeta_double(2 * r, 2 * K + 1 - 2 * r, digits, cache, tails)
+            rhs = products[0].scale(a.at(r - 1, 0))
+            for s in range(2, K):
+                rhs = rhs + products[s - 1].scale(a.at(r - 1, s - 1))
+            residual = (lhs - rhs) / z_odd
+            reconstructed = rational_reconstruct(residual, 64)
+            consistent = bool(
+                abs(residual.value - mpf("-0.5")) <= residual.error_bound
+            )
+            reports.append(
+                AuditReport(
+                    K=K,
+                    r=r,
+                    digits=digits,
+                    lhs=lhs,
+                    rhs_products=rhs,
+                    residual_ratio=residual,
+                    reconstructed=reconstructed,
+                    printed_constant_consistent=consistent,
+                )
+            )
+        return reports
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ __all__ = [
     "inverse_reduction_coefficients",
     "h_ab_coefficients",
     "expand_h_to_pi",
+    "euler_constant",
     "table_to_json",
     "table_from_json",
     "table_to_csv",
@@ -83,6 +84,20 @@ def h_value(n: int) -> HValue:
 def _check_k(K: int) -> None:
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
+
+
+def euler_constant(K: int, r: int) -> Fraction:
+    """The exact zeta(2K+1) constant of Euler row r, in the j < m convention.
+
+    c_r = -(1 + C(2K, 2r-1) + C(2K, 2K-2r)) / 2: the printed -1/2 plus the
+    s = 0 column of A weighted by zeta(0) = -1/2.  The numeric audit
+    reconstructs exactly this value on every row.
+    """
+    _check_k(K)
+    if not 1 <= r <= K - 1:
+        raise ValueError(f"row r={r} out of range for K={K}")
+    s0 = math.comb(2 * K, 2 * r - 1) + math.comb(2 * K, 2 * K - 2 * r)
+    return Fraction(-(1 + s0), 2)
 
 
 def euler_rhs_coefficients(

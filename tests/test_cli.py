@@ -214,6 +214,22 @@ def test_audit_then_audited_inverse(capsys, tmp_path):
     assert terms == {"zeta(2,3)": "1/3", "zeta(5)": "11/6"}
 
 
+def test_audit_euler_rows_equal_single_row_runs(capsys):
+    code, out, _ = run(["audit", "euler", "--K", "4", "--digits", "40"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert [row["r"] for row in payload["rows"]] == [1, 2, 3]
+    for row in payload["rows"]:
+        argv = ["audit", "euler", "--K", "4", "--r", str(row["r"]), "--digits", "40"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        single = json.loads(out)
+        assert single["rows"] == [row]
+        assert {k: v for k, v in single.items() if k != "rows"} == {
+            k: v for k, v in payload.items() if k != "rows"
+        }
+
+
 def test_audit_h(capsys):
     code, out, _ = run(["audit", "h", "--a", "0", "--b", "0", "--digits", "30"], capsys)
     assert code == 0

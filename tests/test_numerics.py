@@ -4,8 +4,10 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
+import doublezeta.numerics as numerics
 from doublezeta.numerics import (
     BigFloat,
+    audit_euler,
     audit_euler_constant,
     audit_h_ab,
     eval_products,
@@ -14,6 +16,7 @@ from doublezeta.numerics import (
     zeta_double,
     zeta_single,
 )
+from doublezeta.reductions import euler_constant
 
 
 def test_zeta_single_reference_values():
@@ -137,6 +140,70 @@ def test_audit_euler_low_precision_reports_absent():
     rep = audit_euler_constant(2, 1, 1)
     # completing without reconstruction is valid; no exception either way
     assert rep.reconstructed is None or rep.reconstructed == Fraction(-11, 2)
+
+
+def _report_fields(rep):
+    numbers = [rep.lhs, rep.rhs_products, rep.residual_ratio]
+    return (
+        rep.K,
+        rep.r,
+        rep.digits,
+        [(x.value, x.error_bound) for x in numbers],
+        rep.reconstructed,
+        rep.printed_constant_consistent,
+    )
+
+
+@pytest.mark.parametrize("K, digits", [(K, 40) for K in range(2, 7)] + [(2, 100)])
+def test_audit_euler_equals_single_rows(K, digits):
+    rows = audit_euler(K, digits)
+    assert [rep.r for rep in rows] == list(range(1, K))
+    for rep in rows:
+        single = audit_euler_constant(K, rep.r, digits)
+        assert _report_fields(rep) == _report_fields(single)
+
+
+def test_audit_euler_rejects_bad_rows():
+    with pytest.raises(ValueError):
+        audit_euler(1, 40)
+    for r in (0, 3):
+        with pytest.raises(ValueError):
+            audit_euler_constant(3, r, 40)
+
+
+@pytest.mark.parametrize("K", range(2, 9))
+def test_audit_euler_reconstructs_closed_form_constant(K):
+    for rep in audit_euler(K, 40):
+        c = euler_constant(K, rep.r)
+        assert rep.reconstructed == c
+        residual = rep.residual_ratio
+        with mp.workdps(100):
+            cv = mpf(c.numerator) / c.denominator
+            assert abs(residual.value - cv) <= residual.error_bound
+
+
+def test_audit_euler_evaluates_nothing_twice(monkeypatch):
+    # one pass per K: every single zeta and every Euler-Maclaurin tail of the
+    # audit is evaluated once, however many rows share it
+    singles, tails = [], []
+    zeta_single_orig, zeta_tail_orig = numerics.zeta_single, numerics._zeta_tail
+
+    def counted_single(k, digits=30, cache=None):
+        singles.append((k, digits))
+        return zeta_single_orig(k, digits, cache)
+
+    def counted_tail(k, start, target, cache):
+        tails.append((k, start, target, mp.prec))
+        return zeta_tail_orig(k, start, target, cache)
+
+    monkeypatch.setattr(numerics, "zeta_single", counted_single)
+    monkeypatch.setattr(numerics, "_zeta_tail", counted_tail)
+    audit_euler(8, 40)
+    # zeta(2..15) and zeta(17) at 40 digits, zeta(2r) at 50 inside each row
+    assert sorted(singles) == sorted(
+        [(k, 40) for k in [*range(2, 16), 17]] + [(2 * r, 50) for r in range(1, 8)]
+    )
+    assert tails and len(set(tails)) == len(tails)
 
 
 @pytest.mark.parametrize("a, b", [(0, 0), (1, 0), (0, 1)])

@@ -6,6 +6,7 @@ from doublezeta.bernoulli import BernoulliCache
 from doublezeta.matrices import build_p
 from doublezeta.reductions import (
     PRINTED_CONSTANT,
+    euler_constant,
     euler_rhs_coefficients,
     expand_h_to_pi,
     h_ab_coefficients,
@@ -151,3 +152,12 @@ def test_rejects_bad_params():
         h_ab_coefficients(-1, 0)
     with pytest.raises(ValueError):
         inverse_reduction_coefficients(3, [Fraction(1)])
+
+
+def test_euler_constant():
+    assert euler_constant(2, 1) == Fraction(-11, 2)
+    assert [euler_constant(3, r) for r in (1, 2)] == [Fraction(-11), Fraction(-18)]
+    assert euler_constant(8, 4) == Fraction(-24311, 2)
+    for K, r in [(1, 1), (3, 0), (3, 3)]:
+        with pytest.raises(ValueError):
+            euler_constant(K, r)
