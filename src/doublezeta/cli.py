@@ -362,9 +362,9 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         parser.error("--K must be >= 2 (matrices are (K-1)x(K-1))")
     if args.command in ("reduce", "audit") and args.kind in ("euler", "inverse") and args.K < 2:
         parser.error("--K must be >= 2")
-    if args.command == "verify" and args.kind == "conjecture" and args.k_min < 2:
-        parser.error("--k-min must be >= 2")
     if args.command == "verify" and args.kind in ("conjecture", "closed-forms"):
+        if args.k_min < 2:
+            parser.error("--k-min must be >= 2")
         if args.k_max < args.k_min:
             parser.error("--k-max must be >= --k-min")
     if args.command == "verify" and args.kind == "carlitz" and args.max < 0:

@@ -15,12 +15,20 @@ combination of single-zeta tails plus a rigorously bounded remainder.
 :class:`BernoulliCache`, which a caller making several evaluations passes
 to all of them; otherwise each call makes its own.
 
+Every public function builds one :class:`_EMTables` for the call and drops
+it on return; the module keeps no state between calls.  The table
+memoises what the Euler-Maclaurin tails of one call share: the powers
+M^n of each tail start M, the ratios B_2J/(2J)!, both per working
+precision, and the tails themselves.  A memoised value is the same mpf
+operation at the same precision as the one it replaces, so sharing
+changes no bit of any value or bound.
+
 The Euler audit runs one pass per K: every row r = 1..K-1 of weight 2K+1
 uses the same single zetas, products and zeta(2K+1), so they are evaluated
 once.  The outer tails that the T(m) expansion of zeta(k1, k2) folds into
 are sums over m > M of m^-(k2+alpha) with k2 + alpha running over
-k1 + k2 - 1, k1 + k2, ..., so they depend on the weight only; the audit
-memoises them in a dict that lives for one call and serves every row.
+k1 + k2 - 1, k1 + k2, ..., so they depend on the weight only; every row
+reads them from the call's table.
 """
 
 from __future__ import annotations
@@ -110,13 +118,57 @@ class BigFloat:
         return f"{mp.nstr(self.value, digits)} ± {mp.nstr(self.error_bound, 3)}"
 
 
-def _rising(k: int, j: int) -> int:
-    """k (k+1) ... (k+j-1)."""
-    return math.factorial(k + j - 1) // math.factorial(k - 1)
+# The two values that _EMTables memoises, each formed only here at the
+# current precision (the tests count these calls).
+def _power(start: int, n: int) -> mpf:
+    return mpf(start) ** n
+
+
+def _bernoulli_ratio(b: Fraction, n: int) -> mpf:
+    # B_n / n! for b = B_n
+    return mpf(b.numerator) / mpf(b.denominator) / mpf(math.factorial(n))
+
+
+class _EMTables:
+    """Euler-Maclaurin values shared by every tail of one public call.
+
+    A public function creates one, passes it down, and drops it on return.
+    Powers and Bernoulli ratios are keyed by ``mp.prec`` (and powers by the
+    tail start too), so evaluations at several precisions can share a table.
+    """
+
+    def __init__(self, cache: BernoulliCache | None = None) -> None:
+        self.bernoulli = cache if cache is not None else BernoulliCache()
+        self._powers: dict[tuple[int, int, int], mpf] = {}
+        self._ratios: dict[tuple[int, int], mpf] = {}
+        self._tails: dict[tuple[int, int, mpf, int], tuple[mpf, mpf]] = {}
+
+    def power(self, start: int, n: int) -> mpf:
+        """mpf(start) ** n at the current precision."""
+        key = (start, n, mp.prec)
+        value = self._powers.get(key)
+        if value is None:
+            value = self._powers[key] = _power(start, n)
+        return value
+
+    def ratio(self, n: int) -> mpf:
+        """B_n / n! at the current precision."""
+        key = (n, mp.prec)
+        value = self._ratios.get(key)
+        if value is None:
+            value = self._ratios[key] = _bernoulli_ratio(self.bernoulli.get(n), n)
+        return value
+
+    def tail(self, k: int, start: int, target: mpf) -> tuple[mpf, mpf]:
+        """_zeta_tail(k, start, target) at the current precision."""
+        key = (k, start, target, mp.prec)
+        if key not in self._tails:
+            self._tails[key] = _zeta_tail(k, start, target, self)
+        return self._tails[key]
 
 
 def _zeta_tail(
-    k: int, start: int, target: mpf, cache: BernoulliCache
+    k: int, start: int, target: mpf, tables: _EMTables
 ) -> tuple[mpf, mpf]:
     """sum_{m >= start} m^{-k} by Euler-Maclaurin, with remainder bound.
 
@@ -124,21 +176,21 @@ def _zeta_tail(
     remainder bound 2|B_{2J}|/(2J)! * int |f^(2J)| drops below target
     (or stops improving; the asymptotic series eventually diverges).
     """
-    M = mpf(start)
-    tail = M ** (1 - k) / (k - 1) + M ** (-k) / 2
+    tail = tables.power(start, 1 - k) / (k - 1) + tables.power(start, -k) / 2
     prev_bound = mpf("inf")
+    rising = k  # the rising factorial (k)_{2J-1} = k (k+1) ... (k+2J-2)
     J = 1
     while True:
-        b2j = cache.get(2 * J)
-        b2j_f = mpf(b2j.numerator) / mpf(b2j.denominator)
-        fact = mpf(math.factorial(2 * J))
-        power = M ** (1 - k - 2 * J)
+        ratio = tables.ratio(2 * J)
+        power = tables.power(start, 1 - k - 2 * J)
+        rising_next = rising * (k + 2 * J - 1)  # (k)_{2J}
         # remainder bound valid for the state with terms j = 1..J-1 included
-        bound = 2 * abs(b2j_f) / fact * _rising(k, 2 * J) * power / (k + 2 * J - 1)
+        bound = 2 * abs(ratio) * rising_next * power / (k + 2 * J - 1)
         if bound <= target or bound >= prev_bound or J > 400:
             return tail, bound + _slack(tail) * (J + 4)
-        tail += b2j_f / fact * _rising(k, 2 * J - 1) * power
+        tail += ratio * rising * power
         prev_bound = bound
+        rising = rising_next * (k + 2 * J)
         J += 1
 
 
@@ -156,15 +208,17 @@ def zeta_single(
         raise ValueError(f"zeta_single requires k >= 2, got {k}")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    if cache is None:
-        cache = BernoulliCache()
+    return _zeta_single(k, digits, _EMTables(cache))
+
+
+def _zeta_single(k: int, digits: int, tables: _EMTables) -> BigFloat:
     with mp.workdps(2 * digits + 15):
         target = mpf(10) ** (-(digits + 10))
         M = _choose_cutoff(digits)
         partial = mpf(0)
         for m in range(1, M):
             partial += mpf(m) ** (-k)
-        tail, bound = _zeta_tail(k, M, target, cache)
+        tail, bound = tables.tail(k, M, target)
         value = partial + tail
         err = bound + _slack(value) * (M + 4)
         return BigFloat(value, err)
@@ -187,35 +241,25 @@ def zeta_double(
         raise ValueError(f"zeta_double requires k1 >= 1, got k1={k1}")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    if cache is None:
-        cache = BernoulliCache()
+    tables = _EMTables(cache)
     if k1 == 1:
-        return _zeta_one(k2, digits, cache)
-    return _zeta_double(k1, k2, digits, cache, {})
+        return _zeta_one(k2, digits, tables)
+    return _zeta_double(k1, k2, digits, tables)
 
 
-def _zeta_double(
-    k1: int,
-    k2: int,
-    digits: int,
-    cache: BernoulliCache,
-    tails: dict[tuple[int, int], tuple[mpf, mpf]],
-) -> BigFloat:
-    """zeta_double for k1 >= 2, with the outer tails memoised in ``tails``.
+def _zeta_double(k1: int, k2: int, digits: int, tables: _EMTables) -> BigFloat:
+    """zeta_double for k1 >= 2, its outer tails memoised in ``tables``.
 
-    ``tails`` maps (exponent, digits) to _zeta_tail(exponent, M + 1, target);
-    M and target depend on digits only, so evaluations of one weight k1 + k2
-    that share the dict reuse every tail of the T(m) expansion.
+    The outer tails start at M + 1 with M and the target fixed by digits,
+    so evaluations of one weight k1 + k2 that share the table reuse every
+    tail of the T(m) expansion.
     """
     with mp.workdps(2 * digits + 15):
         target = mpf(10) ** (-(digits + 10))
         M = max(_choose_cutoff(digits), 2 * digits)
 
         def outer_tail(exponent: int) -> tuple[mpf, mpf]:
-            key = (exponent, digits)
-            if key not in tails:
-                tails[key] = _zeta_tail(exponent, M + 1, target, cache)
-            return tails[key]
+            return tables.tail(exponent, M + 1, target)
 
         # direct part: m = 2..M with incremental inner partial sums
         inner = mpf(0)
@@ -224,7 +268,7 @@ def _zeta_double(
             inner += mpf(m - 1) ** (-k1)
             direct += mpf(m) ** (-k2) * inner
 
-        z1 = zeta_single(k1, digits + 10, cache)
+        z1 = _zeta_single(k1, digits + 10, tables)
         t2, t2_bound = outer_tail(k2)
 
         # Euler-Maclaurin expansion of T(m) = sum_{j>=m} j^{-k1} in powers
@@ -234,21 +278,14 @@ def _zeta_double(
             (k1 - 1, mpf(1) / (k1 - 1)),
             (k1, mpf("0.5")),
         ]
+        rising = k1  # (k1)_{2j-1}
         for j in range(1, J):
-            b2j = cache.get(2 * j)
-            c = (
-                mpf(b2j.numerator)
-                / mpf(b2j.denominator)
-                / mpf(math.factorial(2 * j))
-                * _rising(k1, 2 * j - 1)
-            )
-            powers.append((k1 + 2 * j - 1, c))
-        b2J = cache.get(2 * J)
+            powers.append((k1 + 2 * j - 1, tables.ratio(2 * j) * rising))
+            rising *= (k1 + 2 * j - 1) * (k1 + 2 * j)
         rho = (
             2
-            * abs(mpf(b2J.numerator) / mpf(b2J.denominator))
-            / mpf(math.factorial(2 * J))
-            * _rising(k1, 2 * J)
+            * abs(tables.ratio(2 * J))
+            * (rising * (k1 + 2 * J - 1))  # (k1)_{2J}
             / (k1 + 2 * J - 1)
         )
 
@@ -272,11 +309,11 @@ def _zeta_double(
         return BigFloat(value, err)
 
 
-def _zeta_one(k: int, digits: int, cache: BernoulliCache) -> BigFloat:
+def _zeta_one(k: int, digits: int, tables: _EMTables) -> BigFloat:
     """zeta(1, k) = (k/2) zeta(k+1) - 1/2 sum_{j=1}^{k-2} zeta(j+1) zeta(k-j)."""
     inner = digits + 5
     with mp.workdps(2 * inner + 15):
-        z = {i: zeta_single(i, inner, cache) for i in range(2, k + 2)}
+        z = {i: _zeta_single(i, inner, tables) for i in range(2, k + 2)}
         value = z[k + 1].scale(Fraction(k, 2))
         for j in range(1, k - 1):
             value = value - (z[j + 1] * z[k - j]).scale(Fraction(1, 2))
@@ -296,9 +333,9 @@ def eval_products(K: int, digits: int = 30) -> list[BigFloat]:
     """zeta(2s) * zeta(2K+1-2s) for s = 1..K-1, bounds propagated."""
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
-    cache = BernoulliCache()
+    tables = _EMTables()
     with mp.workdps(2 * digits + 15):
-        z = {k: zeta_single(k, digits, cache) for k in range(2, 2 * K)}
+        z = {k: _zeta_single(k, digits, tables) for k in range(2, 2 * K)}
         return _products(K, z)
 
 
@@ -364,17 +401,16 @@ def _audit_rows(K: int, rows: Sequence[int], digits: int) -> list[AuditReport]:
     for r in rows:
         if not 1 <= r <= K - 1:
             raise ValueError(f"row r={r} out of range for K={K}")
-    cache = BernoulliCache()
-    tails: dict[tuple[int, int], tuple[mpf, mpf]] = {}
+    tables = _EMTables()
     with mp.workdps(2 * digits + 15):
         a = build_a(K)
         ks = [*range(2, 2 * K), 2 * K + 1]
-        z = {k: zeta_single(k, digits, cache) for k in ks}
+        z = {k: _zeta_single(k, digits, tables) for k in ks}
         products = _products(K, z)
         z_odd = z[2 * K + 1]
         reports = []
         for r in rows:
-            lhs = _zeta_double(2 * r, 2 * K + 1 - 2 * r, digits, cache, tails)
+            lhs = _zeta_double(2 * r, 2 * K + 1 - 2 * r, digits, tables)
             rhs = products[0].scale(a.at(r - 1, 0))
             for s in range(2, K):
                 rhs = rhs + products[s - 1].scale(a.at(r - 1, s - 1))
@@ -425,7 +461,7 @@ def audit_h_ab(a: int, b: int, digits: int = 30) -> HAuditReport:
         )
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    cache = BernoulliCache()
+    tables = _EMTables()
     with mp.workdps(2 * digits + 15):
         K = a + b + 1
         table = h_ab_coefficients(a, b)
@@ -435,16 +471,16 @@ def audit_h_ab(a: int, b: int, digits: int = 30) -> HAuditReport:
             n = K - r
             hv = h_value(n)
             h_num = _pi_power(pi_bf, 2 * n).scale(hv.coefficient)
-            contrib = (h_num * zeta_single(2 * r + 1, digits, cache)).scale(term.coeff)
+            contrib = (h_num * _zeta_single(2 * r + 1, digits, tables)).scale(term.coeff)
             formula = contrib if formula is None else formula + contrib
         assert formula is not None
 
         if (a, b) == (0, 0):
-            direct = zeta_single(3, digits, cache)
+            direct = _zeta_single(3, digits, tables)
         elif (a, b) == (1, 0):
-            direct = zeta_double(2, 3, digits, cache)
+            direct = _zeta_double(2, 3, digits, tables)
         else:
-            direct = zeta_double(3, 2, digits, cache)
+            direct = _zeta_double(3, 2, digits, tables)
 
         diff = abs(formula.value - direct.value)
         agrees = bool(diff <= formula.error_bound + direct.error_bound)

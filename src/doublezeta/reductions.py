@@ -146,25 +146,27 @@ def inverse_reduction_coefficients(
 
     Applies P to the Euler rows with per-row constants c: the product
     equals sum_r P_{s,r} zeta(2r, 2K+1-2r) minus (sum_r P_{s,r} c_r)
-    times zeta(2K+1).  A vanishing constant term is suppressed.
+    times zeta(2K+1).  A vanishing constant term is suppressed.  The sum
+    runs in integers: c over one common denominator, each row of P over
+    the lcm of its denominators.
     """
     _check_k(K)
     constants = list(constants)
     if len(constants) != K - 1:
         raise ValueError(f"need {K - 1} constants, got {len(constants)}")
+    c_den = math.lcm(*(c.denominator for c in constants))
+    c_num = [c.numerator * (c_den // c.denominator) for c in constants]
     p = build_p(K, cache)
     rows = []
-    for s in range(1, K):
+    for s, p_row in enumerate(p.row_lists(), start=1):
         terms = [
-            Term(
-                f"zeta({2 * r},{2 * K + 1 - 2 * r})",
-                p.at(s - 1, r - 1),
-            )
-            for r in range(1, K)
+            Term(f"zeta({2 * r},{2 * K + 1 - 2 * r})", p_rs)
+            for r, p_rs in enumerate(p_row, start=1)
         ]
-        const = -sum(
-            (p.at(s - 1, r - 1) * constants[r - 1] for r in range(1, K)),
-            Fraction(0),
+        p_den = math.lcm(*(x.denominator for x in p_row))
+        const = Fraction(
+            -sum(x.numerator * (p_den // x.denominator) * c for x, c in zip(p_row, c_num)),
+            p_den * c_den,
         )
         if const:
             terms.append(Term(f"zeta({2 * K + 1})", const))

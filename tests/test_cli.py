@@ -94,6 +94,16 @@ def test_verify_and_matrix_usage_errors(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("kind", ["conjecture", "closed-forms"])
+@pytest.mark.parametrize("k_min", ["1", "0", "-3"])
+def test_verify_k_min_below_two_is_a_usage_error(capsys, kind, k_min):
+    code, out, err = run(["verify", kind, "--k-min", k_min, "--k-max", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage:")
+    assert "--k-min must be >= 2" in err
+
+
 def test_reduce_h(capsys):
     code, out, _ = run(["reduce", "h", "--a", "1", "--b", "0"], capsys)
     assert code == 0

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -5,6 +7,7 @@ import pytest
 from mpmath import mp, mpf
 
 import doublezeta.numerics as numerics
+from doublezeta.bernoulli import BernoulliCache
 from doublezeta.numerics import (
     BigFloat,
     audit_euler,
@@ -186,17 +189,17 @@ def test_audit_euler_evaluates_nothing_twice(monkeypatch):
     # one pass per K: every single zeta and every Euler-Maclaurin tail of the
     # audit is evaluated once, however many rows share it
     singles, tails = [], []
-    zeta_single_orig, zeta_tail_orig = numerics.zeta_single, numerics._zeta_tail
+    zeta_single_orig, zeta_tail_orig = numerics._zeta_single, numerics._zeta_tail
 
-    def counted_single(k, digits=30, cache=None):
+    def counted_single(k, digits, tables):
         singles.append((k, digits))
-        return zeta_single_orig(k, digits, cache)
+        return zeta_single_orig(k, digits, tables)
 
-    def counted_tail(k, start, target, cache):
+    def counted_tail(k, start, target, tables):
         tails.append((k, start, target, mp.prec))
-        return zeta_tail_orig(k, start, target, cache)
+        return zeta_tail_orig(k, start, target, tables)
 
-    monkeypatch.setattr(numerics, "zeta_single", counted_single)
+    monkeypatch.setattr(numerics, "_zeta_single", counted_single)
     monkeypatch.setattr(numerics, "_zeta_tail", counted_tail)
     audit_euler(8, 40)
     # zeta(2..15) and zeta(17) at 40 digits, zeta(2r) at 50 inside each row
@@ -204,6 +207,72 @@ def test_audit_euler_evaluates_nothing_twice(monkeypatch):
         [(k, 40) for k in [*range(2, 16), 17]] + [(2 * r, 50) for r in range(1, 8)]
     )
     assert tails and len(set(tails)) == len(tails)
+
+
+def _reference_zeta_tail(k, start, target, cache):
+    # the tail engine without shared tables: a pow, two full factorials per
+    # rising factorial and a fresh B_2J conversion in every iteration
+    def rising(k, j):
+        return math.factorial(k + j - 1) // math.factorial(k - 1)
+
+    M = mpf(start)
+    tail = M ** (1 - k) / (k - 1) + M ** (-k) / 2
+    prev_bound = mpf("inf")
+    J = 1
+    while True:
+        b2j = cache.get(2 * J)
+        b2j_f = mpf(b2j.numerator) / mpf(b2j.denominator)
+        fact = mpf(math.factorial(2 * J))
+        power = M ** (1 - k - 2 * J)
+        bound = 2 * abs(b2j_f) / fact * rising(k, 2 * J) * power / (k + 2 * J - 1)
+        if bound <= target or bound >= prev_bound or J > 400:
+            return tail, bound + numerics._slack(tail) * (J + 4)
+        tail += b2j_f / fact * rising(k, 2 * J - 1) * power
+        prev_bound = bound
+        J += 1
+
+
+def test_zeta_tail_matches_reference_bit_for_bit():
+    # one table serves a mixed sequence of starts and precisions, so a memo
+    # keyed without the start or the precision returns a wrong value
+    cases = [
+        (k, start, digits)
+        for k in range(2, 41)
+        for start in (17, 41, 81, 201, 401)
+        for digits in (30, 40, 100, 200)
+    ]
+    random.Random(0).shuffle(cases)
+    cache = BernoulliCache()
+    tables = numerics._EMTables(cache)
+    for k, start, digits in cases:
+        with mp.workdps(2 * digits + 15):
+            target = mpf(10) ** (-(digits + 10))
+            got = numerics._zeta_tail(k, start, target, tables)
+            assert got == _reference_zeta_tail(k, start, target, cache), (k, start, digits)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda: zeta_double(6, 5, 200), lambda: audit_euler(8, 40)],
+    ids=["zeta_double(6,5,200)", "audit_euler(8,40)"],
+)
+def test_tables_form_each_power_and_ratio_once(monkeypatch, run):
+    powers, ratios = [], []
+    power_orig, ratio_orig = numerics._power, numerics._bernoulli_ratio
+
+    def counted_power(start, n):
+        powers.append((start, n, mp.prec))
+        return power_orig(start, n)
+
+    def counted_ratio(b, n):
+        ratios.append((n, mp.prec))
+        return ratio_orig(b, n)
+
+    monkeypatch.setattr(numerics, "_power", counted_power)
+    monkeypatch.setattr(numerics, "_bernoulli_ratio", counted_ratio)
+    run()
+    assert powers and len(set(powers)) == len(powers)
+    assert ratios and len(set(ratios)) == len(ratios)
 
 
 @pytest.mark.parametrize("a, b", [(0, 0), (1, 0), (0, 1)])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from doublezeta.bernoulli import BernoulliCache
-from doublezeta.matrices import build_p
+from doublezeta.matrices import build_a, build_p
 from doublezeta.reductions import (
     PRINTED_CONSTANT,
     euler_constant,
@@ -80,6 +80,50 @@ def test_inverse_table_k3_matrix_part(cache):
             assert coeff_of(row, label) == p.at(s - 1, r - 1)
         # zero constants are suppressed entirely
         assert all("*" in t.basis or "," in t.basis for t in row.terms)
+
+
+def _reference_inverse_constants(K, constants, cache):
+    # the constant term -(P c)_s as a Fraction sum, one entry at a time
+    p = build_p(K, cache)
+    return [
+        -sum((p.at(s - 1, r - 1) * constants[r - 1] for r in range(1, K)), Fraction(0))
+        for s in range(1, K)
+    ]
+
+
+def _constant_sets(K):
+    mixed = [Fraction(-7, 6), Fraction(0), Fraction(5), Fraction(13, 10), Fraction(-1, 4)]
+    return [
+        [Fraction(-1, 2)] * (K - 1),
+        [Fraction(-11, 2)] * (K - 1),
+        [Fraction(1, 3)] * (K - 1),
+        [mixed[r % len(mixed)] for r in range(K - 1)],
+        [euler_constant(K, r) for r in range(1, K)],
+    ]
+
+
+@pytest.mark.parametrize("K", range(2, 13))
+def test_inverse_table_constant_matches_fraction_sum(K, cache):
+    label = f"zeta({2 * K + 1})"
+    for constants in _constant_sets(K):
+        table = inverse_reduction_coefficients(K, constants, cache)
+        expected = _reference_inverse_constants(K, constants, cache)
+        for row, want in zip(table.rows, expected, strict=True):
+            assert coeff_of(row, label) == want
+            assert (label in [t.basis for t in row.terms]) == (want != 0)
+
+
+@pytest.mark.parametrize("K", range(3, 7))
+def test_inverse_table_suppresses_vanishing_constant(K, cache):
+    # c = A e_1 gives (P c)_s = 1 for s = 1 and 0 otherwise, since PA = I
+    a = build_a(K)
+    constants = [a.at(r - 1, 0) for r in range(1, K)]
+    assert _reference_inverse_constants(K, constants, cache) == [-1] + [0] * (K - 2)
+    table = inverse_reduction_coefficients(K, constants, cache)
+    label = f"zeta({2 * K + 1})"
+    assert coeff_of(table.rows[0], label) == -1
+    for row in table.rows[1:]:
+        assert label not in [t.basis for t in row.terms]
 
 
 def test_h_ab_examples():
