@@ -58,6 +58,14 @@ def cmd_bernoulli(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ verify
 
 
+# index and value names of the first offending entry of each failed inverse check
+_OFFENDING_LABELS = {
+    "p_eq_q": ("s", "r", "P", "Q"),
+    "pa_is_identity": ("s", "s'", "PA", "I"),
+    "ap_is_identity": ("r", "r'", "AP", "I"),
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     lines: list[str] = []
     ok = True
@@ -66,12 +74,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for K in range(args.k_min, args.k_max + 1):
             rep = matrices.verify_inverse(K, cache)
             ok &= rep.all_pass
-            lines.append(
-                f"K={K}: pass"
-                if rep.all_pass
-                else f"K={K}: FAIL p_eq_q={rep.p_eq_q} pa_is_identity={rep.pa_is_identity} "
+            if rep.all_pass:
+                lines.append(f"K={K}: pass")
+                continue
+            line = (
+                f"K={K}: FAIL p_eq_q={rep.p_eq_q} pa_is_identity={rep.pa_is_identity} "
                 f"ap_is_identity={rep.ap_is_identity} det_nonzero={rep.det_nonzero}"
             )
+            for check, i, j, value, expected in rep.offending:
+                row, col, name, ref = _OFFENDING_LABELS[check]
+                line += (
+                    f"; {check} at ({row}={i}, {col}={j}): "
+                    f"{name}={format_rational(value)} {ref}={format_rational(expected)}"
+                )
+            lines.append(line)
     elif args.kind == "carlitz":
         cache = BernoulliCache()
         for n in range(args.max + 1):

@@ -35,6 +35,24 @@ def test_verify_conjecture_small(capsys):
     assert "K=6: pass" in out
 
 
+def test_verify_conjecture_fail_line_names_first_offending_entries(capsys, monkeypatch):
+    from test_matrices import BadBernoulliCache
+
+    import doublezeta.cli as cli
+
+    monkeypatch.setattr(cli, "BernoulliCache", BadBernoulliCache)
+    code, out, _ = run(["verify", "conjecture", "--k-min", "2", "--k-max", "3"], capsys)
+    assert code == 1
+    # with B_4 = 1/29: P_11 = 2 B_4 and Q_11 = -2 (4 B_4 + 4 B_2 + B_1) by the defining sums
+    assert out.splitlines() == [
+        "K=2: pass",
+        "K=3: FAIL p_eq_q=False pa_is_identity=False ap_is_identity=False det_nonzero=True"
+        "; p_eq_q at (s=1, r=1): P=2/29 Q=-53/87"
+        "; pa_is_identity at (s=1, s'=1): PA=500/87 I=1"
+        "; ap_is_identity at (r=1, r'=1): AP=146/87 I=1",
+    ]
+
+
 def test_verify_carlitz(capsys):
     code, out, _ = run(["verify", "carlitz", "--max", "12"], capsys)
     assert code == 0

@@ -1,10 +1,13 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
+import doublezeta.matrices as matrices
 from doublezeta.bernoulli import BernoulliCache
 from doublezeta.matrices import (
     RationalMatrix,
@@ -141,12 +144,126 @@ def test_determinant_against_permutation_oracle(cache):
     assert determinant_fraction_free(rational) == naive_determinant(rational)
 
 
-
 def test_determinant_is_signed_double_factorial():
     # Observed, not stated in the paper: det A_K = eps_K (2K-1)!!, eps_K = -1 iff K = 3 mod 4.
     for K in range(2, 41):
         sign = -1 if K % 4 == 3 else 1
         assert determinant_fraction_free(build_a(K)) == sign * math.prod(range(1, 2 * K, 2)), K
+
+
+def test_determinant_residue_is_signed_double_factorial():
+    # The same observation modulo 2^61 - 1, where Bareiss would be slow.
+    for K in range(41, 101):
+        sign = -1 if K % 4 == 3 else 1
+        expected = sign * math.prod(range(1, 2 * K, 2)) % matrices._PRIME
+        assert matrices._det_residue(matrices._a_rows(K), matrices._PRIME) == expected, K
+
+
+def _random_int_matrices():
+    rng = random.Random(20240613)
+    for n in range(1, 13):
+        for _ in range(6):
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            yield m
+            if n > 1:
+                singular = [list(row) for row in m]
+                singular[-1] = [x - 2 * y for x, y in zip(singular[0], singular[1])]
+                yield singular
+                # zero pivots where either elimination order starts: a row swap is forced
+                swapped = [list(row) for row in m]
+                swapped[0][0] = swapped[-1][-1] = 0
+                yield swapped
+    yield [[0, 1], [1, 0]]
+    yield [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    yield [[3, 5], [0, 0]]
+
+
+def test_det_residue_matches_bareiss():
+    # 101 divides (2K-1)!! from K = 51 on, so A_K has a zero residue there
+    cases = [*_random_int_matrices(), *(matrices._a_rows(K) for K in range(2, 61))]
+    for m in cases:
+        det = matrices._bareiss(m)
+        for p in (matrices._PRIME, 101):
+            assert matrices._det_residue(m, p) == det % p, (m, p)
+
+
+def test_det_residue_leaves_its_input_alone():
+    m = [[0, 2, 1], [4, -1, 3], [2, 5, 0]]
+    copy = [list(row) for row in m]
+    matrices._det_residue(m, 7)
+    assert m == copy
+
+
+def test_zero_residue_falls_back_to_bareiss(monkeypatch):
+    calls = []
+
+    def bareiss(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    original = matrices._bareiss
+    monkeypatch.setattr(matrices, "_det_residue", lambda rows, p: 0)
+    monkeypatch.setattr(matrices, "_bareiss", bareiss)
+    for K in (2, 5, 12):
+        assert verify_inverse(K).det_nonzero
+    assert calls == [1, 4, 11]
+
+
+def test_fallback_reports_a_singular_stand_in(monkeypatch):
+    def singular_a(K):
+        rows = original(K)
+        rows[-1] = list(rows[0])
+        return rows
+
+    original = matrices._a_rows
+    monkeypatch.setattr(matrices, "_a_rows", singular_a)
+    report = verify_inverse(6)
+    assert not report.det_nonzero
+    assert not report.all_pass
+
+
+def old_product(a, b):
+    """The product before zero entries were skipped, kept as the reference."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _product_cases():
+    rng = random.Random(7)
+
+    def ints(n, m, zeros=0.5):
+        return [[0 if rng.random() < zeros else rng.randint(-50, 50) for _ in range(m)]
+                for _ in range(n)]
+
+    def fracs(n, m, zeros=0.5):
+        return [[Fraction(x, rng.randint(1, 9)) for x in row] for row in ints(n, m, zeros)]
+
+    for n, k, m in [(1, 1, 1), (3, 4, 2), (5, 5, 5), (2, 7, 1), (6, 3, 4)]:
+        yield ints(n, k), ints(k, m)
+        yield fracs(n, k), fracs(k, m)
+        yield ints(n, k), fracs(k, m)
+        yield ints(n, k, zeros=1.0), ints(k, m)
+        yield fracs(n, k, zeros=1.0), fracs(k, m)
+        yield ints(n, k, zeros=0.0), ints(k, m, zeros=0.0)
+    rows = ints(4, 5)
+    rows[1] = [0] * 5
+    rows[3] = [Fraction(0)] * 5
+    yield rows, fracs(5, 3)
+
+
+def test_product_matches_reference():
+    for a, b in _product_cases():
+        got = matrices._product(a, b)
+        assert got == old_product(a, b)
+        assert len(got) == len(a) and all(len(row) == len(b[0]) for row in got)
+
+
+def test_matrix_multiply_unchanged_by_zero_skipping(cache):
+    for K in range(2, 9):
+        p, a, b = build_p(K, cache), build_a(K), build_b_part(K)
+        for x, y in [(p, a), (a, p), (p, b), (b, p), (identity_matrix(K - 1), p)]:
+            expected = old_product(x.row_lists(), y.row_lists())
+            assert matrix_multiply(x, y).row_lists() == expected
 
 
 @pytest.mark.parametrize("K", [2, 3, 10])
@@ -200,6 +317,24 @@ def test_checks_fail_under_a_corrupted_cache(K):
             pb.at(s - 1, sp - 1),
             pc.at(s - 1, sp - 1),
         ]
+
+
+@pytest.mark.parametrize("K", [3, 5, 8])
+def test_report_names_the_first_offending_entries(K):
+    bad = BadBernoulliCache()
+    report = verify_inverse(K, bad)
+    p, q, a = build_p(K, bad), build_q(K, bad), build_a(K)
+    one = identity_matrix(K - 1)
+    expected = []
+    for check, x, y in [
+        ("p_eq_q", p, q),
+        ("pa_is_identity", matrix_multiply(p, a), one),
+        ("ap_is_identity", matrix_multiply(a, p), one),
+    ]:
+        i, j = next((i, j) for i in range(K - 1) for j in range(K - 1) if x.at(i, j) != y.at(i, j))
+        expected.append((check, i + 1, j + 1, x.at(i, j), y.at(i, j)))
+    assert report.offending == tuple(expected)
+    assert verify_inverse(K).offending == ()
 
 
 def test_closed_form_index_errors(cache):
