@@ -8,8 +8,8 @@ that the package verifies are equal and do invert A.  P, Q and the (PB)
 closed form are int products W G of a Bernoulli weight matrix W (one
 denominator per row) with a binomial matrix G; RationalMatrix is for export.
 Every product skips the zero entries of its left factor (about 3/4 of W).
-The inverse check proves det A != 0 from its residue modulo the prime
-2^61 - 1 and falls back to exact Bareiss elimination only if that is 0.
+The inverse check takes det A != 0 from its exact P A = I check, which
+proves it; only when that check fails does Bareiss elimination decide.
 """
 
 from __future__ import annotations
@@ -228,38 +228,6 @@ def _bareiss(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-_PRIME = (1 << 61) - 1
-
-
-def _det_residue(rows: list[list[int]], p: int) -> int:
-    """det(rows) mod the prime p by Gaussian elimination over GF(p), on a copy.
-
-    Eliminates from the last row and column first (reversing both orders
-    keeps the determinant).  For A this puts the unit diagonal of the C
-    part first, and its last column has only two nonzeros, so most
-    multipliers are 0 and their row updates are skipped.
-    """
-    m = [[x % p for x in reversed(row)] for row in reversed(rows)]
-    n = len(m)
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        top = m[k]
-        det = det * top[k] % p
-        inv = pow(top[k], -1, p)
-        tail = top[k + 1 :]
-        for row in m[k + 1 :]:
-            if row[k]:
-                f = row[k] * inv % p
-                row[k + 1 :] = [(x - f * y) % p for x, y in zip(row[k + 1 :], tail)]
-    return det % p
-
-
 def determinant_fraction_free(a: RationalMatrix) -> Fraction:
     """Exact determinant by Bareiss (fraction-free) elimination on rows scaled to integers."""
     if a.rows != a.cols:
@@ -278,6 +246,8 @@ class InverseReport:
     pa_is_identity, ap_is_identity, its first offending entry in row-major
     order as (check, i, j, value, expected) with one-based indices:
     (s, r) of P against Q, (s, s') of P A and (r, r') of A P against I.
+    ``det_nonzero`` is True whenever ``pa_is_identity`` is, which proves it;
+    otherwise it is Bareiss elimination's exact verdict on A.
     """
 
     K: int
@@ -317,9 +287,9 @@ def verify_inverse(K: int, cache: BernoulliCache | None = None) -> InverseReport
     All in integers, with row s of P and of Q as numerators n_s over d_s
     and L = lcm of the d_s: P = Q by equal n_s, P A = I by n_s A = d_s e_s,
     A P = I by A (L P) = L I.  The products skip the zero entries of their
-    left factor.  det A != 0 is proved by a nonzero residue of det A modulo
-    the prime 2^61 - 1; only a zero residue runs Bareiss elimination on A's
-    rows, so the verdict is exact either way.
+    left factor.  A passing P A = I proves det A != 0 (det P det A = 1);
+    only a failing one runs Bareiss elimination on A's rows, so the verdict
+    is exact either way.
     """
     a = _a_rows(K)
     w, denoms = _weight_rows(K, cache, range(1, K))
@@ -335,7 +305,7 @@ def verify_inverse(K: int, cache: BernoulliCache | None = None) -> InverseReport
         p_eq_q=pq is None,
         pa_is_identity=pa is None,
         ap_is_identity=ap is None,
-        det_nonzero=_det_residue(a, _PRIME) != 0 or _bareiss(a) != 0,
+        det_nonzero=pa is None or _bareiss(a) != 0,
         offending=tuple(m for m in (pq, pa, ap) if m is not None),
     )
 

@@ -11,17 +11,13 @@ Bernoulli remainder bound; double zeta tails expand the inner partial
 sum by the same machinery, reducing the outer tail to a finite
 combination of single-zeta tails plus a rigorously bounded remainder.
 
-``zeta_single`` and ``zeta_double`` take an optional
-:class:`BernoulliCache`, which a caller making several evaluations passes
-to all of them; otherwise each call makes its own.
-
-Every public function builds one :class:`_EMTables` for the call and drops
-it on return; the module keeps no state between calls.  The table
-memoises what the Euler-Maclaurin tails of one call share: the powers
-M^n of each tail start M, the ratios B_2J/(2J)!, both per working
-precision, and the tails themselves.  A memoised value is the same mpf
-operation at the same precision as the one it replaces, so sharing
-changes no bit of any value or bound.
+Every public function builds one :class:`_EMTables` for the call, with
+its own :class:`BernoulliCache`, and drops it on return; the module keeps
+no state between calls.  The table memoises what the Euler-Maclaurin
+tails of one call share: the powers M^n of each tail start M, the ratios
+B_2J/(2J)!, both per working precision, and the tails themselves.  A
+memoised value is the same mpf operation at the same precision as the one
+it replaces, so sharing changes no bit of any value or bound.
 
 The Euler audit runs one pass per K: every row r = 1..K-1 of weight 2K+1
 uses the same single zetas, products and zeta(2K+1), so they are evaluated
@@ -42,7 +38,7 @@ from mpmath import mp, mpf
 
 from .bernoulli import BernoulliCache
 from .matrices import build_a
-from .reductions import h_ab_coefficients, h_value
+from .reductions import PRINTED_CONSTANT, h_ab_coefficients, h_value
 
 __all__ = [
     "BigFloat",
@@ -137,8 +133,8 @@ class _EMTables:
     tail start too), so evaluations at several precisions can share a table.
     """
 
-    def __init__(self, cache: BernoulliCache | None = None) -> None:
-        self.bernoulli = cache if cache is not None else BernoulliCache()
+    def __init__(self) -> None:
+        self.bernoulli = BernoulliCache()
         self._powers: dict[tuple[int, int, int], mpf] = {}
         self._ratios: dict[tuple[int, int], mpf] = {}
         self._tails: dict[tuple[int, int, mpf, int], tuple[mpf, mpf]] = {}
@@ -200,15 +196,13 @@ def _choose_cutoff(digits: int) -> int:
     return max(16, digits)
 
 
-def zeta_single(
-    k: int, digits: int = 30, cache: BernoulliCache | None = None
-) -> BigFloat:
+def zeta_single(k: int, digits: int = 30) -> BigFloat:
     """Riemann zeta at an integer k >= 2, |error| <= 10^-digits."""
     if k < 2:
         raise ValueError(f"zeta_single requires k >= 2, got {k}")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    return _zeta_single(k, digits, _EMTables(cache))
+    return _zeta_single(k, digits, _EMTables())
 
 
 def _zeta_single(k: int, digits: int, tables: _EMTables) -> BigFloat:
@@ -224,9 +218,7 @@ def _zeta_single(k: int, digits: int, tables: _EMTables) -> BigFloat:
         return BigFloat(value, err)
 
 
-def zeta_double(
-    k1: int, k2: int, digits: int = 30, cache: BernoulliCache | None = None
-) -> BigFloat:
+def zeta_double(k1: int, k2: int, digits: int = 30) -> BigFloat:
     """Double zeta sum_{j < m} j^{-k1} m^{-k2}, |error| <= 10^-digits.
 
     Requires k2 >= 2 (convergence of the outer sum).  For k1 >= 2 the outer
@@ -241,7 +233,7 @@ def zeta_double(
         raise ValueError(f"zeta_double requires k1 >= 1, got k1={k1}")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    tables = _EMTables(cache)
+    tables = _EMTables()
     if k1 == 1:
         return _zeta_one(k2, digits, tables)
     return _zeta_double(k1, k2, digits, tables)
@@ -333,6 +325,8 @@ def eval_products(K: int, digits: int = 30) -> list[BigFloat]:
     """zeta(2s) * zeta(2K+1-2s) for s = 1..K-1, bounds propagated."""
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
     tables = _EMTables()
     with mp.workdps(2 * digits + 15):
         z = {k: _zeta_single(k, digits, tables) for k in range(2, 2 * K)}
@@ -387,8 +381,9 @@ def audit_euler_constant(K: int, r: int, digits: int = 40) -> AuditReport:
     """Compare zeta(2r, 2K+1-2r) against the A-weighted product sum.
 
     residual_ratio = (lhs - sum_s A_{r,s} products_s) / zeta(2K+1); the
-    printed constant is consistent iff -1/2 lies within the residual's
-    error bound.  Disagreement is reported, never raised.
+    printed constant is consistent iff reductions.PRINTED_CONSTANT (-1/2)
+    lies within the residual's error bound.  Disagreement is reported,
+    never raised.
     """
     return _audit_rows(K, [r], digits)[0]
 
@@ -401,6 +396,8 @@ def _audit_rows(K: int, rows: Sequence[int], digits: int) -> list[AuditReport]:
     for r in rows:
         if not 1 <= r <= K - 1:
             raise ValueError(f"row r={r} out of range for K={K}")
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
     tables = _EMTables()
     with mp.workdps(2 * digits + 15):
         a = build_a(K)
@@ -408,6 +405,7 @@ def _audit_rows(K: int, rows: Sequence[int], digits: int) -> list[AuditReport]:
         z = {k: _zeta_single(k, digits, tables) for k in ks}
         products = _products(K, z)
         z_odd = z[2 * K + 1]
+        printed = mpf(PRINTED_CONSTANT.numerator) / PRINTED_CONSTANT.denominator
         reports = []
         for r in rows:
             lhs = _zeta_double(2 * r, 2 * K + 1 - 2 * r, digits, tables)
@@ -417,7 +415,7 @@ def _audit_rows(K: int, rows: Sequence[int], digits: int) -> list[AuditReport]:
             residual = (lhs - rhs) / z_odd
             reconstructed = rational_reconstruct(residual, 64)
             consistent = bool(
-                abs(residual.value - mpf("-0.5")) <= residual.error_bound
+                abs(residual.value - printed) <= residual.error_bound
             )
             reports.append(
                 AuditReport(

@@ -151,62 +151,58 @@ def test_determinant_is_signed_double_factorial():
         assert determinant_fraction_free(build_a(K)) == sign * math.prod(range(1, 2 * K, 2)), K
 
 
+def det_mod(rows, p):
+    """det(rows) mod the prime p by plain Gaussian elimination over GF(p).
+
+    Runs from the last row and column (reversing both keeps the determinant):
+    there A's columns are sparse, so most multipliers are 0.
+    """
+    m = [[x % p for x in reversed(row)] for row in reversed(rows)]
+    n = len(m)
+    det = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det = det * m[k][k] % p
+        inv = pow(m[k][k], -1, p)
+        top = m[k][k + 1 :]
+        for row in m[k + 1 :]:
+            if row[k]:
+                f = row[k] * inv % p
+                row[k + 1 :] = [(x - f * y) % p for x, y in zip(row[k + 1 :], top)]
+    return det % p
+
+
 def test_determinant_residue_is_signed_double_factorial():
-    # The same observation modulo 2^61 - 1, where Bareiss would be slow.
+    # The same observation modulo 2^61 - 1, where Bareiss would take minutes.
+    p = (1 << 61) - 1
     for K in range(41, 101):
         sign = -1 if K % 4 == 3 else 1
-        expected = sign * math.prod(range(1, 2 * K, 2)) % matrices._PRIME
-        assert matrices._det_residue(matrices._a_rows(K), matrices._PRIME) == expected, K
+        assert det_mod(matrices._a_rows(K), p) == sign * math.prod(range(1, 2 * K, 2)) % p, K
 
 
-def _random_int_matrices():
-    rng = random.Random(20240613)
-    for n in range(1, 13):
-        for _ in range(6):
-            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            yield m
-            if n > 1:
-                singular = [list(row) for row in m]
-                singular[-1] = [x - 2 * y for x, y in zip(singular[0], singular[1])]
-                yield singular
-                # zero pivots where either elimination order starts: a row swap is forced
-                swapped = [list(row) for row in m]
-                swapped[0][0] = swapped[-1][-1] = 0
-                yield swapped
-    yield [[0, 1], [1, 0]]
-    yield [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
-    yield [[3, 5], [0, 0]]
-
-
-def test_det_residue_matches_bareiss():
-    # 101 divides (2K-1)!! from K = 51 on, so A_K has a zero residue there
-    cases = [*_random_int_matrices(), *(matrices._a_rows(K) for K in range(2, 61))]
-    for m in cases:
-        det = matrices._bareiss(m)
-        for p in (matrices._PRIME, 101):
-            assert matrices._det_residue(m, p) == det % p, (m, p)
-
-
-def test_det_residue_leaves_its_input_alone():
-    m = [[0, 2, 1], [4, -1, 3], [2, 5, 0]]
-    copy = [list(row) for row in m]
-    matrices._det_residue(m, 7)
-    assert m == copy
-
-
-def test_zero_residue_falls_back_to_bareiss(monkeypatch):
+def _count_bareiss(monkeypatch):
     calls = []
+    original = matrices._bareiss
 
     def bareiss(rows):
         calls.append(len(rows))
         return original(rows)
 
-    original = matrices._bareiss
-    monkeypatch.setattr(matrices, "_det_residue", lambda rows, p: 0)
     monkeypatch.setattr(matrices, "_bareiss", bareiss)
+    return calls
+
+
+def test_passing_pa_check_proves_det_without_bareiss(monkeypatch):
+    calls = _count_bareiss(monkeypatch)
     for K in (2, 5, 12):
-        assert verify_inverse(K).det_nonzero
-    assert calls == [1, 4, 11]
+        report = verify_inverse(K)
+        assert report.pa_is_identity and report.det_nonzero
+    assert calls == []
 
 
 def test_fallback_reports_a_singular_stand_in(monkeypatch):
@@ -317,6 +313,15 @@ def test_checks_fail_under_a_corrupted_cache(K):
             pb.at(s - 1, sp - 1),
             pc.at(s - 1, sp - 1),
         ]
+
+
+@pytest.mark.parametrize("K", [3, 5, 8])
+def test_failing_pa_check_runs_bareiss_once(monkeypatch, K):
+    calls = _count_bareiss(monkeypatch)
+    report = verify_inverse(K, BadBernoulliCache())
+    assert not report.pa_is_identity
+    assert report.det_nonzero
+    assert calls == [K - 1]
 
 
 @pytest.mark.parametrize("K", [3, 5, 8])

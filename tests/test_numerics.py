@@ -7,7 +7,6 @@ import pytest
 from mpmath import mp, mpf
 
 import doublezeta.numerics as numerics
-from doublezeta.bernoulli import BernoulliCache
 from doublezeta.numerics import (
     BigFloat,
     audit_euler,
@@ -166,6 +165,32 @@ def test_audit_euler_equals_single_rows(K, digits):
         assert _report_fields(rep) == _report_fields(single)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: zeta_single(3, 0),
+        lambda: zeta_double(2, 3, -1),
+        lambda: pi_value(0),
+        lambda: eval_products(3, 0),
+        lambda: audit_euler(2, 0),
+        lambda: audit_euler_constant(2, 1, -2),
+        lambda: audit_h_ab(0, 0, 0),
+    ],
+    ids=[
+        "zeta_single",
+        "zeta_double",
+        "pi_value",
+        "eval_products",
+        "audit_euler",
+        "audit_euler_constant",
+        "audit_h_ab",
+    ],
+)
+def test_public_functions_reject_digits_below_one(call):
+    with pytest.raises(ValueError, match="digits must be >= 1"):
+        call()
+
+
 def test_audit_euler_rejects_bad_rows():
     with pytest.raises(ValueError):
         audit_euler(1, 40)
@@ -242,8 +267,8 @@ def test_zeta_tail_matches_reference_bit_for_bit():
         for digits in (30, 40, 100, 200)
     ]
     random.Random(0).shuffle(cases)
-    cache = BernoulliCache()
-    tables = numerics._EMTables(cache)
+    tables = numerics._EMTables()
+    cache = tables.bernoulli
     for k, start, digits in cases:
         with mp.workdps(2 * digits + 15):
             target = mpf(10) ** (-(digits + 10))
