@@ -246,8 +246,10 @@ class InverseReport:
     pa_is_identity, ap_is_identity, its first offending entry in row-major
     order as (check, i, j, value, expected) with one-based indices:
     (s, r) of P against Q, (s, s') of P A and (r, r') of A P against I.
-    ``det_nonzero`` is True whenever ``pa_is_identity`` is, which proves it;
-    otherwise it is Bareiss elimination's exact verdict on A.
+    ``det_nonzero`` and ``ap_is_identity`` are True whenever
+    ``pa_is_identity`` is, which proves both (P and A are square);
+    otherwise they are the exact verdicts of Bareiss elimination on A and
+    of the product A P.
     """
 
     K: int
@@ -287,19 +289,22 @@ def verify_inverse(K: int, cache: BernoulliCache | None = None) -> InverseReport
     All in integers, with row s of P and of Q as numerators n_s over d_s
     and L = lcm of the d_s: P = Q by equal n_s, P A = I by n_s A = d_s e_s,
     A P = I by A (L P) = L I.  The products skip the zero entries of their
-    left factor.  A passing P A = I proves det A != 0 (det P det A = 1);
-    only a failing one runs Bareiss elimination on A's rows, so the verdict
-    is exact either way.
+    left factor.  A passing P A = I proves det A != 0 (det P det A = 1),
+    and for square matrices it also proves A P = I, so A (L P) and Bareiss
+    elimination on A's rows run only when P A = I fails; the verdicts are
+    exact either way.
     """
     a = _a_rows(K)
     w, denoms = _weight_rows(K, cache, range(1, K))
     p, q = _product(w, _g_p(K)), _product(w, _g_q(K))
-    big = lcm(*denoms)
-    lp = [[big // d * x for x in row] for row, d in zip(p, denoms)]
-    scale = [big] * (K - 1)
     pq = _first_mismatch("p_eq_q", p, q, denoms)
     pa = _first_mismatch("pa_is_identity", _product(p, a), _diagonal(denoms), denoms)
-    ap = _first_mismatch("ap_is_identity", _product(a, lp), _diagonal(scale), scale)
+    ap = None
+    if pa is not None:
+        big = lcm(*denoms)
+        lp = [[big // d * x for x in row] for row, d in zip(p, denoms)]
+        scale = [big] * (K - 1)
+        ap = _first_mismatch("ap_is_identity", _product(a, lp), _diagonal(scale), scale)
     return InverseReport(
         K=K,
         p_eq_q=pq is None,

@@ -1,10 +1,17 @@
 """Arbitrary-precision zeta evaluation with rigorous error bounds.
 
-Values are carried as a :class:`BigFloat`: an mpmath float at a working
-precision of roughly twice the requested digits, paired with an absolute
-error bound that covers series truncation and accumulated rounding.  The
-bound, not the precision, is the contract: every arithmetic helper
-propagates bounds conservatively.
+Values are carried as a :class:`BigFloat`: an mpmath float paired with
+an absolute error bound that covers series truncation and accumulated
+rounding.  The bound, not the precision, is the contract: every
+arithmetic helper propagates bounds conservatively, and the zeta engines
+raise ``ValueError`` rather than return a bound above 10^-digits.
+
+Rounding is charged relative to the magnitudes involved (8 eps per
+operation), never as an absolute eps, so a value scaled by a huge
+coefficient does not inflate the bound.  That makes a working precision of
+digits plus a small guard enough: the guard covers the M + J + 16
+roundings of a double zeta (direct terms, T-expansion terms and the final
+combination), each of relative size 8 eps.
 
 Single zeta tails use Euler-Maclaurin with the classical periodic-
 Bernoulli remainder bound; double zeta tails expand the inner partial
@@ -13,18 +20,22 @@ combination of single-zeta tails plus a rigorously bounded remainder.
 
 Every public function builds one :class:`_EMTables` for the call, with
 its own :class:`BernoulliCache`, and drops it on return; the module keeps
-no state between calls.  The table memoises what the Euler-Maclaurin
-tails of one call share: the powers M^n of each tail start M, the ratios
-B_2J/(2J)!, both per working precision, and the tails themselves.  A
-memoised value is the same mpf operation at the same precision as the one
-it replaces, so sharing changes no bit of any value or bound.
+no state between calls.  The table memoises what the evaluations of one
+call share: the powers m^n of the direct sums and of each tail start, the
+ratios B_2J/(2J)!, both per working precision, and the tails themselves.
+A memoised value is the same mpf operation at the same precision as the
+one it replaces, so sharing changes no bit of any value or bound.
 
 The Euler audit runs one pass per K: every row r = 1..K-1 of weight 2K+1
 uses the same single zetas, products and zeta(2K+1), so they are evaluated
 once.  The outer tails that the T(m) expansion of zeta(k1, k2) folds into
 are sums over m > M of m^-(k2+alpha) with k2 + alpha running over
 k1 + k2 - 1, k1 + k2, ..., so they depend on the weight only; every row
-reads them from the call's table.
+reads them from the call's table.  Each folded tail is evaluated to the
+target divided by its coefficient, and the coefficient taken is the
+largest that any k1 of the weight gives to that exponent, so the target,
+too, depends on the weight only.  The T(m) expansion stops as soon as its
+remainder meets the target.
 """
 
 from __future__ import annotations
@@ -56,8 +67,29 @@ __all__ = [
 
 
 def _slack(x) -> mpf:
-    # generous per-operation rounding allowance at the current precision
-    return (abs(x) + mpf(1)) * mp.eps * 8
+    # generous rounding allowance for one operation on magnitude |x| at the
+    # current precision; relative, so it scales with the value it covers
+    return abs(x) * mp.eps * 8
+
+
+def _work_dps(digits: int) -> int:
+    """The working precision for a 10^-digits target: digits plus a guard.
+
+    A double zeta rounds M + J + 16 times (M = 2 digits, J <= digits), each
+    charged 8 eps relative; the guard keeps that total below 10^-(digits+1)
+    for values up to 10 in magnitude (eps is about 2 * 10^-(dps+1)).
+    """
+    return digits + len(str(160 * (_double_cutoff(digits) + digits + 16)))
+
+
+def _checked(x: BigFloat, digits: int, label: str) -> BigFloat:
+    """x, or ValueError if its bound misses the 10^-digits contract."""
+    if not x.error_bound <= mpf(10) ** -digits:
+        raise ValueError(
+            f"{label}: error bound {mp.nstr(x.error_bound, 3)} misses the "
+            f"target 1e-{digits}"
+        )
+    return x
 
 
 @dataclass(frozen=True)
@@ -72,12 +104,15 @@ class BigFloat:
             raise ValueError("error bound must be finite and >= 0")
 
     def __add__(self, other: BigFloat) -> BigFloat:
-        v = self.value + other.value
-        return BigFloat(v, self.error_bound + other.error_bound + _slack(v))
+        return self._sum(self.value + other.value, other)
 
     def __sub__(self, other: BigFloat) -> BigFloat:
-        v = self.value - other.value
-        return BigFloat(v, self.error_bound + other.error_bound + _slack(v))
+        return self._sum(self.value - other.value, other)
+
+    def _sum(self, v: mpf, other: BigFloat) -> BigFloat:
+        # rounding charged on |a| + |b|, so cancellation in v stays covered
+        slack = _slack(abs(self.value) + abs(other.value))
+        return BigFloat(v, self.error_bound + other.error_bound + slack)
 
     def __neg__(self) -> BigFloat:
         return BigFloat(-self.value, self.error_bound)
@@ -126,11 +161,11 @@ def _bernoulli_ratio(b: Fraction, n: int) -> mpf:
 
 
 class _EMTables:
-    """Euler-Maclaurin values shared by every tail of one public call.
+    """Values shared by the direct sums and tails of one public call.
 
     A public function creates one, passes it down, and drops it on return.
-    Powers and Bernoulli ratios are keyed by ``mp.prec`` (and powers by the
-    tail start too), so evaluations at several precisions can share a table.
+    Powers and Bernoulli ratios are keyed by ``mp.prec`` (and powers by
+    their base too), so evaluations at several precisions can share a table.
     """
 
     def __init__(self) -> None:
@@ -196,6 +231,16 @@ def _choose_cutoff(digits: int) -> int:
     return max(16, digits)
 
 
+def _double_cutoff(digits: int) -> int:
+    # the direct-sum length of a double zeta
+    return max(_choose_cutoff(digits), 2 * digits)
+
+
+def _tail_target(digits: int) -> mpf:
+    # the absolute target of each truncation term, at the current precision
+    return mpf(10) ** (-(digits + 10))
+
+
 def zeta_single(k: int, digits: int = 30) -> BigFloat:
     """Riemann zeta at an integer k >= 2, |error| <= 10^-digits."""
     if k < 2:
@@ -206,16 +251,15 @@ def zeta_single(k: int, digits: int = 30) -> BigFloat:
 
 
 def _zeta_single(k: int, digits: int, tables: _EMTables) -> BigFloat:
-    with mp.workdps(2 * digits + 15):
-        target = mpf(10) ** (-(digits + 10))
+    with mp.workdps(_work_dps(digits)):
         M = _choose_cutoff(digits)
         partial = mpf(0)
         for m in range(1, M):
-            partial += mpf(m) ** (-k)
-        tail, bound = tables.tail(k, M, target)
+            partial += tables.power(m, -k)
+        tail, bound = tables.tail(k, M, _tail_target(digits))
         value = partial + tail
         err = bound + _slack(value) * (M + 4)
-        return BigFloat(value, err)
+        return _checked(BigFloat(value, err), digits, f"zeta({k})")
 
 
 def zeta_double(k1: int, k2: int, digits: int = 30) -> BigFloat:
@@ -242,81 +286,87 @@ def zeta_double(k1: int, k2: int, digits: int = 30) -> BigFloat:
 def _zeta_double(k1: int, k2: int, digits: int, tables: _EMTables) -> BigFloat:
     """zeta_double for k1 >= 2, its outer tails memoised in ``tables``.
 
-    The outer tails start at M + 1 with M and the target fixed by digits,
-    so evaluations of one weight k1 + k2 that share the table reuse every
-    tail of the T(m) expansion.
+    The outer tails start at M + 1 and their targets depend on the weight
+    w = k1 + k2 and digits only, so evaluations of one weight that share
+    the table reuse every tail of the T(m) expansion.
     """
-    with mp.workdps(2 * digits + 15):
-        target = mpf(10) ** (-(digits + 10))
-        M = max(_choose_cutoff(digits), 2 * digits)
+    with mp.workdps(_work_dps(digits)):
+        target = _tail_target(digits)
+        M = _double_cutoff(digits)
+        w = k1 + k2
 
-        def outer_tail(exponent: int) -> tuple[mpf, mpf]:
-            return tables.tail(exponent, M + 1, target)
+        def outer_tail(exponent: int, coefficient: mpf = 1) -> tuple[mpf, mpf]:
+            # a tail multiplied by `coefficient` still contributes <= target
+            return tables.tail(exponent, M + 1, target / max(1, coefficient))
 
         # direct part: m = 2..M with incremental inner partial sums
         inner = mpf(0)
         direct = mpf(0)
         for m in range(2, M + 1):
-            inner += mpf(m - 1) ** (-k1)
-            direct += mpf(m) ** (-k2) * inner
+            inner += tables.power(m - 1, -k1)
+            direct += tables.power(m, -k2) * inner
 
         z1 = _zeta_single(k1, digits + 10, tables)
         t2, t2_bound = outer_tail(k2)
 
         # Euler-Maclaurin expansion of T(m) = sum_{j>=m} j^{-k1} in powers
-        # of 1/m; each power folds into a single-zeta tail of the outer sum.
-        J = max(4, digits)
-        powers: list[tuple[int, mpf]] = [
-            (k1 - 1, mpf(1) / (k1 - 1)),
-            (k1, mpf("0.5")),
-        ]
-        rising = k1  # (k1)_{2j-1}
-        for j in range(1, J):
-            powers.append((k1 + 2 * j - 1, tables.ratio(2 * j) * rising))
-            rising *= (k1 + 2 * j - 1) * (k1 + 2 * j)
-        rho = (
-            2
-            * abs(tables.ratio(2 * J))
-            * (rising * (k1 + 2 * J - 1))  # (k1)_{2J}
-            / (k1 + 2 * J - 1)
-        )
-
+        # of 1/m; each power m^-(k1+alpha) folds into the outer tail of
+        # exponent w + alpha.  The leading two terms come first.
         correction = mpf(0)
         corr_bound = mpf(0)
-        for alpha, c in powers:
+        for alpha, c in ((k1 - 1, mpf(1) / (k1 - 1)), (k1, mpf("0.5"))):
             tv, tb = outer_tail(k2 + alpha)
             correction += c * tv
+            corr_bound += c * tb
+        # Term j has c_j = B_2j/(2j)! (k1)_{2j-1}; with terms 1..J-1 in, the
+        # remainder of T(m) is at most 2|c_J| m^-(k1+2J-1), which sums over
+        # m > M to 2|c_J| times the tail that term J would use.  (w-2)_{2J-1}
+        # is the largest rising factorial of the weight (k2 >= 2), so the
+        # tail targets do not depend on k1.
+        rising, rising_max = k1, w - 2  # (k1)_{2J-1}, (w-2)_{2J-1}
+        J = 1
+        while True:
+            ratio = tables.ratio(2 * J)
+            c = ratio * rising
+            tv, tb = outer_tail(w + 2 * J - 1, abs(ratio) * rising_max)
+            remainder = 2 * abs(c) * (tv + tb)
+            # J <= digits is what the working precision's guard assumes;
+            # a remainder still above the target there fails the final check
+            if remainder <= target or J > digits:
+                break
+            correction += c * tv
             corr_bound += abs(c) * tb
-        # T-expansion remainder summed over the outer tail
-        rem_tail, rem_bound = outer_tail(k2 + k1 + 2 * J - 1)
-        corr_bound += rho * (rem_tail + rem_bound)
+            rising *= (k1 + 2 * J - 1) * (k1 + 2 * J)
+            rising_max *= (w + 2 * J - 3) * (w + 2 * J - 2)
+            J += 1
 
         value = direct + z1.value * t2 - correction
         err = (
             z1.error_bound * (t2 + t2_bound)
             + abs(z1.value) * t2_bound
             + corr_bound
+            + remainder
             + _slack(value) * (M + J + 16)
         )
-        return BigFloat(value, err)
+        return _checked(BigFloat(value, err), digits, f"zeta({k1},{k2})")
 
 
 def _zeta_one(k: int, digits: int, tables: _EMTables) -> BigFloat:
     """zeta(1, k) = (k/2) zeta(k+1) - 1/2 sum_{j=1}^{k-2} zeta(j+1) zeta(k-j)."""
     inner = digits + 5
-    with mp.workdps(2 * inner + 15):
+    with mp.workdps(_work_dps(inner)):
         z = {i: _zeta_single(i, inner, tables) for i in range(2, k + 2)}
         value = z[k + 1].scale(Fraction(k, 2))
         for j in range(1, k - 1):
             value = value - (z[j + 1] * z[k - j]).scale(Fraction(1, 2))
-        return value
+        return _checked(value, digits, f"zeta(1,{k})")
 
 
 def pi_value(digits: int = 30) -> BigFloat:
     """pi with an error bound of a few ulps at the working precision."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    with mp.workdps(2 * digits + 15):
+    with mp.workdps(_work_dps(digits)):
         v = +mp.pi
         return BigFloat(v, _slack(v))
 
@@ -328,7 +378,7 @@ def eval_products(K: int, digits: int = 30) -> list[BigFloat]:
     if digits < 1:
         raise ValueError("digits must be >= 1")
     tables = _EMTables()
-    with mp.workdps(2 * digits + 15):
+    with mp.workdps(_work_dps(digits)):
         z = {k: _zeta_single(k, digits, tables) for k in range(2, 2 * K)}
         return _products(K, z)
 
@@ -399,7 +449,7 @@ def _audit_rows(K: int, rows: Sequence[int], digits: int) -> list[AuditReport]:
     if digits < 1:
         raise ValueError("digits must be >= 1")
     tables = _EMTables()
-    with mp.workdps(2 * digits + 15):
+    with mp.workdps(_work_dps(digits)):
         a = build_a(K)
         ks = [*range(2, 2 * K), 2 * K + 1]
         z = {k: _zeta_single(k, digits, tables) for k in ks}
@@ -460,7 +510,7 @@ def audit_h_ab(a: int, b: int, digits: int = 30) -> HAuditReport:
     if digits < 1:
         raise ValueError("digits must be >= 1")
     tables = _EMTables()
-    with mp.workdps(2 * digits + 15):
+    with mp.workdps(_work_dps(digits)):
         K = a + b + 1
         table = h_ab_coefficients(a, b)
         pi_bf = pi_value(digits)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import doublezeta.numerics as numerics
 from doublezeta.cli import main
 
 
@@ -279,6 +280,24 @@ def test_zeta_single(capsys):
 def test_zeta_usage(capsys):
     code, _, _ = run(["zeta"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("k1", ["1", "2"])
+def test_zeta_bound_above_target_is_an_error(capsys, monkeypatch, k1):
+    # a truncation bound of 1 cannot meet 1e-30: the engine raises instead
+    # of printing the value, and the CLI reports it without a traceback
+    zeta_tail = numerics._zeta_tail
+
+    def loose_tail(k, start, target, tables):
+        tail, bound = zeta_tail(k, start, target, tables)
+        return tail, bound + 1
+
+    monkeypatch.setattr(numerics, "_zeta_tail", loose_tail)
+    code, out, err = run(["zeta", "--k1", k1, "--k2", "4", "--digits", "30"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: zeta(") and "misses the target" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

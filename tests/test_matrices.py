@@ -205,6 +205,25 @@ def test_passing_pa_check_proves_det_without_bareiss(monkeypatch):
     assert calls == []
 
 
+def test_ap_product_runs_only_when_pa_check_fails(monkeypatch):
+    # a passing P A = I proves A P = I for square matrices; products are
+    # P, Q and P A, then A (L P) only on failure
+    calls = []
+    original = matrices._product
+
+    def product(x, y):
+        calls.append(len(x))
+        return original(x, y)
+
+    monkeypatch.setattr(matrices, "_product", product)
+    assert verify_inverse(6).all_pass
+    assert len(calls) == 3
+    calls.clear()
+    report = verify_inverse(6, BadBernoulliCache())
+    assert not report.ap_is_identity
+    assert len(calls) == 4
+
+
 def test_fallback_reports_a_singular_stand_in(monkeypatch):
     def singular_a(K):
         rows = original(K)

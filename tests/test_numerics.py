@@ -75,6 +75,42 @@ def test_zeta_double_k1_one(digits):
             assert abs(z.value - ref) <= z.error_bound <= target, k
 
 
+def _reference_zeta2(k1, k2):
+    # zeta(k1, k2) at odd weight from mpmath.zeta alone, at mp's precision:
+    # Euler's odd-weight formula for even k1, the stuffle relation
+    # zeta(a,b) + zeta(b,a) = zeta(a) zeta(b) - zeta(a+b) for odd k1
+    w = k1 + k2
+    assert w % 2 == 1
+    if k1 % 2:
+        return mpmath.zeta(k1) * mpmath.zeta(k2) - mpmath.zeta(w) - _reference_zeta2(k2, k1)
+    K, r = (w - 1) // 2, k1 // 2
+    total = sum(
+        (math.comb(2 * K - 2 * s, 2 * r - 1) + math.comb(2 * K - 2 * s, 2 * K - 2 * r))
+        * mpmath.zeta(2 * s)
+        * mpmath.zeta(w - 2 * s)
+        for s in range(1, K)
+    )
+    c = -(1 + math.comb(2 * K, 2 * r - 1) + math.comb(2 * K, 2 * K - 2 * r))
+    return total + mpf(c) / 2 * mpmath.zeta(w)
+
+
+@pytest.mark.parametrize("k1, k2", [(2, 3), (6, 5), (2, 9), (4, 7), (9, 2), (8, 9)])
+def test_zeta_double_contract_sweep(k1, k2):
+    # the returned bound covers the true error and meets 10^-digits at every
+    # precision, not only at the 30 digits most tests use
+    for digits in (30, 40, 60, 100, 200, 300):
+        z = zeta_double(k1, k2, digits)
+        with mp.workdps(digits + 40):
+            err = abs(z.value - _reference_zeta2(k1, k2))
+            assert err <= z.error_bound <= mpf(10) ** -digits, digits
+
+
+def test_audit_euler_reconstructs_at_100_digits():
+    (rep,) = audit_euler(2, 100)
+    assert rep.lhs.error_bound <= mpf(10) ** -100
+    assert rep.reconstructed == euler_constant(2, 1)
+
+
 def test_zeta_double_reference_values():
     zd = zeta_double(2, 3, 30)
     assert str(zd.value).startswith("0.22881039")
