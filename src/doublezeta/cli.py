@@ -2,7 +2,9 @@
 
 Exit codes: 0 success / all checks passed; 1 at least one identity
 failed; 2 usage error (argparse's default); 3 missing prerequisite
-artifact (e.g. audited constants requested without an audit file).
+artifact (e.g. audited constants requested without an audit file);
+141 (128 + SIGPIPE) the reader closed standard output before all of the
+output was written.
 Numeric disagreement with the printed Euler constant is reported in the
 output, never turned into a failing exit code: the audit's job is to
 report, not to judge.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -25,6 +28,7 @@ EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_MISSING_PREREQUISITE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -33,6 +37,7 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 # ---------------------------------------------------------------- bernoulli
@@ -175,13 +180,15 @@ def _load_audited_constants(K: int, path: str | None) -> list[Fraction]:
     ):
         raise _unusable(path, f"'rows' must be a list of {K - 1} row objects")
     constants = []
-    for row in rows:
+    for i, row in enumerate(rows, 1):
+        if row.get("r") != i:
+            raise _unusable(path, f"row {i} has r={row.get('r')!r}, expected r={i}")
         rec = row.get("reconstructed")
         if rec is None:
             raise CliError(
                 EXIT_MISSING_PREREQUISITE,
                 f"audit file {path!r} has no reconstructed constant for "
-                f"row r={row.get('r')}; rerun the audit at higher precision",
+                f"row r={i}; rerun the audit at higher precision",
             )
         try:
             constants.append(parse_rational(rec))
@@ -405,6 +412,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush at
+        # interpreter exit stays quiet (the SIGPIPE recipe of the Python docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -6,10 +6,12 @@ integer matrix of Euler-reduction coefficients, B and C its binomial
 split (A = B + C), and P, Q the two Bernoulli-sum formulas for A^{-1}
 that the package verifies are equal and do invert A.  P, Q and the (PB)
 closed form are int products W G of a Bernoulli weight matrix W (one
-denominator per row) with a binomial matrix G; RationalMatrix is for export.
-Every product skips the zero entries of its left factor (about 3/4 of W).
-The inverse check takes det A != 0 from its exact P A = I check, which
-proves it; only when that check fails does Bareiss elimination decide.
+denominator per row) with a binomial matrix G; RationalMatrix is for export
+only and has no algebra.  The product and the determinant are private
+helpers on int row lists: every product skips the zero entries of its left
+factor (about 3/4 of W), and the inverse check takes det A != 0 from its
+exact P A = I check, which proves it; only when that check fails does
+Bareiss elimination decide.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, lcm
 from operator import mul
 
 from .bernoulli import BernoulliCache
@@ -31,9 +33,6 @@ __all__ = [
     "build_c_part",
     "build_p",
     "build_q",
-    "identity_matrix",
-    "matrix_multiply",
-    "determinant_fraction_free",
     "InverseReport",
     "verify_inverse",
     "pb_closed",
@@ -177,10 +176,6 @@ def _diagonal(diag: list[int]) -> list[list[int]]:
     return [[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)]
 
 
-def identity_matrix(n: int) -> RationalMatrix:
-    return _from_rows(_diagonal([1] * n))
-
-
 def _product(a: list[list], b: list[list]) -> list[list]:
     """Product of two matrices given as row lists (int or Fraction entries).
 
@@ -196,14 +191,6 @@ def _product(a: list[list], b: list[list]) -> list[list]:
         xs = [row[j] for j in nz]
         out.append([sum(map(mul, xs, col)) for col in zip(*(b[j] for j in nz))])
     return out
-
-
-def matrix_multiply(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    if a.cols != b.rows:
-        raise ValueError(
-            f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}"
-        )
-    return _from_rows(_product(a.row_lists(), b.row_lists()))
 
 
 def _bareiss(rows: list[list[int]]) -> int:
@@ -226,16 +213,6 @@ def _bareiss(rows: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def determinant_fraction_free(a: RationalMatrix) -> Fraction:
-    """Exact determinant by Bareiss (fraction-free) elimination on rows scaled to integers."""
-    if a.rows != a.cols:
-        raise ValueError("determinant requires a square matrix")
-    rows = a.row_lists()
-    scales = [lcm(*(x.denominator for x in row)) for row in rows]
-    m = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(rows, scales)]
-    return Fraction(_bareiss(m), prod(scales))
 
 
 @dataclass(frozen=True)
@@ -269,7 +246,7 @@ class InverseReport:
         )
 
 
-def _first_mismatch(
+def _first_offending(
     check: str, x: list[list[int]], y: list[list[int]], denoms: list[int]
 ) -> tuple[str, int, int, Fraction, Fraction] | None:
     """The first entry where x and y differ, both over the row denominators, or None."""
@@ -297,14 +274,14 @@ def verify_inverse(K: int, cache: BernoulliCache | None = None) -> InverseReport
     a = _a_rows(K)
     w, denoms = _weight_rows(K, cache, range(1, K))
     p, q = _product(w, _g_p(K)), _product(w, _g_q(K))
-    pq = _first_mismatch("p_eq_q", p, q, denoms)
-    pa = _first_mismatch("pa_is_identity", _product(p, a), _diagonal(denoms), denoms)
+    pq = _first_offending("p_eq_q", p, q, denoms)
+    pa = _first_offending("pa_is_identity", _product(p, a), _diagonal(denoms), denoms)
     ap = None
     if pa is not None:
         big = lcm(*denoms)
         lp = [[big // d * x for x in row] for row, d in zip(p, denoms)]
         scale = [big] * (K - 1)
-        ap = _first_mismatch("ap_is_identity", _product(a, lp), _diagonal(scale), scale)
+        ap = _first_offending("ap_is_identity", _product(a, lp), _diagonal(scale), scale)
     return InverseReport(
         K=K,
         p_eq_q=pq is None,

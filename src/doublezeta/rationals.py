@@ -9,21 +9,14 @@ denominator is 1) everywhere in this package.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 __all__ = [
     "binomial",
-    "factorial",
     "format_rational",
     "parse_rational",
 ]
-
-
-def factorial(n: int) -> int:
-    """n! as an exact integer.  Rejects negative n."""
-    if n < 0:
-        raise ValueError(f"factorial requires n >= 0, got {n}")
-    return math.factorial(n)
 
 
 def binomial(n: int, k: int) -> int:
@@ -45,14 +38,26 @@ def binomial(n: int, k: int) -> int:
 
 
 def format_rational(x: Fraction) -> str:
-    """Canonical text form: "p/q" in lowest terms, or "p" when q = 1."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """Canonical text form: "p/q" in lowest terms, or "p" when q = 1.
+
+    Integers of any length are written out, past Python's int-to-str limit.
+    """
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        # more digits than sys.get_int_max_str_digits(): Decimal converts an
+        # int exactly and without that limit, and prints exponent 0 as digits
+        num, den = (str(Decimal(n)) for n in (x.numerator, x.denominator))
+        return num if den == "1" else f"{num}/{den}"
 
 
 def parse_rational(s: str) -> Fraction:
-    """Inverse of :func:`format_rational`.  Raises ValueError on malformed text."""
+    """Inverse of :func:`format_rational` within Python's int-to-str digit limit.
+
+    Raises ValueError on malformed text.
+    """
     try:
         return Fraction(s)
     except ZeroDivisionError:

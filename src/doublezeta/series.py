@@ -1,12 +1,14 @@
-"""Truncated formal power series, and the reflection and Carlitz checks.
+"""The reflection and Carlitz identities, checked exactly in integers.
 
-A series knows its coefficients up to a truncation order N; terms of
-degree > N are *unknown*, not zero.  Arithmetic therefore never claims
-coefficients beyond the minimum order of its inputs, and identity checks
-only compare degrees both sides actually know.
+The reflection identity for f_s(t) = t^{2s-1}/(e^t - 1) and m >= 1 is
 
-``TruncatedSeries`` is the public and reference type.  The checks
-themselves run in integers, on one Bernoulli vector b_n = D B_n from
+    e^t f_s^(m)(t) = sum_{p<=m} (-1)^{m-p} C(m,p) f_s^(p)(t)
+                     + sum_{p<=min(m,2s-1)} (-1)^{m-p} C(m,p) (2s-1)!/(2s-1-p)! t^{2s-1-p}.
+
+f_s is known through a truncation order N, so f_s^(m) is known through
+N - m, and the check compares the coefficients of degree <= N - m only.
+
+Both checks run on one Bernoulli vector b_n = D B_n from
 ``BernoulliCache.scaled``: Carlitz's identity compares binomial sums of
 the b_n, and the reflection identity compares exponential-generating-
 function (EGF) coefficients a_k = k! [t^k] f scaled by D, in which a
@@ -15,123 +17,19 @@ derivative is a shift and a product with e^t is a binomial sum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
 from operator import mul
-from typing import Sequence
 
 from .bernoulli import BernoulliCache
 from .rationals import format_rational
 
 __all__ = [
-    "TruncatedSeries",
-    "series_from_coefficients",
-    "exp_series",
-    "bernoulli_gf",
-    "build_fs",
-    "reflection_sides",
     "verify_reflection",
     "Mismatch",
     "verify_carlitz",
 ]
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Finite prefix of a formal power series; coefficients[i] is [t^i]."""
-
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coefficients:
-            raise ValueError("a truncated series needs at least one coefficient")
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coefficients[i]
-
-    def truncate(self, order: int) -> TruncatedSeries:
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(self.coefficients[: order + 1])
-
-    def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coefficients[i] + other.coefficients[i] for i in range(n + 1))
-        )
-
-    def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = min(self.order, other.order)
-        a, b = self.coefficients, other.coefficients
-        out = []
-        for i in range(n + 1):
-            out.append(sum((a[j] * b[i - j] for j in range(i + 1)), Fraction(0)))
-        return TruncatedSeries(tuple(out))
-
-    def scale(self, c: Fraction) -> TruncatedSeries:
-        return TruncatedSeries(tuple(c * x for x in self.coefficients))
-
-    def derivative(self, times: int = 1) -> TruncatedSeries:
-        """m-fold derivative; the truncation order drops by m."""
-        if times < 0:
-            raise ValueError("derivative count must be >= 0")
-        if times > self.order:
-            raise ValueError(
-                f"cannot differentiate {times} times at order {self.order}"
-            )
-        m = times
-        out = tuple(
-            Fraction(math.factorial(i + m), math.factorial(i)) * self.coefficients[i + m]
-            for i in range(self.order - m + 1)
-        )
-        return TruncatedSeries(out)
-
-
-def series_from_coefficients(coeffs: Sequence[Fraction | int]) -> TruncatedSeries:
-    """Series with the given coefficients; order = len - 1."""
-    return TruncatedSeries(tuple(Fraction(c) for c in coeffs))
-
-
-def exp_series(sign: int, order: int) -> TruncatedSeries:
-    """e^{sign*t} truncated at the given order (sign is +1 or -1)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return TruncatedSeries(
-        tuple(Fraction(sign**i, math.factorial(i)) for i in range(order + 1))
-    )
-
-
-def bernoulli_gf(order: int, cache: BernoulliCache | None = None) -> TruncatedSeries:
-    """t/(e^t - 1) truncated at the given order: [t^n] = B_n / n!."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if cache is None:
-        cache = BernoulliCache()
-    return TruncatedSeries(
-        tuple(cache.get(n) / math.factorial(n) for n in range(order + 1))
-    )
-
-
-def build_fs(s: int, order: int, cache: BernoulliCache | None = None) -> TruncatedSeries:
-    """t^{2s-1}/(e^t - 1) = t^{2s-2} * t/(e^t - 1), truncated.
-
-    Coefficient of t^{n+2s-2} is B_n/n!; everything below degree 2s-2 is 0.
-    """
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    shift = 2 * s - 2
-    if order < shift:
-        raise ValueError(f"order {order} too small for s={s} (need >= {shift})")
-    gf = bernoulli_gf(order - shift, cache)
-    return TruncatedSeries((Fraction(0),) * shift + gf.coefficients)
 
 
 def _reflection_egf(
@@ -168,26 +66,9 @@ def _reflection_egf(
     return lhs, rhs, big
 
 
-def reflection_sides(
-    s: int, m: int, order: int, cache: BernoulliCache | None = None
-) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Both sides of the e^t f_s^(m) reflection identity, comparable order.
-
-    Left side: e^t * f_s^(m)(t).  Right side: the signed binomial
-    combination of f_s^(p) for p <= m plus the finite polynomial
-    sum_{p<=min(m,2s-1)} (-1)^{m-p} C(m,p) (2s-1)!/(2s-1-p)! t^{2s-1-p}.
-    Both are truncated to order N - m, the largest degree both know.
-    """
-    lhs, rhs, big = _reflection_egf(s, m, order, cache)
-    return tuple(
-        TruncatedSeries(tuple(Fraction(x, factorial(i) * big) for i, x in enumerate(side)))
-        for side in (lhs, rhs)
-    )
-
-
 @dataclass(frozen=True)
 class Mismatch:
-    """First degree at which two series disagree, with both values."""
+    """First degree at which the two reflection sides disagree, with both values."""
 
     degree: int
     lhs: Fraction
@@ -198,15 +79,6 @@ class Mismatch:
             f"mismatch at degree {self.degree}: "
             f"lhs={format_rational(self.lhs)} rhs={format_rational(self.rhs)}"
         )
-
-
-def first_mismatch(a: TruncatedSeries, b: TruncatedSeries) -> Mismatch | None:
-    """Compare two series up to their common order; None means equal."""
-    n = min(a.order, b.order)
-    for i in range(n + 1):
-        if a[i] != b[i]:
-            return Mismatch(i, a[i], b[i])
-    return None
 
 
 def verify_reflection(

@@ -106,12 +106,15 @@ def test_cache_determinism_and_fill_order():
 
 
 def test_generating_function_consistency():
-    from doublezeta.series import bernoulli_gf
-
+    # t/(e^t - 1) times (e^t - 1)/t is 1: the Cauchy sum
+    # sum_{k<=n} B_k / (k! (n-k+1)!) is 1 at n = 0 and 0 above
     cache = BernoulliCache()
-    gf = bernoulli_gf(32, cache)
-    for n in range(33):
-        assert gf[n] == cache.get(n) / math.factorial(n)
+    for n in range(65):
+        total = sum(
+            cache.get(k) / (math.factorial(k) * math.factorial(n - k + 1))
+            for k in range(n + 1)
+        )
+        assert total == (1 if n == 0 else 0), n
 
 
 def test_scaled_vector_through_300():

@@ -1,9 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import doublezeta.numerics as numerics
-from doublezeta.cli import main
+from doublezeta.bernoulli import bernoulli_number
+from doublezeta.cli import EXIT_BROKEN_PIPE, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv, capsys):
@@ -21,6 +30,32 @@ def test_bernoulli_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[-1] == "4,-1/30"
     assert "1,-1/2" in lines
+
+
+def test_bernoulli_past_the_int_to_str_limit(capsys):
+    # B_2200's numerator has more digits than Python's int-to-str limit of 4300
+    code, out, err = run(["bernoulli", "--max", "2200", "--format", "csv"], capsys)
+    assert code == 0 and err == ""
+    n, value = out.splitlines()[-1].split(",")
+    num, den = value.split("/")
+    assert len(num) > 4300
+    assert n == "2200"
+    assert Fraction(int(Decimal(num)), int(den)) == bernoulli_number(2200)
+
+
+def test_closed_stdout_exits_quietly():
+    # the output (about 400 kB) is far more than a pipe buffer, so the write
+    # meets the closed pipe; PYTHONUNBUFFERED is dropped because unbuffered
+    # text output ignores the short write and never sees the closed pipe
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    argv = [sys.executable, "-m", "doublezeta.cli", "bernoulli", "--max", "1000", "--format", "csv"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(1) == b"0"
+        proc.stdout.close()
+        # stderr holds at most a traceback, well inside its pipe buffer
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
+        assert proc.stderr.read() == b""
 
 
 def test_bernoulli_usage_error(capsys):
@@ -241,6 +276,25 @@ def test_audit_then_audited_inverse(capsys, tmp_path):
     terms = {t["basis"]: t["coeff"] for t in json.loads(out)["rows"][0]["terms"]}
     # -(1/3) * (-11/2) = 11/6
     assert terms == {"zeta(2,3)": "1/3", "zeta(5)": "11/6"}
+
+
+@pytest.mark.parametrize(
+    "reorder, bad_row",
+    [(lambda rows: rows[::-1], "row 1 has r=2"), (lambda rows: [rows[0], rows[0]], "row 2 has r=1")],
+    ids=["reversed-rows", "duplicated-rows"],
+)
+def test_reduce_inverse_audited_rows_must_be_in_r_order(capsys, tmp_path, reorder, bad_row):
+    path = tmp_path / "audit_k3.json"
+    code, _, _ = run(["audit", "euler", "--K", "3", "--out", str(path)], capsys)
+    assert code == 0
+    payload = json.loads(path.read_text())
+    payload["rows"] = reorder(payload["rows"])
+    path.write_text(json.dumps(payload))
+    argv = ["reduce", "inverse", "--K", "3", "--constants", "audited", "--audit-file", str(path)]
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert str(path) in err and bad_row in err
 
 
 def test_audit_euler_rows_equal_single_row_runs(capsys):

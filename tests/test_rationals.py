@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from doublezeta.rationals import binomial, factorial, format_rational, parse_rational
+from doublezeta.rationals import binomial, format_rational, parse_rational
 
 
 def test_binomial_direct_product():
@@ -27,17 +27,6 @@ def test_binomial_negative_upper_uses_falling_factorial():
     # (-1)(-2)/2! = 1, (-2)(-3)(-4)/3! = -4
     assert binomial(-1, 2) == 1
     assert binomial(-2, 3) == -4
-
-
-def test_factorial_values():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert factorial(20) == 2432902008176640000
-
-
-def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        factorial(-1)
 
 
 def test_rational_arithmetic_examples():
@@ -96,6 +85,15 @@ def test_serialization_round_trip():
         assert format_rational(parse_rational(s)) == s
     assert format_rational(Fraction(5)) == "5"
     assert format_rational(Fraction(-1, 2)) == "-1/2"
+
+
+def test_format_rational_past_the_int_to_str_limit():
+    # 5000 digits is past Python's default limit of 4300 for int-to-str
+    big = 10**4999 + 1
+    digits = "1" + "0" * 4998 + "1"
+    assert format_rational(Fraction(-big, 3)) == f"-{digits}/3"
+    assert format_rational(Fraction(big)) == digits
+    assert format_rational(Fraction(3, big)) == f"3/{digits}"
 
 
 @pytest.mark.parametrize("text", ["1/0", "abc"])

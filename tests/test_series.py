@@ -2,23 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
-from doublezeta import cli
+from doublezeta import cli, series
 from doublezeta.bernoulli import BernoulliCache
 from doublezeta.rationals import binomial
-from doublezeta.series import (
-    Mismatch,
-    TruncatedSeries,
-    bernoulli_gf,
-    build_fs,
-    exp_series,
-    first_mismatch,
-    reflection_sides,
-    series_from_coefficients,
-    verify_carlitz,
-    verify_reflection,
-)
+from doublezeta.series import Mismatch, verify_carlitz, verify_reflection
 
 
 @pytest.fixture(scope="module")
@@ -26,35 +14,74 @@ def cache():
     return BernoulliCache()
 
 
-def sympy_fs_coefficients(s: int, order: int) -> list[Fraction]:
-    """Independent series expansion of t^{2s-1}/(e^t - 1) via sympy."""
-    import sympy
-
-    t = sympy.symbols("t")
-    expr = t ** (2 * s - 1) / (sympy.exp(t) - 1)
-    poly = sympy.series(expr, t, 0, order + 1).removeO()
-    return [Fraction(str(poly.coeff(t, i))) for i in range(order + 1)]
+def build_fs(s: int, order: int, cache) -> list[Fraction]:
+    """[t^k] t^{2s-1}/(e^t - 1) for k <= order: B_{k-2s+2}/(k-2s+2)!, and 0 below 2s-2."""
+    shift = 2 * s - 2
+    return [Fraction(0)] * shift + [
+        cache.get(n) / math.factorial(n) for n in range(order - shift + 1)
+    ]
 
 
-def reference_sides(s: int, m: int, order: int, cache) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """The reflection sides from TruncatedSeries arithmetic and Fraction sums."""
-    fs = build_fs(s, order, cache)
-    cmp_order = order - m
-    lhs = exp_series(1, cmp_order) * fs.derivative(m)
-    rhs = TruncatedSeries((Fraction(0),) * (cmp_order + 1))
+def reference_sides(s: int, m: int, order: int, cache) -> tuple[list[Fraction], list[Fraction]]:
+    """The [t^i] coefficients of both reflection sides, i <= order - m, as Fraction sums."""
+    f = build_fs(s, order, cache)
+    top = order - m
+
+    def derivative(p: int) -> list[Fraction]:
+        return [math.perm(i + p, p) * f[i + p] for i in range(top + 1)]
+
+    fm = derivative(m)
+    lhs = [sum(fm[j] / math.factorial(i - j) for j in range(i + 1)) for i in range(top + 1)]
+    rhs = [Fraction(0)] * (top + 1)
     for p in range(m + 1):
         coeff = (-1) ** (m - p) * binomial(m, p)
-        rhs = rhs + fs.derivative(p).truncate(cmp_order).scale(coeff)
-    poly = [Fraction(0)] * (cmp_order + 1)
-    for p in range(min(m, 2 * s - 1) + 1):
+        rhs = [x + coeff * y for x, y in zip(rhs, derivative(p))]
         deg = 2 * s - 1 - p
-        if deg <= cmp_order:
-            poly[deg] += (
-                (-1) ** (m - p)
-                * binomial(m, p)
-                * Fraction(math.factorial(2 * s - 1), math.factorial(deg))
-            )
-    return lhs, rhs + TruncatedSeries(tuple(poly))
+        if 0 <= deg <= top:
+            rhs[deg] += coeff * Fraction(math.factorial(2 * s - 1), math.factorial(deg))
+    return lhs, rhs
+
+
+def reference_mismatch(s: int, m: int, order: int, cache) -> Mismatch | None:
+    lhs, rhs = reference_sides(s, m, order, cache)
+    return next((Mismatch(i, x, y) for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y), None)
+
+
+def egf_sides(s: int, m: int, order: int, cache) -> tuple[list[Fraction], list[Fraction]]:
+    """``series._reflection_egf``'s integer EGF entries as [t^i] coefficients x / (i! D)."""
+    lhs, rhs, big = series._reflection_egf(s, m, order, cache)
+    return tuple(
+        [Fraction(x, math.factorial(i) * big) for i, x in enumerate(side)] for side in (lhs, rhs)
+    )
+
+
+def sympy_fs(s: int, order: int):
+    """t^{2s-1}/(e^t - 1) expanded by ``sympy.series`` through t^order, and t."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    return sympy.series(t ** (2 * s - 1) / (sympy.exp(t) - 1), t, 0, order + 1).removeO(), t
+
+
+def sympy_sides(s: int, m: int, order: int) -> tuple[list[Fraction], list[Fraction]]:
+    """Both reflection sides from sympy: f_s and e^t expanded by ``sympy.series``.
+
+    The derivatives of f_s truncated at the order are exact through order - m,
+    and so is the product with e^t truncated there.
+    """
+    import sympy
+
+    f, t = sympy_fs(s, order)
+    top = order - m
+    exp = sympy.series(sympy.exp(t), t, 0, top + 1).removeO()
+    # the falling factorial ff(2s-1, p) is 0 for p > 2s-1, which ends the polynomial
+    rhs = sum(
+        (-1) ** (m - p) * sympy.binomial(m, p)
+        * (sympy.diff(f, t, p) + sympy.ff(2 * s - 1, p) * t ** (2 * s - 1 - p))
+        for p in range(m + 1)
+    )
+    sides = sympy.expand(exp * sympy.diff(f, t, m)), sympy.expand(rhs)
+    return tuple([Fraction(str(side.coeff(t, i))) for i in range(top + 1)] for side in sides)
 
 
 def carlitz_side(m: int, n: int, cache) -> Fraction:
@@ -74,94 +101,17 @@ def corrupted_cache(index: int) -> type[BernoulliCache]:
     return Corrupted
 
 
-def test_series_from_coefficients():
-    assert series_from_coefficients([1]).order == 0
-    s = series_from_coefficients([0, 1])
-    assert s.order == 1 and s[1] == 1
-    e = series_from_coefficients([1, 1, Fraction(1, 2), Fraction(1, 6)])
-    assert e.coefficients == exp_series(1, 3).coefficients
-
-
-def test_exp_series():
-    assert exp_series(1, 2).coefficients == (1, 1, Fraction(1, 2))
-    assert exp_series(-1, 3).coefficients == (1, -1, Fraction(1, 2), Fraction(-1, 6))
-    assert exp_series(1, 0).coefficients == (Fraction(1),)
-
-
-def test_bernoulli_gf(cache):
-    gf = bernoulli_gf(3, cache)
-    assert gf.coefficients[:3] == (1, Fraction(-1, 2), Fraction(1, 12))
-    assert gf[3] == 0
-    assert bernoulli_gf(0, cache).coefficients == (Fraction(1),)
-
-
-def test_build_fs(cache):
-    assert build_fs(1, 2, cache) == bernoulli_gf(2, cache)
-    assert build_fs(2, 4, cache).coefficients == (
-        0,
-        0,
-        1,
-        Fraction(-1, 2),
-        Fraction(1, 12),
-    )
-    assert build_fs(3, 6, cache)[4] == 1
-    with pytest.raises(ValueError):
-        build_fs(3, 3, cache)
-
-
 @pytest.mark.parametrize("s, order", [(1, 10), (2, 12), (3, 14)])
 def test_build_fs_matches_sympy(cache, s, order):
-    ours = build_fs(s, order, cache)
-    theirs = sympy_fs_coefficients(s, order)
-    assert list(ours.coefficients) == theirs
+    poly, t = sympy_fs(s, order)
+    assert build_fs(s, order, cache) == [Fraction(str(poly.coeff(t, i))) for i in range(order + 1)]
 
 
-def test_multiply():
-    a = series_from_coefficients([1, 1])
-    b = series_from_coefficients([1, -1, 0])
-    assert (a * b).coefficients == (1, 0)  # truncated to min order
-    prod = series_from_coefficients([1, 1, 0]) * series_from_coefficients([1, -1, 0])
-    assert prod.coefficients == (1, 0, -1)
-    e = exp_series(1, 6) * exp_series(-1, 6)
-    assert e.coefficients == (1, 0, 0, 0, 0, 0, 0)
-
-
-def test_gf_defining_product(cache):
-    # (e^t - 1)/t times the generating function is the constant series 1
-    import math
-
-    n = 4
-    expm1_over_t = series_from_coefficients(
-        [Fraction(1, math.factorial(i + 1)) for i in range(n + 1)]
-    )
-    prod = bernoulli_gf(n, cache) * expm1_over_t
-    assert prod.coefficients == (1, 0, 0, 0, 0)
-
-
-def test_derivative(cache):
-    assert series_from_coefficients([1, 1, Fraction(1, 2)]).derivative().coefficients == (1, 1)
-    t3 = series_from_coefficients([0, 0, 0, 1, 0, 0])
-    assert t3.derivative(2).coefficients == (0, 6, 0, 0)
-    d = bernoulli_gf(3, cache).derivative()
-    assert d.coefficients == (Fraction(-1, 2), Fraction(1, 6), 0)
-    with pytest.raises(ValueError):
-        series_from_coefficients([1, 2]).derivative(3)
-
-
-small_series = st.lists(
-    st.fractions(min_value=-10, max_value=10, max_denominator=12),
-    min_size=2,
-    max_size=8,
-).map(series_from_coefficients)
-
-
-@given(small_series, small_series)
-def test_leibniz_rule(a, b):
-    lhs = (a * b).derivative()
-    rhs = a.derivative() * b.truncate(min(a.order, b.order)) + a.truncate(
-        min(a.order, b.order)
-    ) * b.derivative()
-    assert first_mismatch(lhs, rhs) is None
+@pytest.mark.parametrize("s, m, order", [(1, 1, 10), (1, 4, 12), (2, 3, 12), (3, 5, 20)])
+def test_reflection_sides_match_sympy(cache, s, m, order):
+    theirs = sympy_sides(s, m, order)
+    assert reference_sides(s, m, order, cache) == theirs
+    assert egf_sides(s, m, order, cache) == theirs
 
 
 def test_reflection_examples(cache):
@@ -169,13 +119,18 @@ def test_reflection_examples(cache):
     assert verify_reflection(3, 5, 24, cache) == (True, None)
 
 
-def test_reflection_negative_control(cache):
-    # perturbing one polynomial coefficient of the right side must be caught
-    lhs, rhs = reflection_sides(2, 3, 20, cache)
-    bumped = list(rhs.coefficients)
-    bumped[1] += 1
-    bad = first_mismatch(lhs, TruncatedSeries(tuple(bumped)))
-    assert bad is not None and bad.degree == 1
+def test_reflection_negative_control(cache, monkeypatch):
+    # perturbing one polynomial coefficient of the right side by 1 must be caught
+    egf = series._reflection_egf
+
+    def bumped(*args):
+        lhs, rhs, big = egf(*args)
+        rhs[1] += big  # entry i is [t^i] times i! D
+        return lhs, rhs, big
+
+    monkeypatch.setattr(series, "_reflection_egf", bumped)
+    passed, bad = verify_reflection(2, 3, 20, cache)
+    assert not passed and bad.degree == 1
     assert bad.rhs - bad.lhs == 1
 
 
@@ -214,7 +169,7 @@ def test_reflection_matches_reference_under_a_corrupted_cache(index):
     failures = 0
     for s in range(1, 7):
         for m in range(1, 13):
-            bad_at = first_mismatch(*reference_sides(s, m, 48, ref))
+            bad_at = reference_mismatch(s, m, 48, ref)
             assert verify_reflection(s, m, 48, bad) == (bad_at is None, bad_at), (s, m)
             failures += bad_at is not None
     assert failures
@@ -224,7 +179,7 @@ def test_reflection_sides_match_reference(cache):
     for s in range(1, 7):
         for m in range(1, 13):
             for order in (2 * s - 2 + m, 48):
-                assert reflection_sides(s, m, order, cache) == reference_sides(s, m, order, cache)
+                assert egf_sides(s, m, order, cache) == reference_sides(s, m, order, cache)
 
 
 @pytest.mark.parametrize("index", [1, 4, 10])
@@ -245,7 +200,7 @@ def test_cli_fail_lines_under_a_corrupted_cache(monkeypatch, capsys, index):
     expected = []
     for s in range(1, 3):
         for m in range(1, 4):
-            bad_at = first_mismatch(*reference_sides(s, m, 16, ref))
+            bad_at = reference_mismatch(s, m, 16, ref)
             if bad_at is not None:
                 expected.append(f"(s={s}, m={m}, order=16): FAIL {bad_at}")
     assert expected
