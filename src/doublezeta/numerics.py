@@ -48,7 +48,7 @@ from typing import Sequence
 from mpmath import mp, mpf
 
 from .bernoulli import BernoulliCache
-from .matrices import build_a
+from .matrices import _check_k, build_a
 from .reductions import PRINTED_CONSTANT, h_ab_coefficients, h_value
 
 __all__ = [
@@ -113,9 +113,6 @@ class BigFloat:
         # rounding charged on |a| + |b|, so cancellation in v stays covered
         slack = _slack(abs(self.value) + abs(other.value))
         return BigFloat(v, self.error_bound + other.error_bound + slack)
-
-    def __neg__(self) -> BigFloat:
-        return BigFloat(-self.value, self.error_bound)
 
     def __mul__(self, other: BigFloat) -> BigFloat:
         v = self.value * other.value
@@ -373,8 +370,7 @@ def pi_value(digits: int = 30) -> BigFloat:
 
 def eval_products(K: int, digits: int = 30) -> list[BigFloat]:
     """zeta(2s) * zeta(2K+1-2s) for s = 1..K-1, bounds propagated."""
-    if K < 2:
-        raise ValueError(f"K must be >= 2, got {K}")
+    _check_k(K)
     if digits < 1:
         raise ValueError("digits must be >= 1")
     tables = _EMTables()
@@ -441,8 +437,7 @@ def audit_euler_constant(K: int, r: int, digits: int = 40) -> AuditReport:
 def _audit_rows(K: int, rows: Sequence[int], digits: int) -> list[AuditReport]:
     # A, the single zetas, the products and zeta(2K+1) are shared by every
     # row; so are the outer tails, since every row has weight 2K+1.
-    if K < 2:
-        raise ValueError(f"K must be >= 2, got {K}")
+    _check_k(K)
     for r in rows:
         if not 1 <= r <= K - 1:
             raise ValueError(f"row r={r} out of range for K={K}")
@@ -517,8 +512,7 @@ def audit_h_ab(a: int, b: int, digits: int = 30) -> HAuditReport:
         formula = None
         for r, term in enumerate(table.rows[0].terms, start=1):
             n = K - r
-            hv = h_value(n)
-            h_num = _pi_power(pi_bf, 2 * n).scale(hv.coefficient)
+            h_num = _pi_power(pi_bf, 2 * n).scale(h_value(n))
             contrib = (h_num * _zeta_single(2 * r + 1, digits, tables)).scale(term.coeff)
             formula = contrib if formula is None else formula + contrib
         assert formula is not None

@@ -1,4 +1,4 @@
-"""Exact rational scalars and binomial-coefficient conventions.
+"""Exact rational scalars and their ``"p/q"`` text format.
 
 The universal scalar is ``fractions.Fraction``: arbitrary precision,
 always in lowest terms with positive denominator, so structural equality
@@ -8,33 +8,16 @@ denominator is 1) everywhere in this package.
 
 from __future__ import annotations
 
-import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 __all__ = [
-    "binomial",
     "format_rational",
     "parse_rational",
 ]
 
-
-def binomial(n: int, k: int) -> int:
-    """Generalized binomial coefficient C(n, k) for integer arguments.
-
-    Defined by the falling-factorial product n(n-1)...(n-k+1)/k! for
-    k >= 1 and by 1 for k = 0, so it is always an integer.  For an
-    integer 0 <= n < k this vanishes.  k < 0 returns 0 (empty-selection
-    convention), making the function total so identity sweeps never
-    fault on out-of-range indices.
-    """
-    if k < 0:
-        return 0
-    if n >= 0:
-        # math.comb already implements the 0 <= n < k -> 0 convention
-        return math.comb(n, k)
-    # upper negation: C(n, k) = (-1)^k C(k-n-1, k)
-    return (-1) ** k * math.comb(k - n - 1, k)
+_PLAIN = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def format_rational(x: Fraction) -> str:
@@ -54,11 +37,22 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    """Inverse of :func:`format_rational` within Python's int-to-str digit limit.
+    """Inverse of :func:`format_rational`, at any length.
 
-    Raises ValueError on malformed text.
+    Accepts what ``Fraction(str)`` accepts, and plain "p/q" or "p" past
+    Python's int-to-str limit.  Raises ValueError on malformed text.
     """
     try:
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ValueError:
+            if not _PLAIN.fullmatch(s):
+                raise
+            # more digits than sys.get_int_max_str_digits(): Decimal reads
+            # them exactly and without that limit
+            num, _, den = s.partition("/")
+            if den and not den.strip("0"):
+                raise ZeroDivisionError
+            return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None

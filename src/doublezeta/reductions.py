@@ -1,9 +1,10 @@
 """Zeta-reduction coefficient tables over a canonical label grammar.
 
 Labels: ``zeta(k)``, ``zeta(k1,k2)``, ``zeta(a)*zeta(b)``, ``H(n)``,
-``pi^m``, and products thereof joined by ``*``.  Coefficients are exact
-rationals serialized as ``"p/q"``, so tables are diffable and round-trip
-bit-exactly through the JSON export.
+``pi^m``, and products thereof joined by ``*``.  H(n) = pi^{2n}/(2n+1)!,
+so ``h_value(n)`` is the rational 1/(2n+1)! that multiplies pi^{2n}.
+Coefficients are exact rationals serialized as ``"p/q"``, so tables are
+diffable and round-trip bit-exactly through the JSON export.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bernoulli import BernoulliCache
-from .matrices import build_a, build_p
-from .rationals import binomial, format_rational, parse_rational
+from .matrices import _check_k, build_a, build_p
+from .rationals import format_rational, parse_rational
 
 __all__ = [
     "Term",
     "TableRow",
     "CoefficientTable",
-    "HValue",
     "h_value",
     "euler_rhs_coefficients",
     "inverse_reduction_coefficients",
@@ -62,28 +62,11 @@ class CoefficientTable:
     rows: tuple[TableRow, ...] = field(default_factory=tuple)
 
 
-@dataclass(frozen=True)
-class HValue:
-    """H(n) = pi^{2n}/(2n+1)! as a formal (coefficient, pi-power) pair."""
-
-    n: int
-    coefficient: Fraction
-
-    @property
-    def pi_power(self) -> int:
-        return 2 * self.n
-
-
-def h_value(n: int) -> HValue:
-    """Exact rational coefficient of pi^{2n} in H(n)."""
+def h_value(n: int) -> Fraction:
+    """Exact rational coefficient of pi^{2n} in H(n): 1/(2n+1)!."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return HValue(n, Fraction(1, math.factorial(2 * n + 1)))
-
-
-def _check_k(K: int) -> None:
-    if K < 2:
-        raise ValueError(f"K must be >= 2, got {K}")
+    return Fraction(1, math.factorial(2 * n + 1))
 
 
 def euler_constant(K: int, r: int) -> Fraction:
@@ -195,8 +178,8 @@ def h_ab_coefficients(a: int, b: int) -> CoefficientTable:
             2
             * (-1) ** r
             * (
-                binomial(2 * r, 2 * a + 2)
-                - (1 - Fraction(1, 4**r)) * binomial(2 * r, 2 * b + 1)
+                math.comb(2 * r, 2 * a + 2)
+                - (1 - Fraction(1, 4**r)) * math.comb(2 * r, 2 * b + 1)
             )
         )
         terms.append(Term(f"H({K - r})*zeta({2 * r + 1})", coeff))
@@ -223,7 +206,7 @@ def expand_h_to_pi(table: CoefficientTable) -> CoefficientTable:
             for f in factors:
                 if f.startswith("H(") and f.endswith(")"):
                     n = int(f[2:-1])
-                    coeff *= h_value(n).coefficient
+                    coeff *= h_value(n)
                     if n > 0:
                         out_factors.append(f"pi^{2 * n}")
                 else:

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from doublezeta.bernoulli import BernoulliCache, bernoulli_number, bernoulli_range
-from doublezeta.rationals import binomial
 
 
 def bernoulli_oracle(n: int) -> Fraction:
@@ -13,7 +12,7 @@ def bernoulli_oracle(n: int) -> Fraction:
     for k in range(n + 1):
         inner = Fraction(0)
         for j in range(k + 1):
-            inner += (-1) ** j * binomial(k, j) * Fraction(j**n if n > 0 else 1)
+            inner += (-1) ** j * math.comb(k, j) * Fraction(j**n if n > 0 else 1)
         total += inner / (k + 1)
     return total
 

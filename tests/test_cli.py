@@ -2,8 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from decimal import Decimal
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +9,7 @@ import pytest
 import doublezeta.numerics as numerics
 from doublezeta.bernoulli import bernoulli_number
 from doublezeta.cli import EXIT_BROKEN_PIPE, main
+from doublezeta.rationals import format_rational, parse_rational
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -40,7 +39,7 @@ def test_bernoulli_past_the_int_to_str_limit(capsys):
     num, den = value.split("/")
     assert len(num) > 4300
     assert n == "2200"
-    assert Fraction(int(Decimal(num)), int(den)) == bernoulli_number(2200)
+    assert parse_rational(value) == bernoulli_number(2200)
 
 
 def test_closed_stdout_exits_quietly():
@@ -184,6 +183,19 @@ def test_reduce_inverse_explicit(capsys):
         t["basis"]: t["coeff"] for t in json.loads(out)["rows"][0]["terms"]
     }
     assert terms == {"zeta(2,3)": "1/3", "zeta(5)": "1/6"}
+
+
+def test_reduce_inverse_explicit_past_the_int_to_str_limit(capsys):
+    # the text `bernoulli --format csv` writes for B_2200 reads back as a constant
+    b = bernoulli_number(2200)
+    argv = ["reduce", "inverse", "--K", "2", "--constants", f"explicit:{format_rational(b)}"]
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    terms = {
+        t["basis"]: t["coeff"] for t in json.loads(out)["rows"][0]["terms"]
+    }
+    assert terms["zeta(2,3)"] == "1/3"
+    assert parse_rational(terms["zeta(5)"]) == -b / 3
 
 
 def test_reduce_inverse_audited_missing_file(capsys, tmp_path):

@@ -18,6 +18,7 @@ from doublezeta.numerics import (
     zeta_double,
     zeta_single,
 )
+from doublezeta import matrices, reductions
 from doublezeta.reductions import euler_constant
 
 
@@ -233,6 +234,29 @@ def test_audit_euler_rejects_bad_rows():
     for r in (0, 3):
         with pytest.raises(ValueError):
             audit_euler_constant(3, r, 40)
+
+
+# every public function that takes K, each going through matrices._check_k
+TAKES_K = {
+    "build_a": matrices.build_a,
+    "build_p": matrices.build_p,
+    "build_q": matrices.build_q,
+    "verify_inverse": matrices.verify_inverse,
+    "verify_closed_forms": matrices.verify_closed_forms,
+    "euler_rhs_coefficients": reductions.euler_rhs_coefficients,
+    "inverse_reduction_coefficients": lambda K: reductions.inverse_reduction_coefficients(K, []),
+    "euler_constant": lambda K: reductions.euler_constant(K, 1),
+    "eval_products": eval_products,
+    "audit_euler": audit_euler,
+    "audit_euler_constant": lambda K: audit_euler_constant(K, 1),
+}
+
+
+@pytest.mark.parametrize("name", TAKES_K)
+@pytest.mark.parametrize("K", [1, 0, -1])
+def test_public_functions_reject_k_below_two(name, K):
+    with pytest.raises(ValueError, match="K must be >= 2"):
+        TAKES_K[name](K)
 
 
 @pytest.mark.parametrize("K", range(2, 9))

@@ -1,32 +1,10 @@
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from doublezeta.rationals import binomial, format_rational, parse_rational
-
-
-def test_binomial_direct_product():
-    assert binomial(5, 2) == 10
-
-
-def test_binomial_upper_smaller_than_lower_is_zero():
-    assert binomial(3, 5) == 0
-
-
-def test_binomial_k_zero_is_one():
-    assert binomial(4, 0) == 1
-
-
-def test_binomial_negative_k_is_zero():
-    assert binomial(7, -1) == 0
-
-
-def test_binomial_negative_upper_uses_falling_factorial():
-    # (-1)(-2)/2! = 1, (-2)(-3)(-4)/3! = -4
-    assert binomial(-1, 2) == 1
-    assert binomial(-2, 3) == -4
+from doublezeta.bernoulli import bernoulli_number
+from doublezeta.rationals import format_rational, parse_rational
 
 
 def test_rational_arithmetic_examples():
@@ -39,32 +17,6 @@ def test_rational_arithmetic_examples():
 def test_canonical_lowest_terms():
     x = Fraction(6, -4)
     assert x.numerator == -3 and x.denominator == 2
-
-
-@given(st.integers(-60, 60), st.integers(0, 60))
-def test_binomial_symmetry_and_integrality(n, k):
-    b = binomial(n, k)
-    assert type(b) is int
-    if n < 0:
-        # falling-factorial definition n(n-1)...(n-k+1)/k!
-        assert b == Fraction(math.prod(range(n - k + 1, n + 1)), math.factorial(k))
-    elif k <= n:
-        assert b == binomial(n, n - k)
-        assert b.denominator == 1 and b >= 0
-
-
-@given(st.integers(1, 60), st.integers(1, 60))
-def test_pascal_recurrence(n, k):
-    assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
-@pytest.mark.parametrize("n", range(1, 41))
-def test_even_odd_row_sums(n):
-    # both the even-index and odd-index binomial row sums equal 2^(n-1)
-    even = sum(binomial(n, 2 * k) for k in range(n // 2 + 1))
-    odd = sum(binomial(n, 2 * k + 1) for k in range((n - 1) // 2 + 1))
-    assert even == 2 ** (n - 1)
-    assert odd == 2 ** (n - 1)
 
 
 rationals = st.fractions(
@@ -96,7 +48,27 @@ def test_format_rational_past_the_int_to_str_limit():
     assert format_rational(Fraction(3, big)) == f"3/{digits}"
 
 
-@pytest.mark.parametrize("text", ["1/0", "abc"])
+def test_parse_rational_past_the_int_to_str_limit():
+    # B_2200's numerator has 4654 digits, past Python's default limit of 4300
+    b = bernoulli_number(2200)
+    assert parse_rational(format_rational(b)) == b
+    assert parse_rational(format_rational(-1 / b)) == -1 / b
+
+
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1/0",
+        "abc",
+        pytest.param(f"{LONG}/0", id="long/0"),
+        pytest.param(f"{LONG}/00", id="long/00"),
+        pytest.param(f"{LONG}/x", id="long/x"),
+        pytest.param(f"{LONG}.5", id="long.5"),
+    ],
+)
 def test_parse_rational_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_rational(text)

@@ -5,7 +5,6 @@ import pytest
 
 from doublezeta import cli, series
 from doublezeta.bernoulli import BernoulliCache
-from doublezeta.rationals import binomial
 from doublezeta.series import Mismatch, verify_carlitz, verify_reflection
 
 
@@ -34,7 +33,7 @@ def reference_sides(s: int, m: int, order: int, cache) -> tuple[list[Fraction], 
     lhs = [sum(fm[j] / math.factorial(i - j) for j in range(i + 1)) for i in range(top + 1)]
     rhs = [Fraction(0)] * (top + 1)
     for p in range(m + 1):
-        coeff = (-1) ** (m - p) * binomial(m, p)
+        coeff = (-1) ** (m - p) * math.comb(m, p)
         rhs = [x + coeff * y for x, y in zip(rhs, derivative(p))]
         deg = 2 * s - 1 - p
         if 0 <= deg <= top:
@@ -87,7 +86,7 @@ def sympy_sides(s: int, m: int, order: int) -> tuple[list[Fraction], list[Fracti
 def carlitz_side(m: int, n: int, cache) -> Fraction:
     """(-1)^m sum_k C(m,k) B_{n+k} as a Fraction sum."""
     return (-1) ** m * sum(
-        (binomial(m, k) * cache.get(n + k) for k in range(m + 1)), Fraction(0)
+        (math.comb(m, k) * cache.get(n + k) for k in range(m + 1)), Fraction(0)
     )
 
 
