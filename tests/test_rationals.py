@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from doublezeta.bernoulli import bernoulli_number
+from doublezeta.matrices import build_b_part, build_c_part
 from doublezeta.rationals import format_rational, parse_rational
 
 
@@ -17,6 +18,22 @@ def test_rational_arithmetic_examples():
 def test_canonical_lowest_terms():
     x = Fraction(6, -4)
     assert x.numerator == -3 and x.denominator == 2
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_even_odd_row_sums(n):
+    # both the even-index and odd-index binomial row sums equal 2^(m-1).
+    # For K = n+1, column s of B holds the odd-index entries C(m, 2r-1) of
+    # row m = 2K-2s, and column s of C its even-index entries C(m, 2K-2r)
+    # except C(m, 0) = 1; the columns cover the even rows m = 2..2n.
+    K = n + 1
+    b, c = build_b_part(K), build_c_part(K)
+    for s in range(1, K):
+        m = 2 * K - 2 * s
+        odd = sum(b.at(r, s - 1) for r in range(K - 1))
+        even = 1 + sum(c.at(r, s - 1) for r in range(K - 1))
+        assert odd == 2 ** (m - 1)
+        assert even == 2 ** (m - 1)
 
 
 rationals = st.fractions(
