@@ -18,24 +18,26 @@ Bernoulli remainder bound; double zeta tails expand the inner partial
 sum by the same machinery, reducing the outer tail to a finite
 combination of single-zeta tails plus a rigorously bounded remainder.
 
-Every public function builds one :class:`_EMTables` for the call, with
-its own :class:`BernoulliCache`, and drops it on return; the module keeps
-no state between calls.  The table memoises what the evaluations of one
-call share: the powers m^n of the direct sums and of each tail start, the
-ratios B_2J/(2J)!, both per working precision, and the tails themselves.
+Every public function runs at one working precision and builds one
+:class:`_EMTables` for it, with its own :class:`BernoulliCache`, and drops
+it on return; the module keeps no state between calls.  The table holds
+the call's digits and truncation target and memoises what the evaluations
+of one call share: the powers m^n of the direct sums and of each tail
+start, the ratios B_2J/(2J)!, the tails themselves and the single zetas.
 A memoised value is the same mpf operation at the same precision as the
-one it replaces, so sharing changes no bit of any value or bound.
+one it replaces, so sharing changes no bit of any value or bound.  A
+double zeta reads zeta(k1) from the table too.
 
 The Euler audit runs one pass per K: every row r = 1..K-1 of weight 2K+1
 uses the same single zetas, products and zeta(2K+1), so they are evaluated
-once.  The outer tails that the T(m) expansion of zeta(k1, k2) folds into
-are sums over m > M of m^-(k2+alpha) with k2 + alpha running over
-k1 + k2 - 1, k1 + k2, ..., so they depend on the weight only; every row
-reads them from the call's table.  Each folded tail is evaluated to the
-target divided by its coefficient, and the coefficient taken is the
-largest that any k1 of the weight gives to that exponent, so the target,
-too, depends on the weight only.  The T(m) expansion stops as soon as its
-remainder meets the target.
+once, and row r's zeta(2r) is the one its products use.  The outer tails
+that the T(m) expansion of zeta(k1, k2) folds into are sums over m > M of
+m^-(k2+alpha) with k2 + alpha running over k1 + k2 - 1, k1 + k2, ..., so
+they depend on the weight only; every row reads them from the call's
+table.  Each folded tail is evaluated to the target divided by its
+coefficient, and the coefficient taken is the largest that any k1 of the
+weight gives to that exponent, so the target, too, depends on the weight
+only.  The T(m) expansion stops as soon as its remainder meets the target.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ __all__ = [
     "zeta_single",
     "zeta_double",
     "pi_value",
-    "eval_products",
     "rational_reconstruct",
     "AuditReport",
     "audit_euler",
@@ -77,8 +78,12 @@ def _work_dps(digits: int) -> int:
 
     A double zeta rounds M + J + 16 times (M = 2 digits, J <= digits), each
     charged 8 eps relative; the guard keeps that total below 10^-(digits+1)
-    for values up to 10 in magnitude (eps is about 2 * 10^-(dps+1)).
+    for values up to 10 in magnitude (eps is about 2 * 10^-(dps+1)).  Every
+    public function calls this before any work: it is the one check that
+    digits >= 1.
     """
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
     return digits + len(str(160 * (_double_cutoff(digits) + digits + 16)))
 
 
@@ -100,7 +105,9 @@ class BigFloat:
     error_bound: mpf
 
     def __post_init__(self) -> None:
-        if not self.error_bound >= 0:
+        if not mp.isfinite(self.value):
+            raise ValueError("value must be finite")
+        if not (mp.isfinite(self.error_bound) and self.error_bound >= 0):
             raise ValueError("error bound must be finite and >= 0")
 
     def __add__(self, other: BigFloat) -> BigFloat:
@@ -146,8 +153,8 @@ class BigFloat:
         return f"{mp.nstr(self.value, digits)} ± {mp.nstr(self.error_bound, 3)}"
 
 
-# The two values that _EMTables memoises, each formed only here at the
-# current precision (the tests count these calls).
+# The two mpf values that _EMTables memoises by their arguments, each
+# formed only here (the tests count these calls).
 def _power(start: int, n: int) -> mpf:
     return mpf(start) ** n
 
@@ -160,39 +167,49 @@ def _bernoulli_ratio(b: Fraction, n: int) -> mpf:
 class _EMTables:
     """Values shared by the direct sums and tails of one public call.
 
-    A public function creates one, passes it down, and drops it on return.
-    Powers and Bernoulli ratios are keyed by ``mp.prec`` (and powers by
-    their base too), so evaluations at several precisions can share a table.
+    A public function creates one inside its working precision, passes it
+    down, and drops it on return.  The table owns that precision: it holds
+    the call's digits and truncation target, and its memos are valid only
+    at the precision it was built at.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, digits: int) -> None:
+        self.digits = digits
+        # the absolute target of each truncation term
+        self.target = mpf(10) ** (-(digits + 10))
         self.bernoulli = BernoulliCache()
-        self._powers: dict[tuple[int, int, int], mpf] = {}
-        self._ratios: dict[tuple[int, int], mpf] = {}
-        self._tails: dict[tuple[int, int, mpf, int], tuple[mpf, mpf]] = {}
+        self._powers: dict[tuple[int, int], mpf] = {}
+        self._ratios: dict[int, mpf] = {}
+        self._tails: dict[tuple[int, int, mpf], tuple[mpf, mpf]] = {}
+        self._zetas: dict[int, BigFloat] = {}
 
     def power(self, start: int, n: int) -> mpf:
-        """mpf(start) ** n at the current precision."""
-        key = (start, n, mp.prec)
+        """mpf(start) ** n."""
+        key = (start, n)
         value = self._powers.get(key)
         if value is None:
             value = self._powers[key] = _power(start, n)
         return value
 
     def ratio(self, n: int) -> mpf:
-        """B_n / n! at the current precision."""
-        key = (n, mp.prec)
-        value = self._ratios.get(key)
+        """B_n / n!."""
+        value = self._ratios.get(n)
         if value is None:
-            value = self._ratios[key] = _bernoulli_ratio(self.bernoulli.get(n), n)
+            value = self._ratios[n] = _bernoulli_ratio(self.bernoulli.get(n), n)
         return value
 
     def tail(self, k: int, start: int, target: mpf) -> tuple[mpf, mpf]:
-        """_zeta_tail(k, start, target) at the current precision."""
-        key = (k, start, target, mp.prec)
+        """_zeta_tail(k, start, target)."""
+        key = (k, start, target)
         if key not in self._tails:
             self._tails[key] = _zeta_tail(k, start, target, self)
         return self._tails[key]
+
+    def zeta(self, k: int) -> BigFloat:
+        """zeta(k) within 10^-digits."""
+        if k not in self._zetas:
+            self._zetas[k] = _zeta_single(k, self)
+        return self._zetas[k]
 
 
 def _zeta_tail(
@@ -233,30 +250,23 @@ def _double_cutoff(digits: int) -> int:
     return max(_choose_cutoff(digits), 2 * digits)
 
 
-def _tail_target(digits: int) -> mpf:
-    # the absolute target of each truncation term, at the current precision
-    return mpf(10) ** (-(digits + 10))
-
-
 def zeta_single(k: int, digits: int = 30) -> BigFloat:
     """Riemann zeta at an integer k >= 2, |error| <= 10^-digits."""
     if k < 2:
         raise ValueError(f"zeta_single requires k >= 2, got {k}")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    return _zeta_single(k, digits, _EMTables())
-
-
-def _zeta_single(k: int, digits: int, tables: _EMTables) -> BigFloat:
     with mp.workdps(_work_dps(digits)):
-        M = _choose_cutoff(digits)
-        partial = mpf(0)
-        for m in range(1, M):
-            partial += tables.power(m, -k)
-        tail, bound = tables.tail(k, M, _tail_target(digits))
-        value = partial + tail
-        err = bound + _slack(value) * (M + 4)
-        return _checked(BigFloat(value, err), digits, f"zeta({k})")
+        return _zeta_single(k, _EMTables(digits))
+
+
+def _zeta_single(k: int, tables: _EMTables) -> BigFloat:
+    M = _choose_cutoff(tables.digits)
+    partial = mpf(0)
+    for m in range(1, M):
+        partial += tables.power(m, -k)
+    tail, bound = tables.tail(k, M, tables.target)
+    value = partial + tail
+    err = bound + _slack(value) * (M + 4)
+    return _checked(BigFloat(value, err), tables.digits, f"zeta({k})")
 
 
 def zeta_double(k1: int, k2: int, digits: int = 30) -> BigFloat:
@@ -272,116 +282,96 @@ def zeta_double(k1: int, k2: int, digits: int = 30) -> BigFloat:
         raise ValueError(f"zeta_double requires k2 >= 2, got k2={k2}")
     if k1 < 1:
         raise ValueError(f"zeta_double requires k1 >= 1, got k1={k1}")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    tables = _EMTables()
+    dps = _work_dps(digits)  # checked here: _zeta_one's digits + 5 would pass 0
     if k1 == 1:
-        return _zeta_one(k2, digits, tables)
-    return _zeta_double(k1, k2, digits, tables)
+        return _zeta_one(k2, digits)
+    with mp.workdps(dps):
+        return _zeta_double(k1, k2, _EMTables(digits))
 
 
-def _zeta_double(k1: int, k2: int, digits: int, tables: _EMTables) -> BigFloat:
-    """zeta_double for k1 >= 2, its outer tails memoised in ``tables``.
+def _zeta_double(k1: int, k2: int, tables: _EMTables) -> BigFloat:
+    """zeta_double for k1 >= 2, its outer tails and zeta(k1) from ``tables``.
 
     The outer tails start at M + 1 and their targets depend on the weight
     w = k1 + k2 and digits only, so evaluations of one weight that share
     the table reuse every tail of the T(m) expansion.
     """
-    with mp.workdps(_work_dps(digits)):
-        target = _tail_target(digits)
-        M = _double_cutoff(digits)
-        w = k1 + k2
+    digits, target = tables.digits, tables.target
+    M = _double_cutoff(digits)
+    w = k1 + k2
 
-        def outer_tail(exponent: int, coefficient: mpf = 1) -> tuple[mpf, mpf]:
-            # a tail multiplied by `coefficient` still contributes <= target
-            return tables.tail(exponent, M + 1, target / max(1, coefficient))
+    def outer_tail(exponent: int, coefficient: mpf = 1) -> tuple[mpf, mpf]:
+        # a tail multiplied by `coefficient` still contributes <= target
+        return tables.tail(exponent, M + 1, target / max(1, coefficient))
 
-        # direct part: m = 2..M with incremental inner partial sums
-        inner = mpf(0)
-        direct = mpf(0)
-        for m in range(2, M + 1):
-            inner += tables.power(m - 1, -k1)
-            direct += tables.power(m, -k2) * inner
+    # direct part: m = 2..M with incremental inner partial sums
+    inner = mpf(0)
+    direct = mpf(0)
+    for m in range(2, M + 1):
+        inner += tables.power(m - 1, -k1)
+        direct += tables.power(m, -k2) * inner
 
-        z1 = _zeta_single(k1, digits + 10, tables)
-        t2, t2_bound = outer_tail(k2)
+    z1 = tables.zeta(k1)
+    t2, t2_bound = outer_tail(k2)
 
-        # Euler-Maclaurin expansion of T(m) = sum_{j>=m} j^{-k1} in powers
-        # of 1/m; each power m^-(k1+alpha) folds into the outer tail of
-        # exponent w + alpha.  The leading two terms come first.
-        correction = mpf(0)
-        corr_bound = mpf(0)
-        for alpha, c in ((k1 - 1, mpf(1) / (k1 - 1)), (k1, mpf("0.5"))):
-            tv, tb = outer_tail(k2 + alpha)
-            correction += c * tv
-            corr_bound += c * tb
-        # Term j has c_j = B_2j/(2j)! (k1)_{2j-1}; with terms 1..J-1 in, the
-        # remainder of T(m) is at most 2|c_J| m^-(k1+2J-1), which sums over
-        # m > M to 2|c_J| times the tail that term J would use.  (w-2)_{2J-1}
-        # is the largest rising factorial of the weight (k2 >= 2), so the
-        # tail targets do not depend on k1.
-        rising, rising_max = k1, w - 2  # (k1)_{2J-1}, (w-2)_{2J-1}
-        J = 1
-        while True:
-            ratio = tables.ratio(2 * J)
-            c = ratio * rising
-            tv, tb = outer_tail(w + 2 * J - 1, abs(ratio) * rising_max)
-            remainder = 2 * abs(c) * (tv + tb)
-            # J <= digits is what the working precision's guard assumes;
-            # a remainder still above the target there fails the final check
-            if remainder <= target or J > digits:
-                break
-            correction += c * tv
-            corr_bound += abs(c) * tb
-            rising *= (k1 + 2 * J - 1) * (k1 + 2 * J)
-            rising_max *= (w + 2 * J - 3) * (w + 2 * J - 2)
-            J += 1
+    # Euler-Maclaurin expansion of T(m) = sum_{j>=m} j^{-k1} in powers
+    # of 1/m; each power m^-(k1+alpha) folds into the outer tail of
+    # exponent w + alpha.  The leading two terms come first.
+    correction = mpf(0)
+    corr_bound = mpf(0)
+    for alpha, c in ((k1 - 1, mpf(1) / (k1 - 1)), (k1, mpf("0.5"))):
+        tv, tb = outer_tail(k2 + alpha)
+        correction += c * tv
+        corr_bound += c * tb
+    # Term j has c_j = B_2j/(2j)! (k1)_{2j-1}; with terms 1..J-1 in, the
+    # remainder of T(m) is at most 2|c_J| m^-(k1+2J-1), which sums over
+    # m > M to 2|c_J| times the tail that term J would use.  (w-2)_{2J-1}
+    # is the largest rising factorial of the weight (k2 >= 2), so the
+    # tail targets do not depend on k1.
+    rising, rising_max = k1, w - 2  # (k1)_{2J-1}, (w-2)_{2J-1}
+    J = 1
+    while True:
+        ratio = tables.ratio(2 * J)
+        c = ratio * rising
+        tv, tb = outer_tail(w + 2 * J - 1, abs(ratio) * rising_max)
+        remainder = 2 * abs(c) * (tv + tb)
+        # J <= digits is what the working precision's guard assumes;
+        # a remainder still above the target there fails the final check
+        if remainder <= target or J > digits:
+            break
+        correction += c * tv
+        corr_bound += abs(c) * tb
+        rising *= (k1 + 2 * J - 1) * (k1 + 2 * J)
+        rising_max *= (w + 2 * J - 3) * (w + 2 * J - 2)
+        J += 1
 
-        value = direct + z1.value * t2 - correction
-        err = (
-            z1.error_bound * (t2 + t2_bound)
-            + abs(z1.value) * t2_bound
-            + corr_bound
-            + remainder
-            + _slack(value) * (M + J + 16)
-        )
-        return _checked(BigFloat(value, err), digits, f"zeta({k1},{k2})")
+    value = direct + z1.value * t2 - correction
+    err = (
+        z1.error_bound * (t2 + t2_bound)
+        + abs(z1.value) * t2_bound
+        + corr_bound
+        + remainder
+        + _slack(value) * (M + J + 16)
+    )
+    return _checked(BigFloat(value, err), digits, f"zeta({k1},{k2})")
 
 
-def _zeta_one(k: int, digits: int, tables: _EMTables) -> BigFloat:
+def _zeta_one(k: int, digits: int) -> BigFloat:
     """zeta(1, k) = (k/2) zeta(k+1) - 1/2 sum_{j=1}^{k-2} zeta(j+1) zeta(k-j)."""
     inner = digits + 5
     with mp.workdps(_work_dps(inner)):
-        z = {i: _zeta_single(i, inner, tables) for i in range(2, k + 2)}
-        value = z[k + 1].scale(Fraction(k, 2))
+        z = _EMTables(inner).zeta
+        value = z(k + 1).scale(Fraction(k, 2))
         for j in range(1, k - 1):
-            value = value - (z[j + 1] * z[k - j]).scale(Fraction(1, 2))
+            value = value - (z(j + 1) * z(k - j)).scale(Fraction(1, 2))
         return _checked(value, digits, f"zeta(1,{k})")
 
 
 def pi_value(digits: int = 30) -> BigFloat:
     """pi with an error bound of a few ulps at the working precision."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
     with mp.workdps(_work_dps(digits)):
         v = +mp.pi
         return BigFloat(v, _slack(v))
-
-
-def eval_products(K: int, digits: int = 30) -> list[BigFloat]:
-    """zeta(2s) * zeta(2K+1-2s) for s = 1..K-1, bounds propagated."""
-    _check_k(K)
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    tables = _EMTables()
-    with mp.workdps(_work_dps(digits)):
-        z = {k: _zeta_single(k, digits, tables) for k in range(2, 2 * K)}
-        return _products(K, z)
-
-
-def _products(K: int, z: dict[int, BigFloat]) -> list[BigFloat]:
-    # at the caller's working precision, from z[k] = zeta(k), k = 2..2K-1
-    return [z[2 * s] * z[2 * K + 1 - 2 * s] for s in range(1, K)]
 
 
 def rational_reconstruct(x: BigFloat, max_denominator: int = 64) -> Fraction | None:
@@ -441,19 +431,16 @@ def _audit_rows(K: int, rows: Sequence[int], digits: int) -> list[AuditReport]:
     for r in rows:
         if not 1 <= r <= K - 1:
             raise ValueError(f"row r={r} out of range for K={K}")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    tables = _EMTables()
     with mp.workdps(_work_dps(digits)):
+        tables = _EMTables(digits)
+        z = tables.zeta
         a = build_a(K)
-        ks = [*range(2, 2 * K), 2 * K + 1]
-        z = {k: _zeta_single(k, digits, tables) for k in ks}
-        products = _products(K, z)
-        z_odd = z[2 * K + 1]
+        products = [z(2 * s) * z(2 * K + 1 - 2 * s) for s in range(1, K)]
+        z_odd = z(2 * K + 1)
         printed = mpf(PRINTED_CONSTANT.numerator) / PRINTED_CONSTANT.denominator
         reports = []
         for r in rows:
-            lhs = _zeta_double(2 * r, 2 * K + 1 - 2 * r, digits, tables)
+            lhs = _zeta_double(2 * r, 2 * K + 1 - 2 * r, tables)
             rhs = products[0].scale(a.at(r - 1, 0))
             for s in range(2, K):
                 rhs = rhs + products[s - 1].scale(a.at(r - 1, s - 1))
@@ -502,10 +489,8 @@ def audit_h_ab(a: int, b: int, digits: int = 30) -> HAuditReport:
         raise ValueError(
             f"audit_h_ab supports (a,b) in {sorted(supported)}, got ({a}, {b})"
         )
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    tables = _EMTables()
     with mp.workdps(_work_dps(digits)):
+        tables = _EMTables(digits)
         K = a + b + 1
         table = h_ab_coefficients(a, b)
         pi_bf = pi_value(digits)
@@ -513,16 +498,16 @@ def audit_h_ab(a: int, b: int, digits: int = 30) -> HAuditReport:
         for r, term in enumerate(table.rows[0].terms, start=1):
             n = K - r
             h_num = _pi_power(pi_bf, 2 * n).scale(h_value(n))
-            contrib = (h_num * _zeta_single(2 * r + 1, digits, tables)).scale(term.coeff)
+            contrib = (h_num * tables.zeta(2 * r + 1)).scale(term.coeff)
             formula = contrib if formula is None else formula + contrib
         assert formula is not None
 
         if (a, b) == (0, 0):
-            direct = _zeta_single(3, digits, tables)
+            direct = tables.zeta(3)
         elif (a, b) == (1, 0):
-            direct = _zeta_double(2, 3, digits, tables)
+            direct = _zeta_double(2, 3, tables)
         else:
-            direct = _zeta_double(3, 2, digits, tables)
+            direct = _zeta_double(3, 2, tables)
 
         diff = abs(formula.value - direct.value)
         agrees = bool(diff <= formula.error_bound + direct.error_bound)

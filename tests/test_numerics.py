@@ -12,7 +12,6 @@ from doublezeta.numerics import (
     audit_euler,
     audit_euler_constant,
     audit_h_ab,
-    eval_products,
     pi_value,
     rational_reconstruct,
     zeta_double,
@@ -99,7 +98,7 @@ def _reference_zeta2(k1, k2):
 def test_zeta_double_contract_sweep(k1, k2):
     # the returned bound covers the true error and meets 10^-digits at every
     # precision, not only at the 30 digits most tests use
-    for digits in (30, 40, 60, 100, 200, 300):
+    for digits in (1, 10, 30, 40, 60, 100, 200, 300):
         z = zeta_double(k1, k2, digits)
         with mp.workdps(digits + 40):
             err = abs(z.value - _reference_zeta2(k1, k2))
@@ -135,15 +134,6 @@ def test_monotone_refinement():
         coarse = zeta_double(k1, k2, digits)
         fine = zeta_double(k1, k2, 2 * digits)
         assert abs(coarse.value - fine.value) <= coarse.error_bound
-
-
-def test_eval_products():
-    k2 = eval_products(2, 30)
-    assert len(k2) == 1 and str(k2[0].value).startswith("1.97730")
-    k3 = eval_products(3, 30)
-    assert str(k3[0].value).startswith("1.7056777")
-    assert str(k3[1].value).startswith("1.3010141")
-    assert all(p.value > 0 for p in eval_products(6, 20))
 
 
 def test_rational_reconstruct():
@@ -207,8 +197,8 @@ def test_audit_euler_equals_single_rows(K, digits):
     [
         lambda: zeta_single(3, 0),
         lambda: zeta_double(2, 3, -1),
+        lambda: zeta_double(1, 3, 0),
         lambda: pi_value(0),
-        lambda: eval_products(3, 0),
         lambda: audit_euler(2, 0),
         lambda: audit_euler_constant(2, 1, -2),
         lambda: audit_h_ab(0, 0, 0),
@@ -216,8 +206,8 @@ def test_audit_euler_equals_single_rows(K, digits):
     ids=[
         "zeta_single",
         "zeta_double",
+        "zeta_double_k1_one",
         "pi_value",
-        "eval_products",
         "audit_euler",
         "audit_euler_constant",
         "audit_h_ab",
@@ -246,7 +236,6 @@ TAKES_K = {
     "euler_rhs_coefficients": reductions.euler_rhs_coefficients,
     "inverse_reduction_coefficients": lambda K: reductions.inverse_reduction_coefficients(K, []),
     "euler_constant": lambda K: reductions.euler_constant(K, 1),
-    "eval_products": eval_products,
     "audit_euler": audit_euler,
     "audit_euler_constant": lambda K: audit_euler_constant(K, 1),
 }
@@ -259,7 +248,7 @@ def test_public_functions_reject_k_below_two(name, K):
         TAKES_K[name](K)
 
 
-@pytest.mark.parametrize("K", range(2, 9))
+@pytest.mark.parametrize("K", range(2, 13))
 def test_audit_euler_reconstructs_closed_form_constant(K):
     for rep in audit_euler(K, 40):
         c = euler_constant(K, rep.r)
@@ -276,9 +265,9 @@ def test_audit_euler_evaluates_nothing_twice(monkeypatch):
     singles, tails = [], []
     zeta_single_orig, zeta_tail_orig = numerics._zeta_single, numerics._zeta_tail
 
-    def counted_single(k, digits, tables):
-        singles.append((k, digits))
-        return zeta_single_orig(k, digits, tables)
+    def counted_single(k, tables):
+        singles.append((k, tables.digits))
+        return zeta_single_orig(k, tables)
 
     def counted_tail(k, start, target, tables):
         tails.append((k, start, target, mp.prec))
@@ -287,10 +276,9 @@ def test_audit_euler_evaluates_nothing_twice(monkeypatch):
     monkeypatch.setattr(numerics, "_zeta_single", counted_single)
     monkeypatch.setattr(numerics, "_zeta_tail", counted_tail)
     audit_euler(8, 40)
-    # zeta(2..15) and zeta(17) at 40 digits, zeta(2r) at 50 inside each row
-    assert sorted(singles) == sorted(
-        [(k, 40) for k in [*range(2, 16), 17]] + [(2 * r, 50) for r in range(1, 8)]
-    )
+    # zeta(2..15) and zeta(17) at 40 digits; each row reads its zeta(2r) from
+    # the same table as the products
+    assert sorted(singles) == [(k, 40) for k in [*range(2, 16), 17]]
     assert tails and len(set(tails)) == len(tails)
 
 
@@ -318,8 +306,9 @@ def _reference_zeta_tail(k, start, target, cache):
 
 
 def test_zeta_tail_matches_reference_bit_for_bit():
-    # one table serves a mixed sequence of starts and precisions, so a memo
-    # keyed without the start or the precision returns a wrong value
+    # a table serves one precision; the shuffled cases interleave the four
+    # tables, and each serves a mixed sequence of exponents and starts, so a
+    # memo keyed without the start returns a wrong value
     cases = [
         (k, start, digits)
         for k in range(2, 41)
@@ -327,13 +316,15 @@ def test_zeta_tail_matches_reference_bit_for_bit():
         for digits in (30, 40, 100, 200)
     ]
     random.Random(0).shuffle(cases)
-    tables = numerics._EMTables()
-    cache = tables.bernoulli
+    tables = {}
     for k, start, digits in cases:
         with mp.workdps(2 * digits + 15):
-            target = mpf(10) ** (-(digits + 10))
-            got = numerics._zeta_tail(k, start, target, tables)
-            assert got == _reference_zeta_tail(k, start, target, cache), (k, start, digits)
+            if digits not in tables:
+                tables[digits] = numerics._EMTables(digits)
+            t = tables[digits]
+            got = numerics._zeta_tail(k, start, t.target, t)
+            ref = _reference_zeta_tail(k, start, t.target, t.bernoulli)
+            assert got == ref, (k, start, digits)
 
 
 @pytest.mark.parametrize(
@@ -358,6 +349,8 @@ def test_tables_form_each_power_and_ratio_once(monkeypatch, run):
     run()
     assert powers and len(set(powers)) == len(powers)
     assert ratios and len(set(ratios)) == len(ratios)
+    # and all at the call's one working precision
+    assert len({p[2] for p in powers} | {r[1] for r in ratios}) == 1
 
 
 @pytest.mark.parametrize("a, b", [(0, 0), (1, 0), (0, 1)])
@@ -382,3 +375,11 @@ def test_bigfloat_propagation_is_conservative():
         assert (a * b).error_bound >= 3 * mpf("1e-20")
         with pytest.raises(ZeroDivisionError):
             a / BigFloat(mpf(0), mpf("1e-3"))
+
+
+@pytest.mark.parametrize(
+    "value, bound", [("1", "inf"), ("nan", "0"), ("-inf", "0"), ("1", "-1e-30")]
+)
+def test_bigfloat_rejects_non_finite_value_or_bound(value, bound):
+    with pytest.raises(ValueError, match="must be finite"):
+        BigFloat(mpf(value), mpf(bound))
