@@ -4,15 +4,23 @@ Exit codes: 0 success / all checks passed; 1 at least one identity
 failed; 2 usage error (argparse's default); 3 missing prerequisite
 artifact (e.g. audited constants requested without an audit file);
 141 (128 + SIGPIPE) the reader closed standard output before all of the
-output was written.
+output was written.  An ``--out`` path that cannot be opened for writing is
+a usage error (exit 2, one ``error: cannot write ...`` line).
 Numeric disagreement with the printed Euler constant is reported in the
 output, never turned into a failing exit code: the audit's job is to
 report, not to judge.
+
+``main`` parses with one parser per process: ``build_parser()`` builds it
+on its first call and returns that same object afterwards.  No parser state
+carries from one ``main`` call to the next (each parse makes a fresh
+namespace), so many in-process calls give the same results as separate
+runs.  Callers must not mutate the parser that ``build_parser()`` returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,7 +41,11 @@ EXIT_BROKEN_PIPE = 141
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(out_path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise CliError(EXIT_USAGE, f"error: cannot write {out_path!r}: {exc.strerror}")
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -306,6 +318,7 @@ def cmd_zeta(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="doublezeta",

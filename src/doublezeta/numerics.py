@@ -483,6 +483,9 @@ def audit_h_ab(a: int, b: int, digits: int = 30) -> HAuditReport:
     Supported scope: (a, b) in {(0,0), (1,0), (0,1)} - the depth-1 and
     depth-2 targets zeta(3), zeta(2,3), zeta(3,2).  Deeper targets would
     need an independent depth >= 3 summation engine and are rejected.
+    For (0, 0) both sides are the same zeta(3) from the call's table, so
+    that audit checks only the table's shape (one H(0)*zeta(3) term with
+    coefficient 1), never the summation.
     """
     supported = {(0, 0), (1, 0), (0, 1)}
     if (a, b) not in supported:

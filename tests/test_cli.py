@@ -8,7 +8,7 @@ import pytest
 
 import doublezeta.numerics as numerics
 from doublezeta.bernoulli import bernoulli_number
-from doublezeta.cli import EXIT_BROKEN_PIPE, main
+from doublezeta.cli import EXIT_BROKEN_PIPE, build_parser, main
 from doublezeta.rationals import format_rational, parse_rational
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -55,6 +55,40 @@ def test_closed_stdout_exits_quietly():
         # stderr holds at most a traceback, well inside its pipe buffer
         assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
         assert proc.stderr.read() == b""
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [["bernoulli", "--max", "3"], ["verify", "conjecture", "--k-max", "3"]],
+    ids=["bernoulli", "verify-conjecture"],
+)
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, target):
+    path = str(tmp_path / "missing" / "x" if target == "missing-directory" else tmp_path)
+    code, out, err = run([*argv, "--out", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path!r}: ")
+    assert err.count("\n") == 1
+
+
+def test_main_leaves_no_parser_state(capsys):
+    assert build_parser() is build_parser()
+    sequence = [
+        ["zeta", "--k", "3"],
+        ["zeta", "--k1", "2", "--k2", "3"],
+        ["reduce", "inverse", "--K", "3", "--constants", "explicit:-1/2,-1/2"],
+        ["reduce", "inverse", "--K", "3"],
+        ["zeta", "--k", "3", "--k1", "2", "--k2", "3"],
+        ["reduce", "inverse", "--K", "3", "--constants", "audited"],
+        ["verify", "conjecture", "--k-min", "3", "--k-max", "4"],
+        ["verify", "conjecture", "--k-max", "3"],
+    ]
+    shared = [run(argv, capsys) for argv in sequence]
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 3, 0, 0]
+    for argv, result in zip(sequence, shared):
+        build_parser.cache_clear()
+        assert run(argv, capsys) == result, argv
 
 
 def test_bernoulli_usage_error(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -358,6 +359,24 @@ def test_audit_h_ab(a, b):
     rep = audit_h_ab(a, b, 30)
     assert rep.agrees_within_bounds
     assert rep.abs_difference <= mpf(10) ** -20
+
+
+@pytest.mark.parametrize("index", [0, -1])
+@pytest.mark.parametrize("a, b", [(1, 0), (0, 1)])
+def test_audit_h_ab_detects_a_wrong_coefficient(monkeypatch, a, b, index):
+    # negative control: (1, 0) and (0, 1) compare the formula with an
+    # independent double-zeta sum, so one doubled coefficient must show
+    h_ab_coefficients = numerics.h_ab_coefficients
+
+    def wrong_coefficients(a, b):
+        table = h_ab_coefficients(a, b)
+        terms = list(table.rows[0].terms)
+        terms[index] = dataclasses.replace(terms[index], coeff=2 * terms[index].coeff)
+        row = dataclasses.replace(table.rows[0], terms=tuple(terms))
+        return dataclasses.replace(table, rows=(row,))
+
+    monkeypatch.setattr(numerics, "h_ab_coefficients", wrong_coefficients)
+    assert audit_h_ab(a, b, 30).agrees_within_bounds is False
 
 
 def test_audit_h_ab_scope():
