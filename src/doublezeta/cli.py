@@ -4,8 +4,8 @@ Exit codes: 0 success / all checks passed; 1 at least one identity
 failed; 2 usage error (argparse's default); 3 missing prerequisite
 artifact (e.g. audited constants requested without an audit file);
 141 (128 + SIGPIPE) the reader closed standard output before all of the
-output was written.  An ``--out`` path that cannot be opened for writing is
-a usage error (exit 2, one ``error: cannot write ...`` line).
+output was written.  An ``--out`` path that cannot be opened, written or
+closed is a usage error (exit 2, one ``error: cannot write ...`` line).
 Numeric disagreement with the printed Euler constant is reported in the
 output, never turned into a failing exit code: the audit's job is to
 report, not to judge.
@@ -41,12 +41,13 @@ EXIT_BROKEN_PIPE = 141
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
+        # opening, writing and the flush at close can each fail (a missing
+        # directory, a full device such as /dev/full): all are a usage error
         try:
-            fh = open(out_path, "w", encoding="utf-8")
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
         except OSError as exc:
             raise CliError(EXIT_USAGE, f"error: cannot write {out_path!r}: {exc.strerror}")
-        with fh:
-            fh.write(text)
     else:
         sys.stdout.write(text)
         sys.stdout.flush()

@@ -2,31 +2,39 @@
 
 Values are carried as a :class:`BigFloat`: an mpmath float paired with
 an absolute error bound that covers series truncation and accumulated
-rounding.  The bound, not the precision, is the contract: every
-arithmetic helper propagates bounds conservatively, and the zeta engines
+rounding.  The bound, not the precision, is the contract: the zeta engines
 raise ``ValueError`` rather than return a bound above 10^-digits.
 
-Rounding is charged relative to the magnitudes involved (8 eps per
-operation), never as an absolute eps, so a value scaled by a huge
-coefficient does not inflate the bound.  That makes a working precision of
-digits plus a small guard enough: the guard covers the M + J + 16
-roundings of a double zeta (direct terms, T-expansion terms and the final
-combination), each of relative size 8 eps.
+The zeta engine works in fixed point on Python ints.  A call for a
+10^-digits target uses p = ceil((digits + 10) log2 10) + 64 bits: an int X
+stands for X 2^-p, and 2^-p is the working unit.  Each term of the direct
+sums, of the Euler-Maclaurin tails and of the T(m) expansion is formed as
+one exact floor quotient, such as num (k)_{2J-1} 2^p // (den (2J)! m^e),
+so it adds less than one ulp, always downwards.  The engine counts those
+ulps: the rounding part of a bound is count 2^-p, not an allowance per
+operation.  Truncation bounds are rounded up to whole ulps.  Each result
+becomes an mpf once, at the boundary, where the rounding of that
+conversion to the working precision is charged and the bound is rounded
+up.  The BigFloat arithmetic after that (audit products and sums, pi
+powers) charges 8 eps relative to the magnitudes of each operation.
 
 Single zeta tails use Euler-Maclaurin with the classical periodic-
 Bernoulli remainder bound; double zeta tails expand the inner partial
 sum by the same machinery, reducing the outer tail to a finite
 combination of single-zeta tails plus a rigorously bounded remainder.
+A tail sum_{m >= start} m^-k carries its own scale: it is held in units of
+2^-(p + shift) with shift = (k - 1)(bitlen(start) - 1), so its value uses
+the whole p bits however small start^(1-k) is.  A folded tail is then
+multiplied by its expansion coefficient before it drops to 2^-p, and the
+coefficient scales an ulp error that is 2^shift times smaller.
 
 Every public function runs at one working precision and builds one
 :class:`_EMTables` for it, with its own :class:`BernoulliCache`, and drops
 it on return; the module keeps no state between calls.  The table holds
-the call's digits and truncation target and memoises what the evaluations
-of one call share: the powers m^n of the direct sums and of each tail
-start, the ratios B_2J/(2J)!, the tails themselves and the single zetas.
-A memoised value is the same mpf operation at the same precision as the
-one it replaces, so sharing changes no bit of any value or bound.  A
-double zeta reads zeta(k1) from the table too.
+the call's digits, its bits p and truncation target, and memoises what the
+evaluations of one call share: the tails and the single zetas.  A
+memoised value is a function of its key alone, so sharing changes no
+value or bound.  A double zeta reads zeta(k1) from the table too.
 
 The Euler audit runs one pass per K: every row r = 1..K-1 of weight 2K+1
 uses the same single zetas, products and zeta(2K+1), so they are evaluated
@@ -48,6 +56,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, round_ceiling
 
 from .bernoulli import BernoulliCache
 from .matrices import _check_k, build_a
@@ -74,17 +83,17 @@ def _slack(x) -> mpf:
 
 
 def _work_dps(digits: int) -> int:
-    """The working precision for a 10^-digits target: digits plus a guard.
+    """The mpf precision for a 10^-digits target: digits plus a guard of 5.
 
-    A double zeta rounds M + J + 16 times (M = 2 digits, J <= digits), each
-    charged 8 eps relative; the guard keeps that total below 10^-(digits+1)
-    for values up to 10 in magnitude (eps is about 2 * 10^-(dps+1)).  Every
-    public function calls this before any work: it is the one check that
-    digits >= 1.
+    The zeta engine itself runs in ints (see ``_EMTables.bits``); mpf holds
+    its results and the BigFloat arithmetic on them.  With eps about
+    10^-(digits+5), a hundred roundings of 8 eps on values up to 10 stay
+    below 10^-(digits+1).  Every public function calls this before any
+    work: it is the one check that digits >= 1.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    return digits + len(str(160 * (_double_cutoff(digits) + digits + 16)))
+    return digits + 5
 
 
 def _checked(x: BigFloat, digits: int, label: str) -> BigFloat:
@@ -153,89 +162,132 @@ class BigFloat:
         return f"{mp.nstr(self.value, digits)} ± {mp.nstr(self.error_bound, 3)}"
 
 
-# The two mpf values that _EMTables memoises by their arguments, each
-# formed only here (the tests count these calls).
-def _power(start: int, n: int) -> mpf:
-    return mpf(start) ** n
+@dataclass(frozen=True)
+class _Fixed:
+    """A value of the int engine: the true value is within error * 2^-scale
+    of value * 2^-scale."""
+
+    value: int
+    error: int
+    scale: int
+
+    def times(self, c: Fraction | int, scale: int) -> _Fixed:
+        """c times this value in units of 2^-scale, for scale <= self.scale.
+
+        One floor quotient, so one more ulp; c scales the error while it
+        is still in the finer units.
+        """
+        c = Fraction(c)
+        den = c.denominator << (self.scale - scale)
+        return _Fixed(
+            c.numerator * self.value // den,
+            -(-abs(c.numerator) * self.error // den) + 1,
+            scale,
+        )
+
+    def to_bigfloat(self) -> BigFloat:
+        """The one conversion to mpf, at the current precision.
+
+        mpf(value) rounds to nearest, off by at most |value| 2^-prec; that
+        is charged, and the bound is rounded up.
+        """
+        error = self.error + (abs(self.value) >> mp.prec) + 1
+        return BigFloat(
+            mp.ldexp(mpf(self.value), -self.scale),
+            mp.make_mpf(from_man_exp(error, -self.scale, mp.prec, round_ceiling)),
+        )
 
 
-def _bernoulli_ratio(b: Fraction, n: int) -> mpf:
-    # B_n / n! for b = B_n
-    return mpf(b.numerator) / mpf(b.denominator) / mpf(math.factorial(n))
+def _tail_shift(k: int, start: int) -> int:
+    # start^(1-k) <= 2^-shift: the extra scale of the tail of exponent k
+    return (k - 1) * (start.bit_length() - 1)
 
 
 class _EMTables:
     """Values shared by the direct sums and tails of one public call.
 
-    A public function creates one inside its working precision, passes it
-    down, and drops it on return.  The table owns that precision: it holds
-    the call's digits and truncation target, and its memos are valid only
-    at the precision it was built at.
+    A public function creates one, passes it down, and drops it on return.
+    The table holds the call's digits, the engine's bits p (its unit is
+    2^-p) and the truncation target 10^-(digits+10); the single zetas it
+    hands out as BigFloat are converted at the precision current when they
+    are first asked for, which is the call's one working precision.
     """
 
     def __init__(self, digits: int) -> None:
         self.digits = digits
-        # the absolute target of each truncation term
-        self.target = mpf(10) ** (-(digits + 10))
+        self.bits = math.ceil((digits + 10) * math.log2(10)) + 64
+        self._ten = 10 ** (digits + 10)
+        # the absolute target of each truncation term, in units of 2^-bits
+        self.target = (1 << self.bits) // self._ten
         self.bernoulli = BernoulliCache()
-        self._powers: dict[tuple[int, int], mpf] = {}
-        self._ratios: dict[int, mpf] = {}
-        self._tails: dict[tuple[int, int, mpf], tuple[mpf, mpf]] = {}
+        self._tails: dict[tuple[int, int, int], _Fixed] = {}
+        self._fixed: dict[int, _Fixed] = {}
         self._zetas: dict[int, BigFloat] = {}
 
-    def power(self, start: int, n: int) -> mpf:
-        """mpf(start) ** n."""
-        key = (start, n)
-        value = self._powers.get(key)
-        if value is None:
-            value = self._powers[key] = _power(start, n)
-        return value
+    def tail(self, k: int, start: int, coefficient: Fraction | int = 1) -> _Fixed:
+        """_zeta_tail(k, start, target): its truncation times ``coefficient``
+        stays within the target.
 
-    def ratio(self, n: int) -> mpf:
-        """B_n / n!."""
-        value = self._ratios.get(n)
-        if value is None:
-            value = self._ratios[n] = _bernoulli_ratio(self.bernoulli.get(n), n)
-        return value
-
-    def tail(self, k: int, start: int, target: mpf) -> tuple[mpf, mpf]:
-        """_zeta_tail(k, start, target)."""
+        The target is taken in the tail's own units, from the exact
+        coefficient, and the memo is keyed on it, so tails whose
+        coefficients give the same target are one evaluation.
+        """
+        c = Fraction(max(1, coefficient))
+        target = (c.denominator << (self.bits + _tail_shift(k, start))) // (
+            self._ten * c.numerator
+        )
         key = (k, start, target)
         if key not in self._tails:
             self._tails[key] = _zeta_tail(k, start, target, self)
         return self._tails[key]
 
+    def zeta_fixed(self, k: int) -> _Fixed:
+        """zeta(k) in units of 2^-bits."""
+        if k not in self._fixed:
+            self._fixed[k] = _zeta_single(k, self)
+        return self._fixed[k]
+
     def zeta(self, k: int) -> BigFloat:
         """zeta(k) within 10^-digits."""
         if k not in self._zetas:
-            self._zetas[k] = _zeta_single(k, self)
+            self._zetas[k] = _checked(
+                self.zeta_fixed(k).to_bigfloat(), self.digits, f"zeta({k})"
+            )
         return self._zetas[k]
 
 
-def _zeta_tail(
-    k: int, start: int, target: mpf, tables: _EMTables
-) -> tuple[mpf, mpf]:
-    """sum_{m >= start} m^{-k} by Euler-Maclaurin, with remainder bound.
+def _zeta_tail(k: int, start: int, target: int, tables: _EMTables) -> _Fixed:
+    """sum_{m >= start} m^{-k} by Euler-Maclaurin, in units of 2^-(bits+shift).
 
-    Derivative terms j = 1..J-1 are added until the periodic-Bernoulli
-    remainder bound 2|B_{2J}|/(2J)! * int |f^(2J)| drops below target
-    (or stops improving; the asymptotic series eventually diverges).
+    ``target`` is in those units too.  Derivative terms j = 1..J-1 are added
+    until the periodic-Bernoulli remainder bound 2|B_{2J}|/(2J)! * int
+    |f^(2J)|, which is twice |term J|, drops to the target (or stops
+    improving; the asymptotic series eventually diverges).  The error is
+    that bound plus one ulp per floor quotient.
     """
-    tail = tables.power(start, 1 - k) / (k - 1) + tables.power(start, -k) / 2
-    prev_bound = mpf("inf")
+    scale = tables.bits + _tail_shift(k, start)
+    one = 1 << scale
+    power = start ** (k - 1)  # start^(k-1+2J) below
+    value = one // ((k - 1) * power) + one // (2 * power * start)
+    ulps = 2
+    factorial = 1  # (2J)!
     rising = k  # the rising factorial (k)_{2J-1} = k (k+1) ... (k+2J-2)
+    prev_bound = math.inf
     J = 1
     while True:
-        ratio = tables.ratio(2 * J)
-        power = tables.power(start, 1 - k - 2 * J)
-        rising_next = rising * (k + 2 * J - 1)  # (k)_{2J}
-        # remainder bound valid for the state with terms j = 1..J-1 included
-        bound = 2 * abs(ratio) * rising_next * power / (k + 2 * J - 1)
+        b = tables.bernoulli.get(2 * J)
+        factorial *= (2 * J - 1) * (2 * J)
+        power *= start * start
+        # term J = B_2J/(2J)! (k)_{2J-1} start^(1-k-2J), floored
+        term = b.numerator * rising * one // (b.denominator * factorial * power)
+        # the remainder with terms 1..J-1 in, rounded up: |term J| < |term| + 1
+        bound = 2 * (abs(term) + 1)
         if bound <= target or bound >= prev_bound or J > 400:
-            return tail, bound + _slack(tail) * (J + 4)
-        tail += ratio * rising * power
+            return _Fixed(value, bound + ulps, scale)
+        value += term
+        ulps += 1
         prev_bound = bound
-        rising = rising_next * (k + 2 * J)
+        rising *= (k + 2 * J - 1) * (k + 2 * J)
         J += 1
 
 
@@ -255,18 +307,17 @@ def zeta_single(k: int, digits: int = 30) -> BigFloat:
     if k < 2:
         raise ValueError(f"zeta_single requires k >= 2, got {k}")
     with mp.workdps(_work_dps(digits)):
-        return _zeta_single(k, _EMTables(digits))
+        return _EMTables(digits).zeta(k)
 
 
-def _zeta_single(k: int, tables: _EMTables) -> BigFloat:
+def _zeta_single(k: int, tables: _EMTables) -> _Fixed:
+    bits = tables.bits
     M = _choose_cutoff(tables.digits)
-    partial = mpf(0)
-    for m in range(1, M):
-        partial += tables.power(m, -k)
-    tail, bound = tables.tail(k, M, tables.target)
-    value = partial + tail
-    err = bound + _slack(value) * (M + 4)
-    return _checked(BigFloat(value, err), tables.digits, f"zeta({k})")
+    one = 1 << bits
+    # m = 1..M-1, each floor quotient one ulp at most
+    partial = sum(one // m**k for m in range(1, M))
+    tail = tables.tail(k, M).times(1, bits)
+    return _Fixed(partial + tail.value, M - 1 + tail.error, bits)
 
 
 def zeta_double(k1: int, k2: int, digits: int = 30) -> BigFloat:
@@ -296,64 +347,63 @@ def _zeta_double(k1: int, k2: int, tables: _EMTables) -> BigFloat:
     w = k1 + k2 and digits only, so evaluations of one weight that share
     the table reuse every tail of the T(m) expansion.
     """
-    digits, target = tables.digits, tables.target
+    digits, bits = tables.digits, tables.bits
     M = _double_cutoff(digits)
     w = k1 + k2
+    one = 1 << bits
 
-    def outer_tail(exponent: int, coefficient: mpf = 1) -> tuple[mpf, mpf]:
-        # a tail multiplied by `coefficient` still contributes <= target
-        return tables.tail(exponent, M + 1, target / max(1, coefficient))
-
-    # direct part: m = 2..M with incremental inner partial sums
-    inner = mpf(0)
-    direct = mpf(0)
+    # direct part: m = 2..M with incremental inner partial sums.  The inner
+    # sum is below the truth by < m - 1 ulps, which m^-k2 shrinks below one,
+    # and the quotient adds one more: < 2 ulps per m.
+    inner = direct = 0
     for m in range(2, M + 1):
-        inner += tables.power(m - 1, -k1)
-        direct += tables.power(m, -k2) * inner
+        inner += one // (m - 1) ** k1
+        direct += inner // m**k2
+    error = 2 * (M - 1)
 
-    z1 = tables.zeta(k1)
-    t2, t2_bound = outer_tail(k2)
+    # zeta(k1) * tail(k2), with the tail's error still in its finer units
+    z1 = tables.zeta_fixed(k1)
+    t2 = tables.tail(k2, M + 1)
+    value = direct + (z1.value * t2.value >> t2.scale)
+    spread = z1.error * (abs(t2.value) + t2.error) + abs(z1.value) * t2.error
+    error += -(-spread >> t2.scale) + 1
 
     # Euler-Maclaurin expansion of T(m) = sum_{j>=m} j^{-k1} in powers
     # of 1/m; each power m^-(k1+alpha) folds into the outer tail of
     # exponent w + alpha.  The leading two terms come first.
-    correction = mpf(0)
-    corr_bound = mpf(0)
-    for alpha, c in ((k1 - 1, mpf(1) / (k1 - 1)), (k1, mpf("0.5"))):
-        tv, tb = outer_tail(k2 + alpha)
-        correction += c * tv
-        corr_bound += c * tb
+    terms = [
+        tables.tail(w - 1, M + 1).times(Fraction(1, k1 - 1), bits),
+        tables.tail(w, M + 1).times(Fraction(1, 2), bits),
+    ]
     # Term j has c_j = B_2j/(2j)! (k1)_{2j-1}; with terms 1..J-1 in, the
     # remainder of T(m) is at most 2|c_J| m^-(k1+2J-1), which sums over
     # m > M to 2|c_J| times the tail that term J would use.  (w-2)_{2J-1}
     # is the largest rising factorial of the weight (k2 >= 2), so the
     # tail targets do not depend on k1.
     rising, rising_max = k1, w - 2  # (k1)_{2J-1}, (w-2)_{2J-1}
+    factorial = 1  # (2J)!
     J = 1
     while True:
-        ratio = tables.ratio(2 * J)
+        factorial *= (2 * J - 1) * (2 * J)
+        ratio = tables.bernoulli.get(2 * J) / factorial
         c = ratio * rising
-        tv, tb = outer_tail(w + 2 * J - 1, abs(ratio) * rising_max)
-        remainder = 2 * abs(c) * (tv + tb)
-        # J <= digits is what the working precision's guard assumes;
-        # a remainder still above the target there fails the final check
-        if remainder <= target or J > digits:
+        t = tables.tail(w + 2 * J - 1, M + 1, abs(ratio) * rising_max)
+        # 2|c| (|t| + error), in units of 2^-bits, rounded up
+        spread = 2 * abs(c.numerator) * (abs(t.value) + t.error)
+        remainder = -(-spread // (c.denominator << (t.scale - bits)))
+        # a remainder still above the target at J = digits fails the
+        # final check
+        if remainder <= tables.target or J > digits:
             break
-        correction += c * tv
-        corr_bound += abs(c) * tb
+        terms.append(t.times(c, bits))
         rising *= (k1 + 2 * J - 1) * (k1 + 2 * J)
         rising_max *= (w + 2 * J - 3) * (w + 2 * J - 2)
         J += 1
 
-    value = direct + z1.value * t2 - correction
-    err = (
-        z1.error_bound * (t2 + t2_bound)
-        + abs(z1.value) * t2_bound
-        + corr_bound
-        + remainder
-        + _slack(value) * (M + J + 16)
-    )
-    return _checked(BigFloat(value, err), digits, f"zeta({k1},{k2})")
+    value -= sum(t.value for t in terms)
+    error += sum(t.error for t in terms) + remainder
+    result = _Fixed(value, error, bits).to_bigfloat()
+    return _checked(result, digits, f"zeta({k1},{k2})")
 
 
 def _zeta_one(k: int, digits: int) -> BigFloat:

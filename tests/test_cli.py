@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -70,6 +71,16 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, target):
     assert out == ""
     assert err.startswith(f"error: cannot write {path!r}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_to_out_is_a_usage_error(capsys):
+    # /dev/full opens, but the write fails when the file is flushed and
+    # closed; exit 1 would claim that an identity failed
+    code, out, err = run(["bernoulli", "--max", "3", "--out", "/dev/full"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot write '/dev/full': No space left on device\n"
 
 
 def test_main_leaves_no_parser_state(capsys):
@@ -389,8 +400,9 @@ def test_zeta_bound_above_target_is_an_error(capsys, monkeypatch, k1):
     zeta_tail = numerics._zeta_tail
 
     def loose_tail(k, start, target, tables):
-        tail, bound = zeta_tail(k, start, target, tables)
-        return tail, bound + 1
+        tail = zeta_tail(k, start, target, tables)
+        # one more unit, 2^scale ulps of the tail's own scale
+        return dataclasses.replace(tail, error=tail.error + (1 << tail.scale))
 
     monkeypatch.setattr(numerics, "_zeta_tail", loose_tail)
     code, out, err = run(["zeta", "--k1", k1, "--k2", "4", "--digits", "30"], capsys)

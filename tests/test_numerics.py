@@ -271,7 +271,7 @@ def test_audit_euler_evaluates_nothing_twice(monkeypatch):
         return zeta_single_orig(k, tables)
 
     def counted_tail(k, start, target, tables):
-        tails.append((k, start, target, mp.prec))
+        tails.append((k, start, target, tables.bits))
         return zeta_tail_orig(k, start, target, tables)
 
     monkeypatch.setattr(numerics, "_zeta_single", counted_single)
@@ -283,49 +283,29 @@ def test_audit_euler_evaluates_nothing_twice(monkeypatch):
     assert tails and len(set(tails)) == len(tails)
 
 
-def _reference_zeta_tail(k, start, target, cache):
-    # the tail engine without shared tables: a pow, two full factorials per
-    # rising factorial and a fresh B_2J conversion in every iteration
-    def rising(k, j):
-        return math.factorial(k + j - 1) // math.factorial(k - 1)
-
-    M = mpf(start)
-    tail = M ** (1 - k) / (k - 1) + M ** (-k) / 2
-    prev_bound = mpf("inf")
-    J = 1
-    while True:
-        b2j = cache.get(2 * J)
-        b2j_f = mpf(b2j.numerator) / mpf(b2j.denominator)
-        fact = mpf(math.factorial(2 * J))
-        power = M ** (1 - k - 2 * J)
-        bound = 2 * abs(b2j_f) / fact * rising(k, 2 * J) * power / (k + 2 * J - 1)
-        if bound <= target or bound >= prev_bound or J > 400:
-            return tail, bound + numerics._slack(tail) * (J + 4)
-        tail += b2j_f / fact * rising(k, 2 * J - 1) * power
-        prev_bound = bound
-        J += 1
-
-
-def test_zeta_tail_matches_reference_bit_for_bit():
-    # a table serves one precision; the shuffled cases interleave the four
-    # tables, and each serves a mixed sequence of exponents and starts, so a
-    # memo keyed without the start returns a wrong value
+def test_zeta_tail_encloses_mpmath_reference():
+    # each int tail, as value +- error in units of 2^-scale, encloses the
+    # Hurwitz zeta sum_{m >= start} m^-k.  A table serves one precision; the
+    # shuffled cases interleave the four tables, and each serves a mixed
+    # sequence of exponents and starts.  17 and 31 have the same bit length,
+    # so the same shift and target: a memo keyed without the start returns
+    # a wrong value
     cases = [
         (k, start, digits)
         for k in range(2, 41)
-        for start in (17, 41, 81, 201, 401)
+        for start in (17, 31, 41, 81, 201, 401)
         for digits in (30, 40, 100, 200)
     ]
     random.Random(0).shuffle(cases)
     tables = {}
     for k, start, digits in cases:
-        with mp.workdps(2 * digits + 15):
-            if digits not in tables:
-                tables[digits] = numerics._EMTables(digits)
-            t = tables[digits]
-            got = numerics._zeta_tail(k, start, t.target, t)
-            ref = _reference_zeta_tail(k, start, t.target, t.bernoulli)
-            assert got == ref, (k, start, digits)
+        if digits not in tables:
+            tables[digits] = numerics._EMTables(digits)
+        tail = tables[digits].tail(k, start)
+        # the reference carries more bits than the tail's value
+        with mp.workdps(digits + 60):
+            ref = mp.ldexp(mpmath.zeta(k, start), tail.scale)
+            assert abs(tail.value - ref) <= tail.error, (k, start, digits)
 
 
 @pytest.mark.parametrize(
@@ -333,25 +313,38 @@ def test_zeta_tail_matches_reference_bit_for_bit():
     [lambda: zeta_double(6, 5, 200), lambda: audit_euler(8, 40)],
     ids=["zeta_double(6,5,200)", "audit_euler(8,40)"],
 )
-def test_tables_form_each_power_and_ratio_once(monkeypatch, run):
-    powers, ratios = [], []
-    power_orig, ratio_orig = numerics._power, numerics._bernoulli_ratio
+def test_tables_form_each_tail_once(monkeypatch, run):
+    tails = []
+    zeta_tail_orig = numerics._zeta_tail
 
-    def counted_power(start, n):
-        powers.append((start, n, mp.prec))
-        return power_orig(start, n)
+    def counted_tail(k, start, target, tables):
+        tails.append((k, start, target, tables.bits))
+        return zeta_tail_orig(k, start, target, tables)
 
-    def counted_ratio(b, n):
-        ratios.append((n, mp.prec))
-        return ratio_orig(b, n)
-
-    monkeypatch.setattr(numerics, "_power", counted_power)
-    monkeypatch.setattr(numerics, "_bernoulli_ratio", counted_ratio)
+    monkeypatch.setattr(numerics, "_zeta_tail", counted_tail)
     run()
-    assert powers and len(set(powers)) == len(powers)
-    assert ratios and len(set(ratios)) == len(ratios)
-    # and all at the call's one working precision
-    assert len({p[2] for p in powers} | {r[1] for r in ratios}) == 1
+    assert tails and len(set(tails)) == len(tails)
+    # and all in the call's one unit 2^-bits
+    assert len({t[3] for t in tails}) == 1
+
+
+@pytest.mark.parametrize("digits", [400, 600])
+def test_contract_holds_at_high_precision(digits):
+    # the true error is within the bound, and the bound within 10^-digits,
+    # well past the precisions of the sweep above
+    results = {
+        (3,): zeta_single(3, digits),
+        (2, 3): zeta_double(2, 3, digits),
+        (4, 5): zeta_double(4, 5, digits),
+    }
+    with mp.workdps(digits + 40):
+        refs = {
+            (3,): mpmath.zeta(3),
+            (2, 3): _reference_zeta2(2, 3),
+            (4, 5): _reference_zeta2(4, 5),
+        }
+        for key, z in results.items():
+            assert abs(z.value - refs[key]) <= z.error_bound <= mpf(10) ** -digits, key
 
 
 @pytest.mark.parametrize("a, b", [(0, 0), (1, 0), (0, 1)])
