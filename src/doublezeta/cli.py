@@ -1,8 +1,9 @@
 """Command-line front end: verification sweeps, table exports, audits.
 
 Exit codes: 0 success / all checks passed; 1 at least one identity
-failed; 2 usage error (argparse's default); 3 missing prerequisite
-artifact (e.g. audited constants requested without an audit file);
+failed; 2 usage error (argparse's usage block, or one ``error:`` line
+when the library rejects a value); 3 missing prerequisite artifact
+(e.g. audited constants requested without an audit file);
 141 (128 + SIGPIPE) the reader closed standard output before all of the
 output was written.  An ``--out`` path that cannot be opened, written or
 closed is a usage error (exit 2, one ``error: cannot write ...`` line).
@@ -393,11 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if args.command == "bernoulli" and args.max < 0:
-        parser.error("--max must be >= 0")
-    if args.command in ("matrix",) and args.K < 2:
-        parser.error("--K must be >= 2 (matrices are (K-1)x(K-1))")
-    if args.command in ("reduce", "audit") and args.kind in ("euler", "inverse") and args.K < 2:
+    # the library rejects K < 2 too, but only after the audit file, which can exit 3
+    if args.command == "reduce" and args.kind == "inverse" and args.K < 2:
         parser.error("--K must be >= 2")
     if args.command == "verify" and args.kind in ("conjecture", "closed-forms"):
         if args.k_min < 2:

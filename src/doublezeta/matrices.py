@@ -6,12 +6,12 @@ integer matrix of Euler-reduction coefficients, B and C its binomial
 split (A = B + C), and P, Q the two Bernoulli-sum formulas for A^{-1}
 that the package verifies are equal and do invert A.  P, Q and the (PB)
 closed form are int products W G of a Bernoulli weight matrix W (one
-denominator per row) with a binomial matrix G; RationalMatrix is for export
-only and has no algebra.  The product and the determinant are private
-helpers on int row lists: every product skips the zero entries of its left
-factor (about 3/4 of W), and the inverse check takes det A != 0 from its
-exact P A = I check, which proves it; only when that check fails does
-Bareiss elimination decide.
+denominator per row) with a binomial matrix G.  RationalMatrix keeps that
+form, int rows over one denominator per row, and has no algebra.  The
+product and the determinant are private helpers on int row lists: every
+product skips the zero entries of its left factor (about 3/4 of W), and
+the inverse check takes det A != 0 from its exact P A = I check, which
+proves it; only when that check fails does Bareiss elimination decide.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 from .bernoulli import BernoulliCache
@@ -44,36 +44,43 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Dense row-major matrix of exact rationals."""
+    """Dense matrix of exact rationals, (i, j) = numerators[i][j] / denominators[i].
 
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
+    Built only by ``_from_rows``, which puts each row in lowest terms over a
+    positive denominator, so == is value equality.  A, B and C have every
+    denominator 1.
+    """
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
+    numerators: tuple[tuple[int, ...], ...]
+    denominators: tuple[int, ...]
+
+    @property
+    def rows(self) -> int:
+        return len(self.numerators)
+
+    @property
+    def cols(self) -> int:
+        return len(self.numerators[0])
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """All entries in row-major order, as reduced Fractions."""
+        pairs = zip(self.numerators, self.denominators)
+        return tuple(Fraction(x, d) for row, d in pairs for x in row)
 
     def at(self, i: int, j: int) -> Fraction:
-        """Zero-based entry access."""
+        """Zero-based entry access, as a reduced Fraction."""
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i}, {j}) out of range for {self.rows}x{self.cols}")
-        return self.entries[i * self.cols + j]
-
-    def row_lists(self) -> list[list[Fraction]]:
-        return [
-            list(self.entries[i * self.cols : (i + 1) * self.cols])
-            for i in range(self.rows)
-        ]
+        return Fraction(self.numerators[i][j], self.denominators[i])
 
 
-def _from_rows(rows: list[list], denoms: list[int] | None = None) -> RationalMatrix:
-    """rows[i][j] / denoms[i] as a RationalMatrix; the denominators default to 1."""
+def _from_rows(rows: list[list[int]], denoms: list[int] | None = None) -> RationalMatrix:
+    """rows[i] / denoms[i] in lowest terms; the denominators are positive and default to 1."""
     denoms = denoms or [1] * len(rows)
-    entries = tuple(Fraction(x, d) for row, d in zip(rows, denoms) for x in row)
-    return RationalMatrix(len(rows), len(rows[0]), entries)
+    gs = [gcd(d, *row) for row, d in zip(rows, denoms)]
+    nums = tuple(tuple(x // g for x in row) for row, g in zip(rows, gs))
+    return RationalMatrix(nums, tuple(d // g for d, g in zip(denoms, gs)))
 
 
 def _check_k(K: int) -> None:
@@ -348,7 +355,8 @@ def matrix_to_json(K: int, name: str, matrix: RationalMatrix) -> str:
         "rows": matrix.rows,
         "cols": matrix.cols,
         "entries": [
-            [format_rational(x) for x in row] for row in matrix.row_lists()
+            [format_rational(x, d) for x in row]
+            for row, d in zip(matrix.numerators, matrix.denominators)
         ],
     }
     return json.dumps(payload, sort_keys=False, separators=(", ", ": "))

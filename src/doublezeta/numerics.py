@@ -484,16 +484,16 @@ def _audit_rows(K: int, rows: Sequence[int], digits: int) -> list[AuditReport]:
     with mp.workdps(_work_dps(digits)):
         tables = _EMTables(digits)
         z = tables.zeta
-        a = build_a(K)
+        a = build_a(K).numerators
         products = [z(2 * s) * z(2 * K + 1 - 2 * s) for s in range(1, K)]
         z_odd = z(2 * K + 1)
         printed = mpf(PRINTED_CONSTANT.numerator) / PRINTED_CONSTANT.denominator
         reports = []
         for r in rows:
             lhs = _zeta_double(2 * r, 2 * K + 1 - 2 * r, tables)
-            rhs = products[0].scale(a.at(r - 1, 0))
+            rhs = products[0].scale(a[r - 1][0])
             for s in range(2, K):
-                rhs = rhs + products[s - 1].scale(a.at(r - 1, s - 1))
+                rhs = rhs + products[s - 1].scale(a[r - 1][s - 1])
             residual = (lhs - rhs) / z_odd
             reconstructed = rational_reconstruct(residual, 64)
             consistent = bool(

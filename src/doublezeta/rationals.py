@@ -1,9 +1,9 @@
 """Exact rational scalars and their ``"p/q"`` text format.
 
-The universal scalar is ``fractions.Fraction``: arbitrary precision,
-always in lowest terms with positive denominator, so structural equality
-is semantic equality.  Values serialize as ``"p/q"`` (or ``"p"`` when the
-denominator is 1) everywhere in this package.
+The scalar is ``fractions.Fraction`` (a matrix row is ints over one
+denominator): always in lowest terms with positive denominator, so
+structural equality is semantic equality.  Values serialize as ``"p/q"``
+(or ``"p"`` when the denominator is 1) everywhere in this package.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "format_rational",
@@ -20,19 +21,19 @@ __all__ = [
 _PLAIN = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
-def format_rational(x: Fraction) -> str:
-    """Canonical text form: "p/q" in lowest terms, or "p" when q = 1.
+def format_rational(x: Fraction | int, den: int = 1) -> str:
+    """Canonical text form of x / den, den > 0: "p/q" in lowest terms, or "p" if q = 1.
 
     Integers of any length are written out, past Python's int-to-str limit.
     """
+    g = gcd(x.numerator, den)
+    num, den = x.numerator // g, x.denominator * den // g
     try:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         # more digits than sys.get_int_max_str_digits(): Decimal converts an
         # int exactly and without that limit, and prints exponent 0 as digits
-        num, den = (str(Decimal(n)) for n in (x.numerator, x.denominator))
+        num, den = (str(Decimal(n)) for n in (num, den))
         return num if den == "1" else f"{num}/{den}"
 
 

@@ -103,17 +103,11 @@ def euler_rhs_coefficients(
         flag = constants_flag
     if len(constants) != K - 1:
         raise ValueError(f"need {K - 1} constants, got {len(constants)}")
-    a = build_a(K)
     rows = []
-    for r in range(1, K):
+    for r, a_row in enumerate(build_a(K).numerators, start=1):
         terms = [Term(f"zeta({2 * K + 1})", constants[r - 1], flag)]
-        for s in range(1, K):
-            terms.append(
-                Term(
-                    f"zeta({2 * s})*zeta({2 * K + 1 - 2 * s})",
-                    a.at(r - 1, s - 1),
-                )
-            )
+        for s, a_rs in enumerate(a_row, start=1):
+            terms.append(Term(f"zeta({2 * s})*zeta({2 * K + 1 - 2 * s})", Fraction(a_rs)))
         rows.append(TableRow(f"zeta({2 * r},{2 * K + 1 - 2 * r})", tuple(terms)))
     return CoefficientTable(
         kind="euler_reduction", params={"K": K}, rows=tuple(rows)
@@ -130,8 +124,8 @@ def inverse_reduction_coefficients(
     Applies P to the Euler rows with per-row constants c: the product
     equals sum_r P_{s,r} zeta(2r, 2K+1-2r) minus (sum_r P_{s,r} c_r)
     times zeta(2K+1).  A vanishing constant term is suppressed.  The sum
-    runs in integers: c over one common denominator, each row of P over
-    the lcm of its denominators.
+    runs in integers: c over one common denominator, each row of P as
+    build_p's int row over its row denominator.
     """
     _check_k(K)
     constants = list(constants)
@@ -141,16 +135,12 @@ def inverse_reduction_coefficients(
     c_num = [c.numerator * (c_den // c.denominator) for c in constants]
     p = build_p(K, cache)
     rows = []
-    for s, p_row in enumerate(p.row_lists(), start=1):
+    for s, (p_row, p_den) in enumerate(zip(p.numerators, p.denominators), start=1):
         terms = [
-            Term(f"zeta({2 * r},{2 * K + 1 - 2 * r})", p_rs)
-            for r, p_rs in enumerate(p_row, start=1)
+            Term(f"zeta({2 * r},{2 * K + 1 - 2 * r})", Fraction(x, p_den))
+            for r, x in enumerate(p_row, start=1)
         ]
-        p_den = math.lcm(*(x.denominator for x in p_row))
-        const = Fraction(
-            -sum(x.numerator * (p_den // x.denominator) * c for x, c in zip(p_row, c_num)),
-            p_den * c_den,
-        )
+        const = Fraction(-sum(x * c for x, c in zip(p_row, c_num)), p_den * c_den)
         if const:
             terms.append(Term(f"zeta({2 * K + 1})", const))
         rows.append(

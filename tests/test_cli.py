@@ -170,6 +170,19 @@ def test_matrix_usage_error(capsys):
     assert code == 2
 
 
+# usage errors the library raises as ValueError: one error: line on stderr
+LIBRARY_CHECKED = [
+    ["reduce", "inverse", "--K", "2", "--constants", "explicit:1/0"],
+    ["audit", "euler", "--K", "1"],
+    ["audit", "euler", "--K", "0"],
+    ["bernoulli", "--max", "-1"],
+    ["matrix", "--K", "1", "--which", "P"],
+    ["matrix", "--K", "0", "--which", "A"],
+    ["reduce", "euler", "--K", "1"],
+    ["audit", "euler", "--K", "1", "--r", "1"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -181,15 +194,18 @@ def test_matrix_usage_error(capsys):
         ["verify", "series", "--s-max", "0"],
         ["verify", "series", "--m-max", "0"],
         ["zeta", "--k", "3", "--k1", "2", "--k2", "3"],
-        ["reduce", "inverse", "--K", "2", "--constants", "explicit:1/0"],
-        ["audit", "euler", "--K", "1"],
-        ["audit", "euler", "--K", "0"],
+        *LIBRARY_CHECKED,
+        # checked in the CLI: the audit file would be read before the library
+        # could reject K, and a missing one exits 3
+        ["reduce", "inverse", "--K", "1", "--constants", "audited"],
     ],
 )
 def test_verify_and_matrix_usage_errors(capsys, argv):
-    code, out, _ = run(argv, capsys)
+    code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
+    if argv in LIBRARY_CHECKED:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 @pytest.mark.parametrize("kind", ["conjecture", "closed-forms"])

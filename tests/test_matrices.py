@@ -22,6 +22,7 @@ from doublezeta.matrices import (
     verify_closed_forms,
     verify_inverse,
 )
+from doublezeta.rationals import format_rational
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +31,20 @@ def cache():
 
 
 def mat(rows):
-    flat = tuple(Fraction(x) for row in rows for x in row)
-    return RationalMatrix(len(rows), len(rows[0]), flat)
+    """RationalMatrix of rows of rationals, each row over the lcm of its denominators.
+
+    That lcm leaves each row in lowest terms, so this is the canonical form.
+    """
+    rows = [[Fraction(x) for x in row] for row in rows]
+    denoms = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    return RationalMatrix(
+        tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row, d in zip(rows, denoms)),
+        tuple(denoms),
+    )
+
+
+def fraction_rows(m: RationalMatrix) -> list[list[Fraction]]:
+    return [[m.at(i, j) for j in range(m.cols)] for i in range(m.rows)]
 
 
 def naive_determinant(m: RationalMatrix) -> Fraction:
@@ -51,10 +64,10 @@ def naive_determinant(m: RationalMatrix) -> Fraction:
     return total
 
 
-def gauss_inverse(m: RationalMatrix) -> RationalMatrix:
+def gauss_inverse(m: RationalMatrix) -> list[list[Fraction]]:
     """Plain rational Gauss-Jordan oracle, independent of build_p."""
     n = m.rows
-    a = [list(m.entries[i * n : (i + 1) * n]) for i in range(n)]
+    a = fraction_rows(m)
     inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     for col in range(n):
         pivot = next(r for r in range(col, n) if a[r][col] != 0)
@@ -68,7 +81,7 @@ def gauss_inverse(m: RationalMatrix) -> RationalMatrix:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return mat(inv)
+    return inv
 
 
 def test_build_a_small():
@@ -111,7 +124,7 @@ def test_build_p_q_small(cache):
 
 def test_p_is_gauss_inverse_of_a(cache):
     for K in range(2, 13):
-        inverse = gauss_inverse(build_a(K))
+        inverse = mat(gauss_inverse(build_a(K)))
         assert build_p(K, cache) == inverse
         assert build_q(K, cache) == inverse
 
@@ -231,7 +244,7 @@ def old_product(a, b):
 
 def times(x: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
     """x y by the reference product."""
-    return mat(old_product(x.row_lists(), y.row_lists()))
+    return mat(old_product(fraction_rows(x), fraction_rows(y)))
 
 
 def identity(n: int) -> RationalMatrix:
@@ -272,8 +285,8 @@ def test_matrix_multiply_unchanged_by_zero_skipping(cache):
     for K in range(2, 9):
         p, a, b = build_p(K, cache), build_a(K), build_b_part(K)
         for x, y in [(p, a), (a, p), (p, b), (b, p), (identity(K - 1), p)]:
-            expected = old_product(x.row_lists(), y.row_lists())
-            assert matrices._product(x.row_lists(), y.row_lists()) == expected
+            xs, ys = fraction_rows(x), fraction_rows(y)
+            assert matrices._product(xs, ys) == old_product(xs, ys)
 
 
 @pytest.mark.parametrize("K", [2, 3, 10])
@@ -372,3 +385,46 @@ def test_matrix_json_schema():
         "cols": 2,
         "entries": [["5", "2"], ["10", "1"]],
     }
+
+
+def test_from_rows_puts_each_row_in_lowest_terms():
+    rows, denoms = [[3, -6, 0], [0, 0, 0], [5, 7, 1], [4, 8, 12]], [9, 4, 2, 4]
+    m = matrices._from_rows(rows, denoms)
+    assert m.numerators == ((1, -2, 0), (0, 0, 0), (5, 7, 1), (1, 2, 3))
+    assert m.denominators == (3, 1, 2, 1)
+    assert m == matrices._from_rows([[6 * x for x in row] for row in rows], [6 * d for d in denoms])
+    # scaling one row only gives the same matrix too
+    assert m == matrices._from_rows([rows[0], rows[1], [6 * x for x in rows[2]], rows[3]],
+                                    [9, 4, 12, 4])
+    assert m == mat([[Fraction(1, 3), Fraction(-2, 3), 0], [0, 0, 0],
+                     [Fraction(5, 2), Fraction(7, 2), Fraction(1, 2)], [1, 2, 3]])
+    assert m.entries[:3] == (Fraction(1, 3), Fraction(-2, 3), 0)
+    assert (m.rows, m.cols) == (4, 3)
+
+
+def test_rows_are_in_lowest_terms_over_positive_denominators(cache):
+    for K in range(2, 31):
+        for m in (build_a(K), build_b_part(K), build_c_part(K)):
+            assert m.denominators == (1,) * (K - 1)
+        for m in (build_p(K, cache), build_q(K, cache)):
+            assert len(m.numerators) == len(m.denominators) == K - 1
+            for row, d in zip(m.numerators, m.denominators):
+                assert len(row) == K - 1 and d > 0 and math.gcd(d, *row) == 1
+
+
+def test_p_and_q_json_match_the_gauss_inverse(cache):
+    # every P and Q export byte for byte against the Fraction oracle
+    for K in range(2, 31):
+        inverse = gauss_inverse(build_a(K))
+        for name, build in [("P", build_p), ("Q", build_q)]:
+            expected = json.dumps(
+                {
+                    "K": K,
+                    "name": name,
+                    "rows": K - 1,
+                    "cols": K - 1,
+                    "entries": [[format_rational(x) for x in row] for row in inverse],
+                },
+                separators=(", ", ": "),
+            )
+            assert matrix_to_json(K, name, build(K, cache)) == expected, (K, name)

@@ -308,6 +308,30 @@ def test_zeta_tail_encloses_mpmath_reference():
             assert abs(tail.value - ref) <= tail.error, (k, start, digits)
 
 
+@pytest.mark.parametrize("k1, k2", [(2, 3), (6, 5), (2, 9), (4, 7), (9, 2), (3, 4), (8, 9)])
+def test_zeta_double_fixed_result_encloses_reference(monkeypatch, k1, k2):
+    # the int result of _zeta_double, as value +- error in units of 2^-bits
+    # before its one conversion to mpf, encloses the double zeta.  Its
+    # error is counted in ulps far finer than 10^-digits, so the expansion
+    # remainder must be in it: the conversion slack cannot cover for it
+    converted = []
+    to_bigfloat = numerics._Fixed.to_bigfloat
+
+    def recorded(self):
+        converted.append(self)
+        return to_bigfloat(self)
+
+    monkeypatch.setattr(numerics._Fixed, "to_bigfloat", recorded)
+    for digits in (10, 30, 100, 200):
+        converted.clear()
+        zeta_double(k1, k2, digits)
+        (fixed,) = converted
+        assert fixed.scale == numerics._EMTables(digits).bits
+        with mp.workdps(digits + 60):
+            ref = mp.ldexp(_reference_zeta2(k1, k2), fixed.scale)
+            assert abs(fixed.value - ref) <= fixed.error, digits
+
+
 @pytest.mark.parametrize(
     "run",
     [lambda: zeta_double(6, 5, 200), lambda: audit_euler(8, 40)],

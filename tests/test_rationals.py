@@ -65,6 +65,20 @@ def test_format_rational_past_the_int_to_str_limit():
     assert format_rational(Fraction(3, big)) == f"3/{digits}"
 
 
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
+def test_format_rational_of_a_ratio_matches_its_fraction(num, den):
+    assert format_rational(num, den) == format_rational(Fraction(num, den))
+    assert format_rational(Fraction(num, 7), den) == format_rational(Fraction(num, 7 * den))
+
+
+def test_format_rational_of_a_ratio_past_the_int_to_str_limit():
+    big = 10**4999 + 1
+    digits = "1" + "0" * 4998 + "1"
+    assert format_rational(-6 * big, 9) == f"-2{digits[1:-1]}2/3"
+    assert format_rational(3 * big, 3) == digits
+    assert format_rational(6, 2 * big) == f"3/{digits}"
+
+
 def test_parse_rational_past_the_int_to_str_limit():
     # B_2200's numerator has 4654 digits, past Python's default limit of 4300
     b = bernoulli_number(2200)
