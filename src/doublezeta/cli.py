@@ -397,9 +397,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     # the library rejects K < 2 too, but only after the audit file, which can exit 3
     if args.command == "reduce" and args.kind == "inverse" and args.K < 2:
         parser.error("--K must be >= 2")
+    # the library rejects K < 2; an empty range it would accept silently
     if args.command == "verify" and args.kind in ("conjecture", "closed-forms"):
-        if args.k_min < 2:
-            parser.error("--k-min must be >= 2")
         if args.k_max < args.k_min:
             parser.error("--k-max must be >= --k-min")
     if args.command == "verify" and args.kind == "carlitz" and args.max < 0:

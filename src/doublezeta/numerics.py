@@ -1,7 +1,7 @@
 """Arbitrary-precision zeta evaluation with rigorous error bounds.
 
-Values are carried as a :class:`BigFloat`: an mpmath float paired with
-an absolute error bound that covers series truncation and accumulated
+Public results are a :class:`BigFloat`: an mpmath float paired with an
+absolute error bound that covers series truncation and accumulated
 rounding.  The bound, not the precision, is the contract: the zeta engines
 raise ``ValueError`` rather than return a bound above 10^-digits.
 
@@ -12,11 +12,14 @@ sums, of the Euler-Maclaurin tails and of the T(m) expansion is formed as
 one exact floor quotient, such as num (k)_{2J-1} 2^p // (den (2J)! m^e),
 so it adds less than one ulp, always downwards.  The engine counts those
 ulps: the rounding part of a bound is count 2^-p, not an allowance per
-operation.  Truncation bounds are rounded up to whole ulps.  Each result
-becomes an mpf once, at the boundary, where the rounding of that
-conversion to the working precision is charged and the bound is rounded
-up.  The BigFloat arithmetic after that (audit products and sums, pi
-powers) charges 8 eps relative to the magnitudes of each operation.
+operation.  Truncation bounds are rounded up to whole ulps.  What is built
+from those values runs on the same ints: Euler's formula for zeta(1, k),
+the audits' products, A-weighted sums, residuals and ratios, and the
+H(n) = pi^2n/(2n+1)! of the H(a,b) audit, taken from zeta(2n).  A product
+or quotient is one floor, so one more ulp; a sum, or a multiple by an
+int, is exact.  Each public result becomes an mpf once, at the boundary,
+where the rounding of that conversion to the working precision is charged
+and the bound is rounded up; BigFloat only holds such results.
 
 Single zeta tails use Euler-Maclaurin with the classical periodic-
 Bernoulli remainder bound; double zeta tails expand the inner partial
@@ -60,13 +63,12 @@ from mpmath.libmp import from_man_exp, round_ceiling
 
 from .bernoulli import BernoulliCache
 from .matrices import _check_k, build_a
-from .reductions import PRINTED_CONSTANT, h_ab_coefficients, h_value
+from .reductions import PRINTED_CONSTANT, h_ab_coefficients
 
 __all__ = [
     "BigFloat",
     "zeta_single",
     "zeta_double",
-    "pi_value",
     "rational_reconstruct",
     "AuditReport",
     "audit_euler",
@@ -76,34 +78,31 @@ __all__ = [
 ]
 
 
-def _slack(x) -> mpf:
-    # generous rounding allowance for one operation on magnitude |x| at the
-    # current precision; relative, so it scales with the value it covers
-    return abs(x) * mp.eps * 8
-
-
 def _work_dps(digits: int) -> int:
     """The mpf precision for a 10^-digits target: digits plus a guard of 5.
 
-    The zeta engine itself runs in ints (see ``_EMTables.bits``); mpf holds
-    its results and the BigFloat arithmetic on them.  With eps about
-    10^-(digits+5), a hundred roundings of 8 eps on values up to 10 stay
-    below 10^-(digits+1).  Every public function calls this before any
-    work: it is the one check that digits >= 1.
+    The engine, and all arithmetic on its values, runs in ints (see
+    ``_EMTables.bits``); mpf only holds the converted results.  The one
+    conversion of a result rounds it to about digits + 5 significant
+    digits, so a value of magnitude near 1 keeps five digits to spare below
+    10^-digits.  Every public function calls this before any work: it is the one check
+    that digits >= 1.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     return digits + 5
 
 
-def _checked(x: BigFloat, digits: int, label: str) -> BigFloat:
-    """x, or ValueError if its bound misses the 10^-digits contract."""
-    if not x.error_bound <= mpf(10) ** -digits:
+def _checked(x: _Fixed, digits: int, label: str) -> BigFloat:
+    """x as a BigFloat, or ValueError if its bound misses the 10^-digits
+    contract."""
+    out = x.to_bigfloat()
+    if not out.error_bound <= mpf(10) ** -digits:
         raise ValueError(
-            f"{label}: error bound {mp.nstr(x.error_bound, 3)} misses the "
+            f"{label}: error bound {mp.nstr(out.error_bound, 3)} misses the "
             f"target 1e-{digits}"
         )
-    return x
+    return out
 
 
 @dataclass(frozen=True)
@@ -119,45 +118,6 @@ class BigFloat:
         if not (mp.isfinite(self.error_bound) and self.error_bound >= 0):
             raise ValueError("error bound must be finite and >= 0")
 
-    def __add__(self, other: BigFloat) -> BigFloat:
-        return self._sum(self.value + other.value, other)
-
-    def __sub__(self, other: BigFloat) -> BigFloat:
-        return self._sum(self.value - other.value, other)
-
-    def _sum(self, v: mpf, other: BigFloat) -> BigFloat:
-        # rounding charged on |a| + |b|, so cancellation in v stays covered
-        slack = _slack(abs(self.value) + abs(other.value))
-        return BigFloat(v, self.error_bound + other.error_bound + slack)
-
-    def __mul__(self, other: BigFloat) -> BigFloat:
-        v = self.value * other.value
-        e = (
-            abs(self.value) * other.error_bound
-            + abs(other.value) * self.error_bound
-            + self.error_bound * other.error_bound
-            + _slack(v)
-        )
-        return BigFloat(v, e)
-
-    def __truediv__(self, other: BigFloat) -> BigFloat:
-        denom = abs(other.value) - other.error_bound
-        if not denom > 0:
-            raise ZeroDivisionError("divisor interval contains zero")
-        v = self.value / other.value
-        e = (abs(self.value) * other.error_bound + abs(other.value) * self.error_bound) / (
-            abs(other.value) * denom
-        ) + _slack(v)
-        return BigFloat(v, e)
-
-    def scale(self, c: Fraction | int) -> BigFloat:
-        """Multiply by an exact rational (no extra error beyond rounding)."""
-        cf = mpf(c.numerator) / mpf(c.denominator) if isinstance(c, Fraction) else mpf(c)
-        exact = isinstance(c, int) or c.denominator == 1
-        v = self.value * cf
-        extra = 0 if exact else _slack(v)
-        return BigFloat(v, abs(cf) * self.error_bound + _slack(v) + extra)
-
     def to_string(self, digits: int) -> str:
         return f"{mp.nstr(self.value, digits)} ± {mp.nstr(self.error_bound, 3)}"
 
@@ -165,25 +125,63 @@ class BigFloat:
 @dataclass(frozen=True)
 class _Fixed:
     """A value of the int engine: the true value is within error * 2^-scale
-    of value * 2^-scale."""
+    of value * 2^-scale.
+
+    Sums and differences take operands of one scale and are exact.  A
+    product or a quotient is in the units of its left operand, with one
+    floor, so one more ulp.
+    """
 
     value: int
     error: int
     scale: int
 
+    def __add__(self, other: _Fixed) -> _Fixed:
+        assert other.scale == self.scale
+        return _Fixed(self.value + other.value, self.error + other.error, self.scale)
+
+    def __sub__(self, other: _Fixed) -> _Fixed:
+        assert other.scale == self.scale
+        return _Fixed(self.value - other.value, self.error + other.error, self.scale)
+
+    def __mul__(self, other: _Fixed) -> _Fixed:
+        # |xy - XY| <= |X| e_y + |Y| e_x + e_x e_y, in units of
+        # 2^-(scale + other.scale), rounded up to this value's units
+        spread = (
+            abs(self.value) * other.error
+            + abs(other.value) * self.error
+            + self.error * other.error
+        )
+        return _Fixed(
+            self.value * other.value >> other.scale,
+            -(-spread >> other.scale) + 1,
+            self.scale,
+        )
+
+    def __truediv__(self, other: _Fixed) -> _Fixed:
+        # |x/y - X/Y| <= (|X| e_y + |Y| e_x) / (|Y| (|Y| - e_y)) when the
+        # divisor's interval excludes 0
+        y = abs(other.value)
+        if y <= other.error:
+            raise ZeroDivisionError("divisor interval contains zero")
+        spread = (abs(self.value) * other.error + y * self.error) << other.scale
+        return _Fixed(
+            (self.value << other.scale) // other.value,
+            -(-spread // (y * (y - other.error))) + 1,
+            self.scale,
+        )
+
     def times(self, c: Fraction | int, scale: int) -> _Fixed:
         """c times this value in units of 2^-scale, for scale <= self.scale.
 
-        One floor quotient, so one more ulp; c scales the error while it
-        is still in the finer units.
+        One floor quotient, so one more ulp unless it is exact, as for an
+        int c at the same scale; c scales the error while it is still in
+        the finer units.
         """
         c = Fraction(c)
         den = c.denominator << (self.scale - scale)
-        return _Fixed(
-            c.numerator * self.value // den,
-            -(-abs(c.numerator) * self.error // den) + 1,
-            scale,
-        )
+        value, rest = divmod(c.numerator * self.value, den)
+        return _Fixed(value, -(-abs(c.numerator) * self.error // den) + (rest != 0), scale)
 
     def to_bigfloat(self) -> BigFloat:
         """The one conversion to mpf, at the current precision.
@@ -208,9 +206,7 @@ class _EMTables:
 
     A public function creates one, passes it down, and drops it on return.
     The table holds the call's digits, the engine's bits p (its unit is
-    2^-p) and the truncation target 10^-(digits+10); the single zetas it
-    hands out as BigFloat are converted at the precision current when they
-    are first asked for, which is the call's one working precision.
+    2^-p) and the truncation target 10^-(digits+10).
     """
 
     def __init__(self, digits: int) -> None:
@@ -222,7 +218,6 @@ class _EMTables:
         self.bernoulli = BernoulliCache()
         self._tails: dict[tuple[int, int, int], _Fixed] = {}
         self._fixed: dict[int, _Fixed] = {}
-        self._zetas: dict[int, BigFloat] = {}
 
     def tail(self, k: int, start: int, coefficient: Fraction | int = 1) -> _Fixed:
         """_zeta_tail(k, start, target): its truncation times ``coefficient``
@@ -246,14 +241,6 @@ class _EMTables:
         if k not in self._fixed:
             self._fixed[k] = _zeta_single(k, self)
         return self._fixed[k]
-
-    def zeta(self, k: int) -> BigFloat:
-        """zeta(k) within 10^-digits."""
-        if k not in self._zetas:
-            self._zetas[k] = _checked(
-                self.zeta_fixed(k).to_bigfloat(), self.digits, f"zeta({k})"
-            )
-        return self._zetas[k]
 
 
 def _zeta_tail(k: int, start: int, target: int, tables: _EMTables) -> _Fixed:
@@ -307,7 +294,7 @@ def zeta_single(k: int, digits: int = 30) -> BigFloat:
     if k < 2:
         raise ValueError(f"zeta_single requires k >= 2, got {k}")
     with mp.workdps(_work_dps(digits)):
-        return _EMTables(digits).zeta(k)
+        return _checked(_EMTables(digits).zeta_fixed(k), digits, f"zeta({k})")
 
 
 def _zeta_single(k: int, tables: _EMTables) -> _Fixed:
@@ -333,14 +320,13 @@ def zeta_double(k1: int, k2: int, digits: int = 30) -> BigFloat:
         raise ValueError(f"zeta_double requires k2 >= 2, got k2={k2}")
     if k1 < 1:
         raise ValueError(f"zeta_double requires k1 >= 1, got k1={k1}")
-    dps = _work_dps(digits)  # checked here: _zeta_one's digits + 5 would pass 0
-    if k1 == 1:
-        return _zeta_one(k2, digits)
-    with mp.workdps(dps):
-        return _zeta_double(k1, k2, _EMTables(digits))
+    with mp.workdps(_work_dps(digits)):
+        tables = _EMTables(digits)
+        x = _zeta_one(k2, tables) if k1 == 1 else _zeta_double(k1, k2, tables)
+        return _checked(x, digits, f"zeta({k1},{k2})")
 
 
-def _zeta_double(k1: int, k2: int, tables: _EMTables) -> BigFloat:
+def _zeta_double(k1: int, k2: int, tables: _EMTables) -> _Fixed:
     """zeta_double for k1 >= 2, its outer tails and zeta(k1) from ``tables``.
 
     The outer tails start at M + 1 and their targets depend on the weight
@@ -359,22 +345,16 @@ def _zeta_double(k1: int, k2: int, tables: _EMTables) -> BigFloat:
     for m in range(2, M + 1):
         inner += one // (m - 1) ** k1
         direct += inner // m**k2
-    error = 2 * (M - 1)
+    result = _Fixed(direct, 2 * (M - 1), bits)
 
     # zeta(k1) * tail(k2), with the tail's error still in its finer units
-    z1 = tables.zeta_fixed(k1)
-    t2 = tables.tail(k2, M + 1)
-    value = direct + (z1.value * t2.value >> t2.scale)
-    spread = z1.error * (abs(t2.value) + t2.error) + abs(z1.value) * t2.error
-    error += -(-spread >> t2.scale) + 1
+    result +=tables.zeta_fixed(k1) * tables.tail(k2, M + 1)
 
     # Euler-Maclaurin expansion of T(m) = sum_{j>=m} j^{-k1} in powers
     # of 1/m; each power m^-(k1+alpha) folds into the outer tail of
     # exponent w + alpha.  The leading two terms come first.
-    terms = [
-        tables.tail(w - 1, M + 1).times(Fraction(1, k1 - 1), bits),
-        tables.tail(w, M + 1).times(Fraction(1, 2), bits),
-    ]
+    result -= tables.tail(w - 1, M + 1).times(Fraction(1, k1 - 1), bits)
+    result -= tables.tail(w, M + 1).times(Fraction(1, 2), bits)
     # Term j has c_j = B_2j/(2j)! (k1)_{2j-1}; with terms 1..J-1 in, the
     # remainder of T(m) is at most 2|c_J| m^-(k1+2J-1), which sums over
     # m > M to 2|c_J| times the tail that term J would use.  (w-2)_{2J-1}
@@ -394,34 +374,20 @@ def _zeta_double(k1: int, k2: int, tables: _EMTables) -> BigFloat:
         # a remainder still above the target at J = digits fails the
         # final check
         if remainder <= tables.target or J > digits:
-            break
-        terms.append(t.times(c, bits))
+            return _Fixed(result.value, result.error + remainder, bits)
+        result -= t.times(c, bits)
         rising *= (k1 + 2 * J - 1) * (k1 + 2 * J)
         rising_max *= (w + 2 * J - 3) * (w + 2 * J - 2)
         J += 1
 
-    value -= sum(t.value for t in terms)
-    error += sum(t.error for t in terms) + remainder
-    result = _Fixed(value, error, bits).to_bigfloat()
-    return _checked(result, digits, f"zeta({k1},{k2})")
 
-
-def _zeta_one(k: int, digits: int) -> BigFloat:
-    """zeta(1, k) = (k/2) zeta(k+1) - 1/2 sum_{j=1}^{k-2} zeta(j+1) zeta(k-j)."""
-    inner = digits + 5
-    with mp.workdps(_work_dps(inner)):
-        z = _EMTables(inner).zeta
-        value = z(k + 1).scale(Fraction(k, 2))
-        for j in range(1, k - 1):
-            value = value - (z(j + 1) * z(k - j)).scale(Fraction(1, 2))
-        return _checked(value, digits, f"zeta(1,{k})")
-
-
-def pi_value(digits: int = 30) -> BigFloat:
-    """pi with an error bound of a few ulps at the working precision."""
-    with mp.workdps(_work_dps(digits)):
-        v = +mp.pi
-        return BigFloat(v, _slack(v))
+def _zeta_one(k: int, tables: _EMTables) -> _Fixed:
+    """zeta(1, k) = (k zeta(k+1) - sum_{j=1}^{k-2} zeta(j+1) zeta(k-j)) / 2."""
+    z = tables.zeta_fixed
+    total = z(k + 1).times(k, tables.bits)
+    for j in range(1, k - 1):
+        total -= z(j + 1) * z(k - j)
+    return total.times(Fraction(1, 2), tables.bits)
 
 
 def rational_reconstruct(x: BigFloat, max_denominator: int = 64) -> Fraction | None:
@@ -439,7 +405,8 @@ def rational_reconstruct(x: BigFloat, max_denominator: int = 64) -> Fraction | N
     exact = Fraction((-1) ** sign * man) * Fraction(2) ** exp
     candidate = exact.limit_denominator(max_denominator)
     cv = mpf(candidate.numerator) / mpf(candidate.denominator)
-    if abs(cv - x.value) <= x.error_bound + _slack(cv):
+    # cv is rounded too: 8 eps of it covers that at the current precision
+    if abs(cv - x.value) <= x.error_bound + abs(cv) * mp.eps * 8:
         return candidate
     return None
 
@@ -483,31 +450,33 @@ def _audit_rows(K: int, rows: Sequence[int], digits: int) -> list[AuditReport]:
             raise ValueError(f"row r={r} out of range for K={K}")
     with mp.workdps(_work_dps(digits)):
         tables = _EMTables(digits)
-        z = tables.zeta
+        bits = tables.bits
+        z = tables.zeta_fixed
         a = build_a(K).numerators
         products = [z(2 * s) * z(2 * K + 1 - 2 * s) for s in range(1, K)]
         z_odd = z(2 * K + 1)
-        printed = mpf(PRINTED_CONSTANT.numerator) / PRINTED_CONSTANT.denominator
+        printed = PRINTED_CONSTANT * (1 << bits)  # in units of 2^-bits
         reports = []
         for r in rows:
-            lhs = _zeta_double(2 * r, 2 * K + 1 - 2 * r, tables)
-            rhs = products[0].scale(a[r - 1][0])
-            for s in range(2, K):
-                rhs = rhs + products[s - 1].scale(a[r - 1][s - 1])
-            residual = (lhs - rhs) / z_odd
-            reconstructed = rational_reconstruct(residual, 64)
-            consistent = bool(
-                abs(residual.value - printed) <= residual.error_bound
+            k1, k2 = 2 * r, 2 * K + 1 - 2 * r
+            lhs = _zeta_double(k1, k2, tables)
+            # the entries of A are ints, so the weighted sum is exact
+            rhs = sum(
+                (p.times(c, bits) for p, c in zip(products, a[r - 1])),
+                _Fixed(0, 0, bits),
             )
+            residual = (lhs - rhs) / z_odd
+            residual_ratio = residual.to_bigfloat()
+            consistent = abs(residual.value - printed) <= residual.error
             reports.append(
                 AuditReport(
                     K=K,
                     r=r,
                     digits=digits,
-                    lhs=lhs,
-                    rhs_products=rhs,
-                    residual_ratio=residual,
-                    reconstructed=reconstructed,
+                    lhs=_checked(lhs, digits, f"zeta({k1},{k2})"),
+                    rhs_products=rhs.to_bigfloat(),
+                    residual_ratio=residual_ratio,
+                    reconstructed=rational_reconstruct(residual_ratio, 64),
                     printed_constant_consistent=consistent,
                 )
             )
@@ -544,39 +513,35 @@ def audit_h_ab(a: int, b: int, digits: int = 30) -> HAuditReport:
         )
     with mp.workdps(_work_dps(digits)):
         tables = _EMTables(digits)
+        bits = tables.bits
         K = a + b + 1
-        table = h_ab_coefficients(a, b)
-        pi_bf = pi_value(digits)
-        formula = None
-        for r, term in enumerate(table.rows[0].terms, start=1):
-            n = K - r
-            h_num = _pi_power(pi_bf, 2 * n).scale(h_value(n))
-            contrib = (h_num * tables.zeta(2 * r + 1)).scale(term.coeff)
-            formula = contrib if formula is None else formula + contrib
-        assert formula is not None
+        formula = _Fixed(0, 0, bits)
+        for r, term in enumerate(h_ab_coefficients(a, b).rows[0].terms, start=1):
+            h = _h(K - r, tables) * tables.zeta_fixed(2 * r + 1)
+            formula += h.times(term.coeff, bits)
 
         if (a, b) == (0, 0):
-            direct = tables.zeta(3)
+            direct, label = tables.zeta_fixed(3), "zeta(3)"
         elif (a, b) == (1, 0):
-            direct = _zeta_double(2, 3, tables)
+            direct, label = _zeta_double(2, 3, tables), "zeta(2,3)"
         else:
-            direct = _zeta_double(3, 2, tables)
+            direct, label = _zeta_double(3, 2, tables), "zeta(3,2)"
 
         diff = abs(formula.value - direct.value)
-        agrees = bool(diff <= formula.error_bound + direct.error_bound)
         return HAuditReport(
             a=a,
             b=b,
             digits=digits,
-            formula_value=formula,
-            direct_value=direct,
-            abs_difference=diff,
-            agrees_within_bounds=agrees,
+            formula_value=formula.to_bigfloat(),
+            direct_value=_checked(direct, digits, label),
+            abs_difference=mp.ldexp(mpf(diff), -bits),
+            agrees_within_bounds=diff <= formula.error + direct.error,
         )
 
 
-def _pi_power(pi_bf: BigFloat, m: int) -> BigFloat:
-    out = BigFloat(mpf(1), mpf(0))
-    for _ in range(m):
-        out = out * pi_bf
-    return out
+def _h(n: int, tables: _EMTables) -> _Fixed:
+    """H(n) = pi^2n/(2n+1)! = 2 zeta(2n)/(|B_2n| 4^n (2n+1)), and H(0) = 1."""
+    if n == 0:
+        return _Fixed(1 << tables.bits, 0, tables.bits)
+    b = abs(tables.bernoulli.get(2 * n))
+    return tables.zeta_fixed(2 * n).times(2 / (b * 4**n * (2 * n + 1)), tables.bits)

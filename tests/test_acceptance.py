@@ -10,12 +10,13 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from doublezeta import matrices, numerics, reductions, series
 from doublezeta.bernoulli import BernoulliCache
 from doublezeta.cli import main as cli_main
 from test_matrices import times
+from test_numerics import exact
 
 
 def report(name: str, ok: bool) -> None:
@@ -111,29 +112,27 @@ def test_criterion_7_euler_audit_behavior():
 def test_criterion_8_inverse_reduction_numeric_closure(cache):
     digits = 30
     ok = True
-    with mp.workdps(2 * digits + 15):
-        for K in (2, 3):
-            audited = [
-                numerics.audit_euler_constant(K, r, 40).reconstructed
-                for r in range(1, K)
-            ]
-            assert all(c is not None for c in audited)
-            table = reductions.inverse_reduction_coefficients(K, audited, cache)
-            for s in range(1, K):
-                row = table.rows[s - 1]
-                acc = None
-                for term in row.terms:
-                    if "," in term.basis:
-                        inner = term.basis[5:-1].split(",")
-                        val = numerics.zeta_double(int(inner[0]), int(inner[1]), digits)
-                    else:
-                        val = numerics.zeta_single(2 * K + 1, digits)
-                    contrib = val.scale(term.coeff)
-                    acc = contrib if acc is None else acc + contrib
-                product = numerics.zeta_single(2 * s, digits) * numerics.zeta_single(
-                    2 * K + 1 - 2 * s, digits
-                )
-                ok &= bool(abs(acc.value - product.value) <= mpf(10) ** -18)
+    for K in (2, 3):
+        audited = [
+            numerics.audit_euler_constant(K, r, 40).reconstructed
+            for r in range(1, K)
+        ]
+        assert all(c is not None for c in audited)
+        table = reductions.inverse_reduction_coefficients(K, audited, cache)
+        for s in range(1, K):
+            row = table.rows[s - 1]
+            acc = Fraction(0)
+            for term in row.terms:
+                if "," in term.basis:
+                    inner = term.basis[5:-1].split(",")
+                    val = numerics.zeta_double(int(inner[0]), int(inner[1]), digits)
+                else:
+                    val = numerics.zeta_single(2 * K + 1, digits)
+                acc += term.coeff * exact(val.value)
+            product = exact(numerics.zeta_single(2 * s, digits).value) * exact(
+                numerics.zeta_single(2 * K + 1 - 2 * s, digits).value
+            )
+            ok &= abs(acc - product) <= Fraction(1, 10**18)
     report("8. inverse reduction with audited constants closes, <= 1e-18", ok)
 
 

@@ -211,11 +211,12 @@ def test_verify_and_matrix_usage_errors(capsys, argv):
 @pytest.mark.parametrize("kind", ["conjecture", "closed-forms"])
 @pytest.mark.parametrize("k_min", ["1", "0", "-3"])
 def test_verify_k_min_below_two_is_a_usage_error(capsys, kind, k_min):
+    # the library's check: one error: line, no usage text
     code, out, err = run(["verify", kind, "--k-min", k_min, "--k-max", "3"], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("usage:")
-    assert "--k-min must be >= 2" in err
+    assert err.startswith("error: K must be >= 2")
+    assert len(err.splitlines()) == 1
 
 
 def test_reduce_h(capsys):
