@@ -7,6 +7,12 @@ when the library rejects a value); 3 missing prerequisite artifact
 141 (128 + SIGPIPE) the reader closed standard output before all of the
 output was written.  An ``--out`` path that cannot be opened, written or
 closed is a usage error (exit 2, one ``error: cannot write ...`` line).
+The ``--out`` file is opened before the command runs, so an unusable path
+fails at once.  A regular file (or a new path) is written through a
+temporary file beside it, which replaces it only when the command has
+finished and all of its text is written, so a failed run leaves the old
+file as it was; a path that exists but is not a regular file (a device
+such as /dev/full, a FIFO) is written in place.
 Numeric disagreement with the printed Euler constant is reported in the
 output, never turned into a failing exit code: the audit's job is to
 report, not to judge.
@@ -26,8 +32,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-
-from mpmath import mp
+from stat import S_IMODE, S_ISREG
 
 from . import matrices, numerics, reductions, series
 from .bernoulli import BernoulliCache, bernoulli_range
@@ -40,24 +45,76 @@ EXIT_MISSING_PREREQUISITE = 3
 EXIT_BROKEN_PIPE = 141
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        # opening, writing and the flush at close can each fail (a missing
-        # directory, a full device such as /dev/full): all are a usage error
+class _OutFile:
+    """The ``--out`` file, opened before the command runs.
+
+    A regular file, or a path that does not exist yet, is written through a
+    temporary file in its directory, which ``commit`` moves onto it with
+    ``os.replace``; ``discard`` removes the temporary file if that never
+    happened.  An existing path that is not a regular file (a device, a
+    FIFO, /dev/stdout) is opened and written in place: replacing it would
+    replace the node itself.  A symbolic link is followed, as ``open``
+    would.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.file = self.temp = None
         try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:
+                mode = None
+            if mode is not None and not S_ISREG(mode):
+                self.file = open(path, "w", encoding="utf-8")
+                return
+            # the file a symbolic link names is replaced, not the link
+            self.target = os.path.realpath(path)
+            head, tail = os.path.split(self.target)
+            temp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            self.temp = temp
+            self.file = open(fd, "w", encoding="utf-8")
+            if mode is not None:
+                # as open() would, keep the mode of the file it replaces
+                os.fchmod(fd, S_IMODE(mode))
         except OSError as exc:
-            raise CliError(EXIT_USAGE, f"error: cannot write {out_path!r}: {exc.strerror}")
-    else:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+            self.discard()
+            raise self._error(exc)
+
+    def _error(self, exc: OSError) -> CliError:
+        return CliError(EXIT_USAGE, f"error: cannot write {self.path!r}: {exc.strerror}")
+
+    def commit(self, text: str) -> None:
+        # writing and the flush at close can each fail (a full device such
+        # as /dev/full): a usage error, like a path that cannot be opened
+        try:
+            with self.file as fh:
+                fh.write(text)
+            if self.temp:
+                os.replace(self.temp, self.target)
+                self.temp = None
+        except OSError as exc:
+            raise self._error(exc)
+
+    def discard(self) -> None:
+        if self.file:
+            try:
+                self.file.close()
+            except OSError:
+                pass
+        if self.temp:
+            try:
+                os.unlink(self.temp)
+            except FileNotFoundError:
+                pass
+            self.temp = None
 
 
 # ---------------------------------------------------------------- bernoulli
 
 
-def cmd_bernoulli(args: argparse.Namespace) -> int:
+def cmd_bernoulli(args: argparse.Namespace) -> tuple[int, str]:
     values = bernoulli_range(args.max)
     if args.format == "json":
         payload = {
@@ -70,8 +127,7 @@ def cmd_bernoulli(args: argparse.Namespace) -> int:
         text = "\n".join(f"{n},{format_rational(v)}" for n, v in enumerate(values)) + "\n"
     else:
         text = "\n".join(f"B_{n} = {format_rational(v)}" for n, v in enumerate(values)) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+    return EXIT_OK, text
 
 
 # ------------------------------------------------------------------ verify
@@ -85,7 +141,7 @@ _OFFENDING_LABELS = {
 }
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     lines: list[str] = []
     ok = True
     if args.kind == "conjecture":
@@ -138,14 +194,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 )
             ok &= not bad
             lines.append(f"K={K}: {'FAIL' if bad else 'pass'}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if ok else EXIT_IDENTITY_FAILURE
+    return (EXIT_OK if ok else EXIT_IDENTITY_FAILURE), "\n".join(lines) + "\n"
 
 
 # ------------------------------------------------------------------ matrix
 
 
-def cmd_matrix(args: argparse.Namespace) -> int:
+def cmd_matrix(args: argparse.Namespace) -> tuple[int, str]:
     builders = {
         "A": matrices.build_a,
         "B": matrices.build_b_part,
@@ -154,8 +209,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         "Q": matrices.build_q,
     }
     matrix = builders[args.which](args.K)
-    _emit(matrices.matrix_to_json(args.K, args.which, matrix) + "\n", args.out)
-    return EXIT_OK
+    return EXIT_OK, matrices.matrix_to_json(args.K, args.which, matrix) + "\n"
 
 
 # ------------------------------------------------------------------ reduce
@@ -223,7 +277,7 @@ class CliError(SystemExit):
         super().__init__(code)
 
 
-def cmd_reduce(args: argparse.Namespace) -> int:
+def cmd_reduce(args: argparse.Namespace) -> tuple[int, str]:
     if args.kind == "euler":
         table = reductions.euler_rhs_coefficients(args.K)
     elif args.kind == "inverse":
@@ -248,8 +302,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         text = reductions.table_to_csv(table)
     else:
         text = reductions.table_to_json(table) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+    return EXIT_OK, text
 
 
 # ------------------------------------------------------------------- audit
@@ -257,12 +310,12 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def _bigfloat_fields(x: numerics.BigFloat, digits: int) -> dict:
     return {
-        "value": mp.nstr(x.value, digits),
-        "error_bound": mp.nstr(x.error_bound, 3),
+        "value": numerics._nstr(x.value, digits),
+        "error_bound": numerics._nstr(x.error_bound, 3, round_up=True),
     }
 
 
-def cmd_audit(args: argparse.Namespace) -> int:
+def cmd_audit(args: argparse.Namespace) -> tuple[int, str]:
     if args.kind == "euler":
         if args.r is None:
             reports = numerics.audit_euler(args.K, args.digits)
@@ -294,17 +347,16 @@ def cmd_audit(args: argparse.Namespace) -> int:
             "digits": args.digits,
             "formula_value": _bigfloat_fields(rep.formula_value, args.digits),
             "direct_value": _bigfloat_fields(rep.direct_value, args.digits),
-            "abs_difference": mp.nstr(rep.abs_difference, 3),
+            "abs_difference": numerics._nstr(rep.abs_difference, 3, round_up=True),
             "agrees_within_bounds": rep.agrees_within_bounds,
         }
-    _emit(json.dumps(payload, separators=(", ", ": ")) + "\n", args.out)
-    return EXIT_OK
+    return EXIT_OK, json.dumps(payload, separators=(", ", ": ")) + "\n"
 
 
 # -------------------------------------------------------------------- zeta
 
 
-def cmd_zeta(args: argparse.Namespace) -> int:
+def cmd_zeta(args: argparse.Namespace) -> tuple[int, str]:
     if args.k is not None:
         value = numerics.zeta_single(args.k, args.digits)
         label = f"zeta({args.k})"
@@ -313,8 +365,7 @@ def cmd_zeta(args: argparse.Namespace) -> int:
         label = f"zeta({args.k1},{args.k2})"
     else:
         raise CliError(EXIT_USAGE, "zeta needs --k, or both --k1 and --k2")
-    _emit(f"{label} = {value.to_string(args.digits)}\n", args.out)
-    return EXIT_OK
+    return EXIT_OK, f"{label} = {value.to_string(args.digits)}\n"
 
 
 # ------------------------------------------------------------------ parser
@@ -416,8 +467,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
+    out = None
     try:
-        return args.func(args)
+        if args.out:
+            out = _OutFile(args.out)
+        code, text = args.func(args)
+        if out:
+            out.commit(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        return code
     except CliError as exc:
         return int(exc.code)
     except ValueError as exc:
@@ -428,6 +488,9 @@ def main(argv: list[str] | None = None) -> int:
         # interpreter exit stays quiet (the SIGPIPE recipe of the Python docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    finally:
+        if out:
+            out.discard()
 
 
 if __name__ == "__main__":

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .bernoulli import BernoulliCache
 from .rationals import format_rational
@@ -42,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(NamedTuple):
     """Dense matrix of exact rationals, (i, j) = numerators[i][j] / denominators[i].
 
     Built only by ``_from_rows``, which puts each row in lowest terms over a
@@ -222,8 +221,7 @@ def _bareiss(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class InverseReport:
+class InverseReport(NamedTuple):
     """Exact verdicts of the inverse-conjecture checks for one K.
 
     ``offending`` holds, for each failed check in the order p_eq_q,

@@ -1,7 +1,7 @@
 """Arbitrary-precision zeta evaluation with rigorous error bounds.
 
-Public results are a :class:`BigFloat`: an mpmath float paired with an
-absolute error bound that covers series truncation and accumulated
+Public results are a :class:`BigFloat`: an exact dyadic value paired with
+an absolute error bound that covers series truncation and accumulated
 rounding.  The bound, not the precision, is the contract: the zeta engines
 raise ``ValueError`` rather than return a bound above 10^-digits.
 
@@ -17,9 +17,11 @@ from those values runs on the same ints: Euler's formula for zeta(1, k),
 the audits' products, A-weighted sums, residuals and ratios, and the
 H(n) = pi^2n/(2n+1)! of the H(a,b) audit, taken from zeta(2n).  A product
 or quotient is one floor, so one more ulp; a sum, or a multiple by an
-int, is exact.  Each public result becomes an mpf once, at the boundary,
-where the rounding of that conversion to the working precision is charged
-and the bound is rounded up; BigFloat only holds such results.
+int, is exact.  A public result is the engine's value and error read as
+exact Fractions X/2^p and E/2^p, with no rounding, so its bound is exactly
+the engine's count; BigFloat only holds such results.  Printing rounds the
+value half up to the requested digits and the bound up to three
+significant digits, in mpmath's ``nstr`` text form.
 
 Single zeta tails use Euler-Maclaurin with the classical periodic-
 Bernoulli remainder bound; double zeta tails expand the inner partial
@@ -54,15 +56,13 @@ only.  The T(m) expansion stops as soon as its remainder meets the target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
-
-from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_ceiling
+from typing import NamedTuple
 
 from .bernoulli import BernoulliCache
 from .matrices import _check_k, build_a
+from .rationals import format_rational
 from .reductions import PRINTED_CONSTANT, h_ab_coefficients
 
 __all__ = [
@@ -78,52 +78,77 @@ __all__ = [
 ]
 
 
-def _work_dps(digits: int) -> int:
-    """The mpf precision for a 10^-digits target: digits plus a guard of 5.
-
-    The engine, and all arithmetic on its values, runs in ints (see
-    ``_EMTables.bits``); mpf only holds the converted results.  The one
-    conversion of a result rounds it to about digits + 5 significant
-    digits, so a value of magnitude near 1 keeps five digits to spare below
-    10^-digits.  Every public function calls this before any work: it is the one check
-    that digits >= 1.
-    """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    return digits + 5
-
-
 def _checked(x: _Fixed, digits: int, label: str) -> BigFloat:
     """x as a BigFloat, or ValueError if its bound misses the 10^-digits
     contract."""
     out = x.to_bigfloat()
-    if not out.error_bound <= mpf(10) ** -digits:
+    if x.error * 10**digits > 1 << x.scale:
         raise ValueError(
-            f"{label}: error bound {mp.nstr(out.error_bound, 3)} misses the "
-            f"target 1e-{digits}"
+            f"{label}: error bound {_nstr(out.error_bound, 3, round_up=True)} "
+            f"misses the target 1e-{digits}"
         )
     return out
 
 
-@dataclass(frozen=True)
-class BigFloat:
-    """Arbitrary-precision value with a conservative absolute error bound."""
+def _nstr(x: Fraction, digits: int, round_up: bool = False) -> str:
+    """x to ``digits`` significant digits, as mpmath's ``nstr`` prints it.
 
-    value: mpf
-    error_bound: mpf
+    As mpmath does, |x| is floored to digits + 3 significant digits and
+    rounded half up at ``digits``; with ``round_up`` it is rounded up at
+    ``digits`` instead, so a printed bound never understates.  The text is
+    fixed-point while the exponent of the leading digit lies strictly
+    between min(-(digits // 3), -5) and digits, with trailing zeros
+    stripped, and ``d.ddde-n`` otherwise.
+    """
+    if not x:
+        return "0.0"
+    p, q = abs(x.numerator), x.denominator
 
-    def __post_init__(self) -> None:
-        if not mp.isfinite(self.value):
-            raise ValueError("value must be finite")
-        if not (mp.isfinite(self.error_bound) and self.error_bound >= 0):
-            raise ValueError("error bound must be finite and >= 0")
+    def scaled(k: int) -> tuple[int, int]:  # |x| 10^k as (floor, remainder)
+        return divmod(p * 10**k, q) if k >= 0 else divmod(p, q * 10**-k)
+
+    # 10^e <= |x| < 10^(e+1); the bit lengths give e to within one
+    e = math.floor((p.bit_length() - q.bit_length()) * math.log10(2))
+    while scaled(-e)[0] < 1:
+        e -= 1
+    while scaled(-e - 1)[0] >= 1:
+        e += 1
+    if round_up:
+        n, rest = scaled(digits - 1 - e)
+        n += rest != 0
+    else:
+        n = (scaled(digits + 2 - e)[0] + 500) // 1000
+    if n == 10**digits:
+        n //= 10
+        e += 1
+    text = format_rational(n)
+    if min(-(digits // 3), -5) < e < digits:
+        if e < 0:
+            text = "0" * -e + text
+        split, e = max(e, 0) + 1, 0
+    else:
+        split = 1
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    text = ("-" if x < 0 else "") + text + ("0" if text.endswith(".") else "")
+    return text if e == 0 else f"{text}e{e:+d}"
+
+
+class BigFloat(NamedTuple("BigFloat", [("value", Fraction), ("error_bound", Fraction)])):
+    """An exact dyadic value with a conservative absolute error bound: the
+    true value lies within error_bound of value."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: Fraction, error_bound: Fraction) -> BigFloat:
+        if error_bound < 0:
+            raise ValueError("error bound must be >= 0")
+        return super().__new__(cls, Fraction(value), Fraction(error_bound))
 
     def to_string(self, digits: int) -> str:
-        return f"{mp.nstr(self.value, digits)} ± {mp.nstr(self.error_bound, 3)}"
+        return f"{_nstr(self.value, digits)} ± {_nstr(self.error_bound, 3, round_up=True)}"
 
 
-@dataclass(frozen=True)
-class _Fixed:
+class _Fixed(NamedTuple):
     """A value of the int engine: the true value is within error * 2^-scale
     of value * 2^-scale.
 
@@ -184,16 +209,9 @@ class _Fixed:
         return _Fixed(value, -(-abs(c.numerator) * self.error // den) + (rest != 0), scale)
 
     def to_bigfloat(self) -> BigFloat:
-        """The one conversion to mpf, at the current precision.
-
-        mpf(value) rounds to nearest, off by at most |value| 2^-prec; that
-        is charged, and the bound is rounded up.
-        """
-        error = self.error + (abs(self.value) >> mp.prec) + 1
-        return BigFloat(
-            mp.ldexp(mpf(self.value), -self.scale),
-            mp.make_mpf(from_man_exp(error, -self.scale, mp.prec, round_ceiling)),
-        )
+        """This value and its error as exact Fractions: nothing is rounded."""
+        unit = 1 << self.scale
+        return BigFloat(Fraction(self.value, unit), Fraction(self.error, unit))
 
 
 def _tail_shift(k: int, start: int) -> int:
@@ -210,6 +228,10 @@ class _EMTables:
     """
 
     def __init__(self, digits: int) -> None:
+        # every public function builds its table before any work: this is
+        # the one check of digits
+        if digits < 1:
+            raise ValueError("digits must be >= 1")
         self.digits = digits
         self.bits = math.ceil((digits + 10) * math.log2(10)) + 64
         self._ten = 10 ** (digits + 10)
@@ -293,8 +315,7 @@ def zeta_single(k: int, digits: int = 30) -> BigFloat:
     """Riemann zeta at an integer k >= 2, |error| <= 10^-digits."""
     if k < 2:
         raise ValueError(f"zeta_single requires k >= 2, got {k}")
-    with mp.workdps(_work_dps(digits)):
-        return _checked(_EMTables(digits).zeta_fixed(k), digits, f"zeta({k})")
+    return _checked(_EMTables(digits).zeta_fixed(k), digits, f"zeta({k})")
 
 
 def _zeta_single(k: int, tables: _EMTables) -> _Fixed:
@@ -320,10 +341,9 @@ def zeta_double(k1: int, k2: int, digits: int = 30) -> BigFloat:
         raise ValueError(f"zeta_double requires k2 >= 2, got k2={k2}")
     if k1 < 1:
         raise ValueError(f"zeta_double requires k1 >= 1, got k1={k1}")
-    with mp.workdps(_work_dps(digits)):
-        tables = _EMTables(digits)
-        x = _zeta_one(k2, tables) if k1 == 1 else _zeta_double(k1, k2, tables)
-        return _checked(x, digits, f"zeta({k1},{k2})")
+    tables = _EMTables(digits)
+    x = _zeta_one(k2, tables) if k1 == 1 else _zeta_double(k1, k2, tables)
+    return _checked(x, digits, f"zeta({k1},{k2})")
 
 
 def _zeta_double(k1: int, k2: int, tables: _EMTables) -> _Fixed:
@@ -348,7 +368,7 @@ def _zeta_double(k1: int, k2: int, tables: _EMTables) -> _Fixed:
     result = _Fixed(direct, 2 * (M - 1), bits)
 
     # zeta(k1) * tail(k2), with the tail's error still in its finer units
-    result +=tables.zeta_fixed(k1) * tables.tail(k2, M + 1)
+    result += tables.zeta_fixed(k1) * tables.tail(k2, M + 1)
 
     # Euler-Maclaurin expansion of T(m) = sum_{j>=m} j^{-k1} in powers
     # of 1/m; each power m^-(k1+alpha) folds into the outer tail of
@@ -399,20 +419,13 @@ def rational_reconstruct(x: BigFloat, max_denominator: int = 64) -> Fraction | N
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
-    if 2 * x.error_bound >= mpf(1) / (max_denominator * max_denominator):
+    if 2 * x.error_bound >= Fraction(1, max_denominator * max_denominator):
         return None
-    sign, man, exp, _ = x.value._mpf_
-    exact = Fraction((-1) ** sign * man) * Fraction(2) ** exp
-    candidate = exact.limit_denominator(max_denominator)
-    cv = mpf(candidate.numerator) / mpf(candidate.denominator)
-    # cv is rounded too: 8 eps of it covers that at the current precision
-    if abs(cv - x.value) <= x.error_bound + abs(cv) * mp.eps * 8:
-        return candidate
-    return None
+    candidate = x.value.limit_denominator(max_denominator)
+    return candidate if abs(candidate - x.value) <= x.error_bound else None
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Numeric audit of one row of the Euler odd-weight reduction."""
 
     K: int
@@ -448,43 +461,41 @@ def _audit_rows(K: int, rows: Sequence[int], digits: int) -> list[AuditReport]:
     for r in rows:
         if not 1 <= r <= K - 1:
             raise ValueError(f"row r={r} out of range for K={K}")
-    with mp.workdps(_work_dps(digits)):
-        tables = _EMTables(digits)
-        bits = tables.bits
-        z = tables.zeta_fixed
-        a = build_a(K).numerators
-        products = [z(2 * s) * z(2 * K + 1 - 2 * s) for s in range(1, K)]
-        z_odd = z(2 * K + 1)
-        printed = PRINTED_CONSTANT * (1 << bits)  # in units of 2^-bits
-        reports = []
-        for r in rows:
-            k1, k2 = 2 * r, 2 * K + 1 - 2 * r
-            lhs = _zeta_double(k1, k2, tables)
-            # the entries of A are ints, so the weighted sum is exact
-            rhs = sum(
-                (p.times(c, bits) for p, c in zip(products, a[r - 1])),
-                _Fixed(0, 0, bits),
+    tables = _EMTables(digits)
+    bits = tables.bits
+    z = tables.zeta_fixed
+    a = build_a(K).numerators
+    products = [z(2 * s) * z(2 * K + 1 - 2 * s) for s in range(1, K)]
+    z_odd = z(2 * K + 1)
+    printed = PRINTED_CONSTANT * (1 << bits)  # in units of 2^-bits
+    reports = []
+    for r in rows:
+        k1, k2 = 2 * r, 2 * K + 1 - 2 * r
+        lhs = _zeta_double(k1, k2, tables)
+        # the entries of A are ints, so the weighted sum is exact
+        rhs = sum(
+            (p.times(c, bits) for p, c in zip(products, a[r - 1])),
+            _Fixed(0, 0, bits),
+        )
+        residual = (lhs - rhs) / z_odd
+        residual_ratio = residual.to_bigfloat()
+        consistent = abs(residual.value - printed) <= residual.error
+        reports.append(
+            AuditReport(
+                K=K,
+                r=r,
+                digits=digits,
+                lhs=_checked(lhs, digits, f"zeta({k1},{k2})"),
+                rhs_products=rhs.to_bigfloat(),
+                residual_ratio=residual_ratio,
+                reconstructed=rational_reconstruct(residual_ratio, 64),
+                printed_constant_consistent=consistent,
             )
-            residual = (lhs - rhs) / z_odd
-            residual_ratio = residual.to_bigfloat()
-            consistent = abs(residual.value - printed) <= residual.error
-            reports.append(
-                AuditReport(
-                    K=K,
-                    r=r,
-                    digits=digits,
-                    lhs=_checked(lhs, digits, f"zeta({k1},{k2})"),
-                    rhs_products=rhs.to_bigfloat(),
-                    residual_ratio=residual_ratio,
-                    reconstructed=rational_reconstruct(residual_ratio, 64),
-                    printed_constant_consistent=consistent,
-                )
-            )
-        return reports
+        )
+    return reports
 
 
-@dataclass(frozen=True)
-class HAuditReport:
+class HAuditReport(NamedTuple):
     """Numeric audit of the H(a,b) odd-zeta expansion."""
 
     a: int
@@ -492,7 +503,7 @@ class HAuditReport:
     digits: int
     formula_value: BigFloat
     direct_value: BigFloat
-    abs_difference: mpf
+    abs_difference: Fraction
     agrees_within_bounds: bool
 
 
@@ -511,32 +522,31 @@ def audit_h_ab(a: int, b: int, digits: int = 30) -> HAuditReport:
         raise ValueError(
             f"audit_h_ab supports (a,b) in {sorted(supported)}, got ({a}, {b})"
         )
-    with mp.workdps(_work_dps(digits)):
-        tables = _EMTables(digits)
-        bits = tables.bits
-        K = a + b + 1
-        formula = _Fixed(0, 0, bits)
-        for r, term in enumerate(h_ab_coefficients(a, b).rows[0].terms, start=1):
-            h = _h(K - r, tables) * tables.zeta_fixed(2 * r + 1)
-            formula += h.times(term.coeff, bits)
+    tables = _EMTables(digits)
+    bits = tables.bits
+    K = a + b + 1
+    formula = _Fixed(0, 0, bits)
+    for r, term in enumerate(h_ab_coefficients(a, b).rows[0].terms, start=1):
+        h = _h(K - r, tables) * tables.zeta_fixed(2 * r + 1)
+        formula += h.times(term.coeff, bits)
 
-        if (a, b) == (0, 0):
-            direct, label = tables.zeta_fixed(3), "zeta(3)"
-        elif (a, b) == (1, 0):
-            direct, label = _zeta_double(2, 3, tables), "zeta(2,3)"
-        else:
-            direct, label = _zeta_double(3, 2, tables), "zeta(3,2)"
+    if (a, b) == (0, 0):
+        direct, label = tables.zeta_fixed(3), "zeta(3)"
+    elif (a, b) == (1, 0):
+        direct, label = _zeta_double(2, 3, tables), "zeta(2,3)"
+    else:
+        direct, label = _zeta_double(3, 2, tables), "zeta(3,2)"
 
-        diff = abs(formula.value - direct.value)
-        return HAuditReport(
-            a=a,
-            b=b,
-            digits=digits,
-            formula_value=formula.to_bigfloat(),
-            direct_value=_checked(direct, digits, label),
-            abs_difference=mp.ldexp(mpf(diff), -bits),
-            agrees_within_bounds=diff <= formula.error + direct.error,
-        )
+    diff = abs(formula.value - direct.value)
+    return HAuditReport(
+        a=a,
+        b=b,
+        digits=digits,
+        formula_value=formula.to_bigfloat(),
+        direct_value=_checked(direct, digits, label),
+        abs_difference=Fraction(diff, 1 << bits),
+        agrees_within_bounds=diff <= formula.error + direct.error,
+    )
 
 
 def _h(n: int, tables: _EMTables) -> _Fixed:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple
 
 from .bernoulli import BernoulliCache
 from .matrices import _check_k, build_a, build_p
@@ -40,8 +40,7 @@ __all__ = [
 PRINTED_CONSTANT = Fraction(-1, 2)
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """One basis label with its exact coefficient and optional provenance."""
 
     basis: str
@@ -49,17 +48,15 @@ class Term:
     flag: str | None = None
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     target: str
     terms: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(NamedTuple):
     kind: str
     params: dict
-    rows: tuple[TableRow, ...] = field(default_factory=tuple)
+    rows: tuple[TableRow, ...] = ()
 
 
 def h_value(n: int) -> Fraction:

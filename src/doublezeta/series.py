@@ -17,10 +17,10 @@ derivative is a shift and a product with e^t is a binomial sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
 from operator import mul
+from typing import NamedTuple
 
 from .bernoulli import BernoulliCache
 from .rationals import format_rational
@@ -66,8 +66,7 @@ def _reflection_egf(
     return lhs, rhs, big
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     """First degree at which the two reflection sides disagree, with both values."""
 
     degree: int

@@ -10,13 +10,11 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
-from mpmath import mpf
 
 from doublezeta import matrices, numerics, reductions, series
 from doublezeta.bernoulli import BernoulliCache
 from doublezeta.cli import main as cli_main
 from test_matrices import times
-from test_numerics import exact
 
 
 def report(name: str, ok: bool) -> None:
@@ -86,7 +84,7 @@ def test_criterion_5_bernoulli_fidelity(cache):
 @pytest.mark.parametrize("a, b", [(0, 0), (1, 0), (0, 1)])
 def test_criterion_6_h_ab_numeric_audit(a, b):
     rep = numerics.audit_h_ab(a, b, 30)
-    ok = rep.agrees_within_bounds and rep.abs_difference <= mpf(10) ** -20
+    ok = rep.agrees_within_bounds and rep.abs_difference <= Fraction(1, 10**20)
     report(f"6. H({a},{b}) formula vs direct summation, |diff| <= 1e-20", ok)
 
 
@@ -128,9 +126,10 @@ def test_criterion_8_inverse_reduction_numeric_closure(cache):
                     val = numerics.zeta_double(int(inner[0]), int(inner[1]), digits)
                 else:
                     val = numerics.zeta_single(2 * K + 1, digits)
-                acc += term.coeff * exact(val.value)
-            product = exact(numerics.zeta_single(2 * s, digits).value) * exact(
-                numerics.zeta_single(2 * K + 1 - 2 * s, digits).value
+                acc += term.coeff * val.value
+            product = (
+                numerics.zeta_single(2 * s, digits).value
+                * numerics.zeta_single(2 * K + 1 - 2 * s, digits).value
             )
             ok &= abs(acc - product) <= Fraction(1, 10**18)
     report("8. inverse reduction with audited constants closes, <= 1e-18", ok)

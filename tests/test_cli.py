@@ -1,12 +1,13 @@
-import dataclasses
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+import doublezeta.matrices as matrices
 import doublezeta.numerics as numerics
 from doublezeta.bernoulli import bernoulli_number
 from doublezeta.cli import EXIT_BROKEN_PIPE, build_parser, main
@@ -81,6 +82,84 @@ def test_failed_write_to_out_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: cannot write '/dev/full': No space left on device\n"
+
+
+@pytest.mark.parametrize("parent", ["missing-directory", "regular-file"])
+def test_unwritable_out_fails_before_the_command_runs(capsys, monkeypatch, tmp_path, parent):
+    # the --out file is made before any work, so an unusable path is
+    # reported at once
+    def not_called(*args):
+        raise AssertionError("verify_inverse ran before --out was opened")
+
+    monkeypatch.setattr(matrices, "verify_inverse", not_called)
+    (tmp_path / "regular-file").write_text("")
+    path = str(tmp_path / parent / "x")
+    argv = ["verify", "conjecture", "--k-min", "100", "--k-max", "100", "--out", path]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path!r}: ")
+    assert err.count("\n") == 1
+
+
+def test_failed_run_leaves_the_old_out_file(capsys, monkeypatch, tmp_path):
+    # a command that fails writes nothing: the old file keeps its bytes and
+    # no temporary file is left beside it
+    target = tmp_path / "out.json"
+    target.write_bytes(b"old bytes\n")
+    missing = str(tmp_path / "missing.json")
+    failing = [
+        (["zeta", "--k", "1"], 2),
+        (["reduce", "inverse", "--K", "3", "--constants", "audited", "--audit-file", missing], 3),
+    ]
+    for argv, expected in failing:
+        code, out, _ = run([*argv, "--out", str(target)], capsys)
+        assert (code, out) == (expected, "")
+    # an error that is not the CLI's own propagates, and still writes nothing
+    def broken(K):
+        raise RuntimeError("broken builder")
+
+    monkeypatch.setattr(matrices, "build_a", broken)
+    with pytest.raises(RuntimeError):
+        main(["matrix", "--K", "3", "--which", "A", "--out", str(target)])
+    assert target.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_out_replaces_a_regular_file_and_keeps_its_mode(capsys, tmp_path):
+    argv = ["bernoulli", "--max", "6", "--format", "csv"]
+    _, expected, _ = run(argv, capsys)
+    target = tmp_path / "b.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    for path in (target, link):
+        code, out, err = run([*argv, "--out", str(path)], capsys)
+        assert (code, out, err) == (0, "", "")
+        assert target.read_text() == expected
+        assert target.stat().st_mode & 0o777 == 0o640
+    assert link.is_symlink()
+    assert sorted(os.listdir(tmp_path)) == ["b.csv", "link.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_out_writes_a_fifo_in_place(capsys, tmp_path):
+    # a path that is not a regular file is written where it is, never
+    # replaced; the reader blocks until the CLI opens the FIFO
+    argv = ["bernoulli", "--max", "6"]
+    _, expected, _ = run(argv, capsys)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code, out, err = run([*argv, "--out", str(fifo)], capsys)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert (code, out, err) == (0, "", "")
+    assert received == [expected]
+    assert os.listdir(tmp_path) == ["fifo"]
 
 
 def test_main_leaves_no_parser_state(capsys):
@@ -419,7 +498,7 @@ def test_zeta_bound_above_target_is_an_error(capsys, monkeypatch, k1):
     def loose_tail(k, start, target, tables):
         tail = zeta_tail(k, start, target, tables)
         # one more unit, 2^scale ulps of the tail's own scale
-        return dataclasses.replace(tail, error=tail.error + (1 << tail.scale))
+        return tail._replace(error=tail.error + (1 << tail.scale))
 
     monkeypatch.setattr(numerics, "_zeta_tail", loose_tail)
     code, out, err = run(["zeta", "--k1", k1, "--k2", "4", "--digits", "30"], capsys)

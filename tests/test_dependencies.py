@@ -1,12 +1,17 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "doublezeta").glob("*.py"))
 
-# mpmath is the one declared runtime dependency (pyproject.toml); numpy and
-# the rest of the scientific stack must not creep in.
-ALLOWED = set(sys.stdlib_module_names) | {"mpmath", "doublezeta"}
+# the package runs on the standard library alone (pyproject.toml declares
+# no runtime dependency); mpmath is for the tests and the benchmark's oracle
+ALLOWED = set(sys.stdlib_module_names) | {"doublezeta"}
+# modules that the command line must not load: they cost start-up time
+# that commands without numerics (verify, matrix, reduce) would pay too
+NOT_AT_START = ("mpmath", "dataclasses", "inspect")
 
 
 def _imported_packages(path: Path) -> set[str]:
@@ -20,9 +25,22 @@ def _imported_packages(path: Path) -> set[str]:
     return names
 
 
-def test_package_imports_only_stdlib_and_mpmath():
+def test_package_imports_only_stdlib():
     assert SOURCES
     offending = {
         path.name: sorted(_imported_packages(path) - ALLOWED) for path in SOURCES
     }
     assert {name: pkgs for name, pkgs in offending.items() if pkgs} == {}
+
+
+def test_cli_start_up_loads_no_mpmath_dataclasses_or_inspect():
+    code = (
+        "import sys, doublezeta.cli; doublezeta.cli.build_parser(); "
+        f"print(sorted(set({NOT_AT_START!r}) & set(sys.modules)))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SOURCES[0].parents[1]), env.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out == "[]\n"
