@@ -51,6 +51,13 @@ table.  Each folded tail is evaluated to the target divided by its
 coefficient, and the coefficient taken is the largest that any k1 of the
 weight gives to that exponent, so the target, too, depends on the weight
 only.  The T(m) expansion stops as soon as its remainder meets the target.
+
+The audits accept every digits >= 1, as the zeta functions do, and have no
+floor of their own.  A residual's bound covers its true error at any
+precision, and ``rational_reconstruct`` returns None unless the bound
+names one constant, so a low precision gives a coarser report, never a
+wrong one.  No floor on digits could promise a reconstruction either: the
+residual's bound grows with K (at K = 30 and 10 digits it is about 2e-4).
 """
 
 from __future__ import annotations

@@ -473,8 +473,19 @@ def test_audit_h(capsys):
 
 
 def test_audit_digits_floor(capsys):
-    code, _, _ = run(["audit", "euler", "--K", "2", "--digits", "5"], capsys)
-    assert code == 2
+    # the floor is the library's digits >= 1: one error: line, no usage text
+    for argv in (["audit", "euler", "--K", "2", "--digits", "0"], ["audit", "h", "--digits", "0"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", "error: digits must be >= 1\n")
+    # below it an audit is coarser, not wrong: the verdicts are the 40-digit ones
+    verdicts = []
+    for digits in ("5", "40"):
+        code, out, _ = run(["audit", "euler", "--K", "4", "--digits", digits], capsys)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        verdicts.append([(r["reconstructed"], r["printed_constant_consistent"]) for r in rows])
+    assert verdicts[0] == verdicts[1]
+    assert all(rec is not None for rec, _ in verdicts[0])
 
 
 def test_zeta_single(capsys):

@@ -1,5 +1,7 @@
+import functools
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -47,8 +49,9 @@ def reference_mismatch(s: int, m: int, order: int, cache) -> Mismatch | None:
 
 
 def egf_sides(s: int, m: int, order: int, cache) -> tuple[list[Fraction], list[Fraction]]:
-    """``series._reflection_egf``'s integer EGF entries as [t^i] coefficients x / (i! D)."""
-    lhs, rhs, big = series._reflection_egf(s, m, order, cache)
+    """``series._reflection_sides``'s integer EGF entries as [t^i] coefficients x / (i! D)."""
+    b, big = cache.scaled(order)
+    lhs, rhs = series._reflection_sides(s, m, order, b, big)[m - 1]
     return tuple(
         [Fraction(x, math.factorial(i) * big) for i, x in enumerate(side)] for side in (lhs, rhs)
     )
@@ -90,6 +93,14 @@ def carlitz_side(m: int, n: int, cache) -> Fraction:
     )
 
 
+def pascal_reference(seq: list[int], sign: int, r: int) -> list[int]:
+    """sum_k C(r,k) sign^(r-k) seq[i+k] for every i with i + r < len(seq)."""
+    return [
+        sum(math.comb(r, k) * sign ** (r - k) * seq[i + k] for k in range(r + 1))
+        for i in range(len(seq) - r)
+    ]
+
+
 def corrupted_cache(index: int) -> type[BernoulliCache]:
     """A BernoulliCache whose B_index is 1/29."""
 
@@ -98,6 +109,37 @@ def corrupted_cache(index: int) -> type[BernoulliCache]:
             return Fraction(1, 29) if n == index else super().get(n)
 
     return Corrupted
+
+
+@functools.cache
+def carlitz_failures(index: int, n_max: int) -> list[tuple[int, int]]:
+    """The pairs m <= n <= n_max, n outer, whose Fraction sides differ when B_index = 1/29."""
+    ref = corrupted_cache(index)()
+    return [
+        (m, n)
+        for n in range(n_max + 1)
+        for m in range(n + 1)
+        if carlitz_side(m, n, ref) != carlitz_side(n, m, ref)
+    ]
+
+
+@functools.cache
+def reflection_results(index: int, s_max: int, m_max: int, order: int) -> list:
+    """(s, m, first Fraction mismatch or None) per pair, s outer, when B_index = 1/29."""
+    ref = corrupted_cache(index)()
+    return [
+        (s, m, reference_mismatch(s, m, order, ref))
+        for s in range(1, s_max + 1)
+        for m in range(1, m_max + 1)
+    ]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("seq", [[], [7], [3, -1, 4], [1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9]])
+def test_pascal_rows_match_binomial_sums(seq, sign):
+    # ask for more rows than the sequence has: the rows stop before the empty one
+    rows = list(islice(series._pascal_rows(seq, sign), len(seq) + 3))
+    assert rows == [tuple(pascal_reference(seq, sign, r)) for r in range(len(seq))]
 
 
 @pytest.mark.parametrize("s, order", [(1, 10), (2, 12), (3, 14)])
@@ -114,34 +156,47 @@ def test_reflection_sides_match_sympy(cache, s, m, order):
 
 
 def test_reflection_examples(cache):
-    assert verify_reflection(1, 1, 12, cache) == (True, None)
-    assert verify_reflection(3, 5, 24, cache) == (True, None)
+    assert verify_reflection(1, 1, 12, cache) == [(1, 1, None)]
+    results = verify_reflection(3, 5, 24, cache)
+    assert [(s, m) for s, m, _ in results] == [(s, m) for s in range(1, 4) for m in range(1, 6)]
+    assert all(bad is None for _, _, bad in results)
 
 
 def test_reflection_negative_control(cache, monkeypatch):
     # perturbing one polynomial coefficient of the right side by 1 must be caught
-    egf = series._reflection_egf
+    sides = series._reflection_sides
 
-    def bumped(*args):
-        lhs, rhs, big = egf(*args)
-        rhs[1] += big  # entry i is [t^i] times i! D
-        return lhs, rhs, big
+    def bumped(s, m_max, order, b, big):
+        out = sides(s, m_max, order, b, big)
+        if s == 2:
+            out[2][1][1] += big  # m = 3; entry i is [t^i] times i! D
+        return out
 
-    monkeypatch.setattr(series, "_reflection_egf", bumped)
-    passed, bad = verify_reflection(2, 3, 20, cache)
-    assert not passed and bad.degree == 1
-    assert bad.rhs - bad.lhs == 1
+    monkeypatch.setattr(series, "_reflection_sides", bumped)
+    results = verify_reflection(2, 3, 20, cache)
+    bad = {(s, m): mismatch for s, m, mismatch in results if mismatch is not None}
+    assert list(bad) == [(2, 3)]
+    assert bad[2, 3].degree == 1
+    assert bad[2, 3].rhs - bad[2, 3].lhs == 1
 
 
 def test_reflection_rejects_tiny_order(cache):
-    with pytest.raises(ValueError):
-        verify_reflection(3, 4, 7, cache)
+    # the error names the first pair, s outer and m inner, with no comparable coefficient
+    for s_max, m_max, order, first in [
+        (3, 4, 7, "s=3, m=4"),
+        (6, 12, 10, "s=1, m=11"),
+        (6, 3, 10, "s=5, m=3"),
+        (1, 1, 0, "s=1, m=1"),
+    ]:
+        message = f"order {order} leaves no comparable coefficient for {first}$"
+        with pytest.raises(ValueError, match=message):
+            verify_reflection(s_max, m_max, order, cache)
 
 
 def test_carlitz_examples(cache):
-    assert verify_carlitz(0, 2, cache)
-    assert verify_carlitz(1, 2, cache)
-    assert verify_carlitz(5, 5, cache)
+    assert verify_carlitz(0, cache) == []
+    assert verify_carlitz(2, cache) == []
+    assert verify_carlitz(5, cache) == []
 
 
 def test_carlitz_sides_values(cache):
@@ -152,26 +207,17 @@ def test_carlitz_sides_values(cache):
 
 @pytest.mark.parametrize("index", [1, 4, 10])
 def test_carlitz_matches_reference_under_a_corrupted_cache(index):
-    bad, ref = corrupted_cache(index)(), corrupted_cache(index)()
-    verdicts = []
-    for n in range(61):
-        for m in range(n + 1):
-            expected = carlitz_side(m, n, ref) == carlitz_side(n, m, ref)
-            assert verify_carlitz(m, n, bad) == expected, (m, n)
-            verdicts.append(expected)
-    assert not all(verdicts)
+    # the failing pairs name the verdict of every pair m <= n <= 60
+    expected = carlitz_failures(index, 60)
+    assert expected
+    assert verify_carlitz(60, corrupted_cache(index)()) == expected
 
 
 @pytest.mark.parametrize("index", [1, 4, 10])
 def test_reflection_matches_reference_under_a_corrupted_cache(index):
-    bad, ref = corrupted_cache(index)(), corrupted_cache(index)()
-    failures = 0
-    for s in range(1, 7):
-        for m in range(1, 13):
-            bad_at = reference_mismatch(s, m, 48, ref)
-            assert verify_reflection(s, m, 48, bad) == (bad_at is None, bad_at), (s, m)
-            failures += bad_at is not None
-    assert failures
+    expected = reflection_results(index, 6, 12, 48)
+    assert any(bad is not None for _, _, bad in expected)
+    assert verify_reflection(6, 12, 48, corrupted_cache(index)()) == expected
 
 
 def test_reflection_sides_match_reference(cache):
@@ -183,26 +229,24 @@ def test_reflection_sides_match_reference(cache):
 
 @pytest.mark.parametrize("index", [1, 4, 10])
 def test_cli_fail_lines_under_a_corrupted_cache(monkeypatch, capsys, index):
+    # one D and one Pascal table serve every pair of a sweep, so a small sweep
+    # and the CLI defaults (--max 60; --s-max 6 --m-max 12 --order 48) are both run
     monkeypatch.setattr(cli, "BernoulliCache", corrupted_cache(index))
-    ref = corrupted_cache(index)()
-    expected = [
-        f"(m={m}, n={n}): FAIL"
-        for n in range(13)
-        for m in range(n + 1)
-        if carlitz_side(m, n, ref) != carlitz_side(n, m, ref)
-    ]
-    assert expected
-    assert cli.main(["verify", "carlitz", "--max", "12"]) == cli.EXIT_IDENTITY_FAILURE
-    lines = capsys.readouterr().out.splitlines()
-    assert lines == expected + ["carlitz m<=n<=12: FAIL"]
+    for n_max, args in [(12, ["--max", "12"]), (60, [])]:
+        expected = [f"(m={m}, n={n}): FAIL" for m, n in carlitz_failures(index, n_max)]
+        assert expected
+        assert cli.main(["verify", "carlitz", *args]) == cli.EXIT_IDENTITY_FAILURE
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == expected + [f"carlitz m<=n<={n_max}: FAIL"]
 
-    expected = []
-    for s in range(1, 3):
-        for m in range(1, 4):
-            bad_at = reference_mismatch(s, m, 16, ref)
-            if bad_at is not None:
-                expected.append(f"(s={s}, m={m}, order=16): FAIL {bad_at}")
-    assert expected
-    cli.main(["verify", "series", "--s-max", "2", "--m-max", "3", "--order", "16"])
-    lines = capsys.readouterr().out.splitlines()
-    assert [line for line in lines if "FAIL" in line] == expected
+    for sizes, args in [
+        ((2, 3, 16), ["--s-max", "2", "--m-max", "3", "--order", "16"]),
+        ((6, 12, 48), []),
+    ]:
+        expected = [
+            f"(s={s}, m={m}, order={sizes[2]}): " + ("pass" if bad is None else f"FAIL {bad}")
+            for s, m, bad in reflection_results(index, *sizes)
+        ]
+        assert any("FAIL" in line for line in expected)
+        assert cli.main(["verify", "series", *args]) == cli.EXIT_IDENTITY_FAILURE
+        assert capsys.readouterr().out.splitlines() == expected
