@@ -166,7 +166,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     elif args.kind == "carlitz":
         bad = series.verify_carlitz(args.max, BernoulliCache())
         ok = not bad
-        lines += [f"(m={m}, n={n}): FAIL" for m, n in bad]
+        lines += [
+            f"(m={m}, n={n}): FAIL lhs={format_rational(lhs)} rhs={format_rational(rhs)}"
+            for m, n, lhs, rhs in bad
+        ]
         lines.append(f"carlitz m<=n<={args.max}: {'pass' if ok else 'FAIL'}")
     elif args.kind == "series":
         results = series.verify_reflection(args.s_max, args.m_max, args.order, BernoulliCache())

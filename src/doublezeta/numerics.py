@@ -278,8 +278,9 @@ def _zeta_tail(k: int, start: int, target: int, tables: _EMTables) -> _Fixed:
     ``target`` is in those units too.  Derivative terms j = 1..J-1 are added
     until the periodic-Bernoulli remainder bound 2|B_{2J}|/(2J)! * int
     |f^(2J)|, which is twice |term J|, drops to the target (or stops
-    improving; the asymptotic series eventually diverges).  The error is
-    that bound plus one ulp per floor quotient.
+    improving; the asymptotic series eventually diverges), or until J
+    passes ``_term_cap(digits)``.  The error is that bound plus one ulp per
+    floor quotient.
     """
     scale = tables.bits + _tail_shift(k, start)
     one = 1 << scale
@@ -289,6 +290,7 @@ def _zeta_tail(k: int, start: int, target: int, tables: _EMTables) -> _Fixed:
     factorial = 1  # (2J)!
     rising = k  # the rising factorial (k)_{2J-1} = k (k+1) ... (k+2J-2)
     prev_bound = math.inf
+    cap = _term_cap(tables.digits)
     J = 1
     while True:
         b = tables.bernoulli.get(2 * J)
@@ -298,7 +300,7 @@ def _zeta_tail(k: int, start: int, target: int, tables: _EMTables) -> _Fixed:
         term = b.numerator * rising * one // (b.denominator * factorial * power)
         # the remainder with terms 1..J-1 in, rounded up: |term J| < |term| + 1
         bound = 2 * (abs(term) + 1)
-        if bound <= target or bound >= prev_bound or J > 400:
+        if bound <= target or bound >= prev_bound or J > cap:
             return _Fixed(value, bound + ulps, scale)
         value += term
         ulps += 1
@@ -311,6 +313,13 @@ def _choose_cutoff(digits: int) -> int:
     # Euler-Maclaurin converges once 2*pi*M exceeds the term count;
     # M near the digit count keeps both the direct sum and J small.
     return max(16, digits)
+
+
+def _term_cap(digits: int) -> int:
+    # the last derivative term J of a tail.  From start M >= digits, term J
+    # falls roughly as (2J/(2 pi e M))^(2J), so a 10^-digits target needs
+    # J near 0.37 digits: a cap of 400 alone would bite near 1090 digits.
+    return max(400, digits)
 
 
 def _double_cutoff(digits: int) -> int:

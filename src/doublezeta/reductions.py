@@ -3,8 +3,19 @@
 Labels: ``zeta(k)``, ``zeta(k1,k2)``, ``zeta(a)*zeta(b)``, ``H(n)``,
 ``pi^m``, and products thereof joined by ``*``.  H(n) = pi^{2n}/(2n+1)!,
 so ``h_value(n)`` is the rational 1/(2n+1)! that multiplies pi^{2n}.
-Coefficients are exact rationals serialized as ``"p/q"``, so tables are
-diffable and round-trip bit-exactly through the JSON export.
+
+A table row holds its coefficients as ``RationalMatrix`` holds a matrix
+row: int numerators over one positive row denominator, reduced once by
+gcd, so == is value equality.  Beside them are the row's basis labels and
+flags; a builder makes each column's label once per table, not once per
+entry.  The Euler rows are A's int rows, the inverse rows P's int rows
+with the zeta(2K+1) term put over the same row denominator.  No Fraction
+is made per coefficient: the exports format each entry from (numerator,
+row denominator) with ``format_rational(x, den)``.  ``TableRow.terms`` is
+a read-only view of a row as ``Term``s with Fraction coefficients, and
+``TableRow.from_terms`` builds the canonical row back from them.
+Coefficients are serialized as ``"p/q"``, so tables are diffable and
+round-trip bit-exactly through the JSON export.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ import json
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .bernoulli import BernoulliCache
@@ -49,8 +61,52 @@ class Term(NamedTuple):
 
 
 class TableRow(NamedTuple):
+    """One target and its terms: term i is bases[i] times numerators[i] / denominator.
+
+    Built only by ``_row``, which puts the row in lowest terms over a
+    positive denominator, so == is value equality.  flags[i] is the
+    provenance of term i, or None.
+    """
+
     target: str
-    terms: tuple[Term, ...]
+    bases: tuple[str, ...]
+    numerators: tuple[int, ...]
+    denominator: int
+    flags: tuple[str | None, ...]
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        """The terms in order, with their coefficients as reduced Fractions."""
+        d = self.denominator
+        return tuple(
+            Term(b, Fraction(x, d), f) for b, x, f in zip(self.bases, self.numerators, self.flags)
+        )
+
+    @classmethod
+    def from_terms(cls, target: str, terms: Sequence[Term]) -> TableRow:
+        """The row of ``terms``, over the lcm of their coefficients' denominators."""
+        den = math.lcm(*(t.coeff.denominator for t in terms))
+        return _row(
+            target,
+            tuple(t.basis for t in terms),
+            [t.coeff.numerator * (den // t.coeff.denominator) for t in terms],
+            den,
+            tuple(t.flag for t in terms),
+        )
+
+
+def _row(
+    target: str,
+    bases: tuple[str, ...],
+    nums: Sequence[int],
+    den: int,
+    flags: tuple[str | None, ...],
+) -> TableRow:
+    """nums / den in lowest terms, for den > 0: one gcd for the whole row."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums, den = [x // g for x in nums], den // g
+    return TableRow(target, bases, tuple(nums), den, flags)
 
 
 class CoefficientTable(NamedTuple):
@@ -89,7 +145,8 @@ def euler_rhs_coefficients(
 
     Product coefficients are the rows of A_K.  The zeta(2K+1) constant
     defaults to the printed -1/2 per row, flagged "as printed"; callers
-    may supply per-row constants (e.g. audited ones) instead.
+    may supply per-row constants (e.g. audited ones) instead.  Row r is
+    A's int row over the denominator of its constant c_r.
     """
     _check_k(K)
     if constants is None:
@@ -100,15 +157,22 @@ def euler_rhs_coefficients(
         flag = constants_flag
     if len(constants) != K - 1:
         raise ValueError(f"need {K - 1} constants, got {len(constants)}")
-    rows = []
-    for r, a_row in enumerate(build_a(K).numerators, start=1):
-        terms = [Term(f"zeta({2 * K + 1})", constants[r - 1], flag)]
-        for s, a_rs in enumerate(a_row, start=1):
-            terms.append(Term(f"zeta({2 * s})*zeta({2 * K + 1 - 2 * s})", Fraction(a_rs)))
-        rows.append(TableRow(f"zeta({2 * r},{2 * K + 1 - 2 * r})", tuple(terms)))
-    return CoefficientTable(
-        kind="euler_reduction", params={"K": K}, rows=tuple(rows)
+    bases = (
+        f"zeta({2 * K + 1})",
+        *(f"zeta({2 * s})*zeta({2 * K + 1 - 2 * s})" for s in range(1, K)),
     )
+    flags = (flag,) + (None,) * (K - 1)
+    rows = tuple(
+        _row(
+            f"zeta({2 * r},{2 * K + 1 - 2 * r})",
+            bases,
+            [c.numerator, *(x * c.denominator for x in a_row)],
+            c.denominator,
+            flags,
+        )
+        for r, (c, a_row) in enumerate(zip(constants, build_a(K).numerators), start=1)
+    )
+    return CoefficientTable(kind="euler_reduction", params={"K": K}, rows=rows)
 
 
 def inverse_reduction_coefficients(
@@ -121,8 +185,9 @@ def inverse_reduction_coefficients(
     Applies P to the Euler rows with per-row constants c: the product
     equals sum_r P_{s,r} zeta(2r, 2K+1-2r) minus (sum_r P_{s,r} c_r)
     times zeta(2K+1).  A vanishing constant term is suppressed.  The sum
-    runs in integers: c over one common denominator, each row of P as
-    build_p's int row over its row denominator.
+    runs in integers: c over one common denominator e, each row of P as
+    build_p's int row n_s over its row denominator d_s, so row s is n_s e
+    and -n_s . (e c) over d_s e.
     """
     _check_k(K)
     constants = list(constants)
@@ -131,18 +196,19 @@ def inverse_reduction_coefficients(
     c_den = math.lcm(*(c.denominator for c in constants))
     c_num = [c.numerator * (c_den // c.denominator) for c in constants]
     p = build_p(K, cache)
+    bases = tuple(f"zeta({2 * r},{2 * K + 1 - 2 * r})" for r in range(1, K))
+    with_const = (*bases, f"zeta({2 * K + 1})")
+    flags = (None,) * K
     rows = []
     for s, (p_row, p_den) in enumerate(zip(p.numerators, p.denominators), start=1):
-        terms = [
-            Term(f"zeta({2 * r},{2 * K + 1 - 2 * r})", Fraction(x, p_den))
-            for r, x in enumerate(p_row, start=1)
-        ]
-        const = Fraction(-sum(x * c for x, c in zip(p_row, c_num)), p_den * c_den)
+        target = f"zeta({2 * s})*zeta({2 * K + 1 - 2 * s})"
+        const = -sum(map(mul, p_row, c_num))
         if const:
-            terms.append(Term(f"zeta({2 * K + 1})", const))
-        rows.append(
-            TableRow(f"zeta({2 * s})*zeta({2 * K + 1 - 2 * s})", tuple(terms))
-        )
+            nums = [x * c_den for x in p_row]
+            nums.append(const)
+            rows.append(_row(target, with_const, nums, p_den * c_den, flags))
+        else:
+            rows.append(_row(target, bases, p_row, p_den, flags[1:]))
     return CoefficientTable(
         kind="inverse_reduction",
         params={"K": K, "constants": [format_rational(c) for c in constants]},
@@ -154,76 +220,75 @@ def h_ab_coefficients(a: int, b: int) -> CoefficientTable:
     """H(a,b) as a combination of H(K-r) zeta(2r+1), K = a+b+1.
 
     Coefficient of H(K-r) zeta(2r+1) is
-    2 (-1)^r [C(2r, 2a+2) - (1 - 2^{-2r}) C(2r, 2b+1)].
+    2 (-1)^r [C(2r, 2a+2) - (1 - 2^{-2r}) C(2r, 2b+1)], which is
+    2 (-1)^r [4^K (C(2r, 2a+2) - C(2r, 2b+1)) + 4^(K-r) C(2r, 2b+1)]
+    over the row denominator 4^K.
     """
     if a < 0 or b < 0:
         raise ValueError("a and b must be >= 0")
     K = a + b + 1
-    terms = []
+    nums = []
     for r in range(1, K + 1):
-        coeff = (
-            2
-            * (-1) ** r
-            * (
-                math.comb(2 * r, 2 * a + 2)
-                - (1 - Fraction(1, 4**r)) * math.comb(2 * r, 2 * b + 1)
-            )
-        )
-        terms.append(Term(f"H({K - r})*zeta({2 * r + 1})", coeff))
+        c1, c2 = math.comb(2 * r, 2 * a + 2), math.comb(2 * r, 2 * b + 1)
+        x = 2 * (((c1 - c2) << 2 * K) + (c2 << 2 * (K - r)))
+        nums.append(-x if r % 2 else x)
+    bases = tuple(f"H({K - r})*zeta({2 * r + 1})" for r in range(1, K + 1))
     return CoefficientTable(
         kind="h_ab",
         params={"a": a, "b": b, "K": K},
-        rows=(TableRow(f"H({a},{b})", tuple(terms)),),
+        rows=(_row(f"H({a},{b})", bases, nums, 1 << 2 * K, (None,) * K),),
     )
+
+
+def _pi_basis(basis: str) -> tuple[str, int]:
+    """The basis with H(n) factors as pi^{2n}, and the product of their (2n+1)!."""
+    out_factors = []
+    scale = 1
+    for f in basis.split("*"):
+        if f.startswith("H(") and f.endswith(")"):
+            n = int(f[2:-1])
+            scale *= h_value(n).denominator
+            if n > 0:
+                out_factors.append(f"pi^{2 * n}")
+        else:
+            out_factors.append(f)
+    return ("*".join(out_factors) if out_factors else "1"), scale
 
 
 def expand_h_to_pi(table: CoefficientTable) -> CoefficientTable:
     """Rewrite H(n) factors as pi^{2n} scaled by 1/(2n+1)!.
 
     H(0) disappears (it is 1); other factors become pi^{2n} labels with
-    the coefficient absorbed.  Only h_ab tables carry H factors.
+    the coefficient absorbed.  Only h_ab tables carry H factors.  Term i
+    of a row is divided by its scale f_i, so the row goes over its
+    denominator times L = lcm(f_i), with numerator i times L / f_i.
     """
     rows = []
     for row in table.rows:
-        terms = []
-        for term in row.terms:
-            factors = term.basis.split("*")
-            coeff = term.coeff
-            out_factors = []
-            for f in factors:
-                if f.startswith("H(") and f.endswith(")"):
-                    n = int(f[2:-1])
-                    coeff *= h_value(n)
-                    if n > 0:
-                        out_factors.append(f"pi^{2 * n}")
-                else:
-                    out_factors.append(f)
-            basis = "*".join(out_factors) if out_factors else "1"
-            terms.append(Term(basis, coeff, term.flag))
-        rows.append(TableRow(row.target, tuple(terms)))
+        expanded = [_pi_basis(basis) for basis in row.bases]
+        big = math.lcm(*(f for _, f in expanded))
+        nums = [x * (big // f) for x, (_, f) in zip(row.numerators, expanded)]
+        bases = tuple(basis for basis, _ in expanded)
+        rows.append(_row(row.target, bases, nums, row.denominator * big, row.flags))
     return CoefficientTable(table.kind, dict(table.params), tuple(rows))
+
+
+def _coeff_texts(row: TableRow) -> list[str]:
+    """The row's coefficients as canonical "p/q" text, each from (numerator, row denominator)."""
+    den = row.denominator
+    return [format_rational(x, den) for x in row.numerators]
 
 
 def table_to_json(table: CoefficientTable) -> str:
     """Deterministic JSON: fixed key order, canonical "p/q" rationals."""
-    payload = {
-        "kind": table.kind,
-        "params": table.params,
-        "rows": [
-            {
-                "target": row.target,
-                "terms": [
-                    {
-                        "basis": t.basis,
-                        "coeff": format_rational(t.coeff),
-                        **({"flag": t.flag} if t.flag is not None else {}),
-                    }
-                    for t in row.terms
-                ],
-            }
-            for row in table.rows
-        ],
-    }
+    rows = []
+    for row in table.rows:
+        terms = [{"basis": b, "coeff": c} for b, c in zip(row.bases, _coeff_texts(row))]
+        for term, flag in zip(terms, row.flags):
+            if flag is not None:
+                term["flag"] = flag
+        rows.append({"target": row.target, "terms": terms})
+    payload = {"kind": table.kind, "params": table.params, "rows": rows}
     return json.dumps(payload, separators=(", ", ": "))
 
 
@@ -231,12 +296,9 @@ def table_from_json(text: str) -> CoefficientTable:
     """Parse the JSON export back to an exact table (bit-exact round trip)."""
     payload = json.loads(text)
     rows = tuple(
-        TableRow(
+        TableRow.from_terms(
             row["target"],
-            tuple(
-                Term(t["basis"], parse_rational(t["coeff"]), t.get("flag"))
-                for t in row["terms"]
-            ),
+            [Term(t["basis"], parse_rational(t["coeff"]), t.get("flag")) for t in row["terms"]],
         )
         for row in payload["rows"]
     )
@@ -247,8 +309,7 @@ def table_to_csv(table: CoefficientTable) -> str:
     """Flatten to CSV, one term per line: target,basis,coeff[,flag]."""
     lines = ["target,basis,coeff,flag"]
     for row in table.rows:
-        for t in row.terms:
-            lines.append(
-                f"{row.target},{t.basis},{format_rational(t.coeff)},{t.flag or ''}"
-            )
+        target = row.target
+        for b, c, f in zip(row.bases, _coeff_texts(row), row.flags):
+            lines.append(f"{target},{b},{c},{f or ''}")
     return "\n".join(lines) + "\n"

@@ -142,22 +142,25 @@ def verify_reflection(
     return results
 
 
-def verify_carlitz(n_max: int, cache: BernoulliCache | None = None) -> list[tuple[int, int]]:
+def verify_carlitz(
+    n_max: int, cache: BernoulliCache | None = None
+) -> list[tuple[int, int, Fraction, Fraction]]:
     """Carlitz's symmetric Bernoulli identity for 0 <= m <= n <= n_max.
 
-    Returns the failing pairs (m, n), n outer and m inner; an empty list
-    means every pair passed.
+    Returns (m, n, lhs, rhs) for each failing pair, n outer and m inner,
+    with lhs = (-1)^m sum_k C(m,k) B_{n+k} and rhs = (-1)^n sum_k C(n,k)
+    B_{m+k} as exact rationals; an empty list means every pair passed.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if cache is None:
         cache = BernoulliCache()
-    b, _ = cache.scaled(2 * n_max)
+    b, big = cache.scaled(2 * n_max)
     width = n_max + 1
     # rows[m][n] = D sum_k C(m,k) B_{n+k}, so the side (m, n) is (-1)^m rows[m][n] / D
     rows = [row[:width] for row in islice(_pascal_rows(b, 1), width)]
     return [
-        (m, n)
+        (m, n, Fraction((-1) ** m * rows[m][n], big), Fraction((-1) ** n * rows[n][m], big))
         for n in range(width)
         for m in range(n + 1)
         if rows[m][n] != (-1) ** (m + n) * rows[n][m]

@@ -218,6 +218,27 @@ def test_verify_carlitz(capsys):
     assert "pass" in out
 
 
+def test_verify_carlitz_fail_lines_name_both_sides(capsys, monkeypatch):
+    from test_matrices import BadBernoulliCache
+
+    import doublezeta.cli as cli
+
+    code, out, _ = run(["verify", "carlitz", "--max", "4"], capsys)
+    assert code == 0 and out == "carlitz m<=n<=4: pass\n"
+    monkeypatch.setattr(cli, "BernoulliCache", BadBernoulliCache)
+    code, out, _ = run(["verify", "carlitz", "--max", "4"], capsys)
+    assert code == 1
+    # with B_4 = 1/29, (m, n) = (2, 3): lhs = B_3 + 2 B_4 + B_5 = 2/29 and
+    # rhs = -(B_2 + 3 B_3 + 3 B_4 + B_5) = -47/174
+    assert out.splitlines() == [
+        "(m=2, n=3): FAIL lhs=2/29 rhs=-47/174",
+        "(m=1, n=4): FAIL lhs=-1/29 rhs=53/174",
+        "(m=2, n=4): FAIL lhs=71/1218 rhs=242/609",
+        "(m=3, n=4): FAIL lhs=-43/406 rhs=142/609",
+        "carlitz m<=n<=4: FAIL",
+    ]
+
+
 def test_verify_series(capsys):
     code, _, _ = run(
         ["verify", "series", "--s-max", "2", "--m-max", "3", "--order", "16"], capsys

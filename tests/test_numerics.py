@@ -382,6 +382,25 @@ def test_contract_holds_at_high_precision(digits):
             assert err <= z.error_bound <= Fraction(1, 10**digits), key
 
 
+@pytest.mark.parametrize("digits", [1100, 2000])
+@pytest.mark.parametrize("k", [2, 3])
+def test_single_contract_holds_past_a_fixed_term_cap(k, digits):
+    # a tail needs about 0.37 digits derivative terms: a cap of 400 terms
+    # missed the target from 1090 digits on
+    z = zeta_single(k, digits)
+    with mp.workdps(digits + 40):
+        err = abs(z.value - exact(mpmath.zeta(k)))
+    assert err <= z.error_bound <= Fraction(1, 10**digits)
+
+
+def test_double_contract_holds_past_a_fixed_term_cap():
+    digits = 1200
+    z = zeta_double(2, 3, digits)
+    with mp.workdps(digits + 40):
+        err = abs(z.value - exact(_reference_zeta2(2, 3)))
+    assert err <= z.error_bound <= Fraction(1, 10**digits)
+
+
 @pytest.mark.parametrize("a, b", [(0, 0), (1, 0), (0, 1)])
 def test_audit_h_ab(a, b):
     rep = audit_h_ab(a, b, 30)
@@ -400,7 +419,7 @@ def test_audit_h_ab_detects_a_wrong_coefficient(monkeypatch, a, b, index):
         table = h_ab_coefficients(a, b)
         terms = list(table.rows[0].terms)
         terms[index] = terms[index]._replace(coeff=2 * terms[index].coeff)
-        row = table.rows[0]._replace(terms=tuple(terms))
+        row = reductions.TableRow.from_terms(table.rows[0].target, terms)
         return table._replace(rows=(row,))
 
     monkeypatch.setattr(numerics, "h_ab_coefficients", wrong_coefficients)

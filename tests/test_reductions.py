@@ -1,11 +1,16 @@
+import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from doublezeta.bernoulli import BernoulliCache
 from doublezeta.matrices import build_a, build_p
+from doublezeta.rationals import format_rational
 from doublezeta.reductions import (
     PRINTED_CONSTANT,
+    TableRow,
+    Term,
     euler_constant,
     euler_rhs_coefficients,
     expand_h_to_pi,
@@ -113,7 +118,7 @@ def test_inverse_table_constant_matches_fraction_sum(K, cache):
             assert (label in [t.basis for t in row.terms]) == (want != 0)
 
 
-@pytest.mark.parametrize("K", range(3, 7))
+@pytest.mark.parametrize("K", [3, 4, 5, 6, 12, 30])
 def test_inverse_table_suppresses_vanishing_constant(K, cache):
     # c = A e_1 gives (P c)_s = 1 for s = 1 and 0 otherwise, since PA = I
     a = build_a(K)
@@ -124,6 +129,8 @@ def test_inverse_table_suppresses_vanishing_constant(K, cache):
     assert coeff_of(table.rows[0], label) == -1
     for row in table.rows[1:]:
         assert label not in [t.basis for t in row.terms]
+        assert label not in row.bases and len(row.numerators) == K - 1
+    assert_same_exports(table, old_inverse(K, constants, cache))
 
 
 def test_h_ab_examples():
@@ -205,3 +212,168 @@ def test_euler_constant():
     for K, r in [(1, 1), (3, 0), (3, 3)]:
         with pytest.raises(ValueError):
             euler_constant(K, r)
+
+
+# The Fraction-per-coefficient builders and serializers that the int-row
+# tables replaced, kept as the reference: a table is (kind, params, rows),
+# a row (target, [Term, ...]), every coefficient a Fraction.
+
+
+def old_euler(K, constants=None, constants_flag=None):
+    if constants is None:
+        constants, flag = [PRINTED_CONSTANT] * (K - 1), "as printed"
+    else:
+        flag = constants_flag
+    a = build_a(K)
+    rows = []
+    for r in range(1, K):
+        terms = [Term(f"zeta({2 * K + 1})", constants[r - 1], flag)]
+        for s in range(1, K):
+            terms.append(
+                Term(f"zeta({2 * s})*zeta({2 * K + 1 - 2 * s})", Fraction(a.at(r - 1, s - 1)))
+            )
+        rows.append((f"zeta({2 * r},{2 * K + 1 - 2 * r})", terms))
+    return "euler_reduction", {"K": K}, rows
+
+
+def old_inverse(K, constants, cache):
+    p = build_p(K, cache)
+    rows = []
+    for s in range(1, K):
+        terms = [
+            Term(f"zeta({2 * r},{2 * K + 1 - 2 * r})", p.at(s - 1, r - 1)) for r in range(1, K)
+        ]
+        const = -sum((p.at(s - 1, r - 1) * constants[r - 1] for r in range(1, K)), Fraction(0))
+        if const:
+            terms.append(Term(f"zeta({2 * K + 1})", const))
+        rows.append((f"zeta({2 * s})*zeta({2 * K + 1 - 2 * s})", terms))
+    params = {"K": K, "constants": [format_rational(c) for c in constants]}
+    return "inverse_reduction", params, rows
+
+
+def old_h_ab(a, b):
+    K = a + b + 1
+    terms = [
+        Term(
+            f"H({K - r})*zeta({2 * r + 1})",
+            2 * (-1) ** r * (
+                math.comb(2 * r, 2 * a + 2)
+                - (1 - Fraction(1, 4**r)) * math.comb(2 * r, 2 * b + 1)
+            ),
+        )
+        for r in range(1, K + 1)
+    ]
+    return "h_ab", {"a": a, "b": b, "K": K}, [(f"H({a},{b})", terms)]
+
+
+def old_expand_h_to_pi(table):
+    kind, params, rows = table
+    out_rows = []
+    for target, terms in rows:
+        out_terms = []
+        for term in terms:
+            coeff, out_factors = term.coeff, []
+            for f in term.basis.split("*"):
+                if f.startswith("H(") and f.endswith(")"):
+                    n = int(f[2:-1])
+                    coeff *= h_value(n)
+                    if n > 0:
+                        out_factors.append(f"pi^{2 * n}")
+                else:
+                    out_factors.append(f)
+            basis = "*".join(out_factors) if out_factors else "1"
+            out_terms.append(Term(basis, coeff, term.flag))
+        out_rows.append((target, out_terms))
+    return kind, dict(params), out_rows
+
+
+def old_to_json(table):
+    kind, params, rows = table
+    payload = {
+        "kind": kind,
+        "params": params,
+        "rows": [
+            {
+                "target": target,
+                "terms": [
+                    {
+                        "basis": t.basis,
+                        "coeff": format_rational(t.coeff),
+                        **({"flag": t.flag} if t.flag is not None else {}),
+                    }
+                    for t in terms
+                ],
+            }
+            for target, terms in rows
+        ],
+    }
+    return json.dumps(payload, separators=(", ", ": "))
+
+
+def old_to_csv(table):
+    lines = ["target,basis,coeff,flag"]
+    for target, terms in table[2]:
+        for t in terms:
+            lines.append(f"{target},{t.basis},{format_rational(t.coeff)},{t.flag or ''}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_exports(table, reference):
+    assert table_to_json(table) == old_to_json(reference)
+    assert table_to_csv(table) == old_to_csv(reference)
+    assert table_from_json(table_to_json(table)) == table
+    assert [(row.target, list(row.terms)) for row in table.rows] == reference[2]
+
+
+# more digits than Python's int-to-str limit of 4300
+HUGE = Fraction(-(10**4400) - 7, 3)
+
+
+def _export_constant_sets(K):
+    # -1/2, -11/2, 1/3, a mix with 0 and an integer, c_r, and one set with
+    # a constant past the int-to-str limit
+    huge = [Fraction(1, 3)] * (K - 1)
+    huge[(K - 1) // 2] = HUGE
+    return _constant_sets(K) + [huge]
+
+
+@pytest.mark.parametrize("K", range(2, 31))
+def test_inverse_exports_match_the_fraction_reference(K, cache):
+    for constants in _export_constant_sets(K):
+        table = inverse_reduction_coefficients(K, constants, cache)
+        assert_same_exports(table, old_inverse(K, constants, cache))
+
+
+@pytest.mark.parametrize("K", range(2, 31))
+def test_euler_exports_match_the_fraction_reference(K):
+    assert_same_exports(euler_rhs_coefficients(K), old_euler(K))
+    for constants in _export_constant_sets(K):
+        table = euler_rhs_coefficients(K, constants, constants_flag="audited")
+        assert_same_exports(table, old_euler(K, constants, "audited"))
+    # custom constants without a flag
+    mixed = _constant_sets(K)[3]
+    assert_same_exports(euler_rhs_coefficients(K, mixed), old_euler(K, mixed))
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(5) for b in range(5 - a)])
+def test_h_exports_match_the_fraction_reference(a, b):
+    table, reference = h_ab_coefficients(a, b), old_h_ab(a, b)
+    assert_same_exports(table, reference)
+    assert_same_exports(expand_h_to_pi(table), old_expand_h_to_pi(reference))
+
+
+def test_rows_are_canonical(cache):
+    # lowest terms over a positive denominator, as TableRow.from_terms builds them
+    tables = [
+        euler_rhs_coefficients(6),
+        euler_rhs_coefficients(6, [Fraction(4, 6), 2, Fraction(0), HUGE, Fraction(-5, 8)]),
+        inverse_reduction_coefficients(6, [Fraction(-1, 2)] * 5, cache),
+        inverse_reduction_coefficients(6, [build_a(6).at(r, 0) for r in range(5)], cache),
+        h_ab_coefficients(2, 1),
+        expand_h_to_pi(h_ab_coefficients(2, 1)),
+    ]
+    for table in tables:
+        for row in table.rows:
+            assert row.denominator > 0
+            assert math.gcd(row.denominator, *row.numerators) == 1
+            assert TableRow.from_terms(row.target, row.terms) == row

@@ -7,6 +7,7 @@ import pytest
 
 from doublezeta import cli, series
 from doublezeta.bernoulli import BernoulliCache
+from doublezeta.rationals import format_rational
 from doublezeta.series import Mismatch, verify_carlitz, verify_reflection
 
 
@@ -112,11 +113,12 @@ def corrupted_cache(index: int) -> type[BernoulliCache]:
 
 
 @functools.cache
-def carlitz_failures(index: int, n_max: int) -> list[tuple[int, int]]:
-    """The pairs m <= n <= n_max, n outer, whose Fraction sides differ when B_index = 1/29."""
+def carlitz_failures(index: int, n_max: int) -> list[tuple[int, int, Fraction, Fraction]]:
+    """(m, n, lhs, rhs) for the pairs m <= n <= n_max, n outer, whose Fraction
+    sides differ when B_index = 1/29."""
     ref = corrupted_cache(index)()
     return [
-        (m, n)
+        (m, n, carlitz_side(m, n, ref), carlitz_side(n, m, ref))
         for n in range(n_max + 1)
         for m in range(n + 1)
         if carlitz_side(m, n, ref) != carlitz_side(n, m, ref)
@@ -233,7 +235,10 @@ def test_cli_fail_lines_under_a_corrupted_cache(monkeypatch, capsys, index):
     # and the CLI defaults (--max 60; --s-max 6 --m-max 12 --order 48) are both run
     monkeypatch.setattr(cli, "BernoulliCache", corrupted_cache(index))
     for n_max, args in [(12, ["--max", "12"]), (60, [])]:
-        expected = [f"(m={m}, n={n}): FAIL" for m, n in carlitz_failures(index, n_max)]
+        expected = [
+            f"(m={m}, n={n}): FAIL lhs={format_rational(lhs)} rhs={format_rational(rhs)}"
+            for m, n, lhs, rhs in carlitz_failures(index, n_max)
+        ]
         assert expected
         assert cli.main(["verify", "carlitz", *args]) == cli.EXIT_IDENTITY_FAILURE
         lines = capsys.readouterr().out.splitlines()
