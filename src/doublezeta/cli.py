@@ -458,6 +458,28 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         parser.error("give --k, or both --k1 and --k2, not both forms")
 
 
+def _write_stdout(text: str) -> None:
+    """Write all of text to standard output, or raise (BrokenPipeError for a closed reader).
+
+    Unbuffered text output (``python -u``, PYTHONUNBUFFERED) hands its bytes
+    to a raw file and ignores a short write, so it could drop the rest of
+    the text without an error.  So the encoded text goes to the binary
+    layer, written again from where a short write stopped.  A stdout with
+    no binary layer (an ``io.StringIO``) takes the text as it is.
+    """
+    stdout = sys.stdout
+    buffer = getattr(stdout, "buffer", None)
+    if buffer is None:
+        stdout.write(text)
+        stdout.flush()
+        return
+    stdout.flush()
+    data = memoryview(text.encode(stdout.encoding, stdout.errors))
+    while data:
+        data = data[buffer.write(data) :]
+    buffer.flush()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -470,8 +492,7 @@ def main(argv: list[str] | None = None) -> int:
         if out:
             out.commit(text)
         else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            _write_stdout(text)
         return code
     except CliError as exc:
         return int(exc.code)

@@ -4,14 +4,22 @@ Mathematical indices r, s run 1..K-1 and map to zero-based storage by
 subtracting 1; that mapping lives entirely in this module.  A is the
 integer matrix of Euler-reduction coefficients, B and C its binomial
 split (A = B + C), and P, Q the two Bernoulli-sum formulas for A^{-1}
-that the package verifies are equal and do invert A.  P, Q and the (PB)
-closed form are int products W G of a Bernoulli weight matrix W (one
-denominator per row) with a binomial matrix G.  RationalMatrix keeps that
-form, int rows over one denominator per row, and has no algebra.  The
-product and the determinant are private helpers on int row lists: every
-product skips the zero entries of its left factor (about 3/4 of W), and
-the inverse check takes det A != 0 from its exact P A = I check, which
-proves it; only when that check fails does Bareiss elimination decide.
+that the package verifies are equal and do invert A.  RationalMatrix
+holds int rows over one denominator per row, and has no algebra.
+
+Row s of P and of Q is a binomial transform of row s of a Bernoulli
+weight matrix W (over d_s), and P A, P B and P C are binomial transforms
+of P's columns.  So the exact checks pack each column of W into one int
+whose lane s holds row s (``_Lanes``: signed lanes of whole bytes, each
+as wide as a proven bound on every value it must hold) and read P, Q,
+P A, P B and P C off Pascal tables of those ints (``series._pascal_rows``):
+one big-int addition per table entry serves every row at once, and no
+entry is multiplied by a binomial.  With every lane value inside its
+bound, packed == is entry-wise ==, so each check compares K-1 ints, and
+lanes are unpacked only to build a RationalMatrix or to name the entries
+of a failed check.  The inverse check takes det A != 0 from its exact
+P A = I check, which proves it; only when that check fails do the int
+product A (L P) and Bareiss elimination run.
 """
 
 from __future__ import annotations
@@ -19,12 +27,14 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from .bernoulli import BernoulliCache
 from .rationals import format_rational
+from .series import _pascal_rows
 
 __all__ = [
     "RationalMatrix",
@@ -140,16 +150,6 @@ def _weight_rows(
     return rows, [(2 * s - 1) * big for s in s_values]
 
 
-def _g_p(K: int) -> list[list[int]]:
-    """G_P[j][r] = C(2r-1, 2K+1-j), so that P = W G_P."""
-    return [[comb(2 * r - 1, 2 * K + 1 - j) for r in range(1, K)] for j in range(2 * K + 1)]
-
-
-def _g_q(K: int) -> list[list[int]]:
-    """G_Q[j][r] = -C(2K-2r, 2K+1-j), so that Q = W G_Q."""
-    return [[-comb(2 * K - 2 * r, 2 * K + 1 - j) for r in range(1, K)] for j in range(2 * K + 1)]
-
-
 def _g_pb(K: int, sp_values: Sequence[int]) -> list[list[int]]:
     """G_PB[j][s'] = C(2K-2s', j-2s'-1) 2^(j-2s'-2) for j >= 2s'+2, and 0 below.
 
@@ -163,19 +163,95 @@ def _g_pb(K: int, sp_values: Sequence[int]) -> list[list[int]]:
     ]
 
 
+class _Lanes:
+    """Signed lanes of whole bytes packed into one int, lane 0 lowest.
+
+    A lane of b bytes holds any v with |v| < 2^(8b-1): the packed int is
+    sum_i v_i 2^(8 o_i), o_i the byte offset of lane i, and adding the bias
+    sum_i 2^(8b_i - 1) 2^(8 o_i) turns every lane into a digit in
+    [1, 2^(8b_i) - 1].  So when every lane value fits, the packed int
+    determines the values (== is lane-wise equality).  A packed int is an
+    exact sum, so an integer combination of packed ints packs the same
+    combination of their lanes, and dividing by 2^k a packed int whose
+    lanes are all multiples of 2^k divides each lane.
+    """
+
+    def __init__(self, nbytes: Sequence[int]) -> None:
+        self.nbytes = tuple(nbytes)
+        self.halves = tuple(1 << (8 * b - 1) for b in self.nbytes)
+        self.shifts = tuple(8 * o for o in accumulate(self.nbytes, initial=0))
+        self.size = self.shifts[-1] // 8
+        self.bias = sum(h << t for h, t in zip(self.halves, self.shifts))
+
+    def pack(self, values: Sequence[int]) -> int:
+        return sum(v << t for v, t in zip(values, self.shifts) if v)
+
+    def unpack(self, x: int) -> list[int]:
+        raw = (x + self.bias).to_bytes(self.size, "little")
+        return [
+            int.from_bytes(raw[t // 8 : t // 8 + b], "little") - h
+            for t, b, h in zip(self.shifts, self.nbytes, self.halves)
+        ]
+
+    def unit(self, i: int, v: int) -> int:
+        """v in lane i, 0 in every other."""
+        return v << self.shifts[i]
+
+    def rows(self, columns: Sequence[int]) -> list[list[int]]:
+        """The matrix whose column j is the lanes of columns[j], as row lists."""
+        return [list(row) for row in zip(*map(self.unpack, columns))]
+
+
+def _transform(
+    K: int, cache: BernoulliCache | None, scale_bits: int
+) -> tuple[list[int], _Lanes, list[int], list[int]]:
+    """The d_s, their lanes, y, and T(N) = sum_t C(N,t) y_t for N = 0..2K-2.
+
+    y_0 = 0 and y_t is column 2K+1-t of W packed, so lane s of T(N) is
+    sum_j W[s][j] C(N, 2K+1-j): column r of P is T(2r-1), column r of Q is
+    -T(2K-2r).  Lane s holds any value of size at most
+    2^scale_bits max_j|W[s][j]| + d_s; |T_s(N)| <= 2^N max_j|W[s][j]|, so
+    scale_bits >= 2K-2 covers T.
+    """
+    w, denoms = _weight_rows(K, cache, range(1, K))
+    lanes = _Lanes(
+        [((max(map(abs, row)) << scale_bits) + d).bit_length() // 8 + 1
+         for row, d in zip(w, denoms)]
+    )
+    y = [0, *map(lanes.pack, list(zip(*w))[: 2 : -1])]
+    return denoms, lanes, y, [row[0] for row in _pascal_rows(y, 1)]
+
+
+def _times_a(K: int, p_cols: Sequence[int], odd: bool = True, even: bool = True) -> list[int]:
+    """Columns s' of P A (of P B with even=False, of P C with odd=False), packed as P.
+
+    A_{r,s'} = C(N, 2r-1) + C(N, 2K-2r) with N = 2K-2s', so with c_{2r-1}
+    and c_{2K-2r} both column r of P, column s' of P A is
+    sum_k C(N,k) c_k.  Its lane s is at most 2^(2K-2) max_r|P[s][r]|.
+    """
+    c = [0] * (2 * K - 1)
+    for r, col in enumerate(p_cols, 1):
+        if odd:
+            c[2 * r - 1] = col
+        if even:
+            c[2 * K - 2 * r] = col
+    t = [row[0] for row in _pascal_rows(c, 1)]
+    return [t[2 * K - 2 * sp] for sp in range(1, K)]
+
+
 def build_p(K: int, cache: BernoulliCache | None = None) -> RationalMatrix:
     """P_{s,r} = (2/(2s-1)) sum_n C(2r-1, 2K-2s-n+1) C(n+2s-2, n) B_n.
 
     The sum runs n = 0..2K-2s; odd-n terms vanish through B_n = 0.
     """
-    w, denoms = _weight_rows(K, cache, range(1, K))
-    return _from_rows(_product(w, _g_p(K)), denoms)
+    denoms, lanes, _, t = _transform(K, cache, 2 * K - 2)
+    return _from_rows(lanes.rows([t[2 * r - 1] for r in range(1, K)]), denoms)
 
 
 def build_q(K: int, cache: BernoulliCache | None = None) -> RationalMatrix:
     """Q_{s,r} = -(2/(2s-1)) sum_n C(2K-2r, 2K-2s-n+1) C(n+2s-2, n) B_n."""
-    w, denoms = _weight_rows(K, cache, range(1, K))
-    return _from_rows(_product(w, _g_q(K)), denoms)
+    denoms, lanes, _, t = _transform(K, cache, 2 * K - 2)
+    return _from_rows(lanes.rows([-t[2 * K - 2 * r] for r in range(1, K)]), denoms)
 
 
 def _diagonal(diag: list[int]) -> list[list[int]]:
@@ -265,26 +341,41 @@ def _first_offending(
     )
 
 
+def _inverse_columns(
+    K: int, cache: BernoulliCache | None
+) -> tuple[list[int], _Lanes, list[int], list[int], list[int]]:
+    """The d_s, their lanes, and the packed columns of P, Q and P A.
+
+    |P[s][r]| = |T_s(2r-1)| <= 2^(2K-3) max|W_s|, so every lane holds
+    |(P A)_s| <= 2^(2K-2) 2^(2K-3) max|W_s| and d_s.
+    """
+    denoms, lanes, _, t = _transform(K, cache, 4 * K - 5)
+    p_cols = [t[2 * r - 1] for r in range(1, K)]
+    q_cols = [-t[2 * K - 2 * r] for r in range(1, K)]
+    return denoms, lanes, p_cols, q_cols, _times_a(K, p_cols)
+
+
 def verify_inverse(K: int, cache: BernoulliCache | None = None) -> InverseReport:
     """Exact check that P = Q and P A = A P = I and det A != 0.
 
     All in integers, with row s of P and of Q as numerators n_s over d_s
     and L = lcm of the d_s: P = Q by equal n_s, P A = I by n_s A = d_s e_s,
-    A P = I by A (L P) = L I.  The products skip the zero entries of their
-    left factor.  A passing P A = I proves det A != 0 (det P det A = 1),
-    and for square matrices it also proves A P = I, so A (L P) and Bareiss
-    elimination on A's rows run only when P A = I fails; the verdicts are
-    exact either way.
+    A P = I by A (L P) = L I.  P, Q and P A are read off two Pascal
+    transforms of packed columns (``_inverse_columns``), so each check
+    compares K-1 packed ints, and the rows are unpacked only to name the
+    first offending entry of a failed check.  A passing P A = I proves
+    det A != 0 (det P det A = 1), and for square matrices it also proves
+    A P = I, so A (L P) and Bareiss elimination on A's rows run only when
+    P A = I fails; the verdicts are exact either way.
     """
-    a = _a_rows(K)
-    w, denoms = _weight_rows(K, cache, range(1, K))
-    p, q = _product(w, _g_p(K)), _product(w, _g_q(K))
-    pq = _first_offending("p_eq_q", p, q, denoms)
-    pa = _first_offending("pa_is_identity", _product(p, a), _diagonal(denoms), denoms)
-    ap = None
-    if pa is not None:
-        big = lcm(*denoms)
-        lp = [[big // d * x for x in row] for row, d in zip(p, denoms)]
+    denoms, lanes, p_cols, q_cols, pa_cols = _inverse_columns(K, cache)
+    pq = pa = ap = None
+    if p_cols != q_cols:
+        pq = _first_offending("p_eq_q", lanes.rows(p_cols), lanes.rows(q_cols), denoms)
+    if pa_cols != [lanes.unit(i, d) for i, d in enumerate(denoms)]:
+        pa = _first_offending("pa_is_identity", lanes.rows(pa_cols), _diagonal(denoms), denoms)
+        a, big = _a_rows(K), lcm(*denoms)
+        lp = [[big // d * x for x in row] for row, d in zip(lanes.rows(p_cols), denoms)]
         scale = [big] * (K - 1)
         ap = _first_offending("ap_is_identity", _product(a, lp), _diagonal(scale), scale)
     return InverseReport(
@@ -311,7 +402,7 @@ def pb_closed(K: int, s: int, sp: int, cache: BernoulliCache | None = None) -> F
     """
     _check_indices(K, s, sp)
     (w,), (denom,) = _weight_rows(K, cache, [s])
-    return Fraction(_product([w], _g_pb(K, [sp]))[0][0], denom)
+    return Fraction(sum(map(mul, w, (g for g, in _g_pb(K, [sp])))), denom)
 
 
 def pc_closed(K: int, s: int, sp: int, cache: BernoulliCache | None = None) -> Fraction:
@@ -322,22 +413,47 @@ def pc_closed(K: int, s: int, sp: int, cache: BernoulliCache | None = None) -> F
     return (1 if s == sp else 0) - pb_closed(K, s, sp, cache)
 
 
+def _closed_form_columns(
+    K: int, cache: BernoulliCache | None
+) -> tuple[list[int], _Lanes, list[int], list[int], list[int]]:
+    """The d_s, their lanes, and the packed columns of the (PB) closed form, P B and P C.
+
+    With N = 2K-2s' and j = 2K+1-N+m, G_PB[j][s'] = C(N,m) 2^(m-1) for
+    m >= 1, so column s' of the closed form is
+    sum_{m>=1} C(N,m) 2^(m-1) y_{N-m} = (S(N) - y_N) / 2 with
+    S(N) = sum_k C(N,k) 2^(N-k) y_k, which is 2^(N-2K+2) times entry 0 of
+    row N of the Pascal table of y_k 2^(2K-2-k).  Its lane s is at most
+    3^N max|W_s| / 2; P B and P C are bounded as P A is, and d_s - closed
+    fits as well.
+    """
+    _check_k(K)
+    top = 2 * K - 2
+    denoms, lanes, y, t = _transform(K, cache, max(4 * K - 5, (3**top).bit_length()))
+    s_table = [row[0] for row in _pascal_rows([x << (top - k) for k, x in enumerate(y)], 1)]
+    closed = [((s_table[n] >> (top - n)) - y[n]) >> 1 for n in range(top, 0, -2)]
+    p_cols = [t[2 * r - 1] for r in range(1, K)]
+    pb, pc = _times_a(K, p_cols, even=False), _times_a(K, p_cols, odd=False)
+    return denoms, lanes, closed, pb, pc
+
+
 def verify_closed_forms(
     K: int, cache: BernoulliCache | None = None
 ) -> list[tuple[int, int, Fraction, Fraction, Fraction, Fraction]]:
     """Exact check that the closed forms equal P B and P C.
 
-    Compares integer numerators over d_s, row by row.  Returns every
-    offending entry, in row-major order, as a tuple
+    Compares packed columns of integer numerators over d_s
+    (``_closed_form_columns``), and unpacks them only when one differs.
+    Returns every offending entry, in row-major order, as a tuple
     (s, s', pb_closed, pc_closed, (PB)_{s,s'}, (PC)_{s,s'}); an empty
     list means the check passed.
     """
-    w, denoms = _weight_rows(K, cache, range(1, K))
-    p = _product(w, _g_p(K))
-    pb, pc = _product(p, _b_rows(K)), _product(p, _c_rows(K))
-    closed = _product(w, _g_pb(K, range(1, K)))
+    denoms, lanes, closed, pb, pc = _closed_form_columns(K, cache)
+    ones = [lanes.unit(i, d) for i, d in enumerate(denoms)]
+    if pb == closed and pc == list(map(sub, ones, closed)):
+        return []
     bad = []
-    for s, (cb_row, pb_row, pc_row, denom) in enumerate(zip(closed, pb, pc, denoms), 1):
+    rows = zip(lanes.rows(closed), lanes.rows(pb), lanes.rows(pc), denoms)
+    for s, (cb_row, pb_row, pc_row, denom) in enumerate(rows, 1):
         for sp, (vb, xb, xc) in enumerate(zip(cb_row, pb_row, pc_row), 1):
             vc = (denom if s == sp else 0) - vb
             if vb != xb or vc != xc:

@@ -6,9 +6,10 @@ one Pascal table: ``_pascal_rows(seq, sign)`` yields the rows
     row_r[i] = sum_k C(r,k) sign^(r-k) seq[i+k],   sign = +1 or -1,
 
 each built from the last by row_{r+1}[i] = row_r[i+1] + sign row_r[i], so
-an entry costs one addition and no binomial coefficient.  Each sweep takes
-one Bernoulli vector b_n = D B_n from ``BernoulliCache.scaled``, with one D
-for all of its pairs.
+an entry costs one addition and no binomial coefficient (``matrices`` reads
+P, Q and their products off the same kernel, over lane-packed ints).  Each
+sweep takes one Bernoulli vector b_n = D B_n from ``BernoulliCache.scaled``,
+with one D for all of its pairs.
 
 Carlitz's symmetric identity for 0 <= m <= n <= max is
 

@@ -30,6 +30,13 @@ def cache():
     return BernoulliCache()
 
 
+class BadBernoulliCache(BernoulliCache):
+    """B_4 is -1/30; returning 1/29 must fail every check that uses B_4."""
+
+    def get(self, n: int) -> Fraction:
+        return Fraction(1, 29) if n == 4 else super().get(n)
+
+
 def mat(rows):
     """RationalMatrix of rows of rationals, each row over the lcm of its denominators.
 
@@ -205,25 +212,26 @@ def test_passing_pa_check_proves_det_without_bareiss(monkeypatch):
 
 
 def test_ap_product_runs_only_when_pa_check_fails(monkeypatch):
-    # a passing P A = I proves A P = I for square matrices; products are
-    # P, Q and P A, then A (L P) only on failure
+    # a passing P A = I proves A P = I for square matrices; P, Q and P A are
+    # Pascal reads, and the only int product is A (L P), made on failure
     calls = []
     original = matrices._product
 
     def product(x, y):
-        calls.append(len(x))
+        calls.append(x)
         return original(x, y)
 
     monkeypatch.setattr(matrices, "_product", product)
     assert verify_inverse(6).all_pass
-    assert len(calls) == 3
-    calls.clear()
+    assert calls == []
     report = verify_inverse(6, BadBernoulliCache())
     assert not report.ap_is_identity
-    assert len(calls) == 4
+    assert calls == [matrices._a_rows(6)]
 
 
 def test_fallback_reports_a_singular_stand_in(monkeypatch):
+    # P A is read through A's defining binomials, not _a_rows, so the
+    # corrupted cache makes it fail; Bareiss then runs on the stand-in
     def singular_a(K):
         rows = original(K)
         rows[-1] = list(rows[0])
@@ -231,7 +239,8 @@ def test_fallback_reports_a_singular_stand_in(monkeypatch):
 
     original = matrices._a_rows
     monkeypatch.setattr(matrices, "_a_rows", singular_a)
-    report = verify_inverse(6)
+    report = verify_inverse(6, BadBernoulliCache())
+    assert not report.pa_is_identity
     assert not report.det_nonzero
     assert not report.all_pass
 
@@ -240,6 +249,119 @@ def old_product(a, b):
     """The product before zero entries were skipped, kept as the reference."""
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def g_p(K: int) -> list[list[int]]:
+    """G_P[j][r] = C(2r-1, 2K+1-j), so that P = W G_P: the product form, kept as the reference."""
+    return [[math.comb(2 * r - 1, 2 * K + 1 - j) for r in range(1, K)] for j in range(2 * K + 1)]
+
+
+def g_q(K: int) -> list[list[int]]:
+    """G_Q[j][r] = -C(2K-2r, 2K+1-j), so that Q = W G_Q."""
+    return [[-math.comb(2 * K - 2 * r, 2 * K + 1 - j) for r in range(1, K)]
+            for j in range(2 * K + 1)]
+
+
+def reference_products(K, cache):
+    """The d_s and the int numerator rows of P, Q, P A, P B, P C and the closed form.
+
+    All by the reference product: W G_P, W G_Q, then P times A, B and C,
+    and W G_PB.
+    """
+    w, denoms = matrices._weight_rows(K, cache, range(1, K))
+    p = old_product(w, g_p(K))
+    return denoms, {
+        "P": p,
+        "Q": old_product(w, g_q(K)),
+        "PA": old_product(p, matrices._a_rows(K)),
+        "PB": old_product(p, matrices._b_rows(K)),
+        "PC": old_product(p, matrices._c_rows(K)),
+        "closed": old_product(w, matrices._g_pb(K, range(1, K))),
+    }
+
+
+@pytest.mark.parametrize(
+    "make_cache", [BernoulliCache, BadBernoulliCache], ids=["cache", "bad-cache"]
+)
+def test_lanes_decode_to_the_reference_products(make_cache):
+    cache = make_cache()
+    for K in range(2, 31):
+        denoms, ref = reference_products(K, cache)
+        d, lanes, p, q, pa = matrices._inverse_columns(K, cache)
+        assert d == denoms
+        assert lanes.rows(p) == ref["P"], K
+        assert lanes.rows(q) == ref["Q"], K
+        assert lanes.rows(pa) == ref["PA"], K
+        d, lanes, closed, pb, pc = matrices._closed_form_columns(K, cache)
+        assert d == denoms
+        assert lanes.rows(closed) == ref["closed"], K
+        assert lanes.rows(pb) == ref["PB"], K
+        assert lanes.rows(pc) == ref["PC"], K
+
+
+@pytest.mark.parametrize(
+    "make_cache", [BernoulliCache, BadBernoulliCache], ids=["cache", "bad-cache"]
+)
+def test_every_compared_value_fits_its_lane_with_a_spare_sign_bit(make_cache):
+    # a b-byte lane holds |v| < 2^(8b-1); then packed == is entry-wise ==
+    cache = make_cache()
+    for K in range(2, 31):
+        denoms, ref = reference_products(K, cache)
+        one = [[d if i == j else 0 for j in range(K - 1)] for i, d in enumerate(denoms)]
+        one_minus_closed = [[u - v for u, v in zip(*rows)] for rows in zip(one, ref["closed"])]
+        checks = [
+            (matrices._inverse_columns(K, cache)[1], [ref["P"], ref["Q"], ref["PA"], one]),
+            (matrices._closed_form_columns(K, cache)[1],
+             [ref["closed"], ref["PB"], ref["PC"], one, one_minus_closed]),
+        ]
+        for lanes, values in checks:
+            for m in values:
+                for row, b in zip(m, lanes.nbytes, strict=True):
+                    assert all(abs(x).bit_length() < 8 * b for x in row), K
+
+
+def test_lanes_hold_the_worst_case_weights(monkeypatch):
+    # every entry of a W row at the row's largest size, one sign per row,
+    # makes each binomial sum as large as its lane bound allows in order
+    original = matrices._weight_rows
+
+    def extreme_rows(K, cache, s_values):
+        rows, denoms = original(K, cache, s_values)
+        sizes = [max(map(abs, row)) * (-1) ** s for s, row in enumerate(rows)]
+        return [[m] * len(row) for m, row in zip(sizes, rows)], denoms
+
+    monkeypatch.setattr(matrices, "_weight_rows", extreme_rows)
+    cache = BernoulliCache()
+    for K in range(2, 21):
+        _, ref = reference_products(K, cache)
+        _, lanes, p, q, pa = matrices._inverse_columns(K, cache)
+        assert [lanes.rows(x) for x in (p, q, pa)] == [ref["P"], ref["Q"], ref["PA"]], K
+        _, lanes, closed, pb, pc = matrices._closed_form_columns(K, cache)
+        assert [lanes.rows(x) for x in (closed, pb, pc)] == [
+            ref["closed"], ref["PB"], ref["PC"]
+        ], K
+
+
+def test_lanes_round_trip_at_the_edges():
+    nbytes = [1, 3, 2, 1, 5]
+    lanes = matrices._Lanes(nbytes)
+    edges = [[0, 1, -1, (1 << (8 * b - 1)) - 1, 1 - (1 << (8 * b - 1))] for b in nbytes]
+    shifts = [8 * sum(nbytes[:i]) for i in range(len(nbytes))]
+    for values in itertools.product(*edges):
+        x = lanes.pack(values)
+        assert x == sum(v << t for v, t in zip(values, shifts))
+        assert lanes.unpack(x) == list(values)
+    # packed sums are lane-wise sums while every lane still fits
+    rng = random.Random(3)
+    for _ in range(200):
+        u = [rng.randint(-(1 << (8 * b - 2)) + 1, (1 << (8 * b - 2)) - 1) for b in nbytes]
+        v = [rng.randint(-(1 << (8 * b - 2)) + 1, (1 << (8 * b - 2)) - 1) for b in nbytes]
+        assert lanes.unpack(lanes.pack(u) + lanes.pack(v)) == [x + y for x, y in zip(u, v)]
+        assert lanes.unpack(lanes.pack(u) - lanes.pack(v)) == [x - y for x, y in zip(u, v)]
+    assert lanes.unpack(lanes.unit(3, -5)) == [0, 0, 0, -5, 0]
+    assert lanes.rows([lanes.pack([1, 2, 3, 4, 5]), lanes.pack([-1, -2, -3, -4, -5])]) == [
+        [1, -1], [2, -2], [3, -3], [4, -4], [5, -5]
+    ]
 
 
 def times(x: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
@@ -311,13 +433,6 @@ def test_closed_forms_match_products(cache):
                 assert pb_closed(K, s, sp, cache) == pb.at(s - 1, sp - 1)
                 assert pc_closed(K, s, sp, cache) == pc.at(s - 1, sp - 1)
         assert verify_closed_forms(K, cache) == []
-
-
-class BadBernoulliCache(BernoulliCache):
-    """B_4 is -1/30; returning 1/29 must fail every check that uses B_4."""
-
-    def get(self, n: int) -> Fraction:
-        return Fraction(1, 29) if n == 4 else super().get(n)
 
 
 @pytest.mark.parametrize("K", [3, 5, 8])
