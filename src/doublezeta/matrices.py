@@ -8,17 +8,20 @@ that the package verifies are equal and do invert A.  RationalMatrix
 holds int rows over one denominator per row, and has no algebra.
 
 Row s of P and of Q is a binomial transform of row s of a Bernoulli
-weight matrix W (over d_s), and P A, P B and P C are binomial transforms
-of P's columns.  So the exact checks pack each column of W into one int
+weight matrix W (over d_s), and P B and P C are binomial transforms of
+P's columns.  So the exact checks pack each column of W into one int
 whose lane s holds row s (``_Lanes``: signed lanes of whole bytes, each
 as wide as a proven bound on every value it must hold) and read P, Q,
-P A, P B and P C off Pascal tables of those ints (``series._pascal_rows``):
+P B and P C off Pascal tables of those ints (``series._pascal_rows``):
 one big-int addition per table entry serves every row at once, and no
 entry is multiplied by a binomial.  With every lane value inside its
 bound, packed == is entry-wise ==, so each check compares K-1 ints, and
 lanes are unpacked only to build a RationalMatrix or to name the entries
-of a failed check.  The inverse check takes det A != 0 from its exact
-P A = I check, which proves it; only when that check fails do the int
+of a failed check.  P A needs no table: P A = (P - Q) C - Y with
+Y[s][s'] = W[s][2s'+1], for any Bernoulli values (``verify_inverse``),
+so the inverse check is P = Q and Y = -diag(d_s) on P and Q's one table.
+It takes det A != 0 from that exact P A = I check, which proves it;
+only when the check fails are P A formed from the identity and the int
 product A (L P) and Bareiss elimination run.
 """
 
@@ -138,15 +141,22 @@ def _weight_rows(
     b_n = D B_n over D = lcm of the denominators of B_0..B_{2K-2}, so row s
     is over d_s = (2s-1) D.  j = n + 2s: the binomial factor in front of B_n
     in P, Q and the (PB) closed form depends on j and the column only.
+    Only the n with b_n != 0 (0, 1 and the even n, for the true B_n) take a
+    binomial and a product; every other entry is a plain 0.
     """
     _check_k(K)
     if cache is None:
         cache = BernoulliCache()
     b, big = cache.scaled(2 * K - 2)
-    rows = [
-        [2 * comb(j - 2, j - 2 * s) * b[j - 2 * s] if j >= 2 * s else 0 for j in range(2 * K + 1)]
-        for s in s_values
-    ]
+    nonzero = [(n, x) for n, x in enumerate(b) if x]
+    rows = []
+    for s in s_values:
+        row = [0] * (2 * K + 1)
+        for n, x in nonzero:
+            if n > 2 * K - 2 * s:
+                break
+            row[n + 2 * s] = 2 * comb(n + 2 * s - 2, n) * x
+        rows.append(row)
     return rows, [(2 * s - 1) * big for s in s_values]
 
 
@@ -222,19 +232,16 @@ def _transform(
     return denoms, lanes, y, [row[0] for row in _pascal_rows(y, 1)]
 
 
-def _times_a(K: int, p_cols: Sequence[int], odd: bool = True, even: bool = True) -> list[int]:
-    """Columns s' of P A (of P B with even=False, of P C with odd=False), packed as P.
+def _times_part(K: int, p_cols: Sequence[int], odd: bool) -> list[int]:
+    """Columns s' of P B (odd=True) or of P C (odd=False), packed as P.
 
-    A_{r,s'} = C(N, 2r-1) + C(N, 2K-2r) with N = 2K-2s', so with c_{2r-1}
-    and c_{2K-2r} both column r of P, column s' of P A is
-    sum_k C(N,k) c_k.  Its lane s is at most 2^(2K-2) max_r|P[s][r]|.
+    With N = 2K-2s', B_{r,s'} = C(N, 2r-1) and C_{r,s'} = C(N, 2K-2r), so
+    with c_k = column r of P at k = 2r-1 (for B) or k = 2K-2r (for C), column
+    s' is sum_k C(N,k) c_k.  Its lane s is at most 2^(2K-2) max_r|P[s][r]|.
     """
     c = [0] * (2 * K - 1)
     for r, col in enumerate(p_cols, 1):
-        if odd:
-            c[2 * r - 1] = col
-        if even:
-            c[2 * K - 2 * r] = col
+        c[2 * r - 1 if odd else 2 * K - 2 * r] = col
     t = [row[0] for row in _pascal_rows(c, 1)]
     return [t[2 * K - 2 * sp] for sp in range(1, K)]
 
@@ -341,18 +348,27 @@ def _first_offending(
     )
 
 
-def _inverse_columns(
+def _pqy_columns(
     K: int, cache: BernoulliCache | None
 ) -> tuple[list[int], _Lanes, list[int], list[int], list[int]]:
-    """The d_s, their lanes, and the packed columns of P, Q and P A.
+    """The d_s, their lanes, and the packed columns of P, Q and Y.
 
-    |P[s][r]| = |T_s(2r-1)| <= 2^(2K-3) max|W_s|, so every lane holds
-    |(P A)_s| <= 2^(2K-2) 2^(2K-3) max|W_s| and d_s.
+    Column s' of Y is y_N = column 2s'+1 of W, with N = 2K-2s'.  The lanes
+    are T's: every value a check compares (an entry of P, Q or W, or d_s)
+    fits them.
     """
-    denoms, lanes, _, t = _transform(K, cache, 4 * K - 5)
+    denoms, lanes, y, t = _transform(K, cache, 2 * K - 2)
     p_cols = [t[2 * r - 1] for r in range(1, K)]
     q_cols = [-t[2 * K - 2 * r] for r in range(1, K)]
-    return denoms, lanes, p_cols, q_cols, _times_a(K, p_cols)
+    return denoms, lanes, p_cols, q_cols, [y[2 * K - 2 * sp] for sp in range(1, K)]
+
+
+def _pa_rows(
+    K: int, p: list[list[int]], q: list[list[int]], y: list[list[int]]
+) -> list[list[int]]:
+    """The numerator rows of P A = (P - Q) C - Y, from those of P, Q and Y."""
+    diff = [list(map(sub, u, v)) for u, v in zip(p, q)]
+    return [list(map(sub, u, v)) for u, v in zip(_product(diff, _c_rows(K)), y)]
 
 
 def verify_inverse(K: int, cache: BernoulliCache | None = None) -> InverseReport:
@@ -360,22 +376,36 @@ def verify_inverse(K: int, cache: BernoulliCache | None = None) -> InverseReport
 
     All in integers, with row s of P and of Q as numerators n_s over d_s
     and L = lcm of the d_s: P = Q by equal n_s, P A = I by n_s A = d_s e_s,
-    A P = I by A (L P) = L I.  P, Q and P A are read off two Pascal
-    transforms of packed columns (``_inverse_columns``), so each check
-    compares K-1 packed ints, and the rows are unpacked only to name the
-    first offending entry of a failed check.  A passing P A = I proves
-    det A != 0 (det P det A = 1), and for square matrices it also proves
-    A P = I, so A (L P) and Bareiss elimination on A's rows run only when
-    P A = I fails; the verdicts are exact either way.
+    A P = I by A (L P) = L I.  P A needs no product, because
+
+        P A = (P - Q) C - Y,   Y[s][s'] = W[s][2s'+1],
+
+    for any Bernoulli values.  Proof: with N = 2K-2s', T(2r-1) = P_r and
+    T(2K-2r) = -Q_r, column s' of P A is
+    sum_r P_r (C(N,2r-1) + C(N,2K-2r)) = sum_r (P_r - Q_r) C(N,2K-2r)
+    - sum_k (-1)^k C(N,k) T(k), and the last sum is (-1)^N y_N = y_N by
+    binomial inversion (T(0) = y_0 = 0, N even).  For the true B_n,
+    W[s][2s'+1] = 2 C(2s'-1, n) b_n with n = 2s'+1-2s vanishes unless
+    n = 1, where it is 2 (2s-1) D B_1 = -d_s: so P = Q and Y = -diag(d_s)
+    give P A = I.  Both are checked as K-1 packed compares each
+    (``_pqy_columns``); only when one fails are P, Q and Y unpacked, P A
+    formed exactly from the identity, and the first offending entries
+    named.  A passing P A = I proves det A != 0 (det P det A = 1), and for
+    square matrices it also proves A P = I, so A (L P) and Bareiss
+    elimination on A's rows run only when P A = I fails; the verdicts are
+    exact either way.
     """
-    denoms, lanes, p_cols, q_cols, pa_cols = _inverse_columns(K, cache)
-    pq = pa = ap = None
-    if p_cols != q_cols:
-        pq = _first_offending("p_eq_q", lanes.rows(p_cols), lanes.rows(q_cols), denoms)
-    if pa_cols != [lanes.unit(i, d) for i, d in enumerate(denoms)]:
-        pa = _first_offending("pa_is_identity", lanes.rows(pa_cols), _diagonal(denoms), denoms)
+    denoms, lanes, p_cols, q_cols, y_cols = _pqy_columns(K, cache)
+    if p_cols == q_cols and y_cols == [-lanes.unit(i, d) for i, d in enumerate(denoms)]:
+        return InverseReport(K, True, True, True, True)
+    p, q = lanes.rows(p_cols), lanes.rows(q_cols)
+    pq = _first_offending("p_eq_q", p, q, denoms)
+    pa_rows = _pa_rows(K, p, q, lanes.rows(y_cols))
+    pa = _first_offending("pa_is_identity", pa_rows, _diagonal(denoms), denoms)
+    ap = None
+    if pa is not None:
         a, big = _a_rows(K), lcm(*denoms)
-        lp = [[big // d * x for x in row] for row, d in zip(lanes.rows(p_cols), denoms)]
+        lp = [[big // d * x for x in row] for row, d in zip(p, denoms)]
         scale = [big] * (K - 1)
         ap = _first_offending("ap_is_identity", _product(a, lp), _diagonal(scale), scale)
     return InverseReport(
@@ -423,8 +453,9 @@ def _closed_form_columns(
     sum_{m>=1} C(N,m) 2^(m-1) y_{N-m} = (S(N) - y_N) / 2 with
     S(N) = sum_k C(N,k) 2^(N-k) y_k, which is 2^(N-2K+2) times entry 0 of
     row N of the Pascal table of y_k 2^(2K-2-k).  Its lane s is at most
-    3^N max|W_s| / 2; P B and P C are bounded as P A is, and d_s - closed
-    fits as well.
+    3^N max|W_s| / 2; as |P[s][r]| <= 2^(2K-3) max|W_s|, P B and P C are
+    at most 2^(4K-5) max|W_s| (``_times_part``), and d_s - closed fits as
+    well.
     """
     _check_k(K)
     top = 2 * K - 2
@@ -432,7 +463,7 @@ def _closed_form_columns(
     s_table = [row[0] for row in _pascal_rows([x << (top - k) for k, x in enumerate(y)], 1)]
     closed = [((s_table[n] >> (top - n)) - y[n]) >> 1 for n in range(top, 0, -2)]
     p_cols = [t[2 * r - 1] for r in range(1, K)]
-    pb, pc = _times_a(K, p_cols, even=False), _times_a(K, p_cols, odd=False)
+    pb, pc = _times_part(K, p_cols, odd=True), _times_part(K, p_cols, odd=False)
     return denoms, lanes, closed, pb, pc
 
 

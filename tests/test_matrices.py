@@ -37,6 +37,22 @@ class BadBernoulliCache(BernoulliCache):
         return Fraction(1, 29) if n == 4 else super().get(n)
 
 
+def corrupted(index: int, value: Fraction) -> type[BernoulliCache]:
+    """A BernoulliCache class whose B_index is value."""
+
+    class Corrupted(BernoulliCache):
+        def get(self, n: int) -> Fraction:
+            return value if n == index else super().get(n)
+
+    return Corrupted
+
+
+BadB1Cache = corrupted(1, Fraction(-1, 3))
+BadB3Cache = corrupted(3, Fraction(1, 7))
+CACHES = {"cache": BernoulliCache, "bad-cache": BadBernoulliCache,
+          "bad-b1": BadB1Cache, "bad-b3": BadB3Cache}
+
+
 def mat(rows):
     """RationalMatrix of rows of rationals, each row over the lcm of its denominators.
 
@@ -212,8 +228,9 @@ def test_passing_pa_check_proves_det_without_bareiss(monkeypatch):
 
 
 def test_ap_product_runs_only_when_pa_check_fails(monkeypatch):
-    # a passing P A = I proves A P = I for square matrices; P, Q and P A are
-    # Pascal reads, and the only int product is A (L P), made on failure
+    # a passing P A = I proves A P = I for square matrices; P and Q are
+    # Pascal reads, and the int products (P - Q) C, for P A, and A (L P) are
+    # made only on failure
     calls = []
     original = matrices._product
 
@@ -224,9 +241,12 @@ def test_ap_product_runs_only_when_pa_check_fails(monkeypatch):
     monkeypatch.setattr(matrices, "_product", product)
     assert verify_inverse(6).all_pass
     assert calls == []
-    report = verify_inverse(6, BadBernoulliCache())
+    bad = BadBernoulliCache()
+    report = verify_inverse(6, bad)
     assert not report.ap_is_identity
-    assert calls == [matrices._a_rows(6)]
+    _, ref = reference_products(6, bad)
+    p_minus_q = [[u - v for u, v in zip(*rows)] for rows in zip(ref["P"], ref["Q"])]
+    assert calls == [p_minus_q, matrices._a_rows(6)]
 
 
 def test_fallback_reports_a_singular_stand_in(monkeypatch):
@@ -263,16 +283,17 @@ def g_q(K: int) -> list[list[int]]:
 
 
 def reference_products(K, cache):
-    """The d_s and the int numerator rows of P, Q, P A, P B, P C and the closed form.
+    """The d_s and the int numerator rows of P, Q, Y, P A, P B, P C and the closed form.
 
     All by the reference product: W G_P, W G_Q, then P times A, B and C,
-    and W G_PB.
+    and W G_PB.  Y holds W's columns 2s'+1.
     """
     w, denoms = matrices._weight_rows(K, cache, range(1, K))
     p = old_product(w, g_p(K))
     return denoms, {
         "P": p,
         "Q": old_product(w, g_q(K)),
+        "Y": [[row[2 * sp + 1] for sp in range(1, K)] for row in w],
         "PA": old_product(p, matrices._a_rows(K)),
         "PB": old_product(p, matrices._b_rows(K)),
         "PC": old_product(p, matrices._c_rows(K)),
@@ -280,18 +301,35 @@ def reference_products(K, cache):
     }
 
 
-@pytest.mark.parametrize(
-    "make_cache", [BernoulliCache, BadBernoulliCache], ids=["cache", "bad-cache"]
-)
+def test_weight_rows_follow_their_definition_for_any_cache():
+    # only zero b_n are skipped, so a corrupted odd B_n still reaches W
+    for make_cache in CACHES.values():
+        cache = make_cache()
+        for K in range(2, 31):
+            b, big = cache.scaled(2 * K - 2)
+            w = [[2 * math.comb(j - 2, j - 2 * s) * b[j - 2 * s] if j >= 2 * s else 0
+                  for j in range(2 * K + 1)] for s in range(1, K)]
+            assert matrices._weight_rows(K, cache, range(1, K)) == (
+                w, [(2 * s - 1) * big for s in range(1, K)]
+            ), K
+
+
+def inverse_rows(K, cache):
+    """The d_s and the rows of P, Q, Y and P A = (P - Q) C - Y decoded from the inverse check."""
+    denoms, lanes, *cols = matrices._pqy_columns(K, cache)
+    p, q, y = map(lanes.rows, cols)
+    return denoms, {"P": p, "Q": q, "Y": y, "PA": matrices._pa_rows(K, p, q, y)}
+
+
+@pytest.mark.parametrize("make_cache", CACHES.values(), ids=CACHES.keys())
 def test_lanes_decode_to_the_reference_products(make_cache):
     cache = make_cache()
     for K in range(2, 31):
         denoms, ref = reference_products(K, cache)
-        d, lanes, p, q, pa = matrices._inverse_columns(K, cache)
+        d, got = inverse_rows(K, cache)
         assert d == denoms
-        assert lanes.rows(p) == ref["P"], K
-        assert lanes.rows(q) == ref["Q"], K
-        assert lanes.rows(pa) == ref["PA"], K
+        for name in ("P", "Q", "Y", "PA"):
+            assert got[name] == ref[name], (K, name)
         d, lanes, closed, pb, pc = matrices._closed_form_columns(K, cache)
         assert d == denoms
         assert lanes.rows(closed) == ref["closed"], K
@@ -299,18 +337,17 @@ def test_lanes_decode_to_the_reference_products(make_cache):
         assert lanes.rows(pc) == ref["PC"], K
 
 
-@pytest.mark.parametrize(
-    "make_cache", [BernoulliCache, BadBernoulliCache], ids=["cache", "bad-cache"]
-)
+@pytest.mark.parametrize("make_cache", CACHES.values(), ids=CACHES.keys())
 def test_every_compared_value_fits_its_lane_with_a_spare_sign_bit(make_cache):
-    # a b-byte lane holds |v| < 2^(8b-1); then packed == is entry-wise ==
+    # a b-byte lane holds |v| < 2^(8b-1); then packed == is entry-wise ==.
+    # The inverse check compares P with Q and Y with -diag(d_s) in T's lanes
     cache = make_cache()
     for K in range(2, 31):
         denoms, ref = reference_products(K, cache)
         one = [[d if i == j else 0 for j in range(K - 1)] for i, d in enumerate(denoms)]
         one_minus_closed = [[u - v for u, v in zip(*rows)] for rows in zip(one, ref["closed"])]
         checks = [
-            (matrices._inverse_columns(K, cache)[1], [ref["P"], ref["Q"], ref["PA"], one]),
+            (matrices._pqy_columns(K, cache)[1], [ref["P"], ref["Q"], ref["Y"], one]),
             (matrices._closed_form_columns(K, cache)[1],
              [ref["closed"], ref["PB"], ref["PC"], one, one_minus_closed]),
         ]
@@ -334,12 +371,67 @@ def test_lanes_hold_the_worst_case_weights(monkeypatch):
     cache = BernoulliCache()
     for K in range(2, 21):
         _, ref = reference_products(K, cache)
-        _, lanes, p, q, pa = matrices._inverse_columns(K, cache)
-        assert [lanes.rows(x) for x in (p, q, pa)] == [ref["P"], ref["Q"], ref["PA"]], K
+        _, got = inverse_rows(K, cache)
+        assert got == {name: ref[name] for name in got}, K
         _, lanes, closed, pb, pc = matrices._closed_form_columns(K, cache)
         assert [lanes.rows(x) for x in (closed, pb, pc)] == [
             ref["closed"], ref["PB"], ref["PC"]
         ], K
+
+
+def test_p_equal_to_q_with_a_wrong_weight_column_fails_pa(monkeypatch):
+    # One entry of W's column 2s'+1 alone cannot keep P = Q: it moves
+    # Q[s][1] and no entry of P.  So row s moves by the inverse binomial
+    # transform of f(1) = 1, f(2K-2) = -1, whose T is f: it keeps
+    # T(2r-1) = -T(2K-2r), hence P = Q, and moves every W[s][2s'+1].
+    # Then P A = -Y, and only the W column read can fail the check.
+    K, s = 6, 2
+    f = {1: 1, 2 * K - 2: -1}
+    delta = [sum((-1) ** (t + k) * math.comb(t, k) * v for k, v in f.items())
+             for t in range(2 * K - 1)]
+    original = matrices._weight_rows
+
+    def perturbed_rows(k, cache, s_values):
+        rows, denoms = original(k, cache, s_values)
+        for sv, row in zip(s_values, rows):
+            if sv == s:
+                for t in range(1, 2 * K - 1):
+                    row[2 * K + 1 - t] += delta[t]
+        return rows, denoms
+
+    monkeypatch.setattr(matrices, "_weight_rows", perturbed_rows)
+    p, q, a = build_p(K), build_q(K), build_a(K)
+    assert p == q
+    calls = _count_bareiss(monkeypatch)
+    report = verify_inverse(K)
+    assert report.p_eq_q and not report.pa_is_identity
+    pa = times(p, a)
+    i, j = next((i, j) for i in range(K - 1) for j in range(K - 1)
+                if pa.at(i, j) != int(i == j))
+    assert report.offending[0] == ("pa_is_identity", i + 1, j + 1, pa.at(i, j), int(i == j))
+    assert calls == [K - 1]
+
+
+@pytest.mark.parametrize("make_cache", [BadB1Cache, BadB3Cache], ids=["bad-b1", "bad-b3"])
+def test_report_matches_the_reference_under_a_corrupted_odd_bernoulli(make_cache):
+    # B_1 and B_3 enter P, Q and W's odd columns; P A comes from the identity
+    for K in range(2, 13):
+        bad = make_cache()
+        p, q, a = build_p(K, bad), build_q(K, bad), build_a(K)
+        one = identity(K - 1)
+        expected = [
+            (check, i + 1, j + 1, x.at(i, j), y.at(i, j))
+            for check, x, y in [
+                ("p_eq_q", p, q), ("pa_is_identity", times(p, a), one),
+                ("ap_is_identity", times(a, p), one),
+            ]
+            for i, j in itertools.islice(
+                ((i, j) for i in range(K - 1) for j in range(K - 1)
+                 if x.at(i, j) != y.at(i, j)), 1)
+        ]
+        report = verify_inverse(K, bad)
+        assert report.offending == tuple(expected), K
+        assert report.det_nonzero
 
 
 def test_lanes_round_trip_at_the_edges():

@@ -408,6 +408,15 @@ def test_audit_h_ab(a, b):
     assert rep.abs_difference <= Fraction(1, 10**20)
 
 
+@pytest.mark.parametrize("digits", [1, 30, 200])
+def test_audit_h_00_compares_one_zeta3_with_itself(digits):
+    # the formula is H(0) zeta(3) with H(0) = 1, from the same table as the
+    # direct zeta(3): the audit checks the coefficient table only
+    rep = audit_h_ab(0, 0, digits)
+    assert rep.abs_difference == 0
+    assert rep.formula_value.value == rep.direct_value.value
+
+
 @pytest.mark.parametrize("index", [0, -1])
 @pytest.mark.parametrize("a, b", [(1, 0), (0, 1)])
 def test_audit_h_ab_detects_a_wrong_coefficient(monkeypatch, a, b, index):
