@@ -255,9 +255,11 @@ def _load_audited_constants(K: int, path: str | None) -> list[Fraction]:
                 f"audit file {path!r} has no reconstructed constant for "
                 f"row r={i}; rerun the audit at higher precision",
             )
+        if not isinstance(rec, str):  # `audit euler` writes "p/q" text or null
+            raise _unusable(path, f"its reconstructed constant {rec!r} is not \"p/q\" text")
         try:
             constants.append(parse_rational(rec))
-        except (TypeError, ValueError):
+        except ValueError:
             raise _unusable(path, f"its reconstructed constant {rec!r} is not a rational")
     return constants
 

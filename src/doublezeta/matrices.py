@@ -8,21 +8,21 @@ that the package verifies are equal and do invert A.  RationalMatrix
 holds int rows over one denominator per row, and has no algebra.
 
 Row s of P and of Q is a binomial transform of row s of a Bernoulli
-weight matrix W (over d_s), and P B and P C are binomial transforms of
-P's columns.  So the exact checks pack each column of W into one int
-whose lane s holds row s (``_Lanes``: signed lanes of whole bytes, each
-as wide as a proven bound on every value it must hold) and read P, Q,
-P B and P C off Pascal tables of those ints (``series._pascal_rows``):
+weight matrix W (over d_s).  So the exact checks pack each column of W
+into one int whose lane s holds row s (``_Lanes``: signed lanes of whole
+bytes, each as wide as a proven bound on every value it must hold) and
+read P and Q off one Pascal table of those ints (``series._pascal_rows``):
 one big-int addition per table entry serves every row at once, and no
 entry is multiplied by a binomial.  With every lane value inside its
-bound, packed == is entry-wise ==, so each check compares K-1 ints, and
-lanes are unpacked only to build a RationalMatrix or to name the entries
-of a failed check.  P A needs no table: P A = (P - Q) C - Y with
-Y[s][s'] = W[s][2s'+1], for any Bernoulli values (``verify_inverse``),
-so the inverse check is P = Q and Y = -diag(d_s) on P and Q's one table.
-It takes det A != 0 from that exact P A = I check, which proves it;
-only when the check fails are P A formed from the identity and the int
-product A (L P) and Bareiss elimination run.
+bound, packed == is entry-wise ==, so each compare is K-1 ints, and lanes
+are unpacked only to build a RationalMatrix or to name the entries of a
+failed check.  Neither check needs a product to pass: for any Bernoulli
+values P A = (P - Q) C - Y with Y[s][s'] = W[s][2s'+1], and P B is the
+(PB) closed form, so P = Q and Y = -diag(d_s) on that one table prove
+P A = I, P C = I - P B and P B = closed (``_proves_inverse``).  P A = I
+proves det A != 0 as well.  Only when a compare fails are the products
+(P A from the identity, A (L P), P B, P C and the closed form) formed
+and Bareiss elimination run.
 """
 
 from __future__ import annotations
@@ -212,38 +212,35 @@ class _Lanes:
         return [list(row) for row in zip(*map(self.unpack, columns))]
 
 
-def _transform(
-    K: int, cache: BernoulliCache | None, scale_bits: int
-) -> tuple[list[int], _Lanes, list[int], list[int]]:
-    """The d_s, their lanes, y, and T(N) = sum_t C(N,t) y_t for N = 0..2K-2.
+def _pqy_columns(
+    K: int, cache: BernoulliCache | None
+) -> tuple[list[int], _Lanes, list[int], list[int], list[int]]:
+    """The d_s, their lanes, and the packed columns of P, Q and Y.
 
-    y_0 = 0 and y_t is column 2K+1-t of W packed, so lane s of T(N) is
-    sum_j W[s][j] C(N, 2K+1-j): column r of P is T(2r-1), column r of Q is
-    -T(2K-2r).  Lane s holds any value of size at most
-    2^scale_bits max_j|W[s][j]| + d_s; |T_s(N)| <= 2^N max_j|W[s][j]|, so
-    scale_bits >= 2K-2 covers T.
+    With y_0 = 0 and y_t column 2K+1-t of W packed, lane s of
+    T(N) = sum_t C(N,t) y_t is sum_j W[s][j] C(N, 2K+1-j): column r of P is
+    T(2r-1), column r of Q is -T(2K-2r), and column s' of Y is y_N = column
+    2s'+1 of W, with N = 2K-2s'.  Lane s holds any value of size at most
+    2^(2K-2) max_j|W[s][j]| + d_s, and |T_s(N)| <= 2^N max_j|W[s][j]|, so
+    every value a check compares (an entry of P, Q or W, or d_s) fits.
     """
     w, denoms = _weight_rows(K, cache, range(1, K))
     lanes = _Lanes(
-        [((max(map(abs, row)) << scale_bits) + d).bit_length() // 8 + 1
+        [((max(map(abs, row)) << (2 * K - 2)) + d).bit_length() // 8 + 1
          for row, d in zip(w, denoms)]
     )
     y = [0, *map(lanes.pack, list(zip(*w))[: 2 : -1])]
-    return denoms, lanes, y, [row[0] for row in _pascal_rows(y, 1)]
+    t = [row[0] for row in _pascal_rows(y, 1)]
+    p_cols = [t[2 * r - 1] for r in range(1, K)]
+    q_cols = [-t[2 * K - 2 * r] for r in range(1, K)]
+    return denoms, lanes, p_cols, q_cols, [y[2 * K - 2 * sp] for sp in range(1, K)]
 
 
-def _times_part(K: int, p_cols: Sequence[int], odd: bool) -> list[int]:
-    """Columns s' of P B (odd=True) or of P C (odd=False), packed as P.
-
-    With N = 2K-2s', B_{r,s'} = C(N, 2r-1) and C_{r,s'} = C(N, 2K-2r), so
-    with c_k = column r of P at k = 2r-1 (for B) or k = 2K-2r (for C), column
-    s' is sum_k C(N,k) c_k.  Its lane s is at most 2^(2K-2) max_r|P[s][r]|.
-    """
-    c = [0] * (2 * K - 1)
-    for r, col in enumerate(p_cols, 1):
-        c[2 * r - 1 if odd else 2 * K - 2 * r] = col
-    t = [row[0] for row in _pascal_rows(c, 1)]
-    return [t[2 * K - 2 * sp] for sp in range(1, K)]
+def _proves_inverse(
+    denoms: list[int], lanes: _Lanes, p_cols: list[int], q_cols: list[int], y_cols: list[int]
+) -> bool:
+    """P = Q and Y = -diag(d_s), as packed compares: then P A = I (``verify_inverse``)."""
+    return p_cols == q_cols and y_cols == [-lanes.unit(i, d) for i, d in enumerate(denoms)]
 
 
 def build_p(K: int, cache: BernoulliCache | None = None) -> RationalMatrix:
@@ -251,14 +248,14 @@ def build_p(K: int, cache: BernoulliCache | None = None) -> RationalMatrix:
 
     The sum runs n = 0..2K-2s; odd-n terms vanish through B_n = 0.
     """
-    denoms, lanes, _, t = _transform(K, cache, 2 * K - 2)
-    return _from_rows(lanes.rows([t[2 * r - 1] for r in range(1, K)]), denoms)
+    denoms, lanes, p_cols, _, _ = _pqy_columns(K, cache)
+    return _from_rows(lanes.rows(p_cols), denoms)
 
 
 def build_q(K: int, cache: BernoulliCache | None = None) -> RationalMatrix:
     """Q_{s,r} = -(2/(2s-1)) sum_n C(2K-2r, 2K-2s-n+1) C(n+2s-2, n) B_n."""
-    denoms, lanes, _, t = _transform(K, cache, 2 * K - 2)
-    return _from_rows(lanes.rows([-t[2 * K - 2 * r] for r in range(1, K)]), denoms)
+    denoms, lanes, _, q_cols, _ = _pqy_columns(K, cache)
+    return _from_rows(lanes.rows(q_cols), denoms)
 
 
 def _diagonal(diag: list[int]) -> list[list[int]]:
@@ -348,21 +345,6 @@ def _first_offending(
     )
 
 
-def _pqy_columns(
-    K: int, cache: BernoulliCache | None
-) -> tuple[list[int], _Lanes, list[int], list[int], list[int]]:
-    """The d_s, their lanes, and the packed columns of P, Q and Y.
-
-    Column s' of Y is y_N = column 2s'+1 of W, with N = 2K-2s'.  The lanes
-    are T's: every value a check compares (an entry of P, Q or W, or d_s)
-    fits them.
-    """
-    denoms, lanes, y, t = _transform(K, cache, 2 * K - 2)
-    p_cols = [t[2 * r - 1] for r in range(1, K)]
-    q_cols = [-t[2 * K - 2 * r] for r in range(1, K)]
-    return denoms, lanes, p_cols, q_cols, [y[2 * K - 2 * sp] for sp in range(1, K)]
-
-
 def _pa_rows(
     K: int, p: list[list[int]], q: list[list[int]], y: list[list[int]]
 ) -> list[list[int]]:
@@ -388,16 +370,17 @@ def verify_inverse(K: int, cache: BernoulliCache | None = None) -> InverseReport
     W[s][2s'+1] = 2 C(2s'-1, n) b_n with n = 2s'+1-2s vanishes unless
     n = 1, where it is 2 (2s-1) D B_1 = -d_s: so P = Q and Y = -diag(d_s)
     give P A = I.  Both are checked as K-1 packed compares each
-    (``_pqy_columns``); only when one fails are P, Q and Y unpacked, P A
+    (``_proves_inverse``); only when one fails are P, Q and Y unpacked, P A
     formed exactly from the identity, and the first offending entries
     named.  A passing P A = I proves det A != 0 (det P det A = 1), and for
     square matrices it also proves A P = I, so A (L P) and Bareiss
     elimination on A's rows run only when P A = I fails; the verdicts are
     exact either way.
     """
-    denoms, lanes, p_cols, q_cols, y_cols = _pqy_columns(K, cache)
-    if p_cols == q_cols and y_cols == [-lanes.unit(i, d) for i, d in enumerate(denoms)]:
+    columns = _pqy_columns(K, cache)
+    if _proves_inverse(*columns):
         return InverseReport(K, True, True, True, True)
+    denoms, lanes, p_cols, q_cols, y_cols = columns
     p, q = lanes.rows(p_cols), lanes.rows(q_cols)
     pq = _first_offending("p_eq_q", p, q, denoms)
     pa_rows = _pa_rows(K, p, q, lanes.rows(y_cols))
@@ -443,47 +426,33 @@ def pc_closed(K: int, s: int, sp: int, cache: BernoulliCache | None = None) -> F
     return (1 if s == sp else 0) - pb_closed(K, s, sp, cache)
 
 
-def _closed_form_columns(
-    K: int, cache: BernoulliCache | None
-) -> tuple[list[int], _Lanes, list[int], list[int], list[int]]:
-    """The d_s, their lanes, and the packed columns of the (PB) closed form, P B and P C.
-
-    With N = 2K-2s' and j = 2K+1-N+m, G_PB[j][s'] = C(N,m) 2^(m-1) for
-    m >= 1, so column s' of the closed form is
-    sum_{m>=1} C(N,m) 2^(m-1) y_{N-m} = (S(N) - y_N) / 2 with
-    S(N) = sum_k C(N,k) 2^(N-k) y_k, which is 2^(N-2K+2) times entry 0 of
-    row N of the Pascal table of y_k 2^(2K-2-k).  Its lane s is at most
-    3^N max|W_s| / 2; as |P[s][r]| <= 2^(2K-3) max|W_s|, P B and P C are
-    at most 2^(4K-5) max|W_s| (``_times_part``), and d_s - closed fits as
-    well.
-    """
-    _check_k(K)
-    top = 2 * K - 2
-    denoms, lanes, y, t = _transform(K, cache, max(4 * K - 5, (3**top).bit_length()))
-    s_table = [row[0] for row in _pascal_rows([x << (top - k) for k, x in enumerate(y)], 1)]
-    closed = [((s_table[n] >> (top - n)) - y[n]) >> 1 for n in range(top, 0, -2)]
-    p_cols = [t[2 * r - 1] for r in range(1, K)]
-    pb, pc = _times_part(K, p_cols, odd=True), _times_part(K, p_cols, odd=False)
-    return denoms, lanes, closed, pb, pc
-
-
 def verify_closed_forms(
     K: int, cache: BernoulliCache | None = None
 ) -> list[tuple[int, int, Fraction, Fraction, Fraction, Fraction]]:
     """Exact check that the closed forms equal P B and P C.
 
-    Compares packed columns of integer numerators over d_s
-    (``_closed_form_columns``), and unpacks them only when one differs.
-    Returns every offending entry, in row-major order, as a tuple
-    (s, s', pb_closed, pc_closed, (PB)_{s,s'}, (PC)_{s,s'}); an empty
-    list means the check passed.
+    Passes on the inverse check's compares (``_proves_inverse``), because
+    P A = I, hence P C = I - P B, and P B = closed for any W.  Proof of the
+    last: with N = 2K-2s', column s' of P B is sum_{k odd} C(N,k) T(k);
+    sum_k C(N,k) T(k) = sum_t C(N,t) 2^(N-t) y_t = S(N), as
+    sum_k C(N,k) C(k,t) = C(N,t) 2^(N-t), and sum_k (-1)^k C(N,k) T(k) = y_N
+    (``verify_inverse``), so it is (S(N) - y_N) / 2; and the closed form is
+    sum_{m>=1} C(N,m) 2^(m-1) y_{N-m} = (S(N) - y_N) / 2, as
+    G_PB[j][s'] = C(N,m) 2^(m-1) at j = 2K+1-N+m >= 2s'+2.  Only when a
+    compare fails are P unpacked and the closed form W G_PB, P B and P C
+    formed from their definitions.  Returns every offending entry, in
+    row-major order, as a tuple (s, s', pb_closed, pc_closed, (PB)_{s,s'},
+    (PC)_{s,s'}); an empty list means the check passed.
     """
-    denoms, lanes, closed, pb, pc = _closed_form_columns(K, cache)
-    ones = [lanes.unit(i, d) for i, d in enumerate(denoms)]
-    if pb == closed and pc == list(map(sub, ones, closed)):
+    columns = _pqy_columns(K, cache)
+    if _proves_inverse(*columns):
         return []
+    denoms, lanes, p_cols, _, _ = columns
+    p = lanes.rows(p_cols)
+    w, _ = _weight_rows(K, cache, range(1, K))
+    closed = _product(w, _g_pb(K, range(1, K)))
+    rows = zip(closed, _product(p, _b_rows(K)), _product(p, _c_rows(K)), denoms)
     bad = []
-    rows = zip(lanes.rows(closed), lanes.rows(pb), lanes.rows(pc), denoms)
     for s, (cb_row, pb_row, pc_row, denom) in enumerate(rows, 1):
         for sp, (vb, xb, xc) in enumerate(zip(cb_row, pb_row, pc_row), 1):
             vc = (denom if s == sp else 0) - vb

@@ -7,7 +7,7 @@ one Pascal table: ``_pascal_rows(seq, sign)`` yields the rows
 
 each built from the last by row_{r+1}[i] = row_r[i+1] + sign row_r[i], so
 an entry costs one addition and no binomial coefficient (``matrices`` reads
-P, Q and their products off the same kernel, over lane-packed ints).  Each
+P and Q off the same kernel, over lane-packed ints).  Each
 sweep takes one Bernoulli vector b_n = D B_n from ``BernoulliCache.scaled``,
 with one D for all of its pairs.
 

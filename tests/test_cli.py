@@ -393,6 +393,9 @@ def test_reduce_inverse_audited_missing_file(capsys, tmp_path):
         (2, '{"K": 2, "rows": [["-11/2"]]}'),
         (2, '{"K": 2, "rows": [{"r": 1, "reconstructed": "1/0"}]}'),
         (2, '{"K": 2, "rows": [{"r": 1, "reconstructed": "abc"}]}'),
+        (2, '{"K": 2, "rows": [{"r": 1, "reconstructed": true}]}'),
+        (2, '{"K": 2, "rows": [{"r": 1, "reconstructed": 0.1}]}'),
+        (2, '{"K": 2, "rows": [{"r": 1, "reconstructed": -1}]}'),
         (2, "not json"),
     ],
     ids=[
@@ -403,6 +406,9 @@ def test_reduce_inverse_audited_missing_file(capsys, tmp_path):
         "row-not-an-object",
         "zero-denominator",
         "not-a-rational",
+        "boolean",
+        "float",
+        "number",
         "not-json",
     ],
 )

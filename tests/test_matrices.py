@@ -301,6 +301,67 @@ def reference_products(K, cache):
     }
 
 
+def closed_form_report(K, cache):
+    """The report of verify_closed_forms, entry by entry from the reference products."""
+    denoms, ref = reference_products(K, cache)
+    bad = []
+    rows = zip(ref["closed"], ref["PB"], ref["PC"], denoms)
+    for s, (closed_row, pb_row, pc_row, d) in enumerate(rows, 1):
+        for sp, (vb, xb, xc) in enumerate(zip(closed_row, pb_row, pc_row), 1):
+            vc = (d if s == sp else 0) - vb
+            if (vb, vc) != (xb, xc):
+                bad.append((s, sp, *(Fraction(x, d) for x in (vb, vc, xb, xc))))
+    return bad
+
+
+def random_bernoulli(seed: int) -> type[BernoulliCache]:
+    """A BernoulliCache class whose every B_n is a seeded random rational."""
+
+    class RandomValues(BernoulliCache):
+        def get(self, n: int) -> Fraction:
+            rng = random.Random(seed * 100003 + n)
+            return Fraction(rng.randint(-50, 50), rng.randint(1, 40))
+
+    return RandomValues
+
+
+ANY_CACHES = {**CACHES, **{f"random-{seed}": random_bernoulli(seed) for seed in range(10)}}
+
+
+@pytest.mark.parametrize("make_cache", ANY_CACHES.values(), ids=ANY_CACHES.keys())
+def test_closed_forms_pass_exactly_when_pa_is_identity(make_cache):
+    # W G_PB = P B for any Bernoulli values, so P C = I - P B fails exactly
+    # where P A = I does, and the check may pass on the inverse check's compares
+    cache = make_cache()
+    for K in range(2, 21):
+        _, ref = reference_products(K, cache)
+        assert ref["closed"] == ref["PB"], K
+        report = verify_closed_forms(K, cache)
+        assert report == closed_form_report(K, cache), K
+        assert (report == []) == verify_inverse(K, cache).pa_is_identity, K
+
+
+def test_closed_forms_form_products_only_when_the_compares_fail(monkeypatch):
+    # a pass reads one Pascal table (P and Q's) and multiplies nothing
+    calls, tables = [], []
+    product, pascal_rows = matrices._product, matrices._pascal_rows
+
+    def counted_product(x, y):
+        calls.append(y)
+        return product(x, y)
+
+    def counted_pascal_rows(seq, sign):
+        tables.append(len(seq))
+        return pascal_rows(seq, sign)
+
+    monkeypatch.setattr(matrices, "_product", counted_product)
+    monkeypatch.setattr(matrices, "_pascal_rows", counted_pascal_rows)
+    assert verify_closed_forms(6) == []
+    assert (calls, tables) == ([], [11])  # one table, of y_0 .. y_{2K-2}
+    assert verify_closed_forms(6, BadBernoulliCache())
+    assert calls == [matrices._g_pb(6, range(1, 6)), matrices._b_rows(6), matrices._c_rows(6)]
+
+
 def test_weight_rows_follow_their_definition_for_any_cache():
     # only zero b_n are skipped, so a corrupted odd B_n still reaches W
     for make_cache in CACHES.values():
@@ -330,11 +391,6 @@ def test_lanes_decode_to_the_reference_products(make_cache):
         assert d == denoms
         for name in ("P", "Q", "Y", "PA"):
             assert got[name] == ref[name], (K, name)
-        d, lanes, closed, pb, pc = matrices._closed_form_columns(K, cache)
-        assert d == denoms
-        assert lanes.rows(closed) == ref["closed"], K
-        assert lanes.rows(pb) == ref["PB"], K
-        assert lanes.rows(pc) == ref["PC"], K
 
 
 @pytest.mark.parametrize("make_cache", CACHES.values(), ids=CACHES.keys())
@@ -345,16 +401,10 @@ def test_every_compared_value_fits_its_lane_with_a_spare_sign_bit(make_cache):
     for K in range(2, 31):
         denoms, ref = reference_products(K, cache)
         one = [[d if i == j else 0 for j in range(K - 1)] for i, d in enumerate(denoms)]
-        one_minus_closed = [[u - v for u, v in zip(*rows)] for rows in zip(one, ref["closed"])]
-        checks = [
-            (matrices._pqy_columns(K, cache)[1], [ref["P"], ref["Q"], ref["Y"], one]),
-            (matrices._closed_form_columns(K, cache)[1],
-             [ref["closed"], ref["PB"], ref["PC"], one, one_minus_closed]),
-        ]
-        for lanes, values in checks:
-            for m in values:
-                for row, b in zip(m, lanes.nbytes, strict=True):
-                    assert all(abs(x).bit_length() < 8 * b for x in row), K
+        lanes = matrices._pqy_columns(K, cache)[1]
+        for m in [ref["P"], ref["Q"], ref["Y"], one]:
+            for row, b in zip(m, lanes.nbytes, strict=True):
+                assert all(abs(x).bit_length() < 8 * b for x in row), K
 
 
 def test_lanes_hold_the_worst_case_weights(monkeypatch):
@@ -373,10 +423,6 @@ def test_lanes_hold_the_worst_case_weights(monkeypatch):
         _, ref = reference_products(K, cache)
         _, got = inverse_rows(K, cache)
         assert got == {name: ref[name] for name in got}, K
-        _, lanes, closed, pb, pc = matrices._closed_form_columns(K, cache)
-        assert [lanes.rows(x) for x in (closed, pb, pc)] == [
-            ref["closed"], ref["PB"], ref["PC"]
-        ], K
 
 
 def test_p_equal_to_q_with_a_wrong_weight_column_fails_pa(monkeypatch):
@@ -384,7 +430,8 @@ def test_p_equal_to_q_with_a_wrong_weight_column_fails_pa(monkeypatch):
     # Q[s][1] and no entry of P.  So row s moves by the inverse binomial
     # transform of f(1) = 1, f(2K-2) = -1, whose T is f: it keeps
     # T(2r-1) = -T(2K-2r), hence P = Q, and moves every W[s][2s'+1].
-    # Then P A = -Y, and only the W column read can fail the check.
+    # Then P A = -Y, and only the W column read can fail the check; the
+    # closed forms, which pass on the same compares, must fail as well.
     K, s = 6, 2
     f = {1: 1, 2 * K - 2: -1}
     delta = [sum((-1) ** (t + k) * math.comb(t, k) * v for k, v in f.items())
@@ -410,6 +457,8 @@ def test_p_equal_to_q_with_a_wrong_weight_column_fails_pa(monkeypatch):
                 if pa.at(i, j) != int(i == j))
     assert report.offending[0] == ("pa_is_identity", i + 1, j + 1, pa.at(i, j), int(i == j))
     assert calls == [K - 1]
+    offending = verify_closed_forms(K)
+    assert offending and offending == closed_form_report(K, None)
 
 
 @pytest.mark.parametrize("make_cache", [BadB1Cache, BadB3Cache], ids=["bad-b1", "bad-b3"])
