@@ -27,14 +27,12 @@ class BernoulliCache:
 
     The cache is a value, not global state: independent instances always
     agree entrywise because the triangle is deterministic.  Besides the
-    values it keeps only the last boustrophedon row, row ``high_water``,
-    and the last result of ``scaled``.
+    values it keeps only the last boustrophedon row, row ``high_water``.
     """
 
     def __init__(self) -> None:
         self._values: list[Fraction] = [Fraction(1)]
         self._row: list[int] = [1]
-        self._scaled: tuple[int, tuple[tuple[int, ...], int]] | None = None
 
     @property
     def high_water(self) -> int:
@@ -51,16 +49,13 @@ class BernoulliCache:
     def scaled(self, n: int) -> tuple[tuple[int, ...], int]:
         """(b, D) with b_k = D B_k for k <= n, D the lcm of the denominators of B_0..B_n.
 
-        The values come from ``get``; the last result is kept, so a sweep
-        that asks for the same n again does no lcm and no division.
+        The values come from ``get``.
         """
         if n < 0:
             raise ValueError(f"Bernoulli index must be >= 0, got {n}")
-        if self._scaled is None or self._scaled[0] != n:
-            bern = [self.get(k) for k in range(n + 1)]
-            big = lcm(*(x.denominator for x in bern))
-            self._scaled = (n, (tuple(x.numerator * (big // x.denominator) for x in bern), big))
-        return self._scaled[1]
+        bern = [self.get(k) for k in range(n + 1)]
+        big = lcm(*(x.denominator for x in bern))
+        return tuple(x.numerator * (big // x.denominator) for x in bern), big
 
     def _extend(self, n: int) -> None:
         values, row = self._values, self._row

@@ -1,18 +1,21 @@
 """Command-line front end: verification sweeps, table exports, audits.
 
 Exit codes: 0 success / all checks passed; 1 at least one identity
-failed; 2 usage error (argparse's usage block, or one ``error:`` line
-when the library rejects a value); 3 missing prerequisite artifact
-(e.g. audited constants requested without an audit file);
-141 (128 + SIGPIPE) the reader closed standard output before all of the
-output was written.  An ``--out`` path that cannot be opened, written or
-closed is a usage error (exit 2, one ``error: cannot write ...`` line).
-The ``--out`` file is opened before the command runs, so an unusable path
-fails at once.  A regular file (or a new path) is written through a
-temporary file beside it, which replaces it only when the command has
-finished and all of its text is written, so a failed run leaves the old
-file as it was; a path that exists but is not a regular file (a device
-such as /dev/full, a FIFO) is written in place.
+failed; 2 usage error; 3 missing prerequisite artifact (e.g. audited
+constants requested without an audit file); 141 (128 + SIGPIPE) the
+reader closed standard output before all of the output was written.
+Every error with exit 2 or 3 prints one ``error: <reason>`` line on
+stderr, whether the library or the CLI rejects the value; only argparse's
+own syntax errors (an unknown option, a value that is not an int) print
+its usage block.  An option of another kind of the same command, such as
+``--r`` for ``audit h``, is a usage error.  An ``--out`` path that cannot
+be opened, written or closed is a usage error too (``error: cannot write
+...``).  The ``--out`` file is opened before the command runs, so an
+unusable path fails at once.  A regular file (or a new path) is written
+through a temporary file beside it, which replaces it only when the
+command has finished and all of its text is written, so a failed run
+leaves the old file as it was; a path that exists but is not a regular
+file (a device such as /dev/full, a FIFO) is written in place.
 Numeric disagreement with the printed Euler constant is reported in the
 output, never turned into a failing exit code: the audit's job is to
 report, not to judge.
@@ -43,6 +46,14 @@ EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_MISSING_PREREQUISITE = 3
 EXIT_BROKEN_PIPE = 141
+
+
+class CliError(Exception):
+    """An error the CLI reports as one ``error:`` line, with its exit code."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 class _OutFile:
@@ -83,7 +94,7 @@ class _OutFile:
             raise self._error(exc)
 
     def _error(self, exc: OSError) -> CliError:
-        return CliError(EXIT_USAGE, f"error: cannot write {self.path!r}: {exc.strerror}")
+        return CliError(EXIT_USAGE, f"cannot write {self.path!r}: {exc.strerror}")
 
     def commit(self, text: str) -> None:
         # writing and the flush at close can each fail (a full device such
@@ -144,6 +155,9 @@ _OFFENDING_LABELS = {
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     lines: list[str] = []
     ok = True
+    # the library rejects K < 2, but an empty range it would accept silently
+    if args.kind in ("conjecture", "closed-forms") and args.k_max < args.k_min:
+        raise ValueError("--k-max must be >= --k-min")
     if args.kind == "conjecture":
         cache = BernoulliCache()
         for K in range(args.k_min, args.k_max + 1):
@@ -268,30 +282,27 @@ def _unusable(path: str, reason: str) -> CliError:
     return CliError(EXIT_MISSING_PREREQUISITE, f"audit file {path!r} is not usable: {reason}")
 
 
-class CliError(SystemExit):
-    """SystemExit carrying a stderr message and a specific exit code."""
-
-    def __init__(self, code: int, message: str) -> None:
-        sys.stderr.write(message + "\n")
-        super().__init__(code)
-
-
 def cmd_reduce(args: argparse.Namespace) -> tuple[int, str]:
+    if args.kind != "inverse" and (args.constants, args.audit_file) != (None, None):
+        raise ValueError(
+            f"--constants and --audit-file belong to reduce inverse, not reduce {args.kind}"
+        )
+    if args.kind != "h" and args.pi_basis:
+        raise ValueError(f"--pi-basis belongs to reduce h, not reduce {args.kind}")
     if args.kind == "euler":
         table = reductions.euler_rhs_coefficients(args.K)
     elif args.kind == "inverse":
+        # before the audit file is read: a missing one would exit 3
+        matrices._check_k(args.K)
         spec = args.constants
-        if spec == "printed":
+        if spec in (None, "printed"):
             constants = [reductions.PRINTED_CONSTANT] * (args.K - 1)
         elif spec == "audited":
             constants = _load_audited_constants(args.K, args.audit_file)
         elif spec.startswith("explicit:"):
             constants = [parse_rational(c) for c in spec[len("explicit:") :].split(",")]
         else:
-            raise CliError(
-                EXIT_USAGE,
-                "--constants must be printed, audited, or explicit:<c1,c2,...>",
-            )
+            raise ValueError("--constants must be printed, audited, or explicit:<c1,c2,...>")
         table = reductions.inverse_reduction_coefficients(args.K, constants)
     else:
         table = reductions.h_ab_coefficients(args.a, args.b)
@@ -315,6 +326,8 @@ def _bigfloat_fields(x: numerics.BigFloat, digits: int) -> dict:
 
 
 def cmd_audit(args: argparse.Namespace) -> tuple[int, str]:
+    if args.kind != "euler" and args.r is not None:
+        raise ValueError(f"--r belongs to audit euler, not audit {args.kind}")
     if args.kind == "euler":
         if args.r is None:
             reports = numerics.audit_euler(args.K, args.digits)
@@ -356,14 +369,14 @@ def cmd_audit(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_zeta(args: argparse.Namespace) -> tuple[int, str]:
-    if args.k is not None:
+    if args.k is not None and args.k1 is None and args.k2 is None:
         value = numerics.zeta_single(args.k, args.digits)
         label = f"zeta({args.k})"
-    elif args.k1 is not None and args.k2 is not None:
+    elif args.k is None and args.k1 is not None and args.k2 is not None:
         value = numerics.zeta_double(args.k1, args.k2, args.digits)
         label = f"zeta({args.k1},{args.k2})"
     else:
-        raise CliError(EXIT_USAGE, "zeta needs --k, or both --k1 and --k2")
+        raise ValueError("zeta needs --k, or both --k1 and --k2, not both forms")
     return EXIT_OK, f"{label} = {value.to_string(args.digits)}\n"
 
 
@@ -409,8 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, default=0)
     p.add_argument(
         "--constants",
-        default="printed",
-        help="printed | audited | explicit:<c1,c2,...> (inverse only)",
+        help="printed (the default) | audited | explicit:<c1,c2,...> (inverse only)",
     )
     p.add_argument("--audit-file", help="JSON output of `audit euler` (for audited)")
     p.add_argument(
@@ -443,23 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    # the library rejects K < 2 too, but only after the audit file, which can exit 3
-    if args.command == "reduce" and args.kind == "inverse" and args.K < 2:
-        parser.error("--K must be >= 2")
-    # the library rejects K < 2; an empty range it would accept silently
-    if args.command == "verify" and args.kind in ("conjecture", "closed-forms"):
-        if args.k_max < args.k_min:
-            parser.error("--k-max must be >= --k-min")
-    if args.command == "verify" and args.kind == "carlitz" and args.max < 0:
-        parser.error("--max must be >= 0")
-    if args.command == "verify" and args.kind == "series":
-        if args.s_max < 1 or args.m_max < 1:
-            parser.error("--s-max and --m-max must be >= 1")
-    if args.command == "zeta" and args.k is not None and (args.k1, args.k2) != (None, None):
-        parser.error("give --k, or both --k1 and --k2, not both forms")
-
-
 def _write_stdout(text: str) -> None:
     """Write all of text to standard output, or raise (BrokenPipeError for a closed reader).
 
@@ -483,9 +478,7 @@ def _write_stdout(text: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _validate(parser, args)
+    args = build_parser().parse_args(argv)
     out = None
     try:
         if args.out:
@@ -496,11 +489,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             _write_stdout(text)
         return code
-    except CliError as exc:
-        return int(exc.code)
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        return exc.code if isinstance(exc, CliError) else EXIT_USAGE
     except BrokenPipeError:
         # the reader closed stdout: point it at devnull so that the flush at
         # interpreter exit stays quiet (the SIGPIPE recipe of the Python docs)

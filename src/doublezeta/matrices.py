@@ -263,20 +263,9 @@ def _diagonal(diag: list[int]) -> list[list[int]]:
 
 
 def _product(a: list[list], b: list[list]) -> list[list]:
-    """Product of two matrices given as row lists (int or Fraction entries).
-
-    Each row of a is multiplied only over its nonzero entries.
-    """
-    width = len(b[0])
-    out = []
-    for row in a:
-        nz = [j for j, x in enumerate(row) if x]
-        if not nz:
-            out.append([0] * width)
-            continue
-        xs = [row[j] for j in nz]
-        out.append([sum(map(mul, xs, col)) for col in zip(*(b[j] for j in nz))])
-    return out
+    """Product of two matrices given as row lists (int or Fraction entries)."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _bareiss(rows: list[list[int]]) -> int:

@@ -287,14 +287,24 @@ LIBRARY_CHECKED = [
     ["audit", "euler", "--K", "1", "--r", "1"],
 ]
 
+# argparse's own syntax errors: these alone print its usage block
+SYNTAX_ERRORS = [
+    ["verify", "conjecture", "--k-max", "3", "--parallel", "2"],
+    ["matrix", "--K", "3", "--which", "A", "--format", "json"],
+]
+
+
+def assert_one_error_line(err):
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "usage:" not in err
+
 
 @pytest.mark.parametrize(
     "argv",
     [
         ["verify", "conjecture", "--k-min", "5", "--k-max", "3"],
         ["verify", "closed-forms", "--k-min", "5", "--k-max", "3"],
-        ["verify", "conjecture", "--k-max", "3", "--parallel", "2"],
-        ["matrix", "--K", "3", "--which", "A", "--format", "json"],
+        *SYNTAX_ERRORS,
         ["verify", "carlitz", "--max", "-3"],
         ["verify", "series", "--s-max", "0"],
         ["verify", "series", "--m-max", "0"],
@@ -303,14 +313,55 @@ LIBRARY_CHECKED = [
         # checked in the CLI: the audit file would be read before the library
         # could reject K, and a missing one exits 3
         ["reduce", "inverse", "--K", "1", "--constants", "audited"],
+        ["zeta", "--k", "3", "--k1", "2"],
+        ["zeta", "--k", "3", "--k2", "2"],
+        ["zeta", "--k1", "2"],
+        ["zeta"],
+        ["reduce", "inverse", "--constants", "bogus"],
+        ["reduce", "inverse", "--constants", ""],
     ],
 )
 def test_verify_and_matrix_usage_errors(capsys, argv):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
-    if argv in LIBRARY_CHECKED:
-        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    if argv in SYNTAX_ERRORS:
+        assert err.startswith("usage: doublezeta ") and "error: " in err, err
+    else:
+        assert_one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "option, argv",
+    [
+        ("--constants", ["reduce", "euler", "--K", "2", "--constants", "audited",
+                         "--audit-file", "/nonexistent.json"]),
+        ("--constants", ["reduce", "euler", "--constants", "printed"]),
+        ("--constants", ["reduce", "h", "--constants", "explicit:-1/2"]),
+        ("--audit-file", ["reduce", "euler", "--audit-file", "audit.json"]),
+        ("--audit-file", ["reduce", "h", "--audit-file", "audit.json"]),
+        ("--pi-basis", ["reduce", "euler", "--pi-basis"]),
+        ("--pi-basis", ["reduce", "inverse", "--pi-basis"]),
+        ("--r", ["audit", "h", "--a", "1", "--r", "2"]),
+    ],
+    ids=[
+        "euler-audited", "euler-printed", "h-constants", "euler-audit-file",
+        "h-audit-file", "euler-pi-basis", "inverse-pi-basis", "audit-h-r",
+    ],
+)
+def test_an_option_of_another_kind_is_a_usage_error(capsys, option, argv):
+    # each command rejects the options of its other kinds, which it would
+    # otherwise ignore
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert_one_error_line(err)
+    assert option in err
+
+
+def test_printed_constants_are_the_default(capsys):
+    default = run(["reduce", "inverse", "--K", "4"], capsys)
+    assert default[0] == 0
+    assert run(["reduce", "inverse", "--K", "4", "--constants", "printed"], capsys) == default
 
 
 @pytest.mark.parametrize("kind", ["conjecture", "closed-forms"])
@@ -381,6 +432,7 @@ def test_reduce_inverse_audited_missing_file(capsys, tmp_path):
     )
     assert code == 3
     assert "audit euler" in err
+    assert_one_error_line(err)
 
 
 @pytest.mark.parametrize(
@@ -431,6 +483,28 @@ def test_reduce_inverse_audited_unusable_file(capsys, tmp_path, K, content):
     assert code == 3
     assert out == ""
     assert str(path) in err
+    assert_one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (None, "need --audit-file"),
+        ('{"K": 3, "rows": []}', "is for K=3, need K=2"),
+        ('{"K": 2, "rows": [{"r": 1, "reconstructed": null}]}', "no reconstructed constant"),
+    ],
+    ids=["no-audit-file", "other-K", "not-reconstructed"],
+)
+def test_missing_prerequisites_are_one_error_line(capsys, tmp_path, content, reason):
+    argv = ["reduce", "inverse", "--K", "2", "--constants", "audited"]
+    if content is not None:
+        path = tmp_path / "audit.json"
+        path.write_text(content)
+        argv += ["--audit-file", str(path)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert_one_error_line(err)
+    assert reason in err
 
 
 def test_audit_then_audited_inverse(capsys, tmp_path):

@@ -266,7 +266,7 @@ def test_fallback_reports_a_singular_stand_in(monkeypatch):
 
 
 def old_product(a, b):
-    """The product before zero entries were skipped, kept as the reference."""
+    """The textbook row-by-column product, the reference for every product below."""
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
@@ -544,7 +544,7 @@ def test_product_matches_reference():
         assert len(got) == len(a) and all(len(row) == len(b[0]) for row in got)
 
 
-def test_matrix_multiply_unchanged_by_zero_skipping(cache):
+def test_product_of_exported_matrices_matches_reference(cache):
     for K in range(2, 9):
         p, a, b = build_p(K, cache), build_a(K), build_b_part(K)
         for x, y in [(p, a), (a, p), (p, b), (b, p), (identity(K - 1), p)]:

@@ -401,6 +401,28 @@ def test_double_contract_holds_past_a_fixed_term_cap():
     assert err <= z.error_bound <= Fraction(1, 10**digits)
 
 
+@pytest.mark.parametrize("digits", [1, 12, 40])
+def test_public_bound_is_the_engine_count(digits):
+    # the enclosure tests cannot see a bound that is too small by a factor
+    # of 2, since the counted bounds sit well above the true errors; so the
+    # bound handed out must be the engine's count itself, recounted here on
+    # a fresh table
+    def fresh():
+        return numerics._EMTables(digits)
+
+    cases = [
+        (zeta_single(5, digits), fresh().zeta_fixed(5)),
+        (zeta_double(3, 4, digits), numerics._zeta_double(3, 4, fresh())),
+        (zeta_double(1, 4, digits), numerics._zeta_one(4, fresh())),
+        (audit_h_ab(1, 0, digits).direct_value, numerics._zeta_double(2, 3, fresh())),
+        (audit_h_ab(0, 1, digits).direct_value, numerics._zeta_double(3, 2, fresh())),
+    ]
+    for public, x in cases:
+        assert x.error > 0
+        assert public.error_bound == Fraction(x.error, 2**x.scale)
+        assert public.value == Fraction(x.value, 2**x.scale)
+
+
 @pytest.mark.parametrize("a, b", [(0, 0), (1, 0), (0, 1)])
 def test_audit_h_ab(a, b):
     rep = audit_h_ab(a, b, 30)
