@@ -5,26 +5,23 @@ failed; 2 usage error; 3 missing prerequisite artifact (e.g. audited
 constants requested without an audit file); 141 (128 + SIGPIPE) the
 reader closed standard output before all of the output was written.
 Every error with exit 2 or 3 prints one ``error: <reason>`` line on
-stderr, whether the library or the CLI rejects the value; only argparse's
-own syntax errors (an unknown option, a value that is not an int) print
-its usage block.  An option of another kind of the same command, such as
-``--r`` for ``audit h``, is a usage error.  An ``--out`` path that cannot
-be opened, written or closed is a usage error too (``error: cannot write
-...``).  The ``--out`` file is opened before the command runs, so an
-unusable path fails at once.  A regular file (or a new path) is written
-through a temporary file beside it, which replaces it only when the
-command has finished and all of its text is written, so a failed run
-leaves the old file as it was; a path that exists but is not a regular
-file (a device such as /dev/full, a FIFO) is written in place.
-Numeric disagreement with the printed Euler constant is reported in the
-output, never turned into a failing exit code: the audit's job is to
-report, not to judge.
+stderr, whether argparse, the library or the CLI rejects the value.  Each
+kind of ``verify``, ``reduce`` and ``audit`` has a parser of its own that
+accepts only the options it reads: ``--r`` for ``audit h`` is an
+unrecognized argument.  An ``--out`` path that cannot be opened, written
+or closed is a usage error too (``error: cannot write ...``); it is
+opened before the command runs.  A regular file (or a new path) is
+written through a temporary file beside it, which replaces it only when
+all of the command's text is written, so a failed run leaves the old
+file as it was; a path that exists but is not a regular file (a device
+such as /dev/full, a FIFO) is written in place.  Numeric disagreement
+with the printed Euler constant is reported in the output, never turned
+into a failing exit code: the audit's job is to report, not to judge.
 
 ``main`` parses with one parser per process: ``build_parser()`` builds it
-on its first call and returns that same object afterwards.  No parser state
-carries from one ``main`` call to the next (each parse makes a fresh
-namespace), so many in-process calls give the same results as separate
-runs.  Callers must not mutate the parser that ``build_parser()`` returns.
+on its first call and returns that same object afterwards.  Each parse
+makes a fresh namespace, so many in-process calls give the same results
+as separate runs.  Callers must not mutate the parser.
 """
 
 from __future__ import annotations
@@ -36,6 +33,7 @@ import os
 import sys
 from fractions import Fraction
 from stat import S_IMODE, S_ISREG
+from typing import NoReturn
 
 from . import matrices, numerics, reductions, series
 from .bernoulli import BernoulliCache, bernoulli_range
@@ -155,11 +153,11 @@ _OFFENDING_LABELS = {
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     lines: list[str] = []
     ok = True
+    cache = BernoulliCache()
     # the library rejects K < 2, but an empty range it would accept silently
     if args.kind in ("conjecture", "closed-forms") and args.k_max < args.k_min:
         raise ValueError("--k-max must be >= --k-min")
     if args.kind == "conjecture":
-        cache = BernoulliCache()
         for K in range(args.k_min, args.k_max + 1):
             rep = matrices.verify_inverse(K, cache)
             ok &= rep.all_pass
@@ -178,7 +176,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
                 )
             lines.append(line)
     elif args.kind == "carlitz":
-        bad = series.verify_carlitz(args.max, BernoulliCache())
+        try:
+            bad = series.verify_carlitz(args.max, cache)
+        except ValueError as exc:  # the library names its parameters, not the options
+            raise ValueError(f"--max {args.max}: {exc}") from None
         ok = not bad
         lines += [
             f"(m={m}, n={n}): FAIL lhs={format_rational(lhs)} rhs={format_rational(rhs)}"
@@ -186,7 +187,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         ]
         lines.append(f"carlitz m<=n<={args.max}: {'pass' if ok else 'FAIL'}")
     elif args.kind == "series":
-        results = series.verify_reflection(args.s_max, args.m_max, args.order, BernoulliCache())
+        try:
+            results = series.verify_reflection(args.s_max, args.m_max, args.order, cache)
+        except ValueError as exc:
+            raise ValueError(f"--s-max {args.s_max} --m-max {args.m_max}: {exc}") from None
         for s, m, bad in results:
             ok &= bad is None
             lines.append(
@@ -194,7 +198,6 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
                 + ("pass" if bad is None else f"FAIL {bad}")
             )
     elif args.kind == "closed-forms":
-        cache = BernoulliCache()
         for K in range(args.k_min, args.k_max + 1):
             bad = matrices.verify_closed_forms(K, cache)
             for s, sp, vb, vc, pb, pc in bad:
@@ -283,19 +286,16 @@ def _unusable(path: str, reason: str) -> CliError:
 
 
 def cmd_reduce(args: argparse.Namespace) -> tuple[int, str]:
-    if args.kind != "inverse" and (args.constants, args.audit_file) != (None, None):
-        raise ValueError(
-            f"--constants and --audit-file belong to reduce inverse, not reduce {args.kind}"
-        )
-    if args.kind != "h" and args.pi_basis:
-        raise ValueError(f"--pi-basis belongs to reduce h, not reduce {args.kind}")
     if args.kind == "euler":
         table = reductions.euler_rhs_coefficients(args.K)
     elif args.kind == "inverse":
+        # the one tie between options that argparse cannot state
+        if args.audit_file is not None and args.constants != "audited":
+            raise ValueError("--audit-file needs --constants audited")
         # before the audit file is read: a missing one would exit 3
         matrices._check_k(args.K)
         spec = args.constants
-        if spec in (None, "printed"):
+        if spec == "printed":
             constants = [reductions.PRINTED_CONSTANT] * (args.K - 1)
         elif spec == "audited":
             constants = _load_audited_constants(args.K, args.audit_file)
@@ -326,8 +326,6 @@ def _bigfloat_fields(x: numerics.BigFloat, digits: int) -> dict:
 
 
 def cmd_audit(args: argparse.Namespace) -> tuple[int, str]:
-    if args.kind != "euler" and args.r is not None:
-        raise ValueError(f"--r belongs to audit euler, not audit {args.kind}")
     if args.kind == "euler":
         if args.r is None:
             reports = numerics.audit_euler(args.K, args.digits)
@@ -383,73 +381,75 @@ def cmd_zeta(args: argparse.Namespace) -> tuple[int, str]:
 # ------------------------------------------------------------------ parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors are usage errors with one ``error:`` line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise CliError(EXIT_USAGE, message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="doublezeta",
         description="Exact verification and numeric audit of the double-zeta "
         "reduction matrices A, P, Q.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bernoulli", help="export Bernoulli numbers B_0..B_max")
+    out, k_range, K, ab, table, digits = (_Parser(add_help=False) for _ in range(6))
+    out.add_argument("--out")
+    k_range.add_argument("--k-min", type=int, default=2)
+    k_range.add_argument("--k-max", type=int, default=40)
+    K.add_argument("--K", type=int, default=2)
+    ab.add_argument("--a", type=int, default=0)
+    ab.add_argument("--b", type=int, default=0)
+    table.add_argument("--format", choices=["json", "csv"], default="json")
+    digits.add_argument("--digits", type=int, default=40)
+
+    def kinds(name: str, func, help: str) -> argparse._SubParsersAction:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p.add_subparsers(dest="kind", required=True)
+
+    p = sub.add_parser("bernoulli", parents=[out], help="export Bernoulli numbers B_0..B_max")
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_bernoulli)
 
-    p = sub.add_parser("verify", help="exact identity sweeps")
-    p.add_argument("kind", choices=["conjecture", "carlitz", "series", "closed-forms"])
-    p.add_argument("--k-min", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=40)
+    verify = kinds("verify", cmd_verify, "exact identity sweeps")
+    verify.add_parser("conjecture", parents=[k_range, out])
+    p = verify.add_parser("carlitz", parents=[out])
     p.add_argument("--max", type=int, default=60, help="carlitz sweep bound")
+    p = verify.add_parser("series", parents=[out])
     p.add_argument("--s-max", type=int, default=6, help="series sweep bound on s")
     p.add_argument("--m-max", type=int, default=12, help="series sweep bound on m")
     p.add_argument("--order", type=int, default=48, help="series truncation order of f_s")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
+    verify.add_parser("closed-forms", parents=[k_range, out])
 
-    p = sub.add_parser("matrix", help="export one of the matrices A, B, C, P, Q")
+    p = sub.add_parser("matrix", parents=[out], help="export one of the matrices A, B, C, P, Q")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--which", choices=["A", "B", "C", "P", "Q"], required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("reduce", help="emit reduction coefficient tables")
-    p.add_argument("kind", choices=["euler", "inverse", "h"])
-    p.add_argument("--K", type=int, default=2)
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--b", type=int, default=0)
-    p.add_argument(
-        "--constants",
-        help="printed (the default) | audited | explicit:<c1,c2,...> (inverse only)",
-    )
+    reduce = kinds("reduce", cmd_reduce, "emit reduction coefficient tables")
+    reduce.add_parser("euler", parents=[K, table, out])
+    p = reduce.add_parser("inverse", parents=[K, table, out])
+    p.add_argument("--constants", default="printed", help="printed | audited | explicit:<c1,...>")
     p.add_argument("--audit-file", help="JSON output of `audit euler` (for audited)")
-    p.add_argument(
-        "--pi-basis",
-        action="store_true",
-        help="expand H(n) factors into pi powers (h only)",
-    )
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_reduce)
+    p = reduce.add_parser("h", parents=[ab, table, out])
+    p.add_argument("--pi-basis", action="store_true", help="expand H(n) factors into pi powers")
 
-    p = sub.add_parser("audit", help="numeric audits of the reduction formulas")
-    p.add_argument("kind", choices=["euler", "h"])
-    p.add_argument("--K", type=int, default=2)
+    audit = kinds("audit", cmd_audit, "numeric audits of the reduction formulas")
+    p = audit.add_parser("euler", parents=[K, digits, out])
     p.add_argument("--r", type=int, help="single row (default: all rows)")
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--b", type=int, default=0)
-    p.add_argument("--digits", type=int, default=40)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_audit)
+    audit.add_parser("h", parents=[ab, digits, out])
 
-    p = sub.add_parser("zeta", help="high-precision zeta values with bounds")
+    p = sub.add_parser("zeta", parents=[out], help="high-precision zeta values with bounds")
     p.add_argument("--k", type=int)
     p.add_argument("--k1", type=int)
     p.add_argument("--k2", type=int)
     p.add_argument("--digits", type=int, default=30)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_zeta)
 
     return parser
@@ -478,9 +478,9 @@ def _write_stdout(text: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     out = None
     try:
+        args = build_parser().parse_args(argv)
         if args.out:
             out = _OutFile(args.out)
         code, text = args.func(args)
