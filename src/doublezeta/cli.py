@@ -8,7 +8,8 @@ Every error with exit 2 or 3 prints one ``error: <reason>`` line on
 stderr, whether argparse, the library or the CLI rejects the value.  Each
 kind of ``verify``, ``reduce`` and ``audit`` has a parser of its own that
 accepts only the options it reads: ``--r`` for ``audit h`` is an
-unrecognized argument.  An ``--out`` path that cannot be opened, written
+unrecognized argument, and so is an abbreviation such as ``--m`` for
+``--max``.  An ``--out`` path that cannot be opened, written
 or closed is a usage error too (``error: cannot write ...``); it is
 opened before the command runs.  A regular file (or a new path) is
 written through a temporary file beside it, which replaces it only when
@@ -124,7 +125,10 @@ class _OutFile:
 
 
 def cmd_bernoulli(args: argparse.Namespace) -> tuple[int, str]:
-    values = bernoulli_range(args.max)
+    try:
+        values = bernoulli_range(args.max)
+    except ValueError as exc:  # the library names its parameter, not the option
+        raise ValueError(f"--max {args.max}: {exc}") from None
     if args.format == "json":
         payload = {
             "kind": "bernoulli",
@@ -300,7 +304,10 @@ def cmd_reduce(args: argparse.Namespace) -> tuple[int, str]:
         elif spec == "audited":
             constants = _load_audited_constants(args.K, args.audit_file)
         elif spec.startswith("explicit:"):
-            constants = [parse_rational(c) for c in spec[len("explicit:") :].split(",")]
+            try:
+                constants = [parse_rational(c) for c in spec[len("explicit:") :].split(",")]
+            except ValueError as exc:
+                raise ValueError(f"--constants {spec!r}: {exc}") from None
         else:
             raise ValueError("--constants must be printed, audited, or explicit:<c1,c2,...>")
         table = reductions.inverse_reduction_coefficients(args.K, constants)
@@ -382,7 +389,14 @@ def cmd_zeta(args: argparse.Namespace) -> tuple[int, str]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argparse parser whose errors are usage errors with one ``error:`` line."""
+    """An argparse parser whose errors are usage errors with one ``error:`` line.
+
+    Options must be spelled in full: a prefix such as ``--m`` for ``--max``
+    is an unrecognized argument.  Subparsers are of this class too.
+    """
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> NoReturn:
         raise CliError(EXIT_USAGE, message)

@@ -35,8 +35,9 @@ coefficient scales an ulp error that is 2^shift times smaller.
 
 Every public function runs at one working precision and builds one
 :class:`_EMTables` for it, with its own :class:`BernoulliCache`, and drops
-it on return; the module keeps no state between calls.  The table holds
-the call's digits, its bits p and truncation target, and memoises what the
+it on return; the module keeps no state between calls.  The table fixes
+every size of the call before any work: its digits, bits p, truncation
+target, direct-sum lengths and the tails' term cap.  It memoises what the
 evaluations of one call share: the tails and the single zetas.  A
 memoised value is a function of its key alone, so sharing changes no
 value or bound.  A double zeta reads zeta(k1) from the table too.
@@ -50,7 +51,10 @@ they depend on the weight only; every row reads them from the call's
 table.  Each folded tail is evaluated to the target divided by its
 coefficient, and the coefficient taken is the largest that any k1 of the
 weight gives to that exponent, so the target, too, depends on the weight
-only.  The T(m) expansion stops as soon as its remainder meets the target.
+only.  The T(m) expansion stops as soon as its remainder meets the target,
+or after J = digits terms; that cap binds at 1 digit.  The single tails and
+the T(m) expansion read their coefficients B_2J (k)_{2J-1}/(2J)! from one
+generator.
 
 The audits accept every digits >= 1, as the zeta functions do, and have no
 floor of their own.  A residual's bound covers its true error at any
@@ -62,8 +66,9 @@ residual's bound grows with K (at K = 30 and 10 digits it is about 2e-4).
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -231,7 +236,8 @@ class _EMTables:
 
     A public function creates one, passes it down, and drops it on return.
     The table holds the call's digits, the engine's bits p (its unit is
-    2^-p) and the truncation target 10^-(digits+10).
+    2^-p), the truncation target 10^-(digits+10), the direct-sum lengths
+    and the tails' term cap: every size of the call, fixed before any work.
     """
 
     def __init__(self, digits: int) -> None:
@@ -244,6 +250,15 @@ class _EMTables:
         self._ten = 10 ** (digits + 10)
         # the absolute target of each truncation term, in units of 2^-bits
         self.target = (1 << self.bits) // self._ten
+        # Euler-Maclaurin converges once 2*pi*M exceeds the term count;
+        # M near the digit count keeps both the direct sum and J small.
+        self.cutoff = max(16, digits)
+        # the direct-sum length of a double zeta
+        self.double_cutoff = max(self.cutoff, 2 * digits)
+        # the last derivative term J of a tail.  From start M >= digits, term J
+        # falls roughly as (2J/(2 pi e M))^(2J), so a 10^-digits target needs
+        # J near 0.37 digits: a cap of 400 alone would bite near 1090 digits.
+        self.term_cap = max(400, digits)
         self.bernoulli = BernoulliCache()
         self._tails: dict[tuple[int, int, int], _Fixed] = {}
         self._fixed: dict[int, _Fixed] = {}
@@ -272,6 +287,18 @@ class _EMTables:
         return self._fixed[k]
 
 
+def _em_coefficients(k: int, tables: _EMTables) -> Iterator[tuple[int, int]]:
+    """c_J(k) = B_2J (k)_{2J-1} / (2J)! for J = 1, 2, ..., as unreduced
+    (numerator, denominator) ints: the Euler-Maclaurin coefficients of
+    sum_{m >= start} m^-k, term J being c_J(k) start^(1-k-2J)."""
+    rising, factorial = k, 1  # (k)_{2J-1} = k (k+1) ... (k+2J-2), (2J)!
+    for J in itertools.count(1):
+        b = tables.bernoulli.get(2 * J)
+        factorial *= (2 * J - 1) * (2 * J)
+        yield b.numerator * rising, b.denominator * factorial
+        rising *= (k + 2 * J - 1) * (k + 2 * J)
+
+
 def _zeta_tail(k: int, start: int, target: int, tables: _EMTables) -> _Fixed:
     """sum_{m >= start} m^{-k} by Euler-Maclaurin, in units of 2^-(bits+shift).
 
@@ -279,52 +306,26 @@ def _zeta_tail(k: int, start: int, target: int, tables: _EMTables) -> _Fixed:
     until the periodic-Bernoulli remainder bound 2|B_{2J}|/(2J)! * int
     |f^(2J)|, which is twice |term J|, drops to the target (or stops
     improving; the asymptotic series eventually diverges), or until J
-    passes ``_term_cap(digits)``.  The error is that bound plus one ulp per
-    floor quotient.
+    passes the table's ``term_cap``.  The error is that bound plus one ulp
+    per floor quotient.
     """
     scale = tables.bits + _tail_shift(k, start)
     one = 1 << scale
     power = start ** (k - 1)  # start^(k-1+2J) below
     value = one // ((k - 1) * power) + one // (2 * power * start)
     ulps = 2
-    factorial = 1  # (2J)!
-    rising = k  # the rising factorial (k)_{2J-1} = k (k+1) ... (k+2J-2)
     prev_bound = math.inf
-    cap = _term_cap(tables.digits)
-    J = 1
-    while True:
-        b = tables.bernoulli.get(2 * J)
-        factorial *= (2 * J - 1) * (2 * J)
+    for J, (num, den) in enumerate(_em_coefficients(k, tables), start=1):
         power *= start * start
-        # term J = B_2J/(2J)! (k)_{2J-1} start^(1-k-2J), floored
-        term = b.numerator * rising * one // (b.denominator * factorial * power)
+        # term J = c_J(k) start^(1-k-2J), floored
+        term = num * one // (den * power)
         # the remainder with terms 1..J-1 in, rounded up: |term J| < |term| + 1
         bound = 2 * (abs(term) + 1)
-        if bound <= target or bound >= prev_bound or J > cap:
+        if bound <= target or bound >= prev_bound or J > tables.term_cap:
             return _Fixed(value, bound + ulps, scale)
         value += term
         ulps += 1
         prev_bound = bound
-        rising *= (k + 2 * J - 1) * (k + 2 * J)
-        J += 1
-
-
-def _choose_cutoff(digits: int) -> int:
-    # Euler-Maclaurin converges once 2*pi*M exceeds the term count;
-    # M near the digit count keeps both the direct sum and J small.
-    return max(16, digits)
-
-
-def _term_cap(digits: int) -> int:
-    # the last derivative term J of a tail.  From start M >= digits, term J
-    # falls roughly as (2J/(2 pi e M))^(2J), so a 10^-digits target needs
-    # J near 0.37 digits: a cap of 400 alone would bite near 1090 digits.
-    return max(400, digits)
-
-
-def _double_cutoff(digits: int) -> int:
-    # the direct-sum length of a double zeta
-    return max(_choose_cutoff(digits), 2 * digits)
 
 
 def zeta_single(k: int, digits: int = 30) -> BigFloat:
@@ -336,7 +337,7 @@ def zeta_single(k: int, digits: int = 30) -> BigFloat:
 
 def _zeta_single(k: int, tables: _EMTables) -> _Fixed:
     bits = tables.bits
-    M = _choose_cutoff(tables.digits)
+    M = tables.cutoff
     one = 1 << bits
     # m = 1..M-1, each floor quotient one ulp at most
     partial = sum(one // m**k for m in range(1, M))
@@ -370,7 +371,7 @@ def _zeta_double(k1: int, k2: int, tables: _EMTables) -> _Fixed:
     the table reuse every tail of the T(m) expansion.
     """
     digits, bits = tables.digits, tables.bits
-    M = _double_cutoff(digits)
+    M = tables.double_cutoff
     w = k1 + k2
     one = 1 << bits
 
@@ -391,30 +392,22 @@ def _zeta_double(k1: int, k2: int, tables: _EMTables) -> _Fixed:
     # exponent w + alpha.  The leading two terms come first.
     result -= tables.tail(w - 1, M + 1).times(Fraction(1, k1 - 1), bits)
     result -= tables.tail(w, M + 1).times(Fraction(1, 2), bits)
-    # Term j has c_j = B_2j/(2j)! (k1)_{2j-1}; with terms 1..J-1 in, the
-    # remainder of T(m) is at most 2|c_J| m^-(k1+2J-1), which sums over
-    # m > M to 2|c_J| times the tail that term J would use.  (w-2)_{2J-1}
-    # is the largest rising factorial of the weight (k2 >= 2), so the
-    # tail targets do not depend on k1.
-    rising, rising_max = k1, w - 2  # (k1)_{2J-1}, (w-2)_{2J-1}
-    factorial = 1  # (2J)!
-    J = 1
-    while True:
-        factorial *= (2 * J - 1) * (2 * J)
-        ratio = tables.bernoulli.get(2 * J) / factorial
-        c = ratio * rising
-        t = tables.tail(w + 2 * J - 1, M + 1, abs(ratio) * rising_max)
+    # Term J is c_J(k1) m^-(k1+2J-1); with terms 1..J-1 in, the remainder
+    # of T(m) is at most 2|c_J(k1)| m^-(k1+2J-1), which sums over m > M to
+    # 2|c_J(k1)| times the tail that term J would use.  |c_J(w-2)| is the
+    # largest coefficient of the weight (k2 >= 2), so the tail targets do
+    # not depend on k1.
+    coefficients = zip(_em_coefficients(k1, tables), _em_coefficients(w - 2, tables))
+    for J, ((num, den), (num_max, den_max)) in enumerate(coefficients, start=1):
+        t = tables.tail(w + 2 * J - 1, M + 1, Fraction(abs(num_max), den_max))
         # 2|c| (|t| + error), in units of 2^-bits, rounded up
-        spread = 2 * abs(c.numerator) * (abs(t.value) + t.error)
-        remainder = -(-spread // (c.denominator << (t.scale - bits)))
+        spread = 2 * abs(num) * (abs(t.value) + t.error)
+        remainder = -(-spread // (den << (t.scale - bits)))
         # a remainder still above the target at J = digits fails the
         # final check
         if remainder <= tables.target or J > digits:
             return _Fixed(result.value, result.error + remainder, bits)
-        result -= t.times(c, bits)
-        rising *= (k1 + 2 * J - 1) * (k1 + 2 * J)
-        rising_max *= (w + 2 * J - 3) * (w + 2 * J - 2)
-        J += 1
+        result -= t.times(Fraction(num, den), bits)
 
 
 def _zeta_one(k: int, tables: _EMTables) -> _Fixed:

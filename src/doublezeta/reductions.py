@@ -240,35 +240,30 @@ def h_ab_coefficients(a: int, b: int) -> CoefficientTable:
     )
 
 
-def _pi_basis(basis: str) -> tuple[str, int]:
-    """The basis with H(n) factors as pi^{2n}, and the product of their (2n+1)!."""
-    out_factors = []
-    scale = 1
-    for f in basis.split("*"):
-        if f.startswith("H(") and f.endswith(")"):
-            n = int(f[2:-1])
-            scale *= h_value(n).denominator
-            if n > 0:
-                out_factors.append(f"pi^{2 * n}")
-        else:
-            out_factors.append(f)
-    return ("*".join(out_factors) if out_factors else "1"), scale
-
-
 def expand_h_to_pi(table: CoefficientTable) -> CoefficientTable:
     """Rewrite H(n) factors as pi^{2n} scaled by 1/(2n+1)!.
 
-    H(0) disappears (it is 1); other factors become pi^{2n} labels with
-    the coefficient absorbed.  Only h_ab tables carry H factors.  Term i
-    of a row is divided by its scale f_i, so the row goes over its
-    denominator times L = lcm(f_i), with numerator i times L / f_i.
+    Only h_ab tables carry H factors; any other table is returned as it
+    is.  Term r of an h_ab row is H(K-r) zeta(2r+1), so it becomes
+    pi^{2(K-r)} zeta(2r+1), or zeta(2K+1) at r = K where H(0) = 1, with its
+    coefficient divided by (2K-2r+1)!.  The row goes over its denominator
+    times (2K-1)!, the largest of those factorials, with numerator r times
+    (2K-1)!/(2K-2r+1)!.
     """
+    if table.kind != "h_ab":
+        return table
+    K = table.params["K"]
+    big = math.factorial(2 * K - 1)
+    bases = tuple(
+        f"pi^{2 * (K - r)}*zeta({2 * r + 1})" if r < K else f"zeta({2 * K + 1})"
+        for r in range(1, K + 1)
+    )
     rows = []
     for row in table.rows:
-        expanded = [_pi_basis(basis) for basis in row.bases]
-        big = math.lcm(*(f for _, f in expanded))
-        nums = [x * (big // f) for x, (_, f) in zip(row.numerators, expanded)]
-        bases = tuple(basis for basis, _ in expanded)
+        nums = [
+            x * (big // math.factorial(2 * (K - r) + 1))
+            for r, x in enumerate(row.numerators, start=1)
+        ]
         rows.append(_row(row.target, bases, nums, row.denominator * big, row.flags))
     return CoefficientTable(table.kind, dict(table.params), tuple(rows))
 

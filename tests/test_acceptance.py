@@ -101,31 +101,32 @@ def test_criterion_7_euler_audit_behavior():
 
 
 def test_criterion_8_inverse_reduction_numeric_closure(cache):
-    digits = 30
+    # each product zeta(2s) zeta(2K+1-2s) equals its inverse-reduction row
+    # with the audited constants, evaluated on the audit's double zetas,
+    # within the bound propagated from the values' own error bounds
+    digits = 40
     ok = True
-    for K in (2, 3):
-        audited = [
-            numerics.audit_euler_constant(K, r, 40).reconstructed
-            for r in range(1, K)
-        ]
-        assert all(c is not None for c in audited)
+    for K in range(2, 9):
+        reports = numerics.audit_euler(K, digits)
+        audited = [rep.reconstructed for rep in reports]
+        ok &= audited == [reductions.euler_constant(K, r) for r in range(1, K)]
+        values = {f"zeta({2 * r},{2 * K + 1 - 2 * r})": rep.lhs for r, rep in enumerate(reports, 1)}
+        values[f"zeta({2 * K + 1})"] = numerics.zeta_single(2 * K + 1, digits)
         table = reductions.inverse_reduction_coefficients(K, audited, cache)
-        for s in range(1, K):
-            row = table.rows[s - 1]
-            acc = Fraction(0)
-            for term in row.terms:
-                if "," in term.basis:
-                    inner = term.basis[5:-1].split(",")
-                    val = numerics.zeta_double(int(inner[0]), int(inner[1]), digits)
-                else:
-                    val = numerics.zeta_single(2 * K + 1, digits)
-                acc += term.coeff * val.value
-            product = (
-                numerics.zeta_single(2 * s, digits).value
-                * numerics.zeta_single(2 * K + 1 - 2 * s, digits).value
+        for s, row in enumerate(table.rows, start=1):
+            terms = [(term.coeff, values[term.basis]) for term in row.terms]
+            acc = sum(c * x.value for c, x in terms)
+            bound = sum(abs(c) * x.error_bound for c, x in terms)
+            x = numerics.zeta_single(2 * s, digits)
+            y = numerics.zeta_single(2 * K + 1 - 2 * s, digits)
+            # |xy - XY| <= |X| e_y + |Y| e_x + e_x e_y
+            bound += (
+                abs(x.value) * y.error_bound
+                + abs(y.value) * x.error_bound
+                + x.error_bound * y.error_bound
             )
-            ok &= abs(acc - product) <= Fraction(1, 10**18)
-    report("8. inverse reduction with audited constants closes, <= 1e-18", ok)
+            ok &= abs(acc - x.value * y.value) <= bound
+    report("8. inverse reduction with audited constants closes within its bounds, K=2..8", ok)
 
 
 MATRIX_SCHEMA = {

@@ -288,6 +288,15 @@ LIBRARY_CHECKED = [
     ["audit", "euler", "--K", "1", "--r", "1"],
 ]
 
+# options must be spelled in full: a prefix of an option is not that option
+ABBREVIATIONS = {
+    "--m 3": ["verify", "carlitz", "--m", "3"],
+    "--dig 5": ["audit", "euler", "--K", "3", "--dig", "5"],
+    "--o x": ["matrix", "--K", "3", "--which", "P", "--o", "x"],
+    # --a is not --audit-file: reduce inverse does not read --a
+    "--a 3": ["reduce", "inverse", "--K", "2", "--a", "3"],
+}
+
 # argparse's own syntax errors: one error: line too, with no usage block
 SYNTAX_ERRORS = [
     ["verify", "conjecture", "--k-max", "3", "--parallel", "2"],
@@ -393,7 +402,26 @@ def leaf_options(parser, path=()):
             yield from leaf_options(child, (*path, name))
 
 
+@pytest.mark.parametrize("option, argv", ABBREVIATIONS.items(), ids=list(ABBREVIATIONS))
+def test_an_abbreviated_option_is_unrecognized(capsys, option, argv):
+    # one error: line that names what was typed, not the option it abbreviates
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: unrecognized arguments: {option}\n"
+
+
+def parsers(parser):
+    """parser and every parser below it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from parsers(child)
+
+
 def test_each_kind_accepts_only_the_options_it_reads():
+    # no parser of the tree reads a prefix of an option as that option
+    assert all(not p.allow_abbrev for p in parsers(build_parser()))
     leaves = dict(leaf_options(build_parser()))
     assert leaves == {
         path: options | {"-h", "--help", "--out"} for path, options in LEAF_OPTIONS.items()
@@ -408,6 +436,10 @@ def test_each_kind_accepts_only_the_options_it_reads():
         ("--max -3", ["verify", "carlitz", "--max", "-3"]),
         ("--s-max 0", ["verify", "series", "--s-max", "0"]),
         ("--m-max 0", ["verify", "series", "--m-max", "0"]),
+        ("--max -1", ["bernoulli", "--max", "-1"]),
+        ("--constants 'explicit:'", ["reduce", "inverse", "--K", "2", "--constants", "explicit:"]),
+        ("--constants 'explicit:1/2,x'",
+         ["reduce", "inverse", "--K", "2", "--constants", "explicit:1/2,x"]),
     ],
 )
 def test_a_value_the_library_rejects_names_its_option(capsys, option, argv):

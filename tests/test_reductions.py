@@ -154,6 +154,15 @@ def test_expand_h_to_pi():
     assert coeff_of(row, "zeta(5)") == Fraction(-11, 2)
 
 
+def test_expand_h_to_pi_leaves_other_tables_as_they_are(cache):
+    # only h_ab tables carry H factors
+    for table in (
+        euler_rhs_coefficients(5),
+        inverse_reduction_coefficients(5, [Fraction(-1, 2)] * 4, cache),
+    ):
+        assert expand_h_to_pi(table) == table
+
+
 def test_composition_recovers_products(cache):
     # substituting the Euler rows into the inverse table is P*A = I at
     # the table level: the product row collapses to its own label
@@ -355,7 +364,7 @@ def test_euler_exports_match_the_fraction_reference(K):
     assert_same_exports(euler_rhs_coefficients(K, mixed), old_euler(K, mixed))
 
 
-@pytest.mark.parametrize("a, b", [(a, b) for a in range(5) for b in range(5 - a)])
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(8) for b in range(8 - a)])
 def test_h_exports_match_the_fraction_reference(a, b):
     table, reference = h_ab_coefficients(a, b), old_h_ab(a, b)
     assert_same_exports(table, reference)
