@@ -8,39 +8,53 @@ raise ``ValueError`` rather than return a bound above 10^-digits.
 The zeta engine works in fixed point on Python ints.  A call for a
 10^-digits target uses p = ceil((digits + 10) log2 10) + 64 bits: an int X
 stands for X 2^-p, and 2^-p is the working unit.  Each term of the direct
-sums, of the Euler-Maclaurin tails and of the T(m) expansion is formed as
-one exact floor quotient, such as num (k)_{2J-1} 2^p // (den (2J)! m^e),
-so it adds less than one ulp, always downwards.  The engine counts those
-ulps: the rounding part of a bound is count 2^-p, not an allowance per
-operation.  Truncation bounds are rounded up to whole ulps.  What is built
-from those values runs on the same ints: Euler's formula for zeta(1, k),
-the audits' products, A-weighted sums, residuals and ratios, and the
-H(n) = pi^2n/(2n+1)! of the H(a,b) audit, taken from zeta(2n).  A product
-or quotient is one floor, so one more ulp; a sum, or a multiple by an
-int, is exact.  A public result is the engine's value and error read as
-exact Fractions X/2^p and E/2^p, with no rounding, so its bound is exactly
-the engine's count; BigFloat only holds such results.  Printing rounds the
-value half up to the requested digits and the bound up to three
-significant digits, in mpmath's ``nstr`` text form.
+sums and of the T(m) expansion is formed as one exact floor quotient, so
+it adds less than one ulp, always downwards; a tail term counts its own
+ulps (below).  The engine counts those ulps: the rounding part of a bound
+is count 2^-p, not an allowance per operation.  Truncation bounds are
+rounded up to whole ulps.  What is built from those values runs on the
+same ints: Euler's formula for zeta(1, k), the audits' products,
+A-weighted sums, residuals and ratios, and the H(n) = pi^2n/(2n+1)! of the
+H(a,b) audit, taken from zeta(2n).  A product or quotient is one floor, so
+one more ulp; a sum, or a multiple by an int, is exact.  A public result
+is the engine's value and error read as exact Fractions X/2^p and E/2^p,
+with no rounding, so its bound is exactly the engine's count; BigFloat
+only holds such results.  Printing rounds the value half up to the
+requested digits and the bound up to three significant digits, in
+mpmath's ``nstr`` text form.
 
 Single zeta tails use Euler-Maclaurin with the classical periodic-
 Bernoulli remainder bound; double zeta tails expand the inner partial
 sum by the same machinery, reducing the outer tail to a finite
 combination of single-zeta tails plus a rigorously bounded remainder.
 A tail sum_{m >= start} m^-k carries its own scale: it is held in units of
-2^-(p + shift) with shift = (k - 1)(bitlen(start) - 1), so its value uses
-the whole p bits however small start^(1-k) is.  A folded tail is then
-multiplied by its expansion coefficient before it drops to 2^-p, and the
-coefficient scales an ulp error that is 2^shift times smaller.
+2^-q with q = p + shift and shift = (k - 1)(bitlen(start) - 1), so its
+value uses the whole p bits however small start^(1-k) is.  A folded tail
+is then multiplied by its expansion coefficient before it drops to 2^-p,
+and the coefficient scales an ulp error that is 2^shift times smaller.
+The tail's derivative term J is rho_J d_J, built from two pieces:
+
+- rho_J = B_2J/(2J)!, about 2/(2 pi)^(2J), floored once per J per call
+  to r_J in units of 2^-(p + 64) and shared by every tail of the call;
+- d_J = (k)_{2J-1} start^(1-k-2J), held in units of 2^-(q + 16) and
+  carried by d_{J+1} = floor(d_J f_J) with f_J = (k+2J-1)(k+2J)/start^2:
+  one multiply and one divide by word-sized ints.
+
+The term is r_J d_J >> (p + 80), in units of 2^-q.  Its rounding is
+counted from the ints, with no assumption that f_J is below 1 (at
+start 17 and k = 40 it is not): d_J is within e_J of the truth, with
+e_1 = 1 and e_{J+1} = ceil(e_J f_J) + 1, so the term is within
+ceil(((|r_J| + 1) e_J + d_J) / 2^(p + 80)) + 1 ulps of the truth, and the
+remainder bound after terms 1..J-1 is twice |term J| plus twice that count.
 
 Every public function runs at one working precision and builds one
 :class:`_EMTables` for it, with its own :class:`BernoulliCache`, and drops
 it on return; the module keeps no state between calls.  The table fixes
 every size of the call before any work: its digits, bits p, truncation
 target, direct-sum lengths and the tails' term cap.  It memoises what the
-evaluations of one call share: the tails and the single zetas.  A
-memoised value is a function of its key alone, so sharing changes no
-value or bound.  A double zeta reads zeta(k1) from the table too.
+evaluations of one call share: the ratios rho_J, the tails and the single
+zetas.  A memoised value is a function of its key alone, so sharing
+changes no value or bound.  A double zeta reads zeta(k1) from the table too.
 
 The Euler audit runs one pass per K: every row r = 1..K-1 of weight 2K+1
 uses the same single zetas, products and zeta(2K+1), so they are evaluated
@@ -52,9 +66,10 @@ table.  Each folded tail is evaluated to the target divided by its
 coefficient, and the coefficient taken is the largest that any k1 of the
 weight gives to that exponent, so the target, too, depends on the weight
 only.  The T(m) expansion stops as soon as its remainder meets the target,
-or after J = digits terms; that cap binds at 1 digit.  The single tails and
-the T(m) expansion read their coefficients B_2J (k)_{2J-1}/(2J)! from one
-generator.
+or after J = digits terms; that cap binds at 1 digit.  It reads its exact
+coefficients B_2J (k)_{2J-1}/(2J)! from one generator, and every tail of
+the call reads its rho_J from the table, which forms each on first use and
+none past J = term cap + 1.
 
 The audits accept every digits >= 1, as the zeta functions do, and have no
 floor of their own.  A residual's bound covers its true error at any
@@ -260,8 +275,26 @@ class _EMTables:
         # J near 0.37 digits: a cap of 400 alone would bite near 1090 digits.
         self.term_cap = max(400, digits)
         self.bernoulli = BernoulliCache()
+        # the unit of the ratios rho_J, 64 bits finer than the working unit
+        self.ratio_bits = self.bits + 64
+        self._ratios: list[int] = []
         self._tails: dict[tuple[int, int, int], _Fixed] = {}
         self._fixed: dict[int, _Fixed] = {}
+
+    def ratios(self) -> Iterator[int]:
+        """rho_J = B_2J/(2J)! floored in units of 2^-ratio_bits, J = 1, 2, ...
+
+        Each is formed on first use and kept for the call.  |rho_J| is about
+        2/(2 pi)^(2J); each tail term counts the floor's error of one unit
+        in its rounding.
+        """
+        for J in itertools.count(1):
+            if J > len(self._ratios):
+                b = self.bernoulli.get(2 * J)
+                self._ratios.append(
+                    (b.numerator << self.ratio_bits) // (b.denominator * math.factorial(2 * J))
+                )
+            yield self._ratios[J - 1]
 
     def tail(self, k: int, start: int, coefficient: Fraction | int = 1) -> _Fixed:
         """_zeta_tail(k, start, target): its truncation times ``coefficient``
@@ -289,14 +322,40 @@ class _EMTables:
 
 def _em_coefficients(k: int, tables: _EMTables) -> Iterator[tuple[int, int]]:
     """c_J(k) = B_2J (k)_{2J-1} / (2J)! for J = 1, 2, ..., as unreduced
-    (numerator, denominator) ints: the Euler-Maclaurin coefficients of
-    sum_{m >= start} m^-k, term J being c_J(k) start^(1-k-2J)."""
+    (numerator, denominator) ints: the exact coefficients of the T(m)
+    expansion sum_{j >= m} j^-k = ... + sum_J c_J(k) m^(1-k-2J)."""
     rising, factorial = k, 1  # (k)_{2J-1} = k (k+1) ... (k+2J-2), (2J)!
     for J in itertools.count(1):
         b = tables.bernoulli.get(2 * J)
         factorial *= (2 * J - 1) * (2 * J)
         yield b.numerator * rising, b.denominator * factorial
         rising *= (k + 2 * J - 1) * (k + 2 * J)
+
+
+# guard bits of the tails' derivative factors d_J
+_GUARD = 16
+
+
+def _tail_terms(k: int, start: int, scale: int, tables: _EMTables) -> Iterator[tuple[int, int]]:
+    """The derivative terms of the Euler-Maclaurin expansion of
+    sum_{m >= start} m^-k, J = 1, 2, ..., in units of 2^-scale, each with
+    the count of ulps that its error is below.
+
+    Term J is rho_J d_J: rho_J = B_2J/(2J)! from the table's ratios, and
+    d_J = (k)_{2J-1} start^(1-k-2J), held in units of 2^-(scale + guard)
+    within e_J of the truth and carried by d_{J+1} = d_J f_J with the
+    exact factor f_J = (k+2J-1)(k+2J)/start^2, one floor, so e_1 = 1 and
+    e_{J+1} = ceil(e_J f_J) + 1; f_J may exceed 1.
+    """
+    square = start * start
+    drop = tables.ratio_bits + _GUARD  # r d >> drop is in units of 2^-scale
+    d, e = (k << (scale + _GUARD)) // start ** (k + 1), 1
+    for J, r in enumerate(tables.ratios(), start=1):
+        # |rho_J d_J - r d| <= (|r|+1) e + d in units of 2^-(scale + drop),
+        # and the shift floors once more
+        yield r * d >> drop, -(-((abs(r) + 1) * e + d) >> drop) + 1
+        f = (k + 2 * J - 1) * (k + 2 * J)
+        d, e = d * f // square, -(-e * f // square) + 1
 
 
 def _zeta_tail(k: int, start: int, target: int, tables: _EMTables) -> _Fixed:
@@ -306,25 +365,22 @@ def _zeta_tail(k: int, start: int, target: int, tables: _EMTables) -> _Fixed:
     until the periodic-Bernoulli remainder bound 2|B_{2J}|/(2J)! * int
     |f^(2J)|, which is twice |term J|, drops to the target (or stops
     improving; the asymptotic series eventually diverges), or until J
-    passes the table's ``term_cap``.  The error is that bound plus one ulp
-    per floor quotient.
+    passes the table's ``term_cap``.  The error is that bound, with term J
+    taken at its counted rounding, plus the rounding of every term added.
     """
     scale = tables.bits + _tail_shift(k, start)
     one = 1 << scale
-    power = start ** (k - 1)  # start^(k-1+2J) below
+    power = start ** (k - 1)
     value = one // ((k - 1) * power) + one // (2 * power * start)
     ulps = 2
     prev_bound = math.inf
-    for J, (num, den) in enumerate(_em_coefficients(k, tables), start=1):
-        power *= start * start
-        # term J = c_J(k) start^(1-k-2J), floored
-        term = num * one // (den * power)
-        # the remainder with terms 1..J-1 in, rounded up: |term J| < |term| + 1
-        bound = 2 * (abs(term) + 1)
+    for J, (term, rounding) in enumerate(_tail_terms(k, start, scale, tables), start=1):
+        # the remainder with terms 1..J-1 in: |term J| < |term| + rounding
+        bound = 2 * (abs(term) + rounding)
         if bound <= target or bound >= prev_bound or J > tables.term_cap:
             return _Fixed(value, bound + ulps, scale)
         value += term
-        ulps += 1
+        ulps += rounding
         prev_bound = bound
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from doublezeta.numerics import (
     zeta_single,
 )
 from doublezeta import matrices, reductions
+from doublezeta.bernoulli import BernoulliCache
 from doublezeta.reductions import euler_constant
 
 
@@ -346,18 +348,78 @@ def test_zeta_double_fixed_result_encloses_reference(monkeypatch, k1, k2):
     ids=["zeta_double(6,5,200)", "audit_euler(8,40)"],
 )
 def test_tables_form_each_tail_once(monkeypatch, run):
-    tails = []
+    # and every tail of the call reads rho_J = B_2J/(2J)! from the call's
+    # one table, which forms each on first use, and none past the term cap
+    tails, formed, tables = [], [], []
     zeta_tail_orig = numerics._zeta_tail
 
     def counted_tail(k, start, target, tables):
         tails.append((k, start, target, tables.bits))
         return zeta_tail_orig(k, start, target, tables)
 
+    class Recorded(list):
+        def append(self, ratio):
+            formed.append(len(self) + 1)
+            super().append(ratio)
+
+    class Tables(numerics._EMTables):
+        def __init__(self, digits):
+            super().__init__(digits)
+            self._ratios = Recorded()
+            tables.append(self)
+
     monkeypatch.setattr(numerics, "_zeta_tail", counted_tail)
+    monkeypatch.setattr(numerics, "_EMTables", Tables)
     run()
     assert tails and len(set(tails)) == len(tails)
     # and all in the call's one unit 2^-bits
     assert len({t[3] for t in tails}) == 1
+    (table,) = tables
+    assert formed == list(range(1, len(table._ratios) + 1))
+    assert 0 < len(table._ratios) <= table.term_cap + 1
+
+
+def test_a_capped_tail_forms_no_ratio_past_the_cap():
+    # the tails of these calls stop before the cap; here it binds
+    table = numerics._EMTables(200)
+    table.term_cap = 5
+    table.tail(3, 401)
+    assert len(table._ratios) == table.term_cap + 1
+
+
+@pytest.mark.parametrize("k, start", [(40, 17), (3, 401)])
+def test_tail_rounding_is_counted(k, start):
+    # the remainder bound dwarfs a tail's rounding, so the enclosure tests
+    # cannot see an undercount of it.  Here the terms the tail took are
+    # summed exactly, B_2J (k)_{2J-1}/(2J)! start^(1-k-2J), and the tail's
+    # value must lie within its counted rounding of that sum.  At start 17
+    # the factor (k+2J-1)(k+2J)/start^2 of the d_J recurrence exceeds 1 at
+    # k = 40, so d's error grows with J
+    digits = 200
+    table = numerics._EMTables(digits)
+    tail = table.tail(k, start)
+    stop = len(table._ratios)  # the first term not taken formed the last ratio
+    one = 1 << tail.scale
+    terms = list(
+        itertools.islice(numerics._tail_terms(k, start, tail.scale, numerics._EMTables(digits)), stop)
+    )
+    bernoulli = BernoulliCache()
+    exact = Fraction(one, (k - 1) * start ** (k - 1)) + Fraction(one, 2 * start**k)
+    value, rounding = one // ((k - 1) * start ** (k - 1)) + one // (2 * start**k), 2
+    for J, (term, ulps) in enumerate(terms, start=1):
+        c = bernoulli.get(2 * J) * math.prod(range(k, k + 2 * J - 1)) / math.factorial(2 * J)
+        exact_term = c * Fraction(one, start ** (k - 1 + 2 * J))
+        assert abs(term - exact_term) <= ulps, J
+        if J < stop:
+            exact += exact_term
+            value += term
+            rounding += ulps
+    last, last_ulps = terms[-1]
+    assert tail.value == value
+    assert tail.error == rounding + 2 * (abs(last) + last_ulps)
+    assert abs(tail.value - exact) <= rounding
+    # and the count stays below the remainder bound that follows it
+    assert rounding < tail.error - rounding
 
 
 @pytest.mark.parametrize("digits", [400, 600])
