@@ -8,12 +8,12 @@ raise ``ValueError`` rather than return a bound above 10^-digits.
 The zeta engine works in fixed point on Python ints.  A call for a
 10^-digits target uses p = ceil((digits + 10) log2 10) + 64 bits: an int X
 stands for X 2^-p, and 2^-p is the working unit.  Each term of the direct
-sums and of the T(m) expansion is formed as one exact floor quotient, so
-it adds less than one ulp, always downwards; a tail term counts its own
-ulps (below).  The engine counts those ulps: the rounding part of a bound
-is count 2^-p, not an allowance per operation.  Truncation bounds are
-rounded up to whole ulps.  What is built from those values runs on the
-same ints: Euler's formula for zeta(1, k), the audits' products,
+sums is formed as one exact floor quotient, so it adds less than one
+ulp, always downwards; a tail term and a term of the T(m) expansion count
+their own ulps (below).  The engine counts those ulps: the rounding part
+of a bound is count 2^-p, not an allowance per operation.  Truncation
+bounds are rounded up to whole ulps.  What is built from those values runs
+on the same ints: Euler's formula for zeta(1, k), the audits' products,
 A-weighted sums, residuals and ratios, and the H(n) = pi^2n/(2n+1)! of the
 H(a,b) audit, taken from zeta(2n).  A product or quotient is one floor, so
 one more ulp; a sum, or a multiple by an int, is exact.  A public result
@@ -35,7 +35,8 @@ and the coefficient scales an ulp error that is 2^shift times smaller.
 The tail's derivative term J is rho_J d_J, built from two pieces:
 
 - rho_J = B_2J/(2J)!, about 2/(2 pi)^(2J), floored once per J per call
-  to r_J in units of 2^-(p + 64) and shared by every tail of the call;
+  to r_J in units of 2^-(p + 64) and shared by every tail of the call
+  and by the T(m) expansion;
 - d_J = (k)_{2J-1} start^(1-k-2J), held in units of 2^-(q + 16) and
   carried by d_{J+1} = floor(d_J f_J) with f_J = (k+2J-1)(k+2J)/start^2:
   one multiply and one divide by word-sized ints.
@@ -62,14 +63,15 @@ once, and row r's zeta(2r) is the one its products use.  The outer tails
 that the T(m) expansion of zeta(k1, k2) folds into are sums over m > M of
 m^-(k2+alpha) with k2 + alpha running over k1 + k2 - 1, k1 + k2, ..., so
 they depend on the weight only; every row reads them from the call's
-table.  Each folded tail is evaluated to the target divided by its
-coefficient, and the coefficient taken is the largest that any k1 of the
-weight gives to that exponent, so the target, too, depends on the weight
-only.  The T(m) expansion stops as soon as its remainder meets the target,
-or after J = digits terms; that cap binds at 1 digit.  It reads its exact
-coefficients B_2J (k)_{2J-1}/(2J)! from one generator, and every tail of
-the call reads its rho_J from the table, which forms each on first use and
-none past J = term cap + 1.
+table.  Term J of the expansion is rho_J (k1)_{2J-1} times a folded
+tail: it reads r_J from the tails' table, which forms none past
+J = term cap + 1, carries (k1)_{2J-1} as an int, and is one floor that
+counts its ulps as a tail term does.  Each folded tail is evaluated to
+the target divided by (|r_J| + 1) (w-2)_{2J-1} 2^-(p + 64), a bound on the
+largest coefficient that any k1 of the weight w gives to that exponent,
+so the target, too, depends on the weight only.  The T(m) expansion
+stops as soon as its remainder meets the target, or after J = digits
+terms; that cap binds at 1 digit.
 
 The audits accept every digits >= 1, as the zeta functions do, and have no
 floor of their own.  A residual's bound covers its true error at any
@@ -260,8 +262,11 @@ class _EMTables:
         # the one check of digits
         if digits < 1:
             raise ValueError("digits must be >= 1")
+        try:
+            self.bits = math.ceil((digits + 10) * math.log2(10)) + 64
+        except OverflowError:
+            raise ValueError("digits is too large for a float") from None
         self.digits = digits
-        self.bits = math.ceil((digits + 10) * math.log2(10)) + 64
         self._ten = 10 ** (digits + 10)
         # the absolute target of each truncation term, in units of 2^-bits
         self.target = (1 << self.bits) // self._ten
@@ -318,18 +323,6 @@ class _EMTables:
         if k not in self._fixed:
             self._fixed[k] = _zeta_single(k, self)
         return self._fixed[k]
-
-
-def _em_coefficients(k: int, tables: _EMTables) -> Iterator[tuple[int, int]]:
-    """c_J(k) = B_2J (k)_{2J-1} / (2J)! for J = 1, 2, ..., as unreduced
-    (numerator, denominator) ints: the exact coefficients of the T(m)
-    expansion sum_{j >= m} j^-k = ... + sum_J c_J(k) m^(1-k-2J)."""
-    rising, factorial = k, 1  # (k)_{2J-1} = k (k+1) ... (k+2J-2), (2J)!
-    for J in itertools.count(1):
-        b = tables.bernoulli.get(2 * J)
-        factorial *= (2 * J - 1) * (2 * J)
-        yield b.numerator * rising, b.denominator * factorial
-        rising *= (k + 2 * J - 1) * (k + 2 * J)
 
 
 # guard bits of the tails' derivative factors d_J
@@ -448,22 +441,29 @@ def _zeta_double(k1: int, k2: int, tables: _EMTables) -> _Fixed:
     # exponent w + alpha.  The leading two terms come first.
     result -= tables.tail(w - 1, M + 1).times(Fraction(1, k1 - 1), bits)
     result -= tables.tail(w, M + 1).times(Fraction(1, 2), bits)
-    # Term J is c_J(k1) m^-(k1+2J-1); with terms 1..J-1 in, the remainder
-    # of T(m) is at most 2|c_J(k1)| m^-(k1+2J-1), which sums over m > M to
-    # 2|c_J(k1)| times the tail that term J would use.  |c_J(w-2)| is the
-    # largest coefficient of the weight (k2 >= 2), so the tail targets do
-    # not depend on k1.
-    coefficients = zip(_em_coefficients(k1, tables), _em_coefficients(w - 2, tables))
-    for J, ((num, den), (num_max, den_max)) in enumerate(coefficients, start=1):
-        t = tables.tail(w + 2 * J - 1, M + 1, Fraction(abs(num_max), den_max))
-        # 2|c| (|t| + error), in units of 2^-bits, rounded up
-        spread = 2 * abs(num) * (abs(t.value) + t.error)
-        remainder = -(-spread // (den << (t.scale - bits)))
+    # Term J is c_J(k1) m^-(k1+2J-1) with c_J(k) = rho_J (k)_{2J-1}, and
+    # rho_J is the tails' ratio r, floored, so |rho_J| <= |r| + 1.  With
+    # terms 1..J-1 in, the remainder of T(m) is at most 2|c_J(k1)|
+    # m^-(k1+2J-1), which sums over m > M to 2|c_J(k1)| times the tail that
+    # term J would use.  (|r| + 1)(w-2)_{2J-1} bounds every coefficient of
+    # the weight (k2 >= 2), so the tail targets do not depend on k1.
+    rise, rise_max = k1, w - 2  # (k)_{2J-1} = k (k+1) ... (k+2J-2)
+    for J, r in enumerate(tables.ratios(), start=1):
+        size = abs(r) + 1
+        t = tables.tail(w + 2 * J - 1, M + 1, Fraction(size * rise_max, 1 << tables.ratio_bits))
+        drop = tables.ratio_bits + t.scale - bits  # r t >> drop is in units of 2^-bits
+        # 2 (|r|+1) rise (|t| + error), rounded up
+        remainder = -(-2 * size * rise * (abs(t.value) + t.error) >> drop)
         # a remainder still above the target at J = digits fails the
         # final check
         if remainder <= tables.target or J > digits:
             return _Fixed(result.value, result.error + remainder, bits)
-        result -= t.times(Fraction(num, den), bits)
+        # |rho_J tau - r T| <= (|r|+1) e + |T| for a tail tau within e of T,
+        # and the shift floors once more: a tail term's count
+        spread = rise * (size * t.error + abs(t.value))
+        result -= _Fixed(r * rise * t.value >> drop, -(-spread >> drop) + 1, bits)
+        rise *= (k1 + 2 * J - 1) * (k1 + 2 * J)
+        rise_max *= (w + 2 * J - 3) * (w + 2 * J - 2)
 
 
 def _zeta_one(k: int, tables: _EMTables) -> _Fixed:

@@ -685,6 +685,21 @@ def test_audit_digits_floor(capsys):
     assert all(rec is not None for rec, _ in verdicts[0])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "--k", "3"],
+        ["zeta", "--k1", "2", "--k2", "3"],
+        ["audit", "euler", "--K", "3"],
+        ["audit", "h"],
+    ],
+)
+def test_digits_too_large_for_a_float_is_a_usage_error(capsys, argv):
+    # not a traceback and exit 1, which would read as a failed identity
+    code, out, err = run([*argv, "--digits", str(10**400)], capsys)
+    assert (code, out, err) == (2, "", "error: digits is too large for a float\n")
+
+
 def test_zeta_single(capsys):
     code, out, _ = run(["zeta", "--k", "3", "--digits", "20"], capsys)
     assert code == 0

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -232,6 +233,33 @@ def test_public_functions_reject_digits_below_one(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: zeta_single(3, d),
+        lambda d: zeta_double(2, 3, d),
+        lambda d: zeta_double(1, 3, d),
+        lambda d: audit_euler(2, d),
+        lambda d: audit_euler_constant(2, 1, d),
+        lambda d: audit_h_ab(0, 0, d),
+    ],
+    ids=[
+        "zeta_single",
+        "zeta_double",
+        "zeta_double_k1_one",
+        "audit_euler",
+        "audit_euler_constant",
+        "audit_h_ab",
+    ],
+)
+def test_public_functions_reject_digits_too_large_for_a_float(monkeypatch, call):
+    # the bit count is taken through a float: a digits past its range is a
+    # ValueError naming digits, raised before any work (no Bernoulli cache)
+    monkeypatch.setattr(numerics, "BernoulliCache", None)
+    with pytest.raises(ValueError, match="^digits is too large for a float$"):
+        call(10**400)
+
+
 def test_audit_euler_rejects_bad_rows():
     with pytest.raises(ValueError):
         audit_euler(1, 40)
@@ -348,10 +376,16 @@ def test_zeta_double_fixed_result_encloses_reference(monkeypatch, k1, k2):
     ids=["zeta_double(6,5,200)", "audit_euler(8,40)"],
 )
 def test_tables_form_each_tail_once(monkeypatch, run):
-    # and every tail of the call reads rho_J = B_2J/(2J)! from the call's
-    # one table, which forms each on first use, and none past the term cap
+    # and every tail of the call, and the T(m) fold, reads rho_J =
+    # B_2J/(2J)! from the call's one table, which forms each on first use,
+    # and none past the term cap: no B_2J is read twice
     tails, formed, tables = [], [], []
-    zeta_tail_orig = numerics._zeta_tail
+    reads = collections.Counter()
+    zeta_tail_orig, get = numerics._zeta_tail, BernoulliCache.get
+
+    def counted_get(self, n):
+        reads[n] += 1
+        return get(self, n)
 
     def counted_tail(k, start, target, tables):
         tails.append((k, start, target, tables.bits))
@@ -370,13 +404,38 @@ def test_tables_form_each_tail_once(monkeypatch, run):
 
     monkeypatch.setattr(numerics, "_zeta_tail", counted_tail)
     monkeypatch.setattr(numerics, "_EMTables", Tables)
+    monkeypatch.setattr(BernoulliCache, "get", counted_get)
     run()
+    assert reads and max(reads.values()) == 1
     assert tails and len(set(tails)) == len(tails)
     # and all in the call's one unit 2^-bits
     assert len({t[3] for t in tails}) == 1
     (table,) = tables
     assert formed == list(range(1, len(table._ratios) + 1))
     assert 0 < len(table._ratios) <= table.term_cap + 1
+
+
+@pytest.mark.parametrize("k, start, scale", [(40, 17, 200), (60, 5, 200), (100, 120, 794)])
+def test_tail_terms_count_the_error_of_d(k, start, scale):
+    # with the true ratios, (|r_J|+1) e_J stays far below one ulp, so no
+    # real tail sees an undercount of e_J, the error of the d_J recurrence.
+    # A stand-in table with huge exact ratios r_J = 2^160 in units of
+    # 2^-100 magnifies it.  At the first two starts f_J exceeds 1, so e_J
+    # grows by its factor; at start 120, k = 100 (scale 200 + the tail's
+    # shift) f_J runs from below 1 to above it, where the + 1 of each step
+    # adds up
+    class Table:
+        ratio_bits = 100
+
+        def ratios(self):
+            return itertools.repeat(1 << 160)
+
+    count = 30
+    terms = itertools.islice(numerics._tail_terms(k, start, scale, Table()), count)
+    for J, (term, ulps) in enumerate(terms, start=1):
+        rising = math.prod(range(k, k + 2 * J - 1))
+        exact_term = Fraction(rising << (160 + scale), start ** (k - 1 + 2 * J) << 100)
+        assert abs(term - exact_term) <= ulps, J
 
 
 def test_a_capped_tail_forms_no_ratio_past_the_cap():
