@@ -74,6 +74,8 @@ class _OutFile:
             try:
                 mode = os.stat(path).st_mode
             except FileNotFoundError:
+                if not path:
+                    raise  # realpath would read "" as the working directory
                 mode = None
             if mode is not None and not S_ISREG(mode):
                 self.file = open(path, "w", encoding="utf-8")
@@ -495,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
     out = None
     try:
         args = build_parser().parse_args(argv)
-        if args.out:
+        if args.out is not None:
             out = _OutFile(args.out)
         code, text = args.func(args)
         if out:

@@ -9,8 +9,8 @@ The zeta engine works in fixed point on Python ints.  A call for a
 10^-digits target uses p = ceil((digits + 10) log2 10) + 64 bits: an int X
 stands for X 2^-p, and 2^-p is the working unit.  Each term of the direct
 sums is formed as one exact floor quotient, so it adds less than one
-ulp, always downwards; a tail term and a term of the T(m) expansion count
-their own ulps (below).  The engine counts those ulps: the rounding part
+ulp, always downwards; a term of a derivative series counts its own ulps
+(below).  The engine counts those ulps: the rounding part
 of a bound is count 2^-p, not an allowance per operation.  Truncation
 bounds are rounded up to whole ulps.  What is built from those values runs
 on the same ints: Euler's formula for zeta(1, k), the audits' products,
@@ -24,35 +24,35 @@ requested digits and the bound up to three significant digits, in
 mpmath's ``nstr`` text form.
 
 Single zeta tails use Euler-Maclaurin with the classical periodic-
-Bernoulli remainder bound; double zeta tails expand the inner partial
-sum by the same machinery, reducing the outer tail to a finite
-combination of single-zeta tails plus a rigorously bounded remainder.
-A tail sum_{m >= start} m^-k carries its own scale: it is held in units of
-2^-q with q = p + shift and shift = (k - 1)(bitlen(start) - 1), so its
-value uses the whole p bits however small start^(1-k) is.  A folded tail
-is then multiplied by its expansion coefficient before it drops to 2^-p,
-and the coefficient scales an ulp error that is 2^shift times smaller.
-The tail's derivative term J is rho_J d_J, built from two pieces:
+Bernoulli remainder bound; a double zeta expands its inner partial sum
+T(m) by the same machinery into a finite combination of single-zeta
+tails.  A tail sum_{m >= start} m^-k carries its own scale: it is held in
+units of 2^-q with q = p + shift and shift = (k - 1)(bitlen(start) - 1),
+so its value uses the whole p bits however small start^(1-k) is.  A folded
+tail is then multiplied by its expansion coefficient before it drops to
+2^-p, and the coefficient scales an ulp error that is 2^shift times
+smaller.  A tail's derivative terms and the T(m) expansion are both
+series sum_J rho_J x_J, summed by one loop, ``_derivative_sum``:
 
-- rho_J = B_2J/(2J)!, about 2/(2 pi)^(2J), floored once per J per call
-  to r_J in units of 2^-(p + 64) and shared by every tail of the call
-  and by the T(m) expansion;
-- d_J = (k)_{2J-1} start^(1-k-2J), held in units of 2^-(q + 16) and
-  carried by d_{J+1} = floor(d_J f_J) with f_J = (k+2J-1)(k+2J)/start^2:
-  one multiply and one divide by word-sized ints.
+- rho_J = B_2J/(2J)!, about 2/(2 pi)^(2J), is floored once per J per call
+  to r_J in units of 2^-(p + 64), shared by every series of the call;
+- the caller gives x_J as an int x within e of it and the shift drop into
+  its units.  A tail's x_J is d_J = (k)_{2J-1} start^(1-k-2J), held in
+  units of 2^-(q + 16) and carried by d_{J+1} = floor(d_J f_J) with
+  f_J = (k+2J-1)(k+2J)/start^2, one multiply and one divide by word-sized
+  ints, so e_1 = 1 and e_{J+1} = ceil(e_J f_J) + 1 (f_J may exceed 1: at
+  start 17 and k = 40 it does).
 
-The term is r_J d_J >> (p + 80), in units of 2^-q.  Its rounding is
-counted from the ints, with no assumption that f_J is below 1 (at
-start 17 and k = 40 it is not): d_J is within e_J of the truth, with
-e_1 = 1 and e_{J+1} = ceil(e_J f_J) + 1, so the term is within
-ceil(((|r_J| + 1) e_J + d_J) / 2^(p + 80)) + 1 ulps of the truth, and the
-remainder bound after terms 1..J-1 is twice |term J| plus twice that count.
+Term J is floor(r_J x / 2^drop), within ceil(((|r_J| + 1) e + |x|) /
+2^drop) + 1 ulps of rho_J x_J.  Terms 1..J-1 are added until the
+remainder bound, twice |term J| plus twice that count, meets the target,
+stops falling (the series is asymptotic), or J passes the one term cap.
 
 Every public function runs at one working precision and builds one
 :class:`_EMTables` for it, with its own :class:`BernoulliCache`, and drops
 it on return; the module keeps no state between calls.  The table fixes
 every size of the call before any work: its digits, bits p, truncation
-target, direct-sum lengths and the tails' term cap.  It memoises what the
+target, direct-sum lengths and the term cap.  It memoises what the
 evaluations of one call share: the ratios rho_J, the tails and the single
 zetas.  A memoised value is a function of its key alone, so sharing
 changes no value or bound.  A double zeta reads zeta(k1) from the table too.
@@ -60,18 +60,14 @@ changes no value or bound.  A double zeta reads zeta(k1) from the table too.
 The Euler audit runs one pass per K: every row r = 1..K-1 of weight 2K+1
 uses the same single zetas, products and zeta(2K+1), so they are evaluated
 once, and row r's zeta(2r) is the one its products use.  The outer tails
-that the T(m) expansion of zeta(k1, k2) folds into are sums over m > M of
-m^-(k2+alpha) with k2 + alpha running over k1 + k2 - 1, k1 + k2, ..., so
-they depend on the weight only; every row reads them from the call's
-table.  Term J of the expansion is rho_J (k1)_{2J-1} times a folded
-tail: it reads r_J from the tails' table, which forms none past
-J = term cap + 1, carries (k1)_{2J-1} as an int, and is one floor that
-counts its ulps as a tail term does.  Each folded tail is evaluated to
-the target divided by (|r_J| + 1) (w-2)_{2J-1} 2^-(p + 64), a bound on the
-largest coefficient that any k1 of the weight w gives to that exponent,
-so the target, too, depends on the weight only.  The T(m) expansion
-stops as soon as its remainder meets the target, or after J = digits
-terms; that cap binds at 1 digit.
+that the T(m) expansion of zeta(k1, k2) folds into, sums over m > M of
+m^-e with e = w - 1, w, w + 1, w + 3, ..., depend on the weight w only,
+so every row reads them from the call's table.  Term J of the expansion
+is rho_J (k1)_{2J-1} t_J, with t_J the tail of e = w + 2J - 1: a
+derivative series with x_J = (k1)_{2J-1} t_J and the call's target.  Each
+t_J is evaluated to the target divided by (|r_J| + 1) (w-2)_{2J-1}
+2^-(p + 64), a bound on the coefficient that any k1 of the weight gives
+it, so its target, too, depends on the weight only.
 
 The audits accept every digits >= 1, as the zeta functions do, and have no
 floor of their own.  A residual's bound covers its true error at any
@@ -85,6 +81,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from typing import NamedTuple
@@ -254,7 +251,7 @@ class _EMTables:
     A public function creates one, passes it down, and drops it on return.
     The table holds the call's digits, the engine's bits p (its unit is
     2^-p), the truncation target 10^-(digits+10), the direct-sum lengths
-    and the tails' term cap: every size of the call, fixed before any work.
+    and the term cap: every size of the call, fixed before any work.
     """
 
     def __init__(self, digits: int) -> None:
@@ -266,6 +263,9 @@ class _EMTables:
             self.bits = math.ceil((digits + 10) * math.log2(10)) + 64
         except OverflowError:
             raise ValueError("digits is too large for a float") from None
+        # no int has more bits than sys.maxsize, so 2^bits cannot be formed
+        if self.bits > sys.maxsize:
+            raise ValueError("digits is too large: its bit count passes sys.maxsize")
         self.digits = digits
         self._ten = 10 ** (digits + 10)
         # the absolute target of each truncation term, in units of 2^-bits
@@ -275,7 +275,7 @@ class _EMTables:
         self.cutoff = max(16, digits)
         # the direct-sum length of a double zeta
         self.double_cutoff = max(self.cutoff, 2 * digits)
-        # the last derivative term J of a tail.  From start M >= digits, term J
+        # the last term J of a derivative series.  From start M >= digits, term J
         # falls roughly as (2J/(2 pi e M))^(2J), so a 10^-digits target needs
         # J near 0.37 digits: a cap of 400 alone would bite near 1090 digits.
         self.term_cap = max(400, digits)
@@ -290,8 +290,8 @@ class _EMTables:
         """rho_J = B_2J/(2J)! floored in units of 2^-ratio_bits, J = 1, 2, ...
 
         Each is formed on first use and kept for the call.  |rho_J| is about
-        2/(2 pi)^(2J); each tail term counts the floor's error of one unit
-        in its rounding.
+        2/(2 pi)^(2J); each derivative term counts the floor's error of one
+        unit in its rounding.
         """
         for J in itertools.count(1):
             if J > len(self._ratios):
@@ -327,54 +327,57 @@ class _EMTables:
 
 # guard bits of the tails' derivative factors d_J
 _GUARD = 16
+# the factors (x, e, drop) of a derivative series, J = 1, 2, ...
+_Factors = Iterator[tuple[int, int, int]]
 
 
-def _tail_terms(k: int, start: int, scale: int, tables: _EMTables) -> Iterator[tuple[int, int]]:
-    """The derivative terms of the Euler-Maclaurin expansion of
-    sum_{m >= start} m^-k, J = 1, 2, ..., in units of 2^-scale, each with
-    the count of ulps that its error is below.
+def _derivative_sum(factors: _Factors, target: int, tables: _EMTables) -> tuple[int, int, int]:
+    """sum_J rho_J x_J, J = 1, 2, ..., in the caller's units (see above).
 
-    Term J is rho_J d_J: rho_J = B_2J/(2J)! from the table's ratios, and
-    d_J = (k)_{2J-1} start^(1-k-2J), held in units of 2^-(scale + guard)
-    within e_J of the truth and carried by d_{J+1} = d_J f_J with the
-    exact factor f_J = (k+2J-1)(k+2J)/start^2, one floor, so e_1 = 1 and
-    e_{J+1} = ceil(e_J f_J) + 1; f_J may exceed 1.
+    r_J is read from the table's ratios and (x, e, drop) from ``factors``.
+    Term J is floor(r_J x / 2^drop), counted as within
+    ceil(((|r_J| + 1) e + |x|) / 2^drop) + 1 ulps; the loop stops at the
+    first J whose remainder bound meets ``target``, stops falling or passes
+    the table's term cap.  Returns the sum of terms 1..J-1, that remainder
+    bound and the counted rounding of those terms.
     """
+    value = ulps = 0
+    prev_bound = math.inf
+    for J, r, (x, e, drop) in zip(itertools.count(1), tables.ratios(), factors):
+        term = r * x >> drop
+        rounding = -(-((abs(r) + 1) * e + abs(x)) >> drop) + 1
+        bound = 2 * (abs(term) + rounding)
+        if bound <= target or bound >= prev_bound or J > tables.term_cap:
+            return value, bound, ulps
+        value += term
+        ulps += rounding
+        prev_bound = bound
+    raise AssertionError("a derivative series ran out of factors")
+
+
+def _tail_factors(k: int, start: int, scale: int, tables: _EMTables) -> _Factors:
+    """d_J = (k)_{2J-1} start^(1-k-2J) within e_J, J = 1, 2, ..., carried by
+    d_{J+1} = floor(d_J f_J) as above, for the derivative terms rho_J d_J of
+    sum_{m >= start} m^-k in units of 2^-scale."""
     square = start * start
     drop = tables.ratio_bits + _GUARD  # r d >> drop is in units of 2^-scale
     d, e = (k << (scale + _GUARD)) // start ** (k + 1), 1
-    for J, r in enumerate(tables.ratios(), start=1):
-        # |rho_J d_J - r d| <= (|r|+1) e + d in units of 2^-(scale + drop),
-        # and the shift floors once more
-        yield r * d >> drop, -(-((abs(r) + 1) * e + d) >> drop) + 1
+    for J in itertools.count(1):
+        yield d, e, drop
         f = (k + 2 * J - 1) * (k + 2 * J)
         d, e = d * f // square, -(-e * f // square) + 1
 
 
 def _zeta_tail(k: int, start: int, target: int, tables: _EMTables) -> _Fixed:
-    """sum_{m >= start} m^{-k} by Euler-Maclaurin, in units of 2^-(bits+shift).
-
-    ``target`` is in those units too.  Derivative terms j = 1..J-1 are added
-    until the periodic-Bernoulli remainder bound 2|B_{2J}|/(2J)! * int
-    |f^(2J)|, which is twice |term J|, drops to the target (or stops
-    improving; the asymptotic series eventually diverges), or until J
-    passes the table's ``term_cap``.  The error is that bound, with term J
-    taken at its counted rounding, plus the rounding of every term added.
-    """
+    """sum_{m >= start} m^{-k} by Euler-Maclaurin, in units of 2^-(bits+shift),
+    as is ``target``: the derivative series' remainder bound is the
+    periodic-Bernoulli 2|B_{2J}|/(2J)! int |f^(2J)|."""
     scale = tables.bits + _tail_shift(k, start)
     one = 1 << scale
     power = start ** (k - 1)
-    value = one // ((k - 1) * power) + one // (2 * power * start)
-    ulps = 2
-    prev_bound = math.inf
-    for J, (term, rounding) in enumerate(_tail_terms(k, start, scale, tables), start=1):
-        # the remainder with terms 1..J-1 in: |term J| < |term| + rounding
-        bound = 2 * (abs(term) + rounding)
-        if bound <= target or bound >= prev_bound or J > tables.term_cap:
-            return _Fixed(value, bound + ulps, scale)
-        value += term
-        ulps += rounding
-        prev_bound = bound
+    value, bound, ulps = _derivative_sum(_tail_factors(k, start, scale, tables), target, tables)
+    value += one // ((k - 1) * power) + one // (2 * power * start)
+    return _Fixed(value, bound + ulps + 2, scale)
 
 
 def zeta_single(k: int, digits: int = 30) -> BigFloat:
@@ -419,7 +422,7 @@ def _zeta_double(k1: int, k2: int, tables: _EMTables) -> _Fixed:
     w = k1 + k2 and digits only, so evaluations of one weight that share
     the table reuse every tail of the T(m) expansion.
     """
-    digits, bits = tables.digits, tables.bits
+    bits = tables.bits
     M = tables.double_cutoff
     w = k1 + k2
     one = 1 << bits
@@ -441,27 +444,23 @@ def _zeta_double(k1: int, k2: int, tables: _EMTables) -> _Fixed:
     # exponent w + alpha.  The leading two terms come first.
     result -= tables.tail(w - 1, M + 1).times(Fraction(1, k1 - 1), bits)
     result -= tables.tail(w, M + 1).times(Fraction(1, 2), bits)
-    # Term J is c_J(k1) m^-(k1+2J-1) with c_J(k) = rho_J (k)_{2J-1}, and
-    # rho_J is the tails' ratio r, floored, so |rho_J| <= |r| + 1.  With
-    # terms 1..J-1 in, the remainder of T(m) is at most 2|c_J(k1)|
-    # m^-(k1+2J-1), which sums over m > M to 2|c_J(k1)| times the tail that
-    # term J would use.  (|r| + 1)(w-2)_{2J-1} bounds every coefficient of
-    # the weight (k2 >= 2), so the tail targets do not depend on k1.
+    # Term J is rho_J (k1)_{2J-1} m^-(k1+2J-1), and the remainder of T(m)
+    # after terms 1..J-1 is at most twice it, which sums over m > M to twice
+    # rho_J (k1)_{2J-1} t_J, t_J the outer tail of exponent w + 2J - 1: the
+    # derivative series of x_J = (k1)_{2J-1} t_J, summed as a tail's is.
+    value, bound, ulps = _derivative_sum(_folded_tails(k1, w, tables), tables.target, tables)
+    return _Fixed(result.value - value, result.error + bound + ulps, bits)
+
+
+def _folded_tails(k1: int, w: int, tables: _EMTables) -> _Factors:
+    """(k1)_{2J-1} t_J, J = 1, 2, ..., with the drop that puts r_J times it in
+    units of 2^-bits.  (|r_J| + 1)(w-2)_{2J-1} bounds every coefficient of
+    the weight (k2 >= 2), so the targets of the tails do not depend on k1."""
     rise, rise_max = k1, w - 2  # (k)_{2J-1} = k (k+1) ... (k+2J-2)
     for J, r in enumerate(tables.ratios(), start=1):
-        size = abs(r) + 1
-        t = tables.tail(w + 2 * J - 1, M + 1, Fraction(size * rise_max, 1 << tables.ratio_bits))
-        drop = tables.ratio_bits + t.scale - bits  # r t >> drop is in units of 2^-bits
-        # 2 (|r|+1) rise (|t| + error), rounded up
-        remainder = -(-2 * size * rise * (abs(t.value) + t.error) >> drop)
-        # a remainder still above the target at J = digits fails the
-        # final check
-        if remainder <= tables.target or J > digits:
-            return _Fixed(result.value, result.error + remainder, bits)
-        # |rho_J tau - r T| <= (|r|+1) e + |T| for a tail tau within e of T,
-        # and the shift floors once more: a tail term's count
-        spread = rise * (size * t.error + abs(t.value))
-        result -= _Fixed(r * rise * t.value >> drop, -(-spread >> drop) + 1, bits)
+        coefficient = Fraction((abs(r) + 1) * rise_max, 1 << tables.ratio_bits)
+        t = tables.tail(w + 2 * J - 1, tables.double_cutoff + 1, coefficient)
+        yield rise * t.value, rise * t.error, tables.ratio_bits + t.scale - tables.bits
         rise *= (k1 + 2 * J - 1) * (k1 + 2 * J)
         rise_max *= (w + 2 * J - 3) * (w + 2 * J - 2)
 

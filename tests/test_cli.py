@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import doublezeta.cli as cli
 import doublezeta.matrices as matrices
 import doublezeta.numerics as numerics
 from doublezeta.bernoulli import bernoulli_number
@@ -106,6 +107,22 @@ def test_unwritable_out_fails_before_the_command_runs(capsys, monkeypatch, tmp_p
     assert out == ""
     assert err.startswith(f"error: cannot write {path!r}: ")
     assert err.count("\n") == 1
+
+
+def test_empty_out_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    # "" names no file; read as the working directory, it would put a
+    # temporary file in the directory above it
+    def not_called(n_max):
+        raise AssertionError("bernoulli_range ran before --out was opened")
+
+    monkeypatch.setattr(cli, "bernoulli_range", not_called)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    code, out, err = run(["bernoulli", "--max", "2", "--out", ""], capsys)
+    assert (code, out, err) == (2, "", "error: cannot write '': No such file or directory\n")
+    assert os.listdir(tmp_path) == ["cwd"]
+    assert os.listdir(cwd) == []
 
 
 def test_failed_run_leaves_the_old_out_file(capsys, monkeypatch, tmp_path):
@@ -698,6 +715,22 @@ def test_digits_too_large_for_a_float_is_a_usage_error(capsys, argv):
     # not a traceback and exit 1, which would read as a failed identity
     code, out, err = run([*argv, "--digits", str(10**400)], capsys)
     assert (code, out, err) == (2, "", "error: digits is too large for a float\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "--k", "3"],
+        ["zeta", "--k1", "2", "--k2", "3"],
+        ["audit", "euler", "--K", "3"],
+        ["audit", "h"],
+    ],
+)
+def test_digits_past_the_largest_bit_count_is_a_usage_error(capsys, argv):
+    # a float holds its bit count, but no int has that many bits: rejected
+    # at once, where 10^(digits + 10) would not return
+    code, out, err = run([*argv, "--digits", str(5 * 10**307)], capsys)
+    assert (code, out, err) == (2, "", "error: digits is too large: its bit count passes sys.maxsize\n")
 
 
 def test_zeta_single(capsys):

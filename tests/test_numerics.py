@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -233,7 +234,7 @@ def test_public_functions_reject_digits_below_one(call):
         call()
 
 
-@pytest.mark.parametrize(
+PUBLIC_CALLS = pytest.mark.parametrize(
     "call",
     [
         lambda d: zeta_single(3, d),
@@ -252,12 +253,26 @@ def test_public_functions_reject_digits_below_one(call):
         "audit_h_ab",
     ],
 )
+
+
+@PUBLIC_CALLS
 def test_public_functions_reject_digits_too_large_for_a_float(monkeypatch, call):
     # the bit count is taken through a float: a digits past its range is a
     # ValueError naming digits, raised before any work (no Bernoulli cache)
     monkeypatch.setattr(numerics, "BernoulliCache", None)
     with pytest.raises(ValueError, match="^digits is too large for a float$"):
         call(10**400)
+
+
+@PUBLIC_CALLS
+def test_public_functions_reject_digits_past_the_largest_bit_count(monkeypatch, call):
+    # a float holds this bit count, but no int has that many bits, and
+    # 10^(digits + 10) would not return: rejected at once, before any work
+    digits = 5 * 10**307
+    assert math.ceil((digits + 10) * math.log2(10)) + 64 > sys.maxsize
+    monkeypatch.setattr(numerics, "BernoulliCache", None)
+    with pytest.raises(ValueError, match="^digits is too large: its bit count passes sys.maxsize$"):
+        call(digits)
 
 
 def test_audit_euler_rejects_bad_rows():
@@ -419,23 +434,68 @@ def test_tables_form_each_tail_once(monkeypatch, run):
 def test_tail_terms_count_the_error_of_d(k, start, scale):
     # with the true ratios, (|r_J|+1) e_J stays far below one ulp, so no
     # real tail sees an undercount of e_J, the error of the d_J recurrence.
-    # A stand-in table with huge exact ratios r_J = 2^160 in units of
-    # 2^-100 magnifies it.  At the first two starts f_J exceeds 1, so e_J
-    # grows by its factor; at start 120, k = 100 (scale 200 + the tail's
-    # shift) f_J runs from below 1 to above it, where the + 1 of each step
-    # adds up
+    # A stand-in table with huge exact ratios r_J = 2^(160 + 12 (30 - J)) in
+    # units of 2^-100 magnifies it; they fall faster than d_J grows, so the
+    # bound falls and the term cap n sets how many terms are summed.  The
+    # sums of n and n - 1 terms differ by term n, and their counts by its
+    # count, which must cover it on its own: the far larger counts of the
+    # first terms would hide its undercount in the sum.  At the first two
+    # starts f_J exceeds 1, so e_J grows by its factor; at start 120,
+    # k = 100 (scale 200 + the tail's shift) f_J runs from below 1 to above
+    # it, where the + 1 of each step adds up
+    count = 30
+
     class Table:
         ratio_bits = 100
 
-        def ratios(self):
-            return itertools.repeat(1 << 160)
+        def __init__(self, term_cap):
+            self.term_cap = term_cap
 
-    count = 30
-    terms = itertools.islice(numerics._tail_terms(k, start, scale, Table()), count)
-    for J, (term, ulps) in enumerate(terms, start=1):
-        rising = math.prod(range(k, k + 2 * J - 1))
-        exact_term = Fraction(rising << (160 + scale), start ** (k - 1 + 2 * J) << 100)
-        assert abs(term - exact_term) <= ulps, J
+        def ratios(self):
+            return (1 << (160 + 12 * (count - J)) for J in itertools.count(1))
+
+    exact, previous, previous_ulps = Fraction(0), 0, 0
+    for n in range(1, count + 1):
+        table = Table(n)
+        factors = numerics._tail_factors(k, start, scale, table)
+        value, _, ulps = numerics._derivative_sum(factors, 0, table)
+        rising = math.prod(range(k, k + 2 * n - 1))
+        term = Fraction(rising << (160 + 12 * (count - n) + scale), start ** (k - 1 + 2 * n) << 100)
+        exact += term
+        assert abs(value - exact) <= ulps, n
+        assert abs(value - previous - term) <= ulps - previous_ulps, n
+        previous, previous_ulps = value, ulps
+
+
+def test_derivative_sum_stops_where_its_bound_stops_falling():
+    # an asymptotic series: no tail the tests run gets this far.  Here
+    # x_J = 3^J 2^20 within 1 and r_J = 2^(40 - 6J) for J <= 4, so the
+    # bound falls, and r_5 = 2^18 makes it rise at J = 5: the sum is terms
+    # 1..4, and its error that bound plus their counted ulps
+    ratios, drop, read = [2**34, 2**28, 2**22, 2**16, 2**18, 2**30, 2**40], 8, []
+
+    class Table:
+        term_cap = 100
+
+        def ratios(self):
+            for r in ratios:
+                read.append(r)
+                yield r
+
+    def x(J):
+        return 3**J << 20
+
+    def term(J):  # the floor of r_J x_J / 2^drop and its count
+        r = ratios[J - 1]
+        return math.floor(Fraction(r * x(J), 2**drop)), math.ceil(Fraction(r + 1 + x(J), 2**drop)) + 1
+
+    bounds = [2 * (abs(t) + c) for t, c in map(term, range(1, 6))]
+    assert bounds[:4] == sorted(bounds[:4], reverse=True) and bounds[4] > bounds[3]
+    factors = ((x(J), 1, drop) for J in itertools.count(1))
+    value, bound, ulps = numerics._derivative_sum(factors, 0, Table())
+    assert value == sum(term(J)[0] for J in range(1, 5))
+    assert (bound, ulps) == (bounds[4], sum(term(J)[1] for J in range(1, 5)))
+    assert read == ratios[:5]
 
 
 def test_a_capped_tail_forms_no_ratio_past_the_cap():
@@ -449,36 +509,38 @@ def test_a_capped_tail_forms_no_ratio_past_the_cap():
 @pytest.mark.parametrize("k, start", [(40, 17), (3, 401)])
 def test_tail_rounding_is_counted(k, start):
     # the remainder bound dwarfs a tail's rounding, so the enclosure tests
-    # cannot see an undercount of it.  Here the terms the tail took are
-    # summed exactly, B_2J (k)_{2J-1}/(2J)! start^(1-k-2J), and the tail's
-    # value must lie within its counted rounding of that sum.  At start 17
+    # cannot see an undercount of it.  Here the first n terms are summed
+    # exactly, B_2J (k)_{2J-1}/(2J)! start^(1-k-2J), for every n up to the
+    # terms the tail took, and the loop's sum of them (the term cap n stops
+    # it) must lie within its counted rounding of that sum, and its term n
+    # within that term's count.  At start 17
     # the factor (k+2J-1)(k+2J)/start^2 of the d_J recurrence exceeds 1 at
     # k = 40, so d's error grows with J
     digits = 200
     table = numerics._EMTables(digits)
     tail = table.tail(k, start)
-    stop = len(table._ratios)  # the first term not taken formed the last ratio
+    taken = len(table._ratios) - 1  # the first term not taken formed the last ratio
     one = 1 << tail.scale
-    terms = list(
-        itertools.islice(numerics._tail_terms(k, start, tail.scale, numerics._EMTables(digits)), stop)
-    )
-    bernoulli = BernoulliCache()
     exact = Fraction(one, (k - 1) * start ** (k - 1)) + Fraction(one, 2 * start**k)
-    value, rounding = one // ((k - 1) * start ** (k - 1)) + one // (2 * start**k), 2
-    for J, (term, ulps) in enumerate(terms, start=1):
-        c = bernoulli.get(2 * J) * math.prod(range(k, k + 2 * J - 1)) / math.factorial(2 * J)
-        exact_term = c * Fraction(one, start ** (k - 1 + 2 * J))
-        assert abs(term - exact_term) <= ulps, J
-        if J < stop:
-            exact += exact_term
-            value += term
-            rounding += ulps
-    last, last_ulps = terms[-1]
-    assert tail.value == value
-    assert tail.error == rounding + 2 * (abs(last) + last_ulps)
-    assert abs(tail.value - exact) <= rounding
+    lead = one // ((k - 1) * start ** (k - 1)) + one // (2 * start**k)
+    bernoulli = BernoulliCache()
+    fresh = numerics._EMTables(digits)
+    value = ulps = 0
+    for n in range(1, taken + 1):
+        c = bernoulli.get(2 * n) * math.prod(range(k, k + 2 * n - 1)) / math.factorial(2 * n)
+        term = c * Fraction(one, start ** (k - 1 + 2 * n))
+        exact += term
+        fresh.term_cap = n
+        factors = numerics._tail_factors(k, start, tail.scale, fresh)
+        previous, previous_ulps = value, ulps
+        value, bound, ulps = numerics._derivative_sum(factors, 0, fresh)
+        # term n within its own count; the two leading terms are one floor each
+        assert abs(value - previous - term) <= ulps - previous_ulps, n
+        assert abs(lead + value - exact) <= ulps + 2, n
+    assert tail.value == lead + value
+    assert tail.error == bound + ulps + 2
     # and the count stays below the remainder bound that follows it
-    assert rounding < tail.error - rounding
+    assert ulps + 2 < bound
 
 
 @pytest.mark.parametrize("digits", [400, 600])
@@ -512,6 +574,12 @@ def test_single_contract_holds_past_a_fixed_term_cap(k, digits):
     with mp.workdps(digits + 40):
         err = abs(z.value - exact(mpmath.zeta(k)))
     assert err <= z.error_bound <= Fraction(1, 10**digits)
+
+
+def test_the_t_fold_runs_to_its_target_at_one_digit():
+    # the fold stops where its remainder meets the target, as a tail does;
+    # a cap of J = digits terms left 5.51e-10 here
+    assert zeta_double(2, 2, 1).error_bound < Fraction(1, 10**11)
 
 
 def test_double_contract_holds_past_a_fixed_term_cap():
