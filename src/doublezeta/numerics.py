@@ -36,12 +36,12 @@ series sum_J rho_J x_J, summed by one loop, ``_derivative_sum``:
 
 - rho_J = B_2J/(2J)!, about 2/(2 pi)^(2J), is floored once per J per call
   to r_J in units of 2^-(p + 64), shared by every series of the call;
-- the caller gives x_J as an int x within e of it and the shift drop into
-  its units.  A tail's x_J is d_J = (k)_{2J-1} start^(1-k-2J), held in
-  units of 2^-(q + 16) and carried by d_{J+1} = floor(d_J f_J) with
-  f_J = (k+2J-1)(k+2J)/start^2, one multiply and one divide by word-sized
-  ints, so e_1 = 1 and e_{J+1} = ceil(e_J f_J) + 1 (f_J may exceed 1: at
-  start 17 and k = 40 it does).
+- the caller's generator reads r_J from the table and gives it with x_J,
+  an int x within e of x_J, and the shift drop into its units.  A tail's
+  x_J is d_J = (k)_{2J-1} start^(1-k-2J), held in units of 2^-(q + 16)
+  and carried by d_{J+1} = floor(d_J f_J) with f_J = (k+2J-1)(k+2J)/start^2,
+  one multiply and one divide by word-sized ints, so e_1 = 1 and
+  e_{J+1} = ceil(e_J f_J) + 1 (f_J may exceed 1: at start 17 and k = 40).
 
 Term J is floor(r_J x / 2^drop), within ceil(((|r_J| + 1) e + |x|) /
 2^drop) + 1 ulps of rho_J x_J.  Terms 1..J-1 are added until the
@@ -245,6 +245,11 @@ def _tail_shift(k: int, start: int) -> int:
     return (k - 1) * (start.bit_length() - 1)
 
 
+# the largest digits whose bit count ceil((digits + 10) log2 10) + 64 is
+# within sys.maxsize, the most bits of an int (10^30 log2 10, rounded up)
+_MAX_DIGITS = (sys.maxsize - 64) * 10**30 // 3321928094887362347870319429490 - 10
+
+
 class _EMTables:
     """Values shared by the direct sums and tails of one public call.
 
@@ -259,13 +264,9 @@ class _EMTables:
         # the one check of digits
         if digits < 1:
             raise ValueError("digits must be >= 1")
-        try:
-            self.bits = math.ceil((digits + 10) * math.log2(10)) + 64
-        except OverflowError:
-            raise ValueError("digits is too large for a float") from None
-        # no int has more bits than sys.maxsize, so 2^bits cannot be formed
-        if self.bits > sys.maxsize:
+        if digits > _MAX_DIGITS:
             raise ValueError("digits is too large: its bit count passes sys.maxsize")
+        self.bits = math.ceil((digits + 10) * math.log2(10)) + 64
         self.digits = digits
         self._ten = 10 ** (digits + 10)
         # the absolute target of each truncation term, in units of 2^-bits
@@ -327,14 +328,14 @@ class _EMTables:
 
 # guard bits of the tails' derivative factors d_J
 _GUARD = 16
-# the factors (x, e, drop) of a derivative series, J = 1, 2, ...
-_Factors = Iterator[tuple[int, int, int]]
+# the factors (r, x, e, drop) of a derivative series, J = 1, 2, ...
+_Factors = Iterator[tuple[int, int, int, int]]
 
 
 def _derivative_sum(factors: _Factors, target: int, tables: _EMTables) -> tuple[int, int, int]:
     """sum_J rho_J x_J, J = 1, 2, ..., in the caller's units (see above).
 
-    r_J is read from the table's ratios and (x, e, drop) from ``factors``.
+    (r_J, x, e, drop) is read from ``factors``, r_J from the table's ratios.
     Term J is floor(r_J x / 2^drop), counted as within
     ceil(((|r_J| + 1) e + |x|) / 2^drop) + 1 ulps; the loop stops at the
     first J whose remainder bound meets ``target``, stops falling or passes
@@ -343,7 +344,7 @@ def _derivative_sum(factors: _Factors, target: int, tables: _EMTables) -> tuple[
     """
     value = ulps = 0
     prev_bound = math.inf
-    for J, r, (x, e, drop) in zip(itertools.count(1), tables.ratios(), factors):
+    for J, (r, x, e, drop) in enumerate(factors, start=1):
         term = r * x >> drop
         rounding = -(-((abs(r) + 1) * e + abs(x)) >> drop) + 1
         bound = 2 * (abs(term) + rounding)
@@ -356,14 +357,14 @@ def _derivative_sum(factors: _Factors, target: int, tables: _EMTables) -> tuple[
 
 
 def _tail_factors(k: int, start: int, scale: int, tables: _EMTables) -> _Factors:
-    """d_J = (k)_{2J-1} start^(1-k-2J) within e_J, J = 1, 2, ..., carried by
-    d_{J+1} = floor(d_J f_J) as above, for the derivative terms rho_J d_J of
-    sum_{m >= start} m^-k in units of 2^-scale."""
+    """r_J and d_J = (k)_{2J-1} start^(1-k-2J) within e_J, J = 1, 2, ...,
+    carried by d_{J+1} = floor(d_J f_J) as above, for the derivative terms
+    rho_J d_J of sum_{m >= start} m^-k in units of 2^-scale."""
     square = start * start
     drop = tables.ratio_bits + _GUARD  # r d >> drop is in units of 2^-scale
     d, e = (k << (scale + _GUARD)) // start ** (k + 1), 1
-    for J in itertools.count(1):
-        yield d, e, drop
+    for J, r in enumerate(tables.ratios(), start=1):
+        yield r, d, e, drop
         f = (k + 2 * J - 1) * (k + 2 * J)
         d, e = d * f // square, -(-e * f // square) + 1
 
@@ -453,14 +454,14 @@ def _zeta_double(k1: int, k2: int, tables: _EMTables) -> _Fixed:
 
 
 def _folded_tails(k1: int, w: int, tables: _EMTables) -> _Factors:
-    """(k1)_{2J-1} t_J, J = 1, 2, ..., with the drop that puts r_J times it in
-    units of 2^-bits.  (|r_J| + 1)(w-2)_{2J-1} bounds every coefficient of
-    the weight (k2 >= 2), so the targets of the tails do not depend on k1."""
+    """r_J and (k1)_{2J-1} t_J, J = 1, 2, ..., with the drop that puts r_J
+    times it in units of 2^-bits.  (|r_J| + 1)(w-2)_{2J-1} bounds every
+    coefficient of the weight (k2 >= 2), so tail targets ignore k1."""
     rise, rise_max = k1, w - 2  # (k)_{2J-1} = k (k+1) ... (k+2J-2)
     for J, r in enumerate(tables.ratios(), start=1):
         coefficient = Fraction((abs(r) + 1) * rise_max, 1 << tables.ratio_bits)
         t = tables.tail(w + 2 * J - 1, tables.double_cutoff + 1, coefficient)
-        yield rise * t.value, rise * t.error, tables.ratio_bits + t.scale - tables.bits
+        yield r, rise * t.value, rise * t.error, tables.ratio_bits + t.scale - tables.bits
         rise *= (k1 + 2 * J - 1) * (k1 + 2 * J)
         rise_max *= (w + 2 * J - 3) * (w + 2 * J - 2)
 

@@ -714,7 +714,7 @@ def test_audit_digits_floor(capsys):
 def test_digits_too_large_for_a_float_is_a_usage_error(capsys, argv):
     # not a traceback and exit 1, which would read as a failed identity
     code, out, err = run([*argv, "--digits", str(10**400)], capsys)
-    assert (code, out, err) == (2, "", "error: digits is too large for a float\n")
+    assert (code, out, err) == (2, "", "error: digits is too large: its bit count passes sys.maxsize\n")
 
 
 @pytest.mark.parametrize(

@@ -257,10 +257,10 @@ PUBLIC_CALLS = pytest.mark.parametrize(
 
 @PUBLIC_CALLS
 def test_public_functions_reject_digits_too_large_for_a_float(monkeypatch, call):
-    # the bit count is taken through a float: a digits past its range is a
-    # ValueError naming digits, raised before any work (no Bernoulli cache)
+    # a digits past a float's range is a ValueError naming digits, raised
+    # before any work (no Bernoulli cache) and before any float maths
     monkeypatch.setattr(numerics, "BernoulliCache", None)
-    with pytest.raises(ValueError, match="^digits is too large for a float$"):
+    with pytest.raises(ValueError, match="^digits is too large: its bit count passes sys.maxsize$"):
         call(10**400)
 
 
@@ -273,6 +273,15 @@ def test_public_functions_reject_digits_past_the_largest_bit_count(monkeypatch, 
     monkeypatch.setattr(numerics, "BernoulliCache", None)
     with pytest.raises(ValueError, match="^digits is too large: its bit count passes sys.maxsize$"):
         call(digits)
+
+
+def test_the_digits_limit_is_the_last_bit_count_within_sys_maxsize():
+    # the limit is one int comparison, made before the float maths of the
+    # bit count; here that count is bracketed by 60 digits of log2 10
+    below = Fraction(3321928094887362347870319429489390175864831393024580612054756, 10**60)
+    above = below + Fraction(1, 10**60)
+    assert math.ceil((numerics._MAX_DIGITS + 10) * above) + 64 <= sys.maxsize
+    assert math.ceil((numerics._MAX_DIGITS + 11) * below) + 64 > sys.maxsize
 
 
 def test_audit_euler_rejects_bad_rows():
@@ -477,13 +486,13 @@ def test_derivative_sum_stops_where_its_bound_stops_falling():
     class Table:
         term_cap = 100
 
-        def ratios(self):
-            for r in ratios:
-                read.append(r)
-                yield r
-
     def x(J):
         return 3**J << 20
+
+    def factors():
+        for J, r in enumerate(ratios, start=1):
+            read.append(r)
+            yield r, x(J), 1, drop
 
     def term(J):  # the floor of r_J x_J / 2^drop and its count
         r = ratios[J - 1]
@@ -491,8 +500,7 @@ def test_derivative_sum_stops_where_its_bound_stops_falling():
 
     bounds = [2 * (abs(t) + c) for t, c in map(term, range(1, 6))]
     assert bounds[:4] == sorted(bounds[:4], reverse=True) and bounds[4] > bounds[3]
-    factors = ((x(J), 1, drop) for J in itertools.count(1))
-    value, bound, ulps = numerics._derivative_sum(factors, 0, Table())
+    value, bound, ulps = numerics._derivative_sum(factors(), 0, Table())
     assert value == sum(term(J)[0] for J in range(1, 5))
     assert (bound, ulps) == (bounds[4], sum(term(J)[1] for J in range(1, 5)))
     assert read == ratios[:5]
@@ -513,22 +521,28 @@ def test_tail_rounding_is_counted(k, start):
     # exactly, B_2J (k)_{2J-1}/(2J)! start^(1-k-2J), for every n up to the
     # terms the tail took, and the loop's sum of them (the term cap n stops
     # it) must lie within its counted rounding of that sum, and its term n
-    # within that term's count.  At start 17
-    # the factor (k+2J-1)(k+2J)/start^2 of the d_J recurrence exceeds 1 at
-    # k = 40, so d's error grows with J
+    # within that term's count.  The first term not taken sets the
+    # remainder bound: it is checked against its count too, and the bound
+    # must cover twice its exact value.  At start 17 the factor
+    # (k+2J-1)(k+2J)/start^2 of the d_J recurrence exceeds 1 at k = 40, so
+    # d's error grows with J, and that term has the largest e_J
     digits = 200
     table = numerics._EMTables(digits)
     tail = table.tail(k, start)
     taken = len(table._ratios) - 1  # the first term not taken formed the last ratio
     one = 1 << tail.scale
+    bernoulli = BernoulliCache()
+
+    def exact_term(n):
+        c = bernoulli.get(2 * n) * math.prod(range(k, k + 2 * n - 1)) / math.factorial(2 * n)
+        return c * Fraction(one, start ** (k - 1 + 2 * n))
+
     exact = Fraction(one, (k - 1) * start ** (k - 1)) + Fraction(one, 2 * start**k)
     lead = one // ((k - 1) * start ** (k - 1)) + one // (2 * start**k)
-    bernoulli = BernoulliCache()
     fresh = numerics._EMTables(digits)
     value = ulps = 0
     for n in range(1, taken + 1):
-        c = bernoulli.get(2 * n) * math.prod(range(k, k + 2 * n - 1)) / math.factorial(2 * n)
-        term = c * Fraction(one, start ** (k - 1 + 2 * n))
+        term = exact_term(n)
         exact += term
         fresh.term_cap = n
         factors = numerics._tail_factors(k, start, tail.scale, fresh)
@@ -539,6 +553,13 @@ def test_tail_rounding_is_counted(k, start):
         assert abs(lead + value - exact) <= ulps + 2, n
     assert tail.value == lead + value
     assert tail.error == bound + ulps + 2
+    # the term after them, formed from its factors as the loop forms it
+    factors = numerics._tail_factors(k, start, tail.scale, fresh)
+    r, x, e, drop = next(itertools.islice(factors, taken, None))
+    untaken, count = r * x >> drop, -(-((abs(r) + 1) * e + abs(x)) >> drop) + 1
+    assert bound == 2 * (abs(untaken) + count)
+    assert abs(untaken - exact_term(taken + 1)) <= count
+    assert bound >= 2 * abs(exact_term(taken + 1))
     # and the count stays below the remainder bound that follows it
     assert ulps + 2 < bound
 
