@@ -74,8 +74,10 @@ class _OutFile:
             try:
                 mode = os.stat(path).st_mode
             except FileNotFoundError:
-                if not path:
-                    raise  # realpath would read "" as the working directory
+                # realpath would read "" as the working directory, and drop
+                # the final "/", "." or ".." that names a missing directory
+                if os.path.basename(path) in ("", os.curdir, os.pardir):
+                    raise
                 mode = None
             if mode is not None and not S_ISREG(mode):
                 self.file = open(path, "w", encoding="utf-8")

@@ -26,16 +26,22 @@ mpmath's ``nstr`` text form.
 Single zeta tails use Euler-Maclaurin with the classical periodic-
 Bernoulli remainder bound; a double zeta expands its inner partial sum
 T(m) by the same machinery into a finite combination of single-zeta
-tails.  A tail sum_{m >= start} m^-k carries its own scale: it is held in
-units of 2^-q with q = p + shift and shift = (k - 1)(bitlen(start) - 1),
-so its value uses the whole p bits however small start^(1-k) is.  A folded
+tails.  A tail sum_{m >= start} m^-k carries its own scale, sized to its
+own target.  The target is an int in units of 2^-(p + shift), shift =
+(k - 1)(bitlen(start) - 1), a unit in which the tail's value would use the
+whole p bits however small start^(1-k) is.  The tail is held only as
+finely as its target needs: in units of 2^-q with q = p + shift - cut and
+cut = min(shift, bitlen(target) - 65), at least 0.  That keeps 64 guard
+bits below the target, and 2^-q is never coarser than 2^-p.  A folded
 tail is then multiplied by its expansion coefficient before it drops to
-2^-p, and the coefficient scales an ulp error that is 2^shift times
-smaller.  A tail's derivative terms and the T(m) expansion are both
+2^-p, and the coefficient scales an ulp error that is 2^(shift - cut)
+times smaller.  A tail's derivative terms and the T(m) expansion are both
 series sum_J rho_J x_J, summed by one loop, ``_derivative_sum``:
 
 - rho_J = B_2J/(2J)!, about 2/(2 pi)^(2J), is floored once per J per call
-  to r_J in units of 2^-(p + 64), shared by every series of the call;
+  to r_J in units of 2^-(p + 64), shared by every series of the call.  A
+  tail floors r_J cut bits coarser again, but never coarser than units of
+  1: the floor of a floor is still within one of its units;
 - the caller's generator reads r_J from the table and gives it with x_J,
   an int x within e of x_J, and the shift drop into its units.  A tail's
   x_J is d_J = (k)_{2J-1} start^(1-k-2J), held in units of 2^-(q + 16)
@@ -67,7 +73,10 @@ is rho_J (k1)_{2J-1} t_J, with t_J the tail of e = w + 2J - 1: a
 derivative series with x_J = (k1)_{2J-1} t_J and the call's target.  Each
 t_J is evaluated to the target divided by (|r_J| + 1) (w-2)_{2J-1}
 2^-(p + 64), a bound on the coefficient that any k1 of the weight gives
-it, so its target, too, depends on the weight only.
+it, so its target, too, depends on the weight only.  The table takes
+that coefficient as two ints, (|r_J| + 1) (w-2)_{2J-1} and 2^(p + 64),
+and forms the tail's target from them with one floor quotient, memo hits
+included, and no Fraction.
 
 The audits accept every digits >= 1, as the zeta functions do, and have no
 floor of their own.  A residual's bound covers its true error at any
@@ -302,18 +311,20 @@ class _EMTables:
                 )
             yield self._ratios[J - 1]
 
-    def tail(self, k: int, start: int, coefficient: Fraction | int = 1) -> _Fixed:
-        """_zeta_tail(k, start, target): its truncation times ``coefficient``
-        stays within the target.
+    def tail(self, k: int, start: int, num: int = 1, den: int = 1) -> _Fixed:
+        """_zeta_tail(k, start, target): its truncation times the coefficient
+        num/den stays within the target; a coefficient below 1 counts as 1.
 
-        The target is taken in the tail's own units, from the exact
-        coefficient, and the memo is keyed on it, so tails whose
-        coefficients give the same target are one evaluation.
+        The target is the floor of 2^(bits+shift) den / (10^(digits+10) num),
+        the truncation target in units of 2^-(bits+shift), taken from the
+        exact ints with no Fraction.  The memo is keyed on it, so tails whose
+        coefficients give the same target are one evaluation.  The tail
+        comes back in the units its target sizes (``_zeta_tail``), never
+        coarser than 2^-bits.
         """
-        c = Fraction(max(1, coefficient))
-        target = (c.denominator << (self.bits + _tail_shift(k, start))) // (
-            self._ten * c.numerator
-        )
+        if num <= den:
+            num = den = 1
+        target = (den << (self.bits + _tail_shift(k, start))) // (self._ten * num)
         key = (k, start, target)
         if key not in self._tails:
             self._tails[key] = _zeta_tail(k, start, target, self)
@@ -359,24 +370,37 @@ def _derivative_sum(factors: _Factors, target: int, tables: _EMTables) -> tuple[
 def _tail_factors(k: int, start: int, scale: int, tables: _EMTables) -> _Factors:
     """r_J and d_J = (k)_{2J-1} start^(1-k-2J) within e_J, J = 1, 2, ...,
     carried by d_{J+1} = floor(d_J f_J) as above, for the derivative terms
-    rho_J d_J of sum_{m >= start} m^-k in units of 2^-scale."""
+    rho_J d_J of sum_{m >= start} m^-k in units of 2^-scale.
+
+    A scale cut bits coarser than bits + shift floors r_J cut bits coarser
+    too, but never coarser than units of 1; r_J is still within one unit.
+    """
     square = start * start
-    drop = tables.ratio_bits + _GUARD  # r d >> drop is in units of 2^-scale
+    cut = min(tables.bits + _tail_shift(k, start) - scale, tables.ratio_bits)
+    drop = tables.ratio_bits - cut + _GUARD  # r d >> drop is in units of 2^-scale
     d, e = (k << (scale + _GUARD)) // start ** (k + 1), 1
     for J, r in enumerate(tables.ratios(), start=1):
-        yield r, d, e, drop
+        yield r >> cut, d, e, drop
         f = (k + 2 * J - 1) * (k + 2 * J)
         d, e = d * f // square, -(-e * f // square) + 1
 
 
 def _zeta_tail(k: int, start: int, target: int, tables: _EMTables) -> _Fixed:
-    """sum_{m >= start} m^{-k} by Euler-Maclaurin, in units of 2^-(bits+shift),
-    as is ``target``: the derivative series' remainder bound is the
-    periodic-Bernoulli 2|B_{2J}|/(2J)! int |f^(2J)|."""
-    scale = tables.bits + _tail_shift(k, start)
+    """sum_{m >= start} m^{-k} by Euler-Maclaurin, with ``target`` in units of
+    2^-(bits+shift): the derivative series' remainder bound is the
+    periodic-Bernoulli 2|B_{2J}|/(2J)! int |f^(2J)|.
+
+    The tail is held in units of 2^-(bits+shift-cut), cut = min(shift,
+    bitlen(target) - 65) and at least 0: 64 guard bits below its target,
+    and never coarser than the working unit 2^-bits.
+    """
+    shift = _tail_shift(k, start)
+    cut = max(0, min(shift, target.bit_length() - 65))
+    scale = tables.bits + shift - cut
     one = 1 << scale
     power = start ** (k - 1)
-    value, bound, ulps = _derivative_sum(_tail_factors(k, start, scale, tables), target, tables)
+    factors = _tail_factors(k, start, scale, tables)
+    value, bound, ulps = _derivative_sum(factors, target >> cut, tables)
     value += one // ((k - 1) * power) + one // (2 * power * start)
     return _Fixed(value, bound + ulps + 2, scale)
 
@@ -458,9 +482,10 @@ def _folded_tails(k1: int, w: int, tables: _EMTables) -> _Factors:
     times it in units of 2^-bits.  (|r_J| + 1)(w-2)_{2J-1} bounds every
     coefficient of the weight (k2 >= 2), so tail targets ignore k1."""
     rise, rise_max = k1, w - 2  # (k)_{2J-1} = k (k+1) ... (k+2J-2)
+    one = 1 << tables.ratio_bits
     for J, r in enumerate(tables.ratios(), start=1):
-        coefficient = Fraction((abs(r) + 1) * rise_max, 1 << tables.ratio_bits)
-        t = tables.tail(w + 2 * J - 1, tables.double_cutoff + 1, coefficient)
+        coefficient = (abs(r) + 1) * rise_max
+        t = tables.tail(w + 2 * J - 1, tables.double_cutoff + 1, coefficient, one)
         yield r, rise * t.value, rise * t.error, tables.ratio_bits + t.scale - tables.bits
         rise *= (k1 + 2 * J - 1) * (k1 + 2 * J)
         rise_max *= (w + 2 * J - 3) * (w + 2 * J - 2)

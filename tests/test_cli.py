@@ -125,6 +125,20 @@ def test_empty_out_is_a_usage_error(capsys, monkeypatch, tmp_path):
     assert os.listdir(cwd) == []
 
 
+@pytest.mark.parametrize("path", ["newdir/", "newdir/.", "newdir/.."])
+def test_out_naming_a_missing_directory_is_a_usage_error(capsys, monkeypatch, tmp_path, path):
+    # the path names a directory that does not exist; read through realpath
+    # it would name the file newdir (or the working directory itself)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["bernoulli", "--max", "2", "--out", path], capsys)
+    assert (code, out, err) == (
+        2,
+        "",
+        f"error: cannot write {path!r}: No such file or directory\n",
+    )
+    assert os.listdir(tmp_path) == []
+
+
 def test_failed_run_leaves_the_old_out_file(capsys, monkeypatch, tmp_path):
     # a command that fails writes nothing: the old file keeps its bytes and
     # no temporary file is left beside it

@@ -451,11 +451,13 @@ def test_tail_terms_count_the_error_of_d(k, start, scale):
     # first terms would hide its undercount in the sum.  At the first two
     # starts f_J exceeds 1, so e_J grows by its factor; at start 120,
     # k = 100 (scale 200 + the tail's shift) f_J runs from below 1 to above
-    # it, where the + 1 of each step adds up
+    # it, where the + 1 of each step adds up.  The stand-in's bits put the
+    # tail at its full scale bits + shift, so r_J is floored no coarser
     count = 30
 
     class Table:
         ratio_bits = 100
+        bits = scale - numerics._tail_shift(k, start)
 
         def __init__(self, term_cap):
             self.term_cap = term_cap
@@ -514,8 +516,12 @@ def test_a_capped_tail_forms_no_ratio_past_the_cap():
     assert len(table._ratios) == table.term_cap + 1
 
 
-@pytest.mark.parametrize("k, start", [(40, 17), (3, 401)])
-def test_tail_rounding_is_counted(k, start):
+@pytest.mark.parametrize(
+    "k, start, weight",
+    [(40, 17, None), (3, 401, None), (30, 401, 11)],
+    ids=["40-17", "3-401", "30-401-folded"],
+)
+def test_tail_rounding_is_counted(k, start, weight):
     # the remainder bound dwarfs a tail's rounding, so the enclosure tests
     # cannot see an undercount of it.  Here the first n terms are summed
     # exactly, B_2J (k)_{2J-1}/(2J)! start^(1-k-2J), for every n up to the
@@ -525,10 +531,26 @@ def test_tail_rounding_is_counted(k, start):
     # remainder bound: it is checked against its count too, and the bound
     # must cover twice its exact value.  At start 17 the factor
     # (k+2J-1)(k+2J)/start^2 of the d_J recurrence exceeds 1 at k = 40, so
-    # d's error grows with J, and that term has the largest e_J
+    # d's error grows with J, and that term has the largest e_J.  With a
+    # weight, the tail is term J = 10 of the T(m) fold of zeta_double(6, 5,
+    # 200), requested with the fold's coefficient: its target leaves it
+    # held some but not all of its shift coarser, with r_J floored as
+    # much coarser
     digits = 200
     table = numerics._EMTables(digits)
-    tail = table.tail(k, start)
+    num = den = 1
+    if weight is not None:
+        J = (k - weight + 1) // 2
+        r = next(itertools.islice(numerics._EMTables(digits).ratios(), J - 1, None))
+        num = (abs(r) + 1) * math.prod(range(weight - 2, weight + 2 * J - 3))
+        den = 1 << table.ratio_bits
+    tail = table.tail(k, start, num, den)
+    shift = numerics._tail_shift(k, start)
+    cut = table.bits + shift - tail.scale
+    assert 0 < cut < shift if weight else cut == shift
+    # the target in the tail's units: 64 bits above its unit
+    target = (den << (table.bits + shift)) // (10 ** (digits + 10) * num) >> cut
+    assert target.bit_length() == 65
     taken = len(table._ratios) - 1  # the first term not taken formed the last ratio
     one = 1 << tail.scale
     bernoulli = BernoulliCache()
@@ -560,8 +582,57 @@ def test_tail_rounding_is_counted(k, start):
     assert bound == 2 * (abs(untaken) + count)
     assert abs(untaken - exact_term(taken + 1)) <= count
     assert bound >= 2 * abs(exact_term(taken + 1))
-    # and the count stays below the remainder bound that follows it
+    # and the count stays below the remainder bound that follows it.  At
+    # start 17 the series turns before it meets the target; the others meet
+    # it, and their rounding stays far below it
     assert ulps + 2 < bound
+    if start > 17:
+        assert bound <= target and (ulps + 2) << 48 <= target
+
+
+def test_a_tail_coarser_than_its_ratios_encloses_the_reference():
+    # sum_{m >= 100} m^-200 lies far below 10^-110: its target leaves the
+    # tail a cut past ratio_bits, so r_J is floored to units of 1, no
+    # coarser, and the tail and zeta(200) still enclose their values
+    digits, k, start = 100, 200, 100
+    table = numerics._EMTables(digits)
+    tail = table.tail(k, start)
+    assert table.bits + numerics._tail_shift(k, start) - tail.scale > table.ratio_bits
+    with mp.workdps(digits + 60):
+        ref = mp.ldexp(mpmath.zeta(k, start), tail.scale)
+        assert abs(tail.value - ref) <= tail.error
+    z = zeta_single(k, digits)
+    with mp.workdps(digits + 60):
+        assert abs(z.value - exact(mpmath.zeta(k))) <= z.error_bound <= Fraction(1, 10**digits)
+
+
+def test_tail_target_is_the_floor_of_the_exact_coefficient(monkeypatch):
+    # the int target of a tail is the one the exact Fraction coefficient
+    # gives, floor(2^(bits+shift) / (10^(digits+10) max(1, num/den))); a
+    # coefficient below 1, num < den, counts as 1
+    targets = []
+
+    def recorded(k, start, target, tables):
+        targets.append(target)
+
+    monkeypatch.setattr(numerics, "_zeta_tail", recorded)
+    rng = random.Random(1)
+    digits = 40
+    table = numerics._EMTables(digits)
+    for _ in range(300):
+        k, start = rng.randrange(2, 60), rng.randrange(2, 500)
+        if rng.random() < 0.5:  # the fold's denominator
+            den = 1 << table.ratio_bits
+        else:
+            den = rng.randrange(1, 1 << rng.randrange(1, 300))
+        num = rng.choice([den, den - 1, den + 1, rng.randrange(1, 1 << rng.randrange(1, 600))])
+        num = max(num, 1)
+        table._tails.clear()
+        table.tail(k, start, num, den)
+        c = max(Fraction(1), Fraction(num, den))
+        units = table.bits + (k - 1) * (start.bit_length() - 1)
+        expected = (c.denominator << units) // (10 ** (digits + 10) * c.numerator)
+        assert targets.pop() == expected, (k, start, num, den)
 
 
 @pytest.mark.parametrize("digits", [400, 600])
