@@ -16,9 +16,11 @@ one big-int addition per table entry serves every row at once, and no
 entry is multiplied by a binomial.  With every lane value inside its
 bound, packed == is entry-wise ==, so each compare is K-1 ints, and lanes
 are unpacked only to build a RationalMatrix or to name the entries of a
-failed check.  Neither check needs a product to pass: for any Bernoulli
-values P A = (P - Q) C - Y with Y[s][s'] = W[s][2s'+1], and P B is the
-(PB) closed form, so P = Q and Y = -diag(d_s) on that one table prove
+failed check.  Unpacking (``_Lanes.rows``) turns each packed column into
+bytes once and reads row s as lane s's bytes of every column.  Neither
+check needs a product to pass: for any Bernoulli values
+P A = (P - Q) C - Y with Y[s][s'] = W[s][2s'+1], and P B is the (PB)
+closed form, so P = Q and Y = -diag(d_s) on that one table prove
 P A = I, P C = I - P B and P B = closed (``_proves_inverse``).  P A = I
 proves det A != 0 as well.  Only when a compare fails are the products
 (P A from the identity, A (L P), P B, P C and the closed form) formed
@@ -36,7 +38,7 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .bernoulli import BernoulliCache
-from .rationals import format_rational
+from .rationals import _format_row
 from .series import _pascal_rows
 
 __all__ = [
@@ -88,11 +90,19 @@ class RationalMatrix(NamedTuple):
 
 
 def _from_rows(rows: list[list[int]], denoms: list[int] | None = None) -> RationalMatrix:
-    """rows[i] / denoms[i] in lowest terms; the denominators are positive and default to 1."""
+    """rows[i] / denoms[i] in lowest terms; the denominators are positive and default to 1.
+
+    A row whose gcd with its denominator is 1 is kept as it is.
+    """
     denoms = denoms or [1] * len(rows)
-    gs = [gcd(d, *row) for row, d in zip(rows, denoms)]
-    nums = tuple(tuple(x // g for x in row) for row, g in zip(rows, gs))
-    return RationalMatrix(nums, tuple(d // g for d, g in zip(denoms, gs)))
+    nums, dens = [], []
+    for row, d in zip(rows, denoms):
+        g = gcd(d, *row)
+        if g != 1:
+            row, d = [x // g for x in row], d // g
+        nums.append(tuple(row))
+        dens.append(d)
+    return RationalMatrix(tuple(nums), tuple(dens))
 
 
 def _check_k(K: int) -> None:
@@ -189,27 +199,34 @@ class _Lanes:
     def __init__(self, nbytes: Sequence[int]) -> None:
         self.nbytes = tuple(nbytes)
         self.halves = tuple(1 << (8 * b - 1) for b in self.nbytes)
-        self.shifts = tuple(8 * o for o in accumulate(self.nbytes, initial=0))
-        self.size = self.shifts[-1] // 8
+        self.offsets = tuple(accumulate(self.nbytes, initial=0))
+        self.shifts = tuple(8 * o for o in self.offsets)
+        self.size = self.offsets[-1]
         self.bias = sum(h << t for h, t in zip(self.halves, self.shifts))
 
     def pack(self, values: Sequence[int]) -> int:
         return sum(v << t for v, t in zip(values, self.shifts) if v)
 
     def unpack(self, x: int) -> list[int]:
-        raw = (x + self.bias).to_bytes(self.size, "little")
-        return [
-            int.from_bytes(raw[t // 8 : t // 8 + b], "little") - h
-            for t, b, h in zip(self.shifts, self.nbytes, self.halves)
-        ]
+        """The lanes of x, lane 0 first: ``rows`` of the one column x."""
+        return [v for v, in self.rows([x])]
 
     def unit(self, i: int, v: int) -> int:
         """v in lane i, 0 in every other."""
         return v << self.shifts[i]
 
     def rows(self, columns: Sequence[int]) -> list[list[int]]:
-        """The matrix whose column j is the lanes of columns[j], as row lists."""
-        return [list(row) for row in zip(*map(self.unpack, columns))]
+        """The matrix whose column j is the lanes of columns[j], as row lists.
+
+        Each column is turned to bytes once; row i reads lane i's bytes,
+        from offsets[i] on, of every column.
+        """
+        bias, size = self.bias, self.size
+        raws = [(x + bias).to_bytes(size, "little") for x in columns]
+        return [
+            [int.from_bytes(raw[o : o + b], "little") - h for raw in raws]
+            for o, b, h in zip(self.offsets, self.nbytes, self.halves)
+        ]
 
 
 def _pqy_columns(
@@ -451,15 +468,18 @@ def verify_closed_forms(
 
 
 def matrix_to_json(K: int, name: str, matrix: RationalMatrix) -> str:
-    """Serialize to the published JSON schema (row-major, "p/q" entries)."""
-    payload = {
-        "K": K,
-        "name": name,
-        "rows": matrix.rows,
-        "cols": matrix.cols,
-        "entries": [
-            [format_rational(x, d) for x in row]
-            for row, d in zip(matrix.numerators, matrix.denominators)
-        ],
-    }
-    return json.dumps(payload, sort_keys=False, separators=(", ", ": "))
+    """Serialize to the published JSON schema (row-major, "p/q" entries).
+
+    The text is what ``json.dumps`` writes with separators ", " and ": ",
+    built by joining strings: json.dumps encodes only the header, and each
+    row's "p/q" texts, which need no escaping, are joined in as they are.
+    """
+    head = json.dumps(
+        {"K": K, "name": name, "rows": matrix.rows, "cols": matrix.cols},
+        separators=(", ", ": "),
+    )
+    rows = "], [".join(
+        '"' + '", "'.join(texts) + '"' if texts else ""
+        for texts in map(_format_row, matrix.numerators, matrix.denominators)
+    )
+    return f'{head[:-1]}, "entries": [[{rows}]]}}'

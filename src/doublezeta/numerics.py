@@ -231,17 +231,18 @@ class _Fixed(NamedTuple):
             self.scale,
         )
 
-    def times(self, c: Fraction | int, scale: int) -> _Fixed:
-        """c times this value in units of 2^-scale, for scale <= self.scale.
+    def times(self, num: int, scale: int, den: int = 1) -> _Fixed:
+        """num/den times this value in units of 2^-scale, for den > 0 and
+        scale <= self.scale.
 
-        One floor quotient, so one more ulp unless it is exact, as for an
-        int c at the same scale; c scales the error while it is still in
-        the finer units.
+        One floor quotient, so one more ulp unless it is exact, as for
+        den = 1 at the same scale; num/den scales the error while it is
+        still in the finer units.  The floor and the rounded-up error depend
+        on the value num/den only, so it need not be in lowest terms.
         """
-        c = Fraction(c)
-        den = c.denominator << (self.scale - scale)
-        value, rest = divmod(c.numerator * self.value, den)
-        return _Fixed(value, -(-abs(c.numerator) * self.error // den) + (rest != 0), scale)
+        den <<= self.scale - scale
+        value, rest = divmod(num * self.value, den)
+        return _Fixed(value, -(-abs(num) * self.error // den) + (rest != 0), scale)
 
     def to_bigfloat(self) -> BigFloat:
         """This value and its error as exact Fractions: nothing is rounded."""
@@ -467,8 +468,8 @@ def _zeta_double(k1: int, k2: int, tables: _EMTables) -> _Fixed:
     # Euler-Maclaurin expansion of T(m) = sum_{j>=m} j^{-k1} in powers
     # of 1/m; each power m^-(k1+alpha) folds into the outer tail of
     # exponent w + alpha.  The leading two terms come first.
-    result -= tables.tail(w - 1, M + 1).times(Fraction(1, k1 - 1), bits)
-    result -= tables.tail(w, M + 1).times(Fraction(1, 2), bits)
+    result -= tables.tail(w - 1, M + 1).times(1, bits, k1 - 1)
+    result -= tables.tail(w, M + 1).times(1, bits, 2)
     # Term J is rho_J (k1)_{2J-1} m^-(k1+2J-1), and the remainder of T(m)
     # after terms 1..J-1 is at most twice it, which sums over m > M to twice
     # rho_J (k1)_{2J-1} t_J, t_J the outer tail of exponent w + 2J - 1: the
@@ -497,7 +498,7 @@ def _zeta_one(k: int, tables: _EMTables) -> _Fixed:
     total = z(k + 1).times(k, tables.bits)
     for j in range(1, k - 1):
         total -= z(j + 1) * z(k - j)
-    return total.times(Fraction(1, 2), tables.bits)
+    return total.times(1, tables.bits, 2)
 
 
 def rational_reconstruct(x: BigFloat, max_denominator: int = 64) -> Fraction | None:
@@ -617,9 +618,10 @@ def audit_h_ab(a: int, b: int, digits: int = 30) -> HAuditReport:
     bits = tables.bits
     K = a + b + 1
     formula = _Fixed(0, 0, bits)
-    for r, term in enumerate(h_ab_coefficients(a, b).rows[0].terms, start=1):
+    row = h_ab_coefficients(a, b).rows[0]
+    for r, x in enumerate(row.numerators, start=1):
         h = _h(K - r, tables) * tables.zeta_fixed(2 * r + 1)
-        formula += h.times(term.coeff, bits)
+        formula += h.times(x, bits, row.denominator)
 
     if (a, b) == (0, 0):
         direct, label = tables.zeta_fixed(3), "zeta(3)"
@@ -645,4 +647,6 @@ def _h(n: int, tables: _EMTables) -> _Fixed:
     if n == 0:
         return _Fixed(1 << tables.bits, 0, tables.bits)
     b = abs(tables.bernoulli.get(2 * n))
-    return tables.zeta_fixed(2 * n).times(2 / (b * 4**n * (2 * n + 1)), tables.bits)
+    return tables.zeta_fixed(2 * n).times(
+        2 * b.denominator, tables.bits, (b.numerator << 2 * n) * (2 * n + 1)
+    )

@@ -3,12 +3,17 @@
 The scalar is ``fractions.Fraction`` (a matrix row is ints over one
 denominator): always in lowest terms with positive denominator, so
 structural equality is semantic equality.  Values serialize as ``"p/q"``
-(or ``"p"`` when the denominator is 1) everywhere in this package.
+(or ``"p"`` when the denominator is 1) everywhere in this package.  A row
+of ints over one denominator is formatted in one call (``_format_row``).
+``format_rational`` writes one value itself and hands a value past
+Python's int-to-str limit to ``_format_row``, so the Decimal fallback for
+such ints lives in one place.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -24,17 +29,41 @@ _PLAIN = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 def format_rational(x: Fraction | int, den: int = 1) -> str:
     """Canonical text form of x / den, den > 0: "p/q" in lowest terms, or "p" if q = 1.
 
-    Integers of any length are written out, past Python's int-to-str limit.
+    Integers of any length are written out, past Python's int-to-str limit:
+    such a value is written by ``_format_row``, as a row of one.
     """
-    g = gcd(x.numerator, den)
-    num, den = x.numerator // g, x.denominator * den // g
+    num, den = x.numerator, x.denominator * den
+    g = gcd(num, den)
     try:
-        return str(num) if den == 1 else f"{num}/{den}"
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
     except ValueError:
-        # more digits than sys.get_int_max_str_digits(): Decimal converts an
-        # int exactly and without that limit, and prints exponent 0 as digits
-        num, den = (str(Decimal(n)) for n in (num, den))
-        return num if den == "1" else f"{num}/{den}"
+        return _format_row((num,), den)[0]
+
+
+def _format_row(nums: Sequence[int], den: int) -> list[str]:
+    """The canonical texts of x / den for each x in nums, den > 0.
+
+    Over den = 1 each text is ``str(x)``; otherwise x and den are divided by
+    their gcd.  Every text matches ``-?[0-9]+(/[0-9]+)?``, so it needs no
+    escaping in JSON or CSV.  A row with an int past Python's int-to-str
+    limit is written through Decimal, which converts an int exactly and
+    without that limit, and prints exponent 0 as digits.
+    """
+    try:
+        if den == 1:
+            return list(map(str, nums))
+        texts = []
+        for x in nums:
+            g = gcd(x, den)
+            texts.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+        return texts
+    except ValueError:
+        texts = []
+        for x in nums:
+            g = gcd(x, den)
+            num, q = (str(Decimal(n)) for n in (x // g, den // g))
+            texts.append(num if q == "1" else f"{num}/{q}")
+        return texts
 
 
 def parse_rational(s: str) -> Fraction:

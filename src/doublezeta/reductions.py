@@ -10,10 +10,12 @@ gcd, so == is value equality.  Beside them are the row's basis labels and
 flags; a builder makes each column's label once per table, not once per
 entry.  The Euler rows are A's int rows, the inverse rows P's int rows
 with the zeta(2K+1) term put over the same row denominator.  No Fraction
-is made per coefficient: the exports format each entry from (numerator,
-row denominator) with ``format_rational(x, den)``.  ``TableRow.terms`` is
-a read-only view of a row as ``Term``s with Fraction coefficients, and
-``TableRow.from_terms`` builds the canonical row back from them.
+is made per coefficient: the exports format each row's numerators over
+its denominator in one call (``rationals._format_row``), and the JSON
+export joins strings, with json.dumps only for the header, the targets,
+the labels and the flags.  ``TableRow.terms`` is a read-only view of a
+row as ``Term``s with Fraction coefficients, and ``TableRow.from_terms``
+builds the canonical row back from them.
 Coefficients are serialized as ``"p/q"``, so tables are diffable and
 round-trip bit-exactly through the JSON export.
 """
@@ -29,7 +31,7 @@ from typing import NamedTuple
 
 from .bernoulli import BernoulliCache
 from .matrices import _check_k, build_a, build_p
-from .rationals import format_rational, parse_rational
+from .rationals import _format_row, format_rational, parse_rational
 
 __all__ = [
     "Term",
@@ -268,23 +270,34 @@ def expand_h_to_pi(table: CoefficientTable) -> CoefficientTable:
     return CoefficientTable(table.kind, dict(table.params), tuple(rows))
 
 
-def _coeff_texts(row: TableRow) -> list[str]:
-    """The row's coefficients as canonical "p/q" text, each from (numerator, row denominator)."""
-    den = row.denominator
-    return [format_rational(x, den) for x in row.numerators]
-
-
 def table_to_json(table: CoefficientTable) -> str:
-    """Deterministic JSON: fixed key order, canonical "p/q" rationals."""
+    """Deterministic JSON: fixed key order, canonical "p/q" rationals.
+
+    The text is what ``json.dumps`` writes with separators ", " and ": ",
+    built by joining strings.  json.dumps encodes the header, each target,
+    label and flag; a row's "p/q" texts need no escaping and go in as they
+    are.  The rows of a table share their label and flag tuples, so the
+    text around each coefficient, ``{"basis": ..., "coeff": "`` before it
+    and its flag after it, is encoded once per pair of tuples.
+    """
+    head = json.dumps({"kind": table.kind, "params": table.params}, separators=(", ", ": "))
+    around: dict[tuple, list[tuple[str, str]]] = {}
     rows = []
     for row in table.rows:
-        terms = [{"basis": b, "coeff": c} for b, c in zip(row.bases, _coeff_texts(row))]
-        for term, flag in zip(terms, row.flags):
-            if flag is not None:
-                term["flag"] = flag
-        rows.append({"target": row.target, "terms": terms})
-    payload = {"kind": table.kind, "params": table.params, "rows": rows}
-    return json.dumps(payload, separators=(", ", ": "))
+        key = (row.bases, row.flags)
+        parts = around.get(key)
+        if parts is None:
+            parts = around[key] = [
+                (
+                    f'{{"basis": {json.dumps(b)}, "coeff": "',
+                    '"}' if f is None else f'", "flag": {json.dumps(f)}}}',
+                )
+                for b, f in zip(*key)
+            ]
+        texts = _format_row(row.numerators, row.denominator)
+        terms = ", ".join([p + c + e for (p, e), c in zip(parts, texts)])
+        rows.append(f'{{"target": {json.dumps(row.target)}, "terms": [{terms}]}}')
+    return f'{head[:-1]}, "rows": [{", ".join(rows)}]}}'
 
 
 def table_from_json(text: str) -> CoefficientTable:
@@ -305,6 +318,7 @@ def table_to_csv(table: CoefficientTable) -> str:
     lines = ["target,basis,coeff,flag"]
     for row in table.rows:
         target = row.target
-        for b, c, f in zip(row.bases, _coeff_texts(row), row.flags):
+        texts = _format_row(row.numerators, row.denominator)
+        for b, c, f in zip(row.bases, texts, row.flags):
             lines.append(f"{target},{b},{c},{f or ''}")
     return "\n".join(lines) + "\n"

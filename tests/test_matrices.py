@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from operator import mul
 
@@ -503,6 +504,50 @@ def test_lanes_round_trip_at_the_edges():
     assert lanes.rows([lanes.pack([1, 2, 3, 4, 5]), lanes.pack([-1, -2, -3, -4, -5])]) == [
         [1, -1], [2, -2], [3, -3], [4, -4], [5, -5]
     ]
+
+
+def test_lane_rows_match_unpacking_column_by_column():
+    nbytes = [1, 3, 2, 1, 5]
+    lanes = matrices._Lanes(nbytes)
+    rng = random.Random(7)
+
+    def lane_value(b):
+        top = (1 << (8 * b - 1)) - 1
+        return rng.choice([0, 1, -1, top, -top, rng.randint(-top, top)])
+
+    assert lanes.rows([]) == [[] for _ in nbytes]
+    for ncols in (1, 2, 9):
+        for _ in range(100):
+            columns = [[lane_value(b) for b in nbytes] for _ in range(ncols)]
+            packed = [lanes.pack(c) for c in columns]
+            expected = [list(row) for row in zip(*columns)]
+            assert lanes.rows(packed) == expected
+            assert [list(row) for row in zip(*map(lanes.unpack, packed))] == expected
+
+
+def test_matrix_json_matches_json_dumps_past_the_int_to_str_limit():
+    big = 10**4999 + 7  # 5000 digits, past Python's default limit of 4300
+    rows = ((big, -3, 0), (1, 2 * big, -big))
+    name = 'M "\\ \u03b6'
+    for den in (1, 3):
+        m = RationalMatrix(rows, (den, den))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            entries = [
+                [
+                    str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+                    for f in (Fraction(x, den) for x in row)
+                ]
+                for row in rows
+            ]
+            expected = json.dumps(
+                {"K": 3, "name": name, "rows": 2, "cols": 3, "entries": entries},
+                separators=(", ", ": "),
+            )
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert matrix_to_json(3, name, m) == expected, den
 
 
 def times(x: RationalMatrix, y: RationalMatrix) -> RationalMatrix:

@@ -804,7 +804,32 @@ def test_fixed_quotient_rejects_a_divisor_interval_with_zero(x, error, scale):
 )
 def test_fixed_times_encloses(x, c, coarser, t):
     scale = max(0, x.scale - coarser)
-    assert encloses(x.times(c, scale), c * point(x, t))
+    c = Fraction(c)
+    assert encloses(x.times(c.numerator, scale, c.denominator), c * point(x, t))
+
+
+def fraction_times(x, c, scale):
+    """The reference: c times x in units of 2^-scale, c read as a reduced Fraction."""
+    c = Fraction(c)
+    den = c.denominator << (x.scale - scale)
+    value, rest = divmod(c.numerator * x.value, den)
+    return numerics._Fixed(value, -(-abs(c.numerator) * x.error // den) + (rest != 0), scale)
+
+
+@given(
+    fixeds(),
+    st.integers(-(2**40), 2**40),
+    st.integers(1, 3) | st.integers(1, 2**40),
+    st.integers(1, 2**8),
+    st.integers(0, 100),
+)
+def test_fixed_times_of_an_int_ratio_matches_its_fraction(x, num, den, common, coarser):
+    # the floor and the rounded-up error depend on num/den only, also when
+    # num and den share a factor
+    scale = max(0, x.scale - coarser)
+    expected = fraction_times(x, Fraction(num, den), scale)
+    assert x.times(num * common, scale, den * common) == expected
+    assert x.times(num, scale, den) == expected
 
 
 def test_bigfloat_rejects_a_negative_bound():

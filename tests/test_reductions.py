@@ -9,6 +9,7 @@ from doublezeta.matrices import build_a, build_p
 from doublezeta.rationals import format_rational
 from doublezeta.reductions import (
     PRINTED_CONSTANT,
+    CoefficientTable,
     TableRow,
     Term,
     euler_constant,
@@ -362,6 +363,24 @@ def test_euler_exports_match_the_fraction_reference(K):
     # custom constants without a flag
     mixed = _constant_sets(K)[3]
     assert_same_exports(euler_rhs_coefficients(K, mixed), old_euler(K, mixed))
+
+
+@pytest.mark.parametrize("K", [2, 5, 12])
+def test_exports_write_a_flag_as_json_does(K):
+    # json.dumps encodes every label and flag of the built text, so a quote,
+    # a backslash and a non-ASCII character are escaped as in the reference
+    flag = 'audited "at 40" \\ digits, \u03b6'
+    for constants in _export_constant_sets(K):
+        table = euler_rhs_coefficients(K, constants, constants_flag=flag)
+        assert_same_exports(table, old_euler(K, constants, flag))
+
+
+def test_json_export_of_empty_tables_and_rows():
+    empty = CoefficientTable("euler_reduction", {"K": 2})
+    assert table_to_json(empty) == old_to_json(("euler_reduction", {"K": 2}, []))
+    table = CoefficientTable("h_ab", {}, (TableRow.from_terms("t", []),))
+    assert table_to_json(table) == old_to_json(("h_ab", {}, [("t", [])]))
+    assert table_from_json(table_to_json(table)) == table
 
 
 @pytest.mark.parametrize("a, b", [(a, b) for a in range(8) for b in range(8 - a)])
