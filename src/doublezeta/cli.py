@@ -154,7 +154,6 @@ def cmd_bernoulli(args: argparse.Namespace) -> tuple[int, str]:
 _OFFENDING_LABELS = {
     "p_eq_q": ("s", "r", "P", "Q"),
     "pa_is_identity": ("s", "s'", "PA", "I"),
-    "ap_is_identity": ("r", "r'", "AP", "I"),
 }
 
 
@@ -174,7 +173,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
                 continue
             line = (
                 f"K={K}: FAIL p_eq_q={rep.p_eq_q} pa_is_identity={rep.pa_is_identity} "
-                f"ap_is_identity={rep.ap_is_identity} det_nonzero={rep.det_nonzero}"
+                f"det_nonzero={rep.det_nonzero}"
             )
             for check, i, j, value, expected in rep.offending:
                 row, col, name, ref = _OFFENDING_LABELS[check]
@@ -314,7 +313,10 @@ def cmd_reduce(args: argparse.Namespace) -> tuple[int, str]:
                 raise ValueError(f"--constants {spec!r}: {exc}") from None
         else:
             raise ValueError("--constants must be printed, audited, or explicit:<c1,c2,...>")
-        table = reductions.inverse_reduction_coefficients(args.K, constants)
+        try:
+            table = reductions.inverse_reduction_coefficients(args.K, constants)
+        except ValueError as exc:  # too few or too many explicit constants
+            raise ValueError(f"--constants {spec!r}: {exc}") from None
     else:
         table = reductions.h_ab_coefficients(args.a, args.b)
         if args.pi_basis:

@@ -22,9 +22,9 @@ check needs a product to pass: for any Bernoulli values
 P A = (P - Q) C - Y with Y[s][s'] = W[s][2s'+1], and P B is the (PB)
 closed form, so P = Q and Y = -diag(d_s) on that one table prove
 P A = I, P C = I - P B and P B = closed (``_proves_inverse``).  P A = I
-proves det A != 0 as well.  Only when a compare fails are the products
-(P A from the identity, A (L P), P B, P C and the closed form) formed
-and Bareiss elimination run.
+proves det A != 0 as well.  Only when a compare fails are P A, P B, P C
+and the closed form formed from their definitions, and Bareiss
+elimination run on A.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import json
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, gcd, lcm
-from operator import mul, sub
+from math import comb, gcd
+from operator import mul
 from typing import NamedTuple
 
 from .bernoulli import BernoulliCache
@@ -311,30 +311,23 @@ class InverseReport(NamedTuple):
     """Exact verdicts of the inverse-conjecture checks for one K.
 
     ``offending`` holds, for each failed check in the order p_eq_q,
-    pa_is_identity, ap_is_identity, its first offending entry in row-major
-    order as (check, i, j, value, expected) with one-based indices:
-    (s, r) of P against Q, (s, s') of P A and (r, r') of A P against I.
-    ``det_nonzero`` and ``ap_is_identity`` are True whenever
-    ``pa_is_identity`` is, which proves both (P and A are square);
-    otherwise they are the exact verdicts of Bareiss elimination on A and
-    of the product A P.
+    pa_is_identity, its first offending entry in row-major order as
+    (check, i, j, value, expected) with one-based indices: (s, r) of P
+    against Q and (s, s') of P A against I.  P and A are square, so
+    P A = I is A P = I as well.  ``det_nonzero`` is True whenever
+    ``pa_is_identity`` is, which proves it; otherwise it is the exact
+    verdict of Bareiss elimination on A.
     """
 
     K: int
     p_eq_q: bool
     pa_is_identity: bool
-    ap_is_identity: bool
     det_nonzero: bool
     offending: tuple[tuple[str, int, int, Fraction, Fraction], ...] = ()
 
     @property
     def all_pass(self) -> bool:
-        return (
-            self.p_eq_q
-            and self.pa_is_identity
-            and self.ap_is_identity
-            and self.det_nonzero
-        )
+        return self.p_eq_q and self.pa_is_identity and self.det_nonzero
 
 
 def _first_offending(
@@ -351,20 +344,12 @@ def _first_offending(
     )
 
 
-def _pa_rows(
-    K: int, p: list[list[int]], q: list[list[int]], y: list[list[int]]
-) -> list[list[int]]:
-    """The numerator rows of P A = (P - Q) C - Y, from those of P, Q and Y."""
-    diff = [list(map(sub, u, v)) for u, v in zip(p, q)]
-    return [list(map(sub, u, v)) for u, v in zip(_product(diff, _c_rows(K)), y)]
-
-
 def verify_inverse(K: int, cache: BernoulliCache | None = None) -> InverseReport:
-    """Exact check that P = Q and P A = A P = I and det A != 0.
+    """Exact check that P = Q and P A = I and det A != 0.
 
-    All in integers, with row s of P and of Q as numerators n_s over d_s
-    and L = lcm of the d_s: P = Q by equal n_s, P A = I by n_s A = d_s e_s,
-    A P = I by A (L P) = L I.  P A needs no product, because
+    All in integers, with row s of P and of Q as numerators n_s over d_s:
+    P = Q by equal n_s, P A = I by n_s A = d_s e_s.  P and A are square,
+    so P A = I is A P = I as well.  Passing needs no product, because
 
         P A = (P - Q) C - Y,   Y[s][s'] = W[s][2s'+1],
 
@@ -376,34 +361,25 @@ def verify_inverse(K: int, cache: BernoulliCache | None = None) -> InverseReport
     W[s][2s'+1] = 2 C(2s'-1, n) b_n with n = 2s'+1-2s vanishes unless
     n = 1, where it is 2 (2s-1) D B_1 = -d_s: so P = Q and Y = -diag(d_s)
     give P A = I.  Both are checked as K-1 packed compares each
-    (``_proves_inverse``); only when one fails are P, Q and Y unpacked, P A
-    formed exactly from the identity, and the first offending entries
-    named.  A passing P A = I proves det A != 0 (det P det A = 1), and for
-    square matrices it also proves A P = I, so A (L P) and Bareiss
-    elimination on A's rows run only when P A = I fails; the verdicts are
-    exact either way.
+    (``_proves_inverse``), and a passing P A = I proves det A != 0
+    (det P det A = 1).  Only when a compare fails are P and Q unpacked,
+    P A formed from its definition with A's rows, Bareiss elimination run
+    on those rows if P A = I fails, and the first offending entries
+    named; the verdicts are exact either way.
     """
     columns = _pqy_columns(K, cache)
     if _proves_inverse(*columns):
-        return InverseReport(K, True, True, True, True)
-    denoms, lanes, p_cols, q_cols, y_cols = columns
-    p, q = lanes.rows(p_cols), lanes.rows(q_cols)
+        return InverseReport(K, True, True, True)
+    denoms, lanes, p_cols, q_cols, _ = columns
+    p, q, a = lanes.rows(p_cols), lanes.rows(q_cols), _a_rows(K)
     pq = _first_offending("p_eq_q", p, q, denoms)
-    pa_rows = _pa_rows(K, p, q, lanes.rows(y_cols))
-    pa = _first_offending("pa_is_identity", pa_rows, _diagonal(denoms), denoms)
-    ap = None
-    if pa is not None:
-        a, big = _a_rows(K), lcm(*denoms)
-        lp = [[big // d * x for x in row] for row, d in zip(p, denoms)]
-        scale = [big] * (K - 1)
-        ap = _first_offending("ap_is_identity", _product(a, lp), _diagonal(scale), scale)
+    pa = _first_offending("pa_is_identity", _product(p, a), _diagonal(denoms), denoms)
     return InverseReport(
         K=K,
         p_eq_q=pq is None,
         pa_is_identity=pa is None,
-        ap_is_identity=ap is None,
         det_nonzero=pa is None or _bareiss(a) != 0,
-        offending=tuple(m for m in (pq, pa, ap) if m is not None),
+        offending=tuple(m for m in (pq, pa) if m is not None),
     )
 
 

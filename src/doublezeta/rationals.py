@@ -7,7 +7,8 @@ structural equality is semantic equality.  Values serialize as ``"p/q"``
 of ints over one denominator is formatted in one call (``_format_row``).
 ``format_rational`` writes one value itself and hands a value past
 Python's int-to-str limit to ``_format_row``, so the Decimal fallback for
-such ints lives in one place.
+such ints lives in one place.  ``parse_rational`` reads back that text
+format and nothing else.
 """
 
 from __future__ import annotations
@@ -26,16 +27,15 @@ __all__ = [
 _PLAIN = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
-def format_rational(x: Fraction | int, den: int = 1) -> str:
-    """Canonical text form of x / den, den > 0: "p/q" in lowest terms, or "p" if q = 1.
+def format_rational(x: Fraction | int) -> str:
+    """Canonical text form of x: "p/q" in lowest terms, or "p" if q = 1.
 
     Integers of any length are written out, past Python's int-to-str limit:
     such a value is written by ``_format_row``, as a row of one.
     """
-    num, den = x.numerator, x.denominator * den
-    g = gcd(num, den)
+    num, den = x.numerator, x.denominator
     try:
-        return str(num // g) if g == den else f"{num // g}/{den // g}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         return _format_row((num,), den)[0]
 
@@ -69,20 +69,17 @@ def _format_row(nums: Sequence[int], den: int) -> list[str]:
 def parse_rational(s: str) -> Fraction:
     """Inverse of :func:`format_rational`, at any length.
 
-    Accepts what ``Fraction(str)`` accepts, and plain "p/q" or "p" past
-    Python's int-to-str limit.  Raises ValueError on malformed text.
+    Reads only ``[+-]?[0-9]+(/[0-9]+)?``, the texts format_rational
+    writes with an optional sign: no spaces, ``_``, decimal point or
+    exponent, so a short text never asks for a long int.  Each int is
+    read through Decimal, which converts it exactly and without Python's
+    int-to-str limit.  Raises ValueError on any other text and on a zero
+    denominator.
     """
+    if not _PLAIN.fullmatch(s):
+        raise ValueError(f"not a rational p/q or p: {s!r}")
+    num, _, den = s.partition("/")
     try:
-        try:
-            return Fraction(s)
-        except ValueError:
-            if not _PLAIN.fullmatch(s):
-                raise
-            # more digits than sys.get_int_max_str_digits(): Decimal reads
-            # them exactly and without that limit
-            num, _, den = s.partition("/")
-            if den and not den.strip("0"):
-                raise ZeroDivisionError
-            return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+        return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None

@@ -242,10 +242,9 @@ def test_verify_conjecture_fail_line_names_first_offending_entries(capsys, monke
     # with B_4 = 1/29: P_11 = 2 B_4 and Q_11 = -2 (4 B_4 + 4 B_2 + B_1) by the defining sums
     assert out.splitlines() == [
         "K=2: pass",
-        "K=3: FAIL p_eq_q=False pa_is_identity=False ap_is_identity=False det_nonzero=True"
+        "K=3: FAIL p_eq_q=False pa_is_identity=False det_nonzero=True"
         "; p_eq_q at (s=1, r=1): P=2/29 Q=-53/87"
-        "; pa_is_identity at (s=1, s'=1): PA=500/87 I=1"
-        "; ap_is_identity at (r=1, r'=1): AP=146/87 I=1",
+        "; pa_is_identity at (s=1, s'=1): PA=500/87 I=1",
     ]
 
 
@@ -471,6 +470,10 @@ def test_each_kind_accepts_only_the_options_it_reads():
         ("--constants 'explicit:'", ["reduce", "inverse", "--K", "2", "--constants", "explicit:"]),
         ("--constants 'explicit:1/2,x'",
          ["reduce", "inverse", "--K", "2", "--constants", "explicit:1/2,x"]),
+        ("--constants 'explicit:1e400'",
+         ["reduce", "inverse", "--K", "2", "--constants", "explicit:1e400"]),
+        ("--constants 'explicit:1/2'",
+         ["reduce", "inverse", "--K", "3", "--constants", "explicit:1/2"]),
     ],
 )
 def test_a_value_the_library_rejects_names_its_option(capsys, option, argv):

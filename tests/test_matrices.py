@@ -228,15 +228,14 @@ def test_passing_pa_check_proves_det_without_bareiss(monkeypatch):
     assert calls == []
 
 
-def test_ap_product_runs_only_when_pa_check_fails(monkeypatch):
-    # a passing P A = I proves A P = I for square matrices; P and Q are
-    # Pascal reads, and the int products (P - Q) C, for P A, and A (L P) are
-    # made only on failure
+def test_pa_product_is_formed_only_when_a_check_fails(monkeypatch):
+    # P and Q are Pascal reads and a passing check forms no product; a
+    # failing one forms P A alone, with P's rows on the left and A's on the right
     calls = []
     original = matrices._product
 
     def product(x, y):
-        calls.append(x)
+        calls.append((x, y))
         return original(x, y)
 
     monkeypatch.setattr(matrices, "_product", product)
@@ -244,15 +243,14 @@ def test_ap_product_runs_only_when_pa_check_fails(monkeypatch):
     assert calls == []
     bad = BadBernoulliCache()
     report = verify_inverse(6, bad)
-    assert not report.ap_is_identity
+    assert not report.pa_is_identity
     _, ref = reference_products(6, bad)
-    p_minus_q = [[u - v for u, v in zip(*rows)] for rows in zip(ref["P"], ref["Q"])]
-    assert calls == [p_minus_q, matrices._a_rows(6)]
+    assert calls == [(ref["P"], matrices._a_rows(6))]
 
 
 def test_fallback_reports_a_singular_stand_in(monkeypatch):
-    # P A is read through A's defining binomials, not _a_rows, so the
-    # corrupted cache makes it fail; Bareiss then runs on the stand-in
+    # the corrupted cache makes P A fail; Bareiss then runs on the stand-in,
+    # the same rows P A was formed with
     def singular_a(K):
         rows = original(K)
         rows[-1] = list(rows[0])
@@ -377,10 +375,18 @@ def test_weight_rows_follow_their_definition_for_any_cache():
 
 
 def inverse_rows(K, cache):
-    """The d_s and the rows of P, Q, Y and P A = (P - Q) C - Y decoded from the inverse check."""
+    """The d_s and the rows of P, Q, Y and P A = (P - Q) C - Y decoded from the inverse check.
+
+    A passing check relies on that identity and forms no product, so it is
+    checked here against the reference P A.
+    """
+    def minus(x, y):
+        return [[u - v for u, v in zip(*rows)] for rows in zip(x, y)]
+
     denoms, lanes, *cols = matrices._pqy_columns(K, cache)
     p, q, y = map(lanes.rows, cols)
-    return denoms, {"P": p, "Q": q, "Y": y, "PA": matrices._pa_rows(K, p, q, y)}
+    pa = minus(old_product(minus(p, q), matrices._c_rows(K)), y)
+    return denoms, {"P": p, "Q": q, "Y": y, "PA": pa}
 
 
 @pytest.mark.parametrize("make_cache", CACHES.values(), ids=CACHES.keys())
@@ -464,7 +470,7 @@ def test_p_equal_to_q_with_a_wrong_weight_column_fails_pa(monkeypatch):
 
 @pytest.mark.parametrize("make_cache", [BadB1Cache, BadB3Cache], ids=["bad-b1", "bad-b3"])
 def test_report_matches_the_reference_under_a_corrupted_odd_bernoulli(make_cache):
-    # B_1 and B_3 enter P, Q and W's odd columns; P A comes from the identity
+    # B_1 and B_3 enter P, Q and W's odd columns
     for K in range(2, 13):
         bad = make_cache()
         p, q, a = build_p(K, bad), build_q(K, bad), build_a(K)
@@ -473,7 +479,6 @@ def test_report_matches_the_reference_under_a_corrupted_odd_bernoulli(make_cache
             (check, i + 1, j + 1, x.at(i, j), y.at(i, j))
             for check, x, y in [
                 ("p_eq_q", p, q), ("pa_is_identity", times(p, a), one),
-                ("ap_is_identity", times(a, p), one),
             ]
             for i, j in itertools.islice(
                 ((i, j) for i in range(K - 1) for j in range(K - 1)
@@ -627,7 +632,6 @@ def test_checks_fail_under_a_corrupted_cache(K):
     report = verify_inverse(K, bad)
     assert not report.p_eq_q
     assert not report.pa_is_identity
-    assert not report.ap_is_identity
     assert report.det_nonzero
     offending = verify_closed_forms(K, bad)
     assert offending
@@ -662,7 +666,6 @@ def test_report_names_the_first_offending_entries(K):
     for check, x, y in [
         ("p_eq_q", p, q),
         ("pa_is_identity", times(p, a), one),
-        ("ap_is_identity", times(a, p), one),
     ]:
         i, j = next((i, j) for i in range(K - 1) for j in range(K - 1) if x.at(i, j) != y.at(i, j))
         expected.append((check, i + 1, j + 1, x.at(i, j), y.at(i, j)))

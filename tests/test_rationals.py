@@ -54,6 +54,10 @@ def test_serialization_round_trip():
         assert format_rational(parse_rational(s)) == s
     assert format_rational(Fraction(5)) == "5"
     assert format_rational(Fraction(-1, 2)) == "-1/2"
+    # the grammar's sign and leading zeros, and a ratio not in lowest terms
+    assert parse_rational("+3") == 3
+    assert parse_rational("007") == 7
+    assert parse_rational("-6/014") == Fraction(-3, 7)
 
 
 def test_format_rational_past_the_int_to_str_limit():
@@ -67,16 +71,17 @@ def test_format_rational_past_the_int_to_str_limit():
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
 def test_format_rational_of_a_ratio_matches_its_fraction(num, den):
-    assert format_rational(num, den) == format_rational(Fraction(num, den))
-    assert format_rational(Fraction(num, 7), den) == format_rational(Fraction(num, 7 * den))
+    x = Fraction(num, den)
+    assert format_rational(x) == str(x)
+    assert parse_rational(format_rational(x)) == x
 
 
 def test_format_rational_of_a_ratio_past_the_int_to_str_limit():
     big = 10**4999 + 1
     digits = "1" + "0" * 4998 + "1"
-    assert format_rational(-6 * big, 9) == f"-2{digits[1:-1]}2/3"
-    assert format_rational(3 * big, 3) == digits
-    assert format_rational(6, 2 * big) == f"3/{digits}"
+    assert format_rational(Fraction(-6 * big, 9)) == f"-2{digits[1:-1]}2/3"
+    assert format_rational(Fraction(3 * big, 3)) == digits
+    assert format_rational(Fraction(6, 2 * big)) == f"3/{digits}"
 
 
 def test_parse_rational_past_the_int_to_str_limit():
@@ -102,4 +107,17 @@ LONG = "1" * 5000
 )
 def test_parse_rational_rejects_malformed(text):
     with pytest.raises(ValueError):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("text", ["1e400", "0.5", " 1/2", "1/2 ", "1_0", "1/-2", "+-1", "", "٣"])
+def test_parse_rational_reads_only_the_written_grammar(monkeypatch, text):
+    # an exponent, decimal point, space, underscore or non-ASCII digit is
+    # rejected before any int is built from the text
+    def no_int_work(*args):
+        raise AssertionError(f"int work on {text!r}")
+
+    monkeypatch.setattr("doublezeta.rationals.Decimal", no_int_work)
+    monkeypatch.setattr("doublezeta.rationals.Fraction", no_int_work)
+    with pytest.raises(ValueError, match="not a rational"):
         parse_rational(text)
