@@ -5,7 +5,12 @@ failed; 2 usage error; 3 missing prerequisite artifact (e.g. audited
 constants requested without an audit file); 141 (128 + SIGPIPE) the
 reader closed standard output before all of the output was written.
 Every error with exit 2 or 3 prints one ``error: <reason>`` line on
-stderr, whether argparse, the library or the CLI rejects the value.  Each
+stderr, whether argparse, the library or the CLI rejects the value.  One
+rule in ``main`` reports a value the library rejects (a ``ValueError``):
+``error: <options as typed>: <message>``, where the options as typed are
+the arguments from the first one that starts with ``-``, so ``zeta --k 1``
+prints ``error: --k 1: k must be >= 2, got 1``.  Argparse's errors and the
+CLI's own name their options themselves and get no prefix.  Each
 kind of ``verify``, ``reduce`` and ``audit`` has a parser of its own that
 accepts only the options it reads: ``--r`` for ``audit h`` is an
 unrecognized argument, and so is an abbreviation such as ``--m`` for
@@ -129,10 +134,7 @@ class _OutFile:
 
 
 def cmd_bernoulli(args: argparse.Namespace) -> tuple[int, str]:
-    try:
-        values = bernoulli_range(args.max)
-    except ValueError as exc:  # the library names its parameter, not the option
-        raise ValueError(f"--max {args.max}: {exc}") from None
+    values = bernoulli_range(args.max)
     if args.format == "json":
         payload = {
             "kind": "bernoulli",
@@ -163,7 +165,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     cache = BernoulliCache()
     # the library rejects K < 2, but an empty range it would accept silently
     if args.kind in ("conjecture", "closed-forms") and args.k_max < args.k_min:
-        raise ValueError("--k-max must be >= --k-min")
+        raise CliError(EXIT_USAGE, "--k-max must be >= --k-min")
     if args.kind == "conjecture":
         for K in range(args.k_min, args.k_max + 1):
             rep = matrices.verify_inverse(K, cache)
@@ -183,10 +185,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
                 )
             lines.append(line)
     elif args.kind == "carlitz":
-        try:
-            bad = series.verify_carlitz(args.max, cache)
-        except ValueError as exc:  # the library names its parameters, not the options
-            raise ValueError(f"--max {args.max}: {exc}") from None
+        bad = series.verify_carlitz(args.max, cache)
         ok = not bad
         lines += [
             f"(m={m}, n={n}): FAIL lhs={format_rational(lhs)} rhs={format_rational(rhs)}"
@@ -194,11 +193,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         ]
         lines.append(f"carlitz m<=n<={args.max}: {'pass' if ok else 'FAIL'}")
     elif args.kind == "series":
-        try:
-            results = series.verify_reflection(args.s_max, args.m_max, args.order, cache)
-        except ValueError as exc:
-            raise ValueError(f"--s-max {args.s_max} --m-max {args.m_max}: {exc}") from None
-        for s, m, bad in results:
+        for s, m, bad in series.verify_reflection(args.s_max, args.m_max, args.order, cache):
             ok &= bad is None
             lines.append(
                 f"(s={s}, m={m}, order={args.order}): "
@@ -298,7 +293,7 @@ def cmd_reduce(args: argparse.Namespace) -> tuple[int, str]:
     elif args.kind == "inverse":
         # the one tie between options that argparse cannot state
         if args.audit_file is not None and args.constants != "audited":
-            raise ValueError("--audit-file needs --constants audited")
+            raise CliError(EXIT_USAGE, "--audit-file needs --constants audited")
         # before the audit file is read: a missing one would exit 3
         matrices._check_k(args.K)
         spec = args.constants
@@ -307,16 +302,12 @@ def cmd_reduce(args: argparse.Namespace) -> tuple[int, str]:
         elif spec == "audited":
             constants = _load_audited_constants(args.K, args.audit_file)
         elif spec.startswith("explicit:"):
-            try:
-                constants = [parse_rational(c) for c in spec[len("explicit:") :].split(",")]
-            except ValueError as exc:
-                raise ValueError(f"--constants {spec!r}: {exc}") from None
+            constants = [parse_rational(c) for c in spec[len("explicit:") :].split(",")]
         else:
-            raise ValueError("--constants must be printed, audited, or explicit:<c1,c2,...>")
-        try:
-            table = reductions.inverse_reduction_coefficients(args.K, constants)
-        except ValueError as exc:  # too few or too many explicit constants
-            raise ValueError(f"--constants {spec!r}: {exc}") from None
+            raise CliError(
+                EXIT_USAGE, "--constants must be printed, audited, or explicit:<c1,c2,...>"
+            )
+        table = reductions.inverse_reduction_coefficients(args.K, constants)
     else:
         table = reductions.h_ab_coefficients(args.a, args.b)
         if args.pi_basis:
@@ -387,7 +378,7 @@ def cmd_zeta(args: argparse.Namespace) -> tuple[int, str]:
         value = numerics.zeta_double(args.k1, args.k2, args.digits)
         label = f"zeta({args.k1},{args.k2})"
     else:
-        raise ValueError("zeta needs --k, or both --k1 and --k2, not both forms")
+        raise CliError(EXIT_USAGE, "zeta needs --k, or both --k1 and --k2, not both forms")
     return EXIT_OK, f"{label} = {value.to_string(args.digits)}\n"
 
 
@@ -498,6 +489,7 @@ def _write_stdout(text: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     out = None
     try:
         args = build_parser().parse_args(argv)
@@ -509,9 +501,14 @@ def main(argv: list[str] | None = None) -> int:
         else:
             _write_stdout(text)
         return code
-    except (CliError, ValueError) as exc:
+    except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return exc.code if isinstance(exc, CliError) else EXIT_USAGE
+        return exc.code
+    except ValueError as exc:
+        # a value the library rejects, named by the options as typed
+        first = next((i for i, token in enumerate(argv) if token.startswith("-")), len(argv))
+        sys.stderr.write(f"error: {' '.join(argv[first:])}: {exc}\n")
+        return EXIT_USAGE
     except BrokenPipeError:
         # the reader closed stdout: point it at devnull so that the flush at
         # interpreter exit stays quiet (the SIGPIPE recipe of the Python docs)

@@ -110,6 +110,12 @@ def _check_k(K: int) -> None:
         raise ValueError(f"K must be >= 2 (matrices are (K-1)x(K-1)), got {K}")
 
 
+def _check_row(K: int, r: int) -> None:
+    _check_k(K)
+    if not 1 <= r <= K - 1:
+        raise ValueError(f"row r={r} out of range for K={K}")
+
+
 def _b_rows(K: int) -> list[list[int]]:
     _check_k(K)
     return [[comb(2 * K - 2 * s, 2 * r - 1) for s in range(1, K)] for r in range(1, K)]
@@ -206,10 +212,6 @@ class _Lanes:
 
     def pack(self, values: Sequence[int]) -> int:
         return sum(v << t for v, t in zip(values, self.shifts) if v)
-
-    def unpack(self, x: int) -> list[int]:
-        """The lanes of x, lane 0 first: ``rows`` of the one column x."""
-        return [v for v, in self.rows([x])]
 
     def unit(self, i: int, v: int) -> int:
         """v in lane i, 0 in every other."""

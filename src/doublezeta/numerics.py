@@ -96,7 +96,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bernoulli import BernoulliCache
-from .matrices import _check_k, build_a
+from .matrices import _check_k, _check_row, build_a
 from .rationals import format_rational
 from .reductions import PRINTED_CONSTANT, h_ab_coefficients
 
@@ -409,7 +409,7 @@ def _zeta_tail(k: int, start: int, target: int, tables: _EMTables) -> _Fixed:
 def zeta_single(k: int, digits: int = 30) -> BigFloat:
     """Riemann zeta at an integer k >= 2, |error| <= 10^-digits."""
     if k < 2:
-        raise ValueError(f"zeta_single requires k >= 2, got {k}")
+        raise ValueError(f"k must be >= 2, got {k}")
     return _checked(_EMTables(digits).zeta_fixed(k), digits, f"zeta({k})")
 
 
@@ -433,9 +433,9 @@ def zeta_double(k1: int, k2: int, digits: int = 30) -> BigFloat:
     k1 = 1 is evaluated by Euler's formula instead.
     """
     if k2 < 2:
-        raise ValueError(f"zeta_double requires k2 >= 2, got k2={k2}")
+        raise ValueError(f"k2 must be >= 2, got {k2}")
     if k1 < 1:
-        raise ValueError(f"zeta_double requires k1 >= 1, got k1={k1}")
+        raise ValueError(f"k1 must be >= 1, got {k1}")
     tables = _EMTables(digits)
     x = _zeta_one(k2, tables) if k1 == 1 else _zeta_double(k1, k2, tables)
     return _checked(x, digits, f"zeta({k1},{k2})")
@@ -550,8 +550,7 @@ def _audit_rows(K: int, rows: Sequence[int], digits: int) -> list[AuditReport]:
     # row; so are the outer tails, since every row has weight 2K+1.
     _check_k(K)
     for r in rows:
-        if not 1 <= r <= K - 1:
-            raise ValueError(f"row r={r} out of range for K={K}")
+        _check_row(K, r)
     tables = _EMTables(digits)
     bits = tables.bits
     z = tables.zeta_fixed
@@ -611,9 +610,7 @@ def audit_h_ab(a: int, b: int, digits: int = 30) -> HAuditReport:
     """
     supported = {(0, 0), (1, 0), (0, 1)}
     if (a, b) not in supported:
-        raise ValueError(
-            f"audit_h_ab supports (a,b) in {sorted(supported)}, got ({a}, {b})"
-        )
+        raise ValueError(f"(a, b) must be one of {sorted(supported)}, got ({a}, {b})")
     tables = _EMTables(digits)
     bits = tables.bits
     K = a + b + 1

@@ -30,7 +30,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .bernoulli import BernoulliCache
-from .matrices import _check_k, build_a, build_p
+from .matrices import _check_k, _check_row, build_a, build_p
 from .rationals import _format_row, format_rational, parse_rational
 
 __all__ = [
@@ -131,9 +131,7 @@ def euler_constant(K: int, r: int) -> Fraction:
     s = 0 column of A weighted by zeta(0) = -1/2.  The numeric audit
     reconstructs exactly this value on every row.
     """
-    _check_k(K)
-    if not 1 <= r <= K - 1:
-        raise ValueError(f"row r={r} out of range for K={K}")
+    _check_row(K, r)
     s0 = math.comb(2 * K, 2 * r - 1) + math.comb(2 * K, 2 * K - 2 * r)
     return Fraction(-(1 + s0), 2)
 

@@ -467,12 +467,13 @@ def test_each_kind_accepts_only_the_options_it_reads():
         ("--s-max 0", ["verify", "series", "--s-max", "0"]),
         ("--m-max 0", ["verify", "series", "--m-max", "0"]),
         ("--max -1", ["bernoulli", "--max", "-1"]),
-        ("--constants 'explicit:'", ["reduce", "inverse", "--K", "2", "--constants", "explicit:"]),
-        ("--constants 'explicit:1/2,x'",
+        ("--K 2 --constants explicit:",
+         ["reduce", "inverse", "--K", "2", "--constants", "explicit:"]),
+        ("--K 2 --constants explicit:1/2,x",
          ["reduce", "inverse", "--K", "2", "--constants", "explicit:1/2,x"]),
-        ("--constants 'explicit:1e400'",
+        ("--K 2 --constants explicit:1e400",
          ["reduce", "inverse", "--K", "2", "--constants", "explicit:1e400"]),
-        ("--constants 'explicit:1/2'",
+        ("--K 3 --constants explicit:1/2",
          ["reduce", "inverse", "--K", "3", "--constants", "explicit:1/2"]),
     ],
 )
@@ -480,7 +481,45 @@ def test_a_value_the_library_rejects_names_its_option(capsys, option, argv):
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
     assert_one_error_line(err)
-    assert option in err, err
+    assert err.startswith(f"error: {option}: "), err
+
+
+# main reports every ValueError of the library by one rule: the options as
+# typed, from the first argument that starts with "-", then the message
+LIBRARY_REJECTIONS = {
+    "audit euler --K 2 --r 0": "error: --K 2 --r 0: row r=0 out of range for K=2",
+    "zeta --k 1": "error: --k 1: k must be >= 2, got 1",
+    "zeta --k1 0 --k2 3": "error: --k1 0 --k2 3: k1 must be >= 1, got 0",
+    "audit euler --K 2 --digits 0": "error: --K 2 --digits 0: digits must be >= 1",
+    "matrix --K 1 --which A":
+        "error: --K 1 --which A: K must be >= 2 (matrices are (K-1)x(K-1)), got 1",
+    "reduce euler --K 1": "error: --K 1: K must be >= 2 (matrices are (K-1)x(K-1)), got 1",
+    "reduce h --a -1": "error: --a -1: a and b must be >= 0",
+    "audit h --a 2 --b 0":
+        "error: --a 2 --b 0: (a, b) must be one of [(0, 0), (0, 1), (1, 0)], got (2, 0)",
+    "verify series --order 0":
+        "error: --order 0: order 0 leaves no comparable coefficient for s=1, m=1",
+    "verify series --s-max 0": "error: --s-max 0: s_max and m_max must be >= 1",
+}
+
+# the CLI's own usage errors name their options themselves: no prefix
+CLI_REJECTIONS = {
+    "verify conjecture --k-min 5 --k-max 3": "error: --k-max must be >= --k-min",
+    "reduce inverse --K 2 --audit-file x.json": "error: --audit-file needs --constants audited",
+    "reduce inverse --K 2 --constants bogus":
+        "error: --constants must be printed, audited, or explicit:<c1,c2,...>",
+    "zeta --k 3 --k1 2 --k2 3": "error: zeta needs --k, or both --k1 and --k2, not both forms",
+}
+
+
+@pytest.mark.parametrize("argv", LIBRARY_REJECTIONS)
+def test_a_library_rejection_names_the_options_as_typed(capsys, argv):
+    assert run(argv.split(), capsys) == (2, "", LIBRARY_REJECTIONS[argv] + "\n")
+
+
+@pytest.mark.parametrize("argv", CLI_REJECTIONS)
+def test_the_clis_own_errors_get_no_options_prefix(capsys, argv):
+    assert run(argv.split(), capsys) == (2, "", CLI_REJECTIONS[argv] + "\n")
 
 
 def test_printed_constants_are_the_default(capsys):
@@ -494,10 +533,12 @@ def test_printed_constants_are_the_default(capsys):
 def test_verify_k_min_below_two_is_a_usage_error(capsys, kind, k_min):
     # the library's check: one error: line, no usage text
     code, out, err = run(["verify", kind, "--k-min", k_min, "--k-max", "3"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: K must be >= 2")
-    assert len(err.splitlines()) == 1
+    assert (code, out, err) == (
+        2,
+        "",
+        f"error: --k-min {k_min} --k-max 3: "
+        f"K must be >= 2 (matrices are (K-1)x(K-1)), got {k_min}\n",
+    )
 
 
 def test_reduce_h(capsys):
@@ -705,9 +746,10 @@ def test_audit_h(capsys):
 
 def test_audit_digits_floor(capsys):
     # the floor is the library's digits >= 1: one error: line, no usage text
-    for argv in (["audit", "euler", "--K", "2", "--digits", "0"], ["audit", "h", "--digits", "0"]):
+    for options in ("--K 2 --digits 0", "--digits 0"):
+        argv = ["audit", "euler" if "--K" in options else "h", *options.split()]
         code, out, err = run(argv, capsys)
-        assert (code, out, err) == (2, "", "error: digits must be >= 1\n")
+        assert (code, out, err) == (2, "", f"error: {options}: digits must be >= 1\n")
     # below it an audit is coarser, not wrong: the verdicts are the 40-digit ones
     verdicts = []
     for digits in ("5", "40"):
@@ -730,8 +772,12 @@ def test_audit_digits_floor(capsys):
 )
 def test_digits_too_large_for_a_float_is_a_usage_error(capsys, argv):
     # not a traceback and exit 1, which would read as a failed identity
-    code, out, err = run([*argv, "--digits", str(10**400)], capsys)
-    assert (code, out, err) == (2, "", "error: digits is too large: its bit count passes sys.maxsize\n")
+    digits = str(10**400)
+    options = " ".join([*argv[2 if argv[0] == "audit" else 1 :], "--digits", digits])
+    code, out, err = run([*argv, "--digits", digits], capsys)
+    assert (code, out, err) == (
+        2, "", f"error: {options}: digits is too large: its bit count passes sys.maxsize\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -746,8 +792,12 @@ def test_digits_too_large_for_a_float_is_a_usage_error(capsys, argv):
 def test_digits_past_the_largest_bit_count_is_a_usage_error(capsys, argv):
     # a float holds its bit count, but no int has that many bits: rejected
     # at once, where 10^(digits + 10) would not return
-    code, out, err = run([*argv, "--digits", str(5 * 10**307)], capsys)
-    assert (code, out, err) == (2, "", "error: digits is too large: its bit count passes sys.maxsize\n")
+    digits = str(5 * 10**307)
+    options = " ".join([*argv[2 if argv[0] == "audit" else 1 :], "--digits", digits])
+    code, out, err = run([*argv, "--digits", digits], capsys)
+    assert (code, out, err) == (
+        2, "", f"error: {options}: digits is too large: its bit count passes sys.maxsize\n"
+    )
 
 
 def test_zeta_single(capsys):
@@ -777,7 +827,8 @@ def test_zeta_bound_above_target_is_an_error(capsys, monkeypatch, k1):
     code, out, err = run(["zeta", "--k1", k1, "--k2", "4", "--digits", "30"], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: zeta(") and "misses the target" in err
+    assert err.startswith(f"error: --k1 {k1} --k2 4 --digits 30: zeta({k1},4): error bound ")
+    assert err.endswith(" misses the target 1e-30\n") and len(err.splitlines()) == 1
     assert "Traceback" not in err
 
 
