@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-__all__ = ["BernoulliCache", "bernoulli_number", "bernoulli_range"]
+__all__ = ["BernoulliCache", "bernoulli_range"]
 
 
 class BernoulliCache:
@@ -73,18 +73,10 @@ class BernoulliCache:
         self._row = row
 
 
-def bernoulli_number(n: int, cache: BernoulliCache | None = None) -> Fraction:
-    """B_n as an exact rational (B_1 = -1/2 convention)."""
-    if cache is None:
-        cache = BernoulliCache()
-    return cache.get(n)
-
-
-def bernoulli_range(n_max: int, cache: BernoulliCache | None = None) -> list[Fraction]:
-    """B_0 ... B_{n_max} as a list, consistent with bernoulli_number."""
+def bernoulli_range(n_max: int) -> list[Fraction]:
+    """B_0 ... B_{n_max} as a list, from one fresh ``BernoulliCache``."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if cache is None:
-        cache = BernoulliCache()
-    cache.get(n_max)
+    cache = BernoulliCache()
+    cache.get(n_max)  # one extension to n_max is faster than one per index
     return [cache.get(i) for i in range(n_max + 1)]

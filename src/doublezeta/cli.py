@@ -6,23 +6,25 @@ constants requested without an audit file); 141 (128 + SIGPIPE) the
 reader closed standard output before all of the output was written.
 Every error with exit 2 or 3 prints one ``error: <reason>`` line on
 stderr, whether argparse, the library or the CLI rejects the value.  One
-rule in ``main`` reports a value the library rejects (a ``ValueError``):
-``error: <options as typed>: <message>``, where the options as typed are
-the arguments from the first one that starts with ``-``, so ``zeta --k 1``
-prints ``error: --k 1: k must be >= 2, got 1``.  Argparse's errors and the
-CLI's own name their options themselves and get no prefix.  Each
-kind of ``verify``, ``reduce`` and ``audit`` has a parser of its own that
-accepts only the options it reads: ``--r`` for ``audit h`` is an
-unrecognized argument, and so is an abbreviation such as ``--m`` for
-``--max``.  An ``--out`` path that cannot be opened, written
-or closed is a usage error too (``error: cannot write ...``); it is
-opened before the command runs.  A regular file (or a new path) is
-written through a temporary file beside it, which replaces it only when
-all of the command's text is written, so a failed run leaves the old
-file as it was; a path that exists but is not a regular file (a device
-such as /dev/full, a FIFO) is written in place.  Numeric disagreement
-with the printed Euler constant is reported in the output, never turned
-into a failing exit code: the audit's job is to report, not to judge.
+rule in ``main`` reports a value the library rejects, a ``ValueError``
+the command raises: ``error: <options as typed>: <message>``, where the
+options as typed are the arguments from the first one that starts with
+``-``, so ``zeta --k 1`` prints ``error: --k 1: k must be >= 2, got 1``.
+Argparse's errors and the CLI's own name their options themselves and
+get no prefix.  Each kind of ``verify``, ``reduce`` and ``audit`` has a
+parser of its own that accepts only the options it reads: ``--r`` for
+``audit h`` is an unrecognized argument, and so is an abbreviation such
+as ``--m`` for ``--max``.  An ``--out`` path that cannot be opened,
+written or closed is a usage error too (``error: cannot write ...``); it
+is opened before the command runs.  So is a standard output that cannot
+be written or cannot encode the text (``error: cannot write standard
+output: <reason>``).  A regular file (or a new path) is written through a
+temporary file beside it, which replaces it only when all of the
+command's text is written, so a failed run leaves the old file as it
+was; a path that exists but is not a regular file (a device such as
+/dev/full, a FIFO) is written in place.  Numeric disagreement with the
+printed Euler constant is reported in the output, never turned into a
+failing exit code: the audit's job is to report, not to judge.
 
 ``main`` parses with one parser per process: ``build_parser()`` builds it
 on its first call and returns that same object afterwards.  Each parse
@@ -97,12 +99,13 @@ class _OutFile:
             if mode is not None:
                 # as open() would, keep the mode of the file it replaces
                 os.fchmod(fd, S_IMODE(mode))
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             self.discard()
             raise self._error(exc)
 
-    def _error(self, exc: OSError) -> CliError:
-        return CliError(EXIT_USAGE, f"cannot write {self.path!r}: {exc.strerror}")
+    def _error(self, exc: OSError | ValueError) -> CliError:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        return CliError(EXIT_USAGE, f"cannot write {self.path!r}: {reason}")
 
     def commit(self, text: str) -> None:
         # writing and the flush at close can each fail (a full device such
@@ -495,25 +498,30 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         if args.out is not None:
             out = _OutFile(args.out)
-        code, text = args.func(args)
+        try:
+            code, text = args.func(args)
+        except ValueError as exc:
+            # a value the library rejects, named by the options as typed
+            first = next((i for i, token in enumerate(argv) if token.startswith("-")), len(argv))
+            raise CliError(EXIT_USAGE, f"{' '.join(argv[first:])}: {exc}")
         if out:
             out.commit(text)
-        else:
+            return code
+        try:
             _write_stdout(text)
+        except UnicodeEncodeError as exc:
+            raise CliError(EXIT_USAGE, f"cannot write standard output: {exc}")
+        except OSError as exc:
+            # point stdout at devnull so that the flush at interpreter exit
+            # stays quiet (the SIGPIPE recipe of the Python docs)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):  # the reader closed stdout
+                return EXIT_BROKEN_PIPE
+            raise CliError(EXIT_USAGE, f"cannot write standard output: {exc.strerror}")
         return code
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
-    except ValueError as exc:
-        # a value the library rejects, named by the options as typed
-        first = next((i for i, token in enumerate(argv) if token.startswith("-")), len(argv))
-        sys.stderr.write(f"error: {' '.join(argv[first:])}: {exc}\n")
-        return EXIT_USAGE
-    except BrokenPipeError:
-        # the reader closed stdout: point it at devnull so that the flush at
-        # interpreter exit stays quiet (the SIGPIPE recipe of the Python docs)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
     finally:
         if out:
             out.discard()

@@ -33,12 +33,12 @@ import json
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, gcd
+from math import comb
 from operator import mul
 from typing import NamedTuple
 
 from .bernoulli import BernoulliCache
-from .rationals import _format_row
+from .rationals import _format_row, _lowest_terms
 from .series import _pascal_rows
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "InverseReport",
     "verify_inverse",
     "pb_closed",
-    "pc_closed",
     "verify_closed_forms",
     "matrix_to_json",
 ]
@@ -90,19 +89,10 @@ class RationalMatrix(NamedTuple):
 
 
 def _from_rows(rows: list[list[int]], denoms: list[int] | None = None) -> RationalMatrix:
-    """rows[i] / denoms[i] in lowest terms; the denominators are positive and default to 1.
-
-    A row whose gcd with its denominator is 1 is kept as it is.
-    """
+    """rows[i] / denoms[i] in lowest terms; the denominators are positive and default to 1."""
     denoms = denoms or [1] * len(rows)
-    nums, dens = [], []
-    for row, d in zip(rows, denoms):
-        g = gcd(d, *row)
-        if g != 1:
-            row, d = [x // g for x in row], d // g
-        nums.append(tuple(row))
-        dens.append(d)
-    return RationalMatrix(tuple(nums), tuple(dens))
+    nums, dens = zip(*map(_lowest_terms, rows, denoms))
+    return RationalMatrix(nums, dens)
 
 
 def _check_k(K: int) -> None:
@@ -402,14 +392,6 @@ def pb_closed(K: int, s: int, sp: int, cache: BernoulliCache | None = None) -> F
     return Fraction(sum(map(mul, w, (g for g, in _g_pb(K, [sp])))), denom)
 
 
-def pc_closed(K: int, s: int, sp: int, cache: BernoulliCache | None = None) -> Fraction:
-    """(P C)_{s,s'} = delta_{s,s'} - (P B)_{s,s'}, because P C = P A - P B = I - P B.
-
-    The delta is the extra 1 contributed by the r = s, n = 1 term.
-    """
-    return (1 if s == sp else 0) - pb_closed(K, s, sp, cache)
-
-
 def verify_closed_forms(
     K: int, cache: BernoulliCache | None = None
 ) -> list[tuple[int, int, Fraction, Fraction, Fraction, Fraction]]:
@@ -425,8 +407,8 @@ def verify_closed_forms(
     G_PB[j][s'] = C(N,m) 2^(m-1) at j = 2K+1-N+m >= 2s'+2.  Only when a
     compare fails are P unpacked and the closed form W G_PB, P B and P C
     formed from their definitions.  Returns every offending entry, in
-    row-major order, as a tuple (s, s', pb_closed, pc_closed, (PB)_{s,s'},
-    (PC)_{s,s'}); an empty list means the check passed.
+    row-major order, as a tuple (s, s', pb_closed, delta_{s,s'} - pb_closed,
+    (PB)_{s,s'}, (PC)_{s,s'}); an empty list means the check passed.
     """
     columns = _pqy_columns(K, cache)
     if _proves_inverse(*columns):

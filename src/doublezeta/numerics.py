@@ -578,7 +578,7 @@ def _audit_rows(K: int, rows: Sequence[int], digits: int) -> list[AuditReport]:
                 lhs=_checked(lhs, digits, f"zeta({k1},{k2})"),
                 rhs_products=rhs.to_bigfloat(),
                 residual_ratio=residual_ratio,
-                reconstructed=rational_reconstruct(residual_ratio, 64),
+                reconstructed=rational_reconstruct(residual_ratio),
                 printed_constant_consistent=consistent,
             )
         )

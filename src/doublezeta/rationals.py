@@ -4,7 +4,8 @@ The scalar is ``fractions.Fraction`` (a matrix row is ints over one
 denominator): always in lowest terms with positive denominator, so
 structural equality is semantic equality.  Values serialize as ``"p/q"``
 (or ``"p"`` when the denominator is 1) everywhere in this package.  A row
-of ints over one denominator is formatted in one call (``_format_row``).
+of ints over one denominator is put in lowest terms by one gcd
+(``_lowest_terms``) and formatted in one call (``_format_row``).
 ``format_rational`` writes one value itself and hands a value past
 Python's int-to-str limit to ``_format_row``, so the Decimal fallback for
 such ints lives in one place.  ``parse_rational`` reads back that text
@@ -38,6 +39,17 @@ def format_rational(x: Fraction | int) -> str:
         return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         return _format_row((num,), den)[0]
+
+
+def _lowest_terms(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """nums / den in lowest terms, for den > 0: one gcd for the whole row.
+
+    A row whose gcd with den is 1 is kept as it is.
+    """
+    g = gcd(den, *nums)
+    if g != 1:
+        nums, den = [x // g for x in nums], den // g
+    return tuple(nums), den
 
 
 def _format_row(nums: Sequence[int], den: int) -> list[str]:

@@ -2,13 +2,13 @@
 
 Labels: ``zeta(k)``, ``zeta(k1,k2)``, ``zeta(a)*zeta(b)``, ``H(n)``,
 ``pi^m``, and products thereof joined by ``*``.  H(n) = pi^{2n}/(2n+1)!,
-so ``h_value(n)`` is the rational 1/(2n+1)! that multiplies pi^{2n}.
+which ``expand_h_to_pi`` writes out.
 
 A table row holds its coefficients as ``RationalMatrix`` holds a matrix
 row: int numerators over one positive row denominator, reduced once by
-gcd, so == is value equality.  Beside them are the row's basis labels and
-flags; a builder makes each column's label once per table, not once per
-entry.  The Euler rows are A's int rows, the inverse rows P's int rows
+gcd (``rationals._lowest_terms``), so == is value equality.  Beside them
+are the row's basis labels and flags; a builder makes each column's label
+once per table, not once per entry.  The Euler rows are A's int rows, the inverse rows P's int rows
 with the zeta(2K+1) term put over the same row denominator.  No Fraction
 is made per coefficient: the exports format each row's numerators over
 its denominator in one call (``rationals._format_row``), and the JSON
@@ -29,15 +29,13 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .bernoulli import BernoulliCache
 from .matrices import _check_k, _check_row, build_a, build_p
-from .rationals import _format_row, format_rational, parse_rational
+from .rationals import _format_row, _lowest_terms, format_rational, parse_rational
 
 __all__ = [
     "Term",
     "TableRow",
     "CoefficientTable",
-    "h_value",
     "euler_rhs_coefficients",
     "inverse_reduction_coefficients",
     "h_ab_coefficients",
@@ -104,24 +102,14 @@ def _row(
     den: int,
     flags: tuple[str | None, ...],
 ) -> TableRow:
-    """nums / den in lowest terms, for den > 0: one gcd for the whole row."""
-    g = math.gcd(den, *nums)
-    if g != 1:
-        nums, den = [x // g for x in nums], den // g
-    return TableRow(target, bases, tuple(nums), den, flags)
+    """nums / den in lowest terms, for den > 0."""
+    return TableRow(target, bases, *_lowest_terms(nums, den), flags)
 
 
 class CoefficientTable(NamedTuple):
     kind: str
     params: dict
     rows: tuple[TableRow, ...] = ()
-
-
-def h_value(n: int) -> Fraction:
-    """Exact rational coefficient of pi^{2n} in H(n): 1/(2n+1)!."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return Fraction(1, math.factorial(2 * n + 1))
 
 
 def euler_constant(K: int, r: int) -> Fraction:
@@ -175,11 +163,7 @@ def euler_rhs_coefficients(
     return CoefficientTable(kind="euler_reduction", params={"K": K}, rows=rows)
 
 
-def inverse_reduction_coefficients(
-    K: int,
-    constants: Sequence[Fraction],
-    cache: BernoulliCache | None = None,
-) -> CoefficientTable:
+def inverse_reduction_coefficients(K: int, constants: Sequence[Fraction]) -> CoefficientTable:
     """Row s: zeta(2s) zeta(2K+1-2s) over double zetas and zeta(2K+1).
 
     Applies P to the Euler rows with per-row constants c: the product
@@ -195,7 +179,7 @@ def inverse_reduction_coefficients(
         raise ValueError(f"need {K - 1} constants, got {len(constants)}")
     c_den = math.lcm(*(c.denominator for c in constants))
     c_num = [c.numerator * (c_den // c.denominator) for c in constants]
-    p = build_p(K, cache)
+    p = build_p(K)
     bases = tuple(f"zeta({2 * r},{2 * K + 1 - 2 * r})" for r in range(1, K))
     with_const = (*bases, f"zeta({2 * K + 1})")
     flags = (None,) * K

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from doublezeta.bernoulli import BernoulliCache, bernoulli_number, bernoulli_range
+from doublezeta.bernoulli import BernoulliCache, bernoulli_range
 
 
 def bernoulli_oracle(n: int) -> Fraction:
@@ -33,20 +33,20 @@ def bernoulli_recursion(n_max: int) -> list[Fraction]:
 
 
 def test_stated_values():
-    assert bernoulli_number(0) == 1
-    assert bernoulli_number(1) == Fraction(-1, 2)
-    assert bernoulli_number(3) == 0
+    assert BernoulliCache().get(0) == 1
+    assert BernoulliCache().get(1) == Fraction(-1, 2)
+    assert BernoulliCache().get(3) == 0
 
 
 @pytest.mark.parametrize("n, expected", [(2, Fraction(1, 6)), (12, Fraction(-691, 2730))])
 def test_derived_values_against_oracle(n, expected):
     assert bernoulli_oracle(n) == expected
-    assert bernoulli_number(n) == expected
+    assert BernoulliCache().get(n) == expected
 
 
 @pytest.mark.parametrize("n", range(0, 25))
 def test_matches_oracle_entrywise(n):
-    assert bernoulli_number(n) == bernoulli_oracle(n)
+    assert BernoulliCache().get(n) == bernoulli_oracle(n)
 
 
 def test_matches_recursion_through_300():
@@ -75,7 +75,7 @@ def test_range_examples():
 
 def test_rejects_negative():
     with pytest.raises(ValueError):
-        bernoulli_number(-1)
+        BernoulliCache().get(-1)
     with pytest.raises(ValueError):
         bernoulli_range(-1)
 

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import doublezeta.cli as cli
 import doublezeta.matrices as matrices
 import doublezeta.numerics as numerics
-from doublezeta.bernoulli import bernoulli_number
+from doublezeta.bernoulli import BernoulliCache
 from doublezeta.cli import EXIT_BROKEN_PIPE, build_parser, main
 from doublezeta.rationals import format_rational, parse_rational
 
@@ -43,7 +44,7 @@ def test_bernoulli_past_the_int_to_str_limit(capsys):
     num, den = value.split("/")
     assert len(num) > 4300
     assert n == "2200"
-    assert parse_rational(value) == bernoulli_number(2200)
+    assert parse_rational(value) == BernoulliCache().get(2200)
 
 
 def test_closed_stdout_exits_quietly():
@@ -89,6 +90,51 @@ def test_failed_write_to_out_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: cannot write '/dev/full': No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "conjecture", "--k-min", "2", "--k-max", "3"], ["zeta", "--k", "3"]],
+    ids=["verify-conjecture", "zeta"],
+)
+def test_failed_write_to_stdout_is_a_usage_error(argv):
+    # every identity passed, so exit 1 would be a lie; the bytes left in the
+    # buffer must not fail again at interpreter exit (exit 120)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    for unbuffered in (None, "1"):
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "doublezeta.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        assert proc.returncode == 2, (unbuffered, proc.stderr)
+        assert proc.stderr == b"error: cannot write standard output: No space left on device\n"
+
+
+def test_stdout_that_cannot_encode_the_output_is_a_usage_error(capsys, monkeypatch):
+    # zeta writes "±", which ascii cannot encode: the output encoding is at
+    # fault, not the value of --k
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["zeta", "--k", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(
+        "error: cannot write standard output: 'ascii' codec can't encode character '\\xb1'"
+    ), err
+    assert err.count("\n") == 1
+    assert stdout.buffer.getvalue() == b""
+
+
+def test_out_path_with_a_nul_is_a_usage_error(capsys):
+    # os.stat raises ValueError, not OSError, for such a path: it is the
+    # path that cannot be written, not a value of --max
+    code, out, err = run(["bernoulli", "--max", "1", "--out", "a\x00b"], capsys)
+    assert (code, out, err) == (2, "", "error: cannot write 'a\\x00b': embedded null byte\n")
 
 
 @pytest.mark.parametrize("parent", ["missing-directory", "regular-file"])
@@ -571,7 +617,7 @@ def test_reduce_inverse_explicit(capsys):
 
 def test_reduce_inverse_explicit_past_the_int_to_str_limit(capsys):
     # the text `bernoulli --format csv` writes for B_2200 reads back as a constant
-    b = bernoulli_number(2200)
+    b = BernoulliCache().get(2200)
     argv = ["reduce", "inverse", "--K", "2", "--constants", f"explicit:{format_rational(b)}"]
     code, out, err = run(argv, capsys)
     assert code == 0 and err == ""

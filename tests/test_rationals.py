@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from doublezeta.bernoulli import bernoulli_number
+from doublezeta.bernoulli import BernoulliCache
 from doublezeta.matrices import build_b_part, build_c_part
 from doublezeta.rationals import format_rational, parse_rational
 
@@ -86,7 +86,7 @@ def test_format_rational_of_a_ratio_past_the_int_to_str_limit():
 
 def test_parse_rational_past_the_int_to_str_limit():
     # B_2200's numerator has 4654 digits, past Python's default limit of 4300
-    b = bernoulli_number(2200)
+    b = BernoulliCache().get(2200)
     assert parse_rational(format_rational(b)) == b
     assert parse_rational(format_rational(-1 / b)) == -1 / b
 
