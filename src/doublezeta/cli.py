@@ -242,14 +242,20 @@ def _load_audited_constants(K: int, path: str | None) -> list[Fraction]:
             f"of `audit euler --K {K}`",
         )
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError:
+        fh = open(path, encoding="utf-8")
+    except FileNotFoundError:
         raise CliError(
             EXIT_MISSING_PREREQUISITE,
             f"audit file {path!r} not found; run `audit euler --K {K} "
             f"--digits 40 --out {path}` first",
         )
+    except (OSError, ValueError) as exc:  # a directory, no permission, a NUL in the path
+        raise _cannot_read(path, exc)
+    try:
+        with fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise _cannot_read(path, exc)
     except ValueError as exc:
         raise _unusable(path, f"it is not JSON ({exc})")
     if not isinstance(payload, dict):
@@ -288,6 +294,11 @@ def _load_audited_constants(K: int, path: str | None) -> list[Fraction]:
 
 def _unusable(path: str, reason: str) -> CliError:
     return CliError(EXIT_MISSING_PREREQUISITE, f"audit file {path!r} is not usable: {reason}")
+
+
+def _cannot_read(path: str, exc: OSError | ValueError) -> CliError:
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    return _unusable(path, f"cannot read it ({reason})")
 
 
 def cmd_reduce(args: argparse.Namespace) -> tuple[int, str]:

@@ -10,10 +10,12 @@ holds int rows over one denominator per row, and has no algebra.
 Row s of P and of Q is a binomial transform of row s of a Bernoulli
 weight matrix W (over d_s).  So the exact checks pack each column of W
 into one int whose lane s holds row s (``_Lanes``: signed lanes of whole
-bytes, each as wide as a proven bound on every value it must hold) and
-read P and Q off one Pascal table of those ints (``series._pascal_rows``):
-one big-int addition per table entry serves every row at once, and no
-entry is multiplied by a binomial.  With every lane value inside its
+bytes, each as wide as a proven bound on every value it must hold),
+adding each entry into its column as its row is built, and read P and Q
+off one Pascal table of those ints (``series._pascal_rows``), which stops
+at T(2K-2), the last binomial sum P and Q read: one big-int addition per
+table entry serves every row at once, and no entry is multiplied by a
+binomial.  With every lane value inside its
 bound, packed == is entry-wise ==, so each compare is K-1 ints, and lanes
 are unpacked only to build a RationalMatrix or to name the entries of a
 failed check.  Unpacking (``_Lanes.rows``) turns each packed column into
@@ -148,7 +150,9 @@ def _weight_rows(
     is over d_s = (2s-1) D.  j = n + 2s: the binomial factor in front of B_n
     in P, Q and the (PB) closed form depends on j and the column only.
     Only the n with b_n != 0 (0, 1 and the even n, for the true B_n) take a
-    binomial and a product; every other entry is a plain 0.
+    binomial and a product; every other entry is a plain 0.  The exact
+    checks build the same rows in ``_pqy_columns`` and pack them as they
+    go; these dense rows serve ``pb_closed`` and the failure paths.
     """
     _check_k(K)
     if cache is None:
@@ -200,9 +204,6 @@ class _Lanes:
         self.size = self.offsets[-1]
         self.bias = sum(h << t for h, t in zip(self.halves, self.shifts))
 
-    def pack(self, values: Sequence[int]) -> int:
-        return sum(v << t for v, t in zip(values, self.shifts) if v)
-
     def unit(self, i: int, v: int) -> int:
         """v in lane i, 0 in every other."""
         return v << self.shifts[i]
@@ -221,24 +222,60 @@ class _Lanes:
         ]
 
 
+def _lane_bytes(K: int, size: int, d: int) -> int:
+    """Bytes of the lane of a W row over d whose entries are at most size in absolute value."""
+    return ((size << (2 * K - 2)) + d).bit_length() // 8 + 1
+
+
 def _pqy_columns(
     K: int, cache: BernoulliCache | None
 ) -> tuple[list[int], _Lanes, list[int], list[int], list[int]]:
     """The d_s, their lanes, and the packed columns of P, Q and Y.
 
-    With y_0 = 0 and y_t column 2K+1-t of W packed, lane s of
-    T(N) = sum_t C(N,t) y_t is sum_j W[s][j] C(N, 2K+1-j): column r of P is
-    T(2r-1), column r of Q is -T(2K-2r), and column s' of Y is y_N = column
-    2s'+1 of W, with N = 2K-2s'.  Lane s holds any value of size at most
-    2^(2K-2) max_j|W[s][j]| + d_s, and |T_s(N)| <= 2^N max_j|W[s][j]|, so
-    every value a check compares (an entry of P, Q or W, or d_s) fits.
+    y_t is column 2K+1-t of W packed, t = 1..2K-2, and y_0 = 0.  Row s of
+    W (``_weight_rows``) is packed as it is built: each nonzero W[s][j],
+    j >= 3, is added into y_{2K+1-j} shifted to lane s, whose offset is
+    known once rows 1..s-1 are sized, so W is never held as a matrix.
+    Lane s holds any value of size at most 2^(2K-2) max_j|W[s][j]| + d_s
+    (``_lane_bytes``), which covers every value a check compares
+    (``_read_pqy``).
     """
-    w, denoms = _weight_rows(K, cache, range(1, K))
-    lanes = _Lanes(
-        [((max(map(abs, row)) << (2 * K - 2)) + d).bit_length() // 8 + 1
-         for row, d in zip(w, denoms)]
-    )
-    y = [0, *map(lanes.pack, list(zip(*w))[: 2 : -1])]
+    _check_k(K)
+    if cache is None:
+        cache = BernoulliCache()
+    b, big = cache.scaled(2 * K - 2)
+    nonzero = [(n, x) for n, x in enumerate(b) if x]
+    y = [0] * (2 * K - 1)
+    nbytes, denoms, shift = [], [], 0
+    for s in range(1, K):
+        d = (2 * s - 1) * big
+        size = 0
+        for n, x in nonzero:
+            j = n + 2 * s
+            if j > 2 * K:
+                break
+            v = 2 * comb(j - 2, n) * x
+            size = max(size, abs(v))
+            if j >= 3:
+                y[2 * K + 1 - j] += v << shift
+        nbytes.append(_lane_bytes(K, size, d))
+        denoms.append(d)
+        shift += 8 * nbytes[-1]
+    return _read_pqy(K, denoms, _Lanes(nbytes), y)
+
+
+def _read_pqy(
+    K: int, denoms: list[int], lanes: _Lanes, y: list[int]
+) -> tuple[list[int], _Lanes, list[int], list[int], list[int]]:
+    """P, Q and Y's packed columns off the Pascal table of y_0..y_{2K-2}.
+
+    Lane s of T(N) = sum_t C(N,t) y_t is sum_j W[s][j] C(N, 2K+1-j): column
+    r of P is T(2r-1), column r of Q is -T(2K-2r), and column s' of Y is
+    y_N = column 2s'+1 of W, with N = 2K-2s'.  So no T(N) past N = 2K-2
+    is read, and the table stops there.  |T_s(N)| <= 2^N max_j|W[s][j]|,
+    so every value a check compares (an entry of P, Q or W, or d_s) fits
+    its lane.
+    """
     t = [row[0] for row in _pascal_rows(y, 1)]
     p_cols = [t[2 * r - 1] for r in range(1, K)]
     q_cols = [-t[2 * K - 2 * r] for r in range(1, K)]

@@ -38,10 +38,11 @@ tail is then multiplied by its expansion coefficient before it drops to
 times smaller.  A tail's derivative terms and the T(m) expansion are both
 series sum_J rho_J x_J, summed by one loop, ``_derivative_sum``:
 
-- rho_J = B_2J/(2J)!, about 2/(2 pi)^(2J), is floored once per J per call
-  to r_J in units of 2^-(p + 64), shared by every series of the call.  A
-  tail floors r_J cut bits coarser again, but never coarser than units of
-  1: the floor of a floor is still within one of its units;
+- rho_J = B_2J/(2J)! = (-1)^(J-1) T_J/((2J-1)! 4^J (4^J - 1)), T_J the
+  tangent number, about 2/(2 pi)^(2J), is floored from those ints once per
+  J per call to r_J in units of 2^-(p + 64), shared by every series of the
+  call.  A tail floors r_J cut bits coarser again, but never coarser than
+  units of 1: the floor of a floor is still within one of its units;
 - the caller's generator reads r_J from the table and gives it with x_J,
   an int x within e of x_J, and the shift drop into its units.  A tail's
   x_J is d_J = (k)_{2J-1} start^(1-k-2J), held in units of 2^-(q + 16)
@@ -300,15 +301,19 @@ class _EMTables:
     def ratios(self) -> Iterator[int]:
         """rho_J = B_2J/(2J)! floored in units of 2^-ratio_bits, J = 1, 2, ...
 
-        Each is formed on first use and kept for the call.  |rho_J| is about
-        2/(2 pi)^(2J); each derivative term counts the floor's error of one
-        unit in its rounding.
+        rho_J = (-1)^(J-1) T_J / ((2J-1)! 4^J (4^J - 1)) with T_J the
+        tangent number, so each is one floor quotient of ints, formed on
+        first use and kept for the call.  |rho_J| is about 2/(2 pi)^(2J);
+        each derivative term counts the floor's error of one unit in its
+        rounding.
         """
         for J in itertools.count(1):
             if J > len(self._ratios):
-                b = self.bernoulli.get(2 * J)
+                t = self.bernoulli.tangent(J)
+                four = 1 << 2 * J
                 self._ratios.append(
-                    (b.numerator << self.ratio_bits) // (b.denominator * math.factorial(2 * J))
+                    ((t if J % 2 else -t) << self.ratio_bits)
+                    // (math.factorial(2 * J - 1) * four * (four - 1))
                 )
             yield self._ratios[J - 1]
 
@@ -640,10 +645,12 @@ def audit_h_ab(a: int, b: int, digits: int = 30) -> HAuditReport:
 
 
 def _h(n: int, tables: _EMTables) -> _Fixed:
-    """H(n) = pi^2n/(2n+1)! = 2 zeta(2n)/(|B_2n| 4^n (2n+1)), and H(0) = 1."""
+    """H(n) = pi^2n/(2n+1)! = 2 zeta(2n)/(|B_2n| 4^n (2n+1)), and H(0) = 1.
+
+    |B_2n| = 2n T_n/(4^n (4^n - 1)), so H(n) = zeta(2n) (4^n - 1)/(n T_n (2n+1)).
+    """
     if n == 0:
         return _Fixed(1 << tables.bits, 0, tables.bits)
-    b = abs(tables.bernoulli.get(2 * n))
     return tables.zeta_fixed(2 * n).times(
-        2 * b.denominator, tables.bits, (b.numerator << 2 * n) * (2 * n + 1)
+        (1 << 2 * n) - 1, tables.bits, n * tables.bernoulli.tangent(n) * (2 * n + 1)
     )

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from doublezeta.bernoulli import BernoulliCache, bernoulli_range
@@ -118,7 +119,7 @@ def test_generating_function_consistency():
 
 def test_scaled_vector_through_300():
     cache = BernoulliCache()
-    values = bernoulli_range(300)
+    values = bernoulli_recursion(300)
     for n in range(301):
         b, big = cache.scaled(n)
         assert big == math.lcm(*(x.denominator for x in values[: n + 1])), n
@@ -146,3 +147,69 @@ def test_scaled_vector_uses_the_subclass_get():
     ]
     with pytest.raises(ValueError):
         BernoulliCache().scaled(-1)
+
+
+def bernfrac(n: int) -> Fraction:
+    """B_n from mpmath, which shares no code with the package (B_1 = -1/2 there too)."""
+    return Fraction(*mpmath.bernfrac(n))
+
+
+def test_tangent_numbers_are_oeis_a000182():
+    cache = BernoulliCache()
+    assert [cache.tangent(k) for k in range(1, 9)] == [
+        1, 2, 16, 272, 7936, 353792, 22368256, 1903757312
+    ]
+    assert cache.high_water == 17
+    with pytest.raises(ValueError):
+        cache.tangent(0)
+
+
+def test_get_scaled_and_range_match_mpmath_through_600():
+    reference = [bernfrac(n) for n in range(601)]
+    assert bernoulli_range(600) == reference
+    cache = BernoulliCache()
+    assert [cache.get(n) for n in range(600, -1, -1)] == reference[::-1]
+    big = 1
+    for n, x in enumerate(reference):
+        big = math.lcm(big, x.denominator)
+        scaled = tuple(y.numerator * (big // y.denominator) for y in reference[: n + 1])
+        assert cache.scaled(n) == (scaled, big), n
+
+
+def test_get_and_scaled_match_mpmath_on_a_sample_through_2200():
+    sample = [*range(601, 2200, 97), 2199, 2200]
+    cache = BernoulliCache()
+    b, big = cache.scaled(2200)
+    for n in sample:
+        reference = bernfrac(n)
+        assert cache.get(n) == reference, n
+        assert Fraction(b[n], big) == reference, n
+    assert big == math.prod(
+        p for p in range(2, 2202) if all(p % q for q in range(2, math.isqrt(p) + 1))
+    )
+
+
+def test_scaled_bypasses_a_get_replaced_on_the_class(monkeypatch):
+    # a tracer replaces BernoulliCache.get on the class with a wrapper; the
+    # base class must still take the tangent-number path, not one Fraction
+    # per index through the wrapper, and a subclass that overrides get must
+    # still be read through it
+    expected = BernoulliCache().scaled(300)
+    calls = []
+    get = BernoulliCache.get
+
+    def counted_get(self, n):
+        calls.append(n)
+        return get(self, n)
+
+    monkeypatch.setattr(BernoulliCache, "get", counted_get)
+    assert BernoulliCache().scaled(300) == expected
+    assert calls == []
+
+    class Bad(BernoulliCache):
+        def get(self, n: int) -> Fraction:
+            return Fraction(1, 29) if n == 4 else super().get(n)
+
+    b, big = Bad().scaled(300)
+    assert Fraction(b[4], big) == Fraction(1, 29)
+    assert sorted(calls) == [n for n in range(301) if n != 4]

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import io
 import json
 import os
@@ -717,6 +718,26 @@ def test_missing_prerequisites_are_one_error_line(capsys, tmp_path, content, rea
     assert (code, out) == (3, "")
     assert_one_error_line(err)
     assert reason in err
+
+
+def test_an_audit_file_with_a_nul_cannot_be_read(capsys):
+    # open rejects the path itself: the file is not missing, and was never read as JSON
+    argv = ["reduce", "inverse", "--K", "2", "--constants", "audited", "--audit-file", "a\x00b"]
+    assert run(argv, capsys) == (
+        3, "", "error: audit file 'a\\x00b' is not usable: cannot read it (embedded null byte)\n"
+    )
+
+
+def test_an_audit_file_that_is_a_directory_cannot_be_read(capsys, tmp_path):
+    # the path exists, so "not found; run audit euler --out <path>" would send
+    # the user to write over a directory
+    argv = ["reduce", "inverse", "--K", "2", "--constants", "audited", "--audit-file", str(tmp_path)]
+    assert run(argv, capsys) == (
+        3,
+        "",
+        f"error: audit file {str(tmp_path)!r} is not usable: cannot read it "
+        f"({os.strerror(errno.EISDIR)})\n",
+    )
 
 
 def test_audit_then_audited_inverse(capsys, tmp_path):

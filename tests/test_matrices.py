@@ -373,6 +373,30 @@ def test_weight_rows_follow_their_definition_for_any_cache():
             ), K
 
 
+def packed_columns(K, cache):
+    """matrices._pqy_columns from the dense rows of matrices._weight_rows, packed column by column.
+
+    The reference for packing each row as it is built; a test that replaces
+    ``_weight_rows`` and ``_pqy_columns`` with this feeds the checks any W.
+    """
+    w, denoms = matrices._weight_rows(K, cache, range(1, K))
+    lanes = matrices._Lanes(
+        [matrices._lane_bytes(K, max(map(abs, row)), d) for row, d in zip(w, denoms)]
+    )
+    columns = list(zip(*w))[: 2 : -1]  # columns 2K..3 of W: y_1 .. y_{2K-2}
+    y = [0, *(sum(v << t for v, t in zip(col, lanes.shifts)) for col in columns)]
+    return matrices._read_pqy(K, denoms, lanes, y)
+
+
+@pytest.mark.parametrize("make_cache", ANY_CACHES.values(), ids=ANY_CACHES.keys())
+def test_columns_packed_while_built_match_column_by_column_packing(make_cache):
+    cache = make_cache()
+    for K in range(2, 31):
+        denoms, lanes, *cols = matrices._pqy_columns(K, cache)
+        ref_denoms, ref_lanes, *ref_cols = packed_columns(K, cache)
+        assert (denoms, lanes.nbytes, cols) == (ref_denoms, ref_lanes.nbytes, ref_cols), K
+
+
 def inverse_rows(K, cache):
     """The d_s and the rows of P, Q, Y and P A = (P - Q) C - Y decoded from the inverse check.
 
@@ -424,6 +448,7 @@ def test_lanes_hold_the_worst_case_weights(monkeypatch):
         return [[m] * len(row) for m, row in zip(sizes, rows)], denoms
 
     monkeypatch.setattr(matrices, "_weight_rows", extreme_rows)
+    monkeypatch.setattr(matrices, "_pqy_columns", packed_columns)
     cache = BernoulliCache()
     for K in range(2, 21):
         _, ref = reference_products(K, cache)
@@ -453,6 +478,7 @@ def test_p_equal_to_q_with_a_wrong_weight_column_fails_pa(monkeypatch):
         return rows, denoms
 
     monkeypatch.setattr(matrices, "_weight_rows", perturbed_rows)
+    monkeypatch.setattr(matrices, "_pqy_columns", packed_columns)
     p, q, a = build_p(K), build_q(K), build_a(K)
     assert p == q
     calls = _count_bareiss(monkeypatch)
@@ -488,24 +514,27 @@ def test_report_matches_the_reference_under_a_corrupted_odd_bernoulli(make_cache
         assert report.det_nonzero
 
 
+def pack(lanes, values):
+    """values[i] in lane i: the packed int is sum_i v_i 2^(8 o_i)."""
+    return sum(v << t for v, t in zip(values, lanes.shifts))
+
+
 def test_lanes_round_trip_at_the_edges():
     nbytes = [1, 3, 2, 1, 5]
     lanes = matrices._Lanes(nbytes)
     edges = [[0, 1, -1, (1 << (8 * b - 1)) - 1, 1 - (1 << (8 * b - 1))] for b in nbytes]
-    shifts = [8 * sum(nbytes[:i]) for i in range(len(nbytes))]
+    assert lanes.shifts[:-1] == tuple(8 * sum(nbytes[:i]) for i in range(len(nbytes)))
     for values in itertools.product(*edges):
-        x = lanes.pack(values)
-        assert x == sum(v << t for v, t in zip(values, shifts))
-        assert lanes.rows([x]) == [[v] for v in values]
+        assert lanes.rows([pack(lanes, values)]) == [[v] for v in values]
     # packed sums are lane-wise sums while every lane still fits
     rng = random.Random(3)
     for _ in range(200):
         u = [rng.randint(-(1 << (8 * b - 2)) + 1, (1 << (8 * b - 2)) - 1) for b in nbytes]
         v = [rng.randint(-(1 << (8 * b - 2)) + 1, (1 << (8 * b - 2)) - 1) for b in nbytes]
-        assert lanes.rows([lanes.pack(u) + lanes.pack(v)]) == [[x + y] for x, y in zip(u, v)]
-        assert lanes.rows([lanes.pack(u) - lanes.pack(v)]) == [[x - y] for x, y in zip(u, v)]
+        assert lanes.rows([pack(lanes, u) + pack(lanes, v)]) == [[x + y] for x, y in zip(u, v)]
+        assert lanes.rows([pack(lanes, u) - pack(lanes, v)]) == [[x - y] for x, y in zip(u, v)]
     assert lanes.rows([lanes.unit(3, -5)]) == [[0], [0], [0], [-5], [0]]
-    assert lanes.rows([lanes.pack([1, 2, 3, 4, 5]), lanes.pack([-1, -2, -3, -4, -5])]) == [
+    assert lanes.rows([pack(lanes, [1, 2, 3, 4, 5]), pack(lanes, [-1, -2, -3, -4, -5])]) == [
         [1, -1], [2, -2], [3, -3], [4, -4], [5, -5]
     ]
 
@@ -523,7 +552,7 @@ def test_lane_rows_match_unpacking_column_by_column():
     for ncols in (1, 2, 9):
         for _ in range(100):
             columns = [[lane_value(b) for b in nbytes] for _ in range(ncols)]
-            packed = [lanes.pack(c) for c in columns]
+            packed = [pack(lanes, c) for c in columns]
             expected = [list(row) for row in zip(*columns)]
             assert lanes.rows(packed) == expected
             assert [[v for v, in lanes.rows([x])] for x in packed] == columns

@@ -401,15 +401,16 @@ def test_zeta_double_fixed_result_encloses_reference(monkeypatch, k1, k2):
 )
 def test_tables_form_each_tail_once(monkeypatch, run):
     # and every tail of the call, and the T(m) fold, reads rho_J =
-    # B_2J/(2J)! from the call's one table, which forms each on first use,
-    # and none past the term cap: no B_2J is read twice
+    # B_2J/(2J)! from the call's one table, which forms each on first use
+    # from the tangent number T_J, and none past the term cap: no T_J is
+    # read twice
     tails, formed, tables = [], [], []
     reads = collections.Counter()
-    zeta_tail_orig, get = numerics._zeta_tail, BernoulliCache.get
+    zeta_tail_orig, tangent = numerics._zeta_tail, BernoulliCache.tangent
 
-    def counted_get(self, n):
-        reads[n] += 1
-        return get(self, n)
+    def counted_tangent(self, k):
+        reads[k] += 1
+        return tangent(self, k)
 
     def counted_tail(k, start, target, tables):
         tails.append((k, start, target, tables.bits))
@@ -428,7 +429,7 @@ def test_tables_form_each_tail_once(monkeypatch, run):
 
     monkeypatch.setattr(numerics, "_zeta_tail", counted_tail)
     monkeypatch.setattr(numerics, "_EMTables", Tables)
-    monkeypatch.setattr(BernoulliCache, "get", counted_get)
+    monkeypatch.setattr(BernoulliCache, "tangent", counted_tangent)
     run()
     assert reads and max(reads.values()) == 1
     assert tails and len(set(tails)) == len(tails)
@@ -437,6 +438,7 @@ def test_tables_form_each_tail_once(monkeypatch, run):
     (table,) = tables
     assert formed == list(range(1, len(table._ratios) + 1))
     assert 0 < len(table._ratios) <= table.term_cap + 1
+    assert sorted(reads) == list(range(1, len(table._ratios) + 1))
 
 
 @pytest.mark.parametrize("k, start, scale", [(40, 17, 200), (60, 5, 200), (100, 120, 794)])
