@@ -10,13 +10,17 @@ holds int rows over one denominator per row, and has no algebra.
 Row s of P and of Q is a binomial transform of row s of a Bernoulli
 weight matrix W (over d_s).  So the exact checks pack each column of W
 into one int whose lane s holds row s (``_Lanes``: signed lanes of whole
-bytes, each as wide as a proven bound on every value it must hold),
-adding each entry into its column as its row is built, and read P and Q
-off one Pascal table of those ints (``series._pascal_rows``), which stops
-at T(2K-2), the last binomial sum P and Q read: one big-int addition per
-table entry serves every row at once, and no entry is multiplied by a
-binomial.  With every lane value inside its
-bound, packed == is entry-wise ==, so each compare is K-1 ints, and lanes
+bytes), adding each entry into its column as its row is built, and read
+P and Q off one Pascal table of those ints (``series._pascal_rows``),
+which stops at T(2K-2), the last binomial sum P and Q read: one big-int
+addition per table entry serves every row at once, and no entry is
+multiplied by a binomial.  Lane s is as wide as a proven bound on every
+value it must hold (``_lane_bytes``): T_s(N), N <= 2K-2, is a sum of
+count_s terms C(N, t) W[s][2K+1-t] with C(N, t) <= C(2K-2, t), so
+|T_s(N)| < count_s 2^top_s, top_s the largest bitlen W[s][j] +
+bitlen C(2K-2, 2K+1-j) over the row's packed entries, and the entries of
+W and d_s fit as well.  With every lane value inside its bound, packed
+== is entry-wise ==, so each compare is K-1 ints, and lanes
 are unpacked only to build a RationalMatrix or to name the entries of a
 failed check.  Unpacking (``_Lanes.rows``) turns each packed column into
 bytes once and reads row s as lane s's bytes of every column.  Neither
@@ -222,9 +226,17 @@ class _Lanes:
         ]
 
 
-def _lane_bytes(K: int, size: int, d: int) -> int:
-    """Bytes of the lane of a W row over d whose entries are at most size in absolute value."""
-    return ((size << (2 * K - 2)) + d).bit_length() // 8 + 1
+def _lane_bytes(top: int, count: int, d: int) -> int:
+    """Bytes of the lane of a W row over d, packed as count entries W[s][j], j >= 3.
+
+    top is the largest bitlen W[s][j] + bitlen C(2K-2, 2K+1-j) over those
+    entries.  For N <= 2K-2, C(N, t) <= C(2K-2, t), so every T_s(N) has
+    |T_s(N)| <= sum_t C(2K-2, t) |W[s][2K+1-t]| < count 2^top; with
+    |W[s][j]| < 2^top and d < 2^bitlen(d), a lane of
+    (max(top, bitlen d) + bitlen count) // 8 + 1 bytes holds each of them
+    with a spare sign bit, whatever the Bernoulli values.
+    """
+    return (max(top, d.bit_length()) + count.bit_length()) // 8 + 1
 
 
 def _pqy_columns(
@@ -236,29 +248,33 @@ def _pqy_columns(
     W (``_weight_rows``) is packed as it is built: each nonzero W[s][j],
     j >= 3, is added into y_{2K+1-j} shifted to lane s, whose offset is
     known once rows 1..s-1 are sized, so W is never held as a matrix.
-    Lane s holds any value of size at most 2^(2K-2) max_j|W[s][j]| + d_s
-    (``_lane_bytes``), which covers every value a check compares
-    (``_read_pqy``).
+    Lane s is sized by ``_lane_bytes`` from the row's packed entries: their
+    count, and the largest bitlen W[s][j] + bitlen C(2K-2, 2K+1-j), which
+    bounds every value a check compares (``_read_pqy``).
     """
     _check_k(K)
     if cache is None:
         cache = BernoulliCache()
     b, big = cache.scaled(2 * K - 2)
     nonzero = [(n, x) for n, x in enumerate(b) if x]
+    cbits = [comb(2 * K - 2, t).bit_length() for t in range(2 * K - 1)]
     y = [0] * (2 * K - 1)
     nbytes, denoms, shift = [], [], 0
     for s in range(1, K):
         d = (2 * s - 1) * big
-        size = 0
+        top = count = 0
         for n, x in nonzero:
-            j = n + 2 * s
-            if j > 2 * K:
+            t = 2 * K + 1 - 2 * s - n  # W[s][j], j = n + 2s, goes to y_t
+            if t < 1:
                 break
-            v = 2 * comb(j - 2, n) * x
-            size = max(size, abs(v))
-            if j >= 3:
-                y[2 * K + 1 - j] += v << shift
-        nbytes.append(_lane_bytes(K, size, d))
+            if t <= 2 * K - 2:
+                v = 2 * comb(2 * s - 2 + n, n) * x
+                y[t] += v << shift
+                bits = v.bit_length() + cbits[t]
+                if bits > top:
+                    top = bits
+                count += 1
+        nbytes.append(_lane_bytes(top, count, d))
         denoms.append(d)
         shift += 8 * nbytes[-1]
     return _read_pqy(K, denoms, _Lanes(nbytes), y)
@@ -272,9 +288,10 @@ def _read_pqy(
     Lane s of T(N) = sum_t C(N,t) y_t is sum_j W[s][j] C(N, 2K+1-j): column
     r of P is T(2r-1), column r of Q is -T(2K-2r), and column s' of Y is
     y_N = column 2s'+1 of W, with N = 2K-2s'.  So no T(N) past N = 2K-2
-    is read, and the table stops there.  |T_s(N)| <= 2^N max_j|W[s][j]|,
-    so every value a check compares (an entry of P, Q or W, or d_s) fits
-    its lane.
+    is read, and the table stops there.  For N <= 2K-2,
+    |T_s(N)| <= sum_t C(2K-2, t) |y_t[s]| (C(N, t) <= C(2K-2, t)), so every
+    value a check compares (an entry of P, Q or W, or d_s) fits its lane
+    (``_lane_bytes``).
     """
     t = [row[0] for row in _pascal_rows(y, 1)]
     p_cols = [t[2 * r - 1] for r in range(1, K)]

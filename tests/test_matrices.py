@@ -280,21 +280,28 @@ def g_q(K: int) -> list[list[int]]:
             for j in range(2 * K + 1)]
 
 
+def reference_pqy(K, w):
+    """The int numerator rows of P = W G_P, Q = W G_Q and Y, W's columns 2s'+1."""
+    return {
+        "P": old_product(w, g_p(K)),
+        "Q": old_product(w, g_q(K)),
+        "Y": [[row[2 * sp + 1] for sp in range(1, K)] for row in w],
+    }
+
+
 def reference_products(K, cache):
     """The d_s and the int numerator rows of P, Q, Y, P A, P B, P C and the closed form.
 
-    All by the reference product: W G_P, W G_Q, then P times A, B and C,
-    and W G_PB.  Y holds W's columns 2s'+1.
+    All by the reference product: ``reference_pqy``, then P times A, B
+    and C, and W G_PB.
     """
     w, denoms = matrices._weight_rows(K, cache, range(1, K))
-    p = old_product(w, g_p(K))
+    ref = reference_pqy(K, w)
     return denoms, {
-        "P": p,
-        "Q": old_product(w, g_q(K)),
-        "Y": [[row[2 * sp + 1] for sp in range(1, K)] for row in w],
-        "PA": old_product(p, matrices._a_rows(K)),
-        "PB": old_product(p, matrices._b_rows(K)),
-        "PC": old_product(p, matrices._c_rows(K)),
+        **ref,
+        "PA": old_product(ref["P"], matrices._a_rows(K)),
+        "PB": old_product(ref["P"], matrices._b_rows(K)),
+        "PC": old_product(ref["P"], matrices._c_rows(K)),
         "closed": old_product(w, matrices._g_pb(K, range(1, K))),
     }
 
@@ -323,7 +330,16 @@ def random_bernoulli(seed: int) -> type[BernoulliCache]:
     return RandomValues
 
 
-ANY_CACHES = {**CACHES, **{f"random-{seed}": random_bernoulli(seed) for seed in range(10)}}
+class TinyWeights(BernoulliCache):
+    """B_0 = 1/(2^61-1) and every other B_n = 0: W is tiny beside d_s, which alone sizes the lanes."""
+
+    def get(self, n: int) -> Fraction:
+        return Fraction(1, (1 << 61) - 1) if n == 0 else Fraction(0)
+
+
+ZeroB1Cache = corrupted(1, Fraction(0))
+ANY_CACHES = {**CACHES, "zero-b1": ZeroB1Cache, "tiny-weights": TinyWeights,
+              **{f"random-{seed}": random_bernoulli(seed) for seed in range(10)}}
 
 
 @pytest.mark.parametrize("make_cache", ANY_CACHES.values(), ids=ANY_CACHES.keys())
@@ -373,6 +389,16 @@ def test_weight_rows_follow_their_definition_for_any_cache():
             ), K
 
 
+def lane_bytes(K, row, d):
+    """matrices._lane_bytes of a dense W row over d: its nonzero entries W[s][j], j >= 3.
+
+    y_t holds column 2K+1-t, so W[s][j] is summed with weight C(N, t) <= C(2K-2, t).
+    """
+    packed = [(v, math.comb(2 * K - 2, t)) for t, v in enumerate(row[: 2 : -1], 1) if v]
+    top = max((v.bit_length() + c.bit_length() for v, c in packed), default=0)
+    return matrices._lane_bytes(top, len(packed), d)
+
+
 def packed_columns(K, cache):
     """matrices._pqy_columns from the dense rows of matrices._weight_rows, packed column by column.
 
@@ -380,9 +406,7 @@ def packed_columns(K, cache):
     ``_weight_rows`` and ``_pqy_columns`` with this feeds the checks any W.
     """
     w, denoms = matrices._weight_rows(K, cache, range(1, K))
-    lanes = matrices._Lanes(
-        [matrices._lane_bytes(K, max(map(abs, row)), d) for row, d in zip(w, denoms)]
-    )
+    lanes = matrices._Lanes([lane_bytes(K, row, d) for row, d in zip(w, denoms)])
     columns = list(zip(*w))[: 2 : -1]  # columns 2K..3 of W: y_1 .. y_{2K-2}
     y = [0, *(sum(v << t for v, t in zip(col, lanes.shifts)) for col in columns)]
     return matrices._read_pqy(K, denoms, lanes, y)
@@ -423,13 +447,15 @@ def test_lanes_decode_to_the_reference_products(make_cache):
             assert got[name] == ref[name], (K, name)
 
 
-@pytest.mark.parametrize("make_cache", CACHES.values(), ids=CACHES.keys())
+@pytest.mark.parametrize("make_cache", ANY_CACHES.values(), ids=ANY_CACHES.keys())
 def test_every_compared_value_fits_its_lane_with_a_spare_sign_bit(make_cache):
     # a b-byte lane holds |v| < 2^(8b-1); then packed == is entry-wise ==.
-    # The inverse check compares P with Q and Y with -diag(d_s) in T's lanes
+    # The inverse check compares P with Q and Y with -diag(d_s) in T's lanes;
+    # the lane bound holds for any Bernoulli values, odd B_n != 0 included
     cache = make_cache()
-    for K in range(2, 31):
-        denoms, ref = reference_products(K, cache)
+    for K in range(2, 51 if make_cache is BernoulliCache else 31):
+        w, denoms = matrices._weight_rows(K, cache, range(1, K))
+        ref = reference_pqy(K, w)
         one = [[d if i == j else 0 for j in range(K - 1)] for i, d in enumerate(denoms)]
         lanes = matrices._pqy_columns(K, cache)[1]
         for m in [ref["P"], ref["Q"], ref["Y"], one]:
@@ -439,7 +465,9 @@ def test_every_compared_value_fits_its_lane_with_a_spare_sign_bit(make_cache):
 
 def test_lanes_hold_the_worst_case_weights(monkeypatch):
     # every entry of a W row at the row's largest size, one sign per row,
-    # makes each binomial sum as large as its lane bound allows in order
+    # makes T_s(2K-2) = sum_t C(2K-2, t) |W[s][2K+1-t]|, the sum that
+    # _lane_bytes bounds by count 2^top: the bound's one inequality that
+    # depends on the weights is then an equality
     original = matrices._weight_rows
 
     def extreme_rows(K, cache, s_values):
@@ -454,6 +482,25 @@ def test_lanes_hold_the_worst_case_weights(monkeypatch):
         _, ref = reference_products(K, cache)
         _, got = inverse_rows(K, cache)
         assert got == {name: ref[name] for name in got}, K
+
+
+@pytest.mark.parametrize("K", [45, 60])
+def test_inverse_and_lanes_hold_beyond_the_sweep(cache, K):
+    w, denoms = matrices._weight_rows(K, cache, range(1, K))
+    ref = reference_pqy(K, w)
+    assert verify_inverse(K, cache).all_pass
+    assert build_p(K, cache) == matrices._from_rows(ref["P"], denoms)
+    assert build_q(K, cache) == matrices._from_rows(ref["Q"], denoms)
+
+
+def test_lanes_are_narrower_than_the_old_uniform_bound(cache):
+    # the old rule sized lane s as 2^(2K-2) max_j|W[s][j]| + d_s; weighting
+    # each entry by its own C(2K-2, t) saves about a fifth of the bytes
+    for K in (20, 30, 40):
+        w, denoms = matrices._weight_rows(K, cache, range(1, K))
+        old = sum(((max(map(abs, row)) << (2 * K - 2)) + d).bit_length() // 8 + 1
+                  for row, d in zip(w, denoms))
+        assert matrices._pqy_columns(K, cache)[1].size <= 0.85 * old, K
 
 
 def test_p_equal_to_q_with_a_wrong_weight_column_fails_pa(monkeypatch):
