@@ -170,14 +170,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     if args.kind in ("conjecture", "closed-forms") and args.k_max < args.k_min:
         raise CliError(EXIT_USAGE, "--k-max must be >= --k-min")
     if args.kind == "conjecture":
-        for K in range(args.k_min, args.k_max + 1):
-            rep = matrices.verify_inverse(K, cache)
+        for rep in matrices.verify_inverse_sweep(args.k_min, args.k_max, cache):
             ok &= rep.all_pass
             if rep.all_pass:
-                lines.append(f"K={K}: pass")
+                lines.append(f"K={rep.K}: pass")
                 continue
             line = (
-                f"K={K}: FAIL p_eq_q={rep.p_eq_q} pa_is_identity={rep.pa_is_identity} "
+                f"K={rep.K}: FAIL p_eq_q={rep.p_eq_q} pa_is_identity={rep.pa_is_identity} "
                 f"det_nonzero={rep.det_nonzero}"
             )
             for check, i, j, value, expected in rep.offending:
@@ -203,8 +202,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
                 + ("pass" if bad is None else f"FAIL {bad}")
             )
     elif args.kind == "closed-forms":
-        for K in range(args.k_min, args.k_max + 1):
-            bad = matrices.verify_closed_forms(K, cache)
+        sweep = matrices.verify_closed_forms_sweep(args.k_min, args.k_max, cache)
+        for K, bad in enumerate(sweep, args.k_min):
             for s, sp, vb, vc, pb, pc in bad:
                 lines.append(
                     f"K={K} (s={s}, s'={sp}): FAIL closed="

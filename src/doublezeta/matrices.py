@@ -11,7 +11,7 @@ Row s of P and of Q is a binomial transform of row s of a Bernoulli
 weight matrix W (over d_s).  So the exact checks pack each column of W
 into one int whose lane s holds row s (``_Lanes``: signed lanes of whole
 bytes), adding each entry into its column as its row is built, and read
-P and Q off one Pascal table of those ints (``series._pascal_rows``),
+P and Q off one Pascal table of those ints (``series._pascal_columns``),
 which stops at T(2K-2), the last binomial sum P and Q read: one big-int
 addition per table entry serves every row at once, and no entry is
 multiplied by a binomial.  Lane s is as wide as a proven bound on every
@@ -27,17 +27,40 @@ bytes once and reads row s as lane s's bytes of every column.  Neither
 check needs a product to pass: for any Bernoulli values
 P A = (P - Q) C - Y with Y[s][s'] = W[s][2s'+1], and P B is the (PB)
 closed form, so P = Q and Y = -diag(d_s) on that one table prove
-P A = I, P C = I - P B and P B = closed (``_proves_inverse``).  P A = I
+P A = I, P C = I - P B and P B = closed (``_passing``).  P A = I
 proves det A != 0 as well.  Only when a compare fails are P A, P B, P C
 and the closed form formed from their definitions, and Bareiss
 elimination run on A.
+
+A sweep over K = k_min..k_max reads every K off the one table of k_max
+(``_passing``), so it costs about as much as k_max alone.  Shift
+identity: W[s][j] = 2 C(j-2, j-2s) b_{j-2s} does not depend on K, so with
+k_max's scale D for every K, K's packed columns are k_max's columns
+y_t shifted by c = 2(k_max-K): y^K_t = y_{t+c} on the lanes s < K for
+t >= 1 (both hold column 2K+1-t of W), and y^K_0 = 0 leaves out the
+column 2K+1 that y_c holds.  So for N <= 2K-2, on the lanes s < K,
+
+    T_K(N) = row_N[c] - y_c,   row_N[c] = sum_t C(N, t) y_{c+t},
+
+as C(N, t) = 0 for t > N, and c + N <= 2 k_max - 2 keeps the read inside
+k_max's table.  The lanes s >= K hold other rows, so K's compares are
+read modulo 2^(8 o_K), o_K the byte offset of lane K.  That is exact:
+k_max's lane s bounds each value K compares in it, as K's row packs a
+subset of k_max's entries and C(N, t) <= C(2K-2, t) <= C(2k_max-2, t+c);
+so the lanes s < K of both sides fit with a spare sign bit, and then the
+two sides agree modulo 2^(8 o_K) exactly when they agree lane by lane.
+Scaling by k_max's D instead of K's multiplies P, Q, W and d_s alike, so
+no verdict changes.  The table is read column by column from the right,
+column_i = accumulate(column_{i+1}, initial=y_i), and K is checked as
+soon as column c exists: one column, O(k_max) ints, is held at a time.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import comb
 from operator import mul
@@ -45,7 +68,7 @@ from typing import NamedTuple
 
 from .bernoulli import BernoulliCache
 from .rationals import _format_row, _lowest_terms
-from .series import _pascal_rows
+from .series import _pascal_columns
 
 __all__ = [
     "RationalMatrix",
@@ -56,8 +79,10 @@ __all__ = [
     "build_q",
     "InverseReport",
     "verify_inverse",
+    "verify_inverse_sweep",
     "pb_closed",
     "verify_closed_forms",
+    "verify_closed_forms_sweep",
     "matrix_to_json",
 ]
 
@@ -206,7 +231,11 @@ class _Lanes:
         self.offsets = tuple(accumulate(self.nbytes, initial=0))
         self.shifts = tuple(8 * o for o in self.offsets)
         self.size = self.offsets[-1]
-        self.bias = sum(h << t for h, t in zip(self.halves, self.shifts))
+
+    @cached_property
+    def bias(self) -> int:
+        """sum_i 2^(8b_i - 1) 2^(8 o_i), read only to unpack (``rows``)."""
+        return sum(h << t for h, t in zip(self.halves, self.shifts))
 
     def unit(self, i: int, v: int) -> int:
         """v in lane i, 0 in every other."""
@@ -239,18 +268,16 @@ def _lane_bytes(top: int, count: int, d: int) -> int:
     return (max(top, d.bit_length()) + count.bit_length()) // 8 + 1
 
 
-def _pqy_columns(
-    K: int, cache: BernoulliCache | None
-) -> tuple[list[int], _Lanes, list[int], list[int], list[int]]:
-    """The d_s, their lanes, and the packed columns of P, Q and Y.
+def _packed_weights(K: int, cache: BernoulliCache | None) -> tuple[list[int], _Lanes, list[int]]:
+    """The d_s, their lanes, and W's columns packed: y_0 = 0 and y_t = column 2K+1-t, t = 1..2K-2.
 
-    y_t is column 2K+1-t of W packed, t = 1..2K-2, and y_0 = 0.  Row s of
-    W (``_weight_rows``) is packed as it is built: each nonzero W[s][j],
-    j >= 3, is added into y_{2K+1-j} shifted to lane s, whose offset is
-    known once rows 1..s-1 are sized, so W is never held as a matrix.
-    Lane s is sized by ``_lane_bytes`` from the row's packed entries: their
-    count, and the largest bitlen W[s][j] + bitlen C(2K-2, 2K+1-j), which
-    bounds every value a check compares (``_read_pqy``).
+    Row s of W (``_weight_rows``) is packed as it is built: each nonzero
+    W[s][j], j >= 3, is added into y_{2K+1-j} shifted to lane s, whose
+    offset is known once rows 1..s-1 are sized, so W is never held as a
+    matrix.  Lane s is sized by ``_lane_bytes`` from the row's packed
+    entries: their count, and the largest bitlen W[s][j] +
+    bitlen C(2K-2, 2K+1-j), which bounds every value a check compares
+    (``_pqy_columns``, ``_passing``).
     """
     _check_k(K)
     if cache is None:
@@ -277,33 +304,61 @@ def _pqy_columns(
         nbytes.append(_lane_bytes(top, count, d))
         denoms.append(d)
         shift += 8 * nbytes[-1]
-    return _read_pqy(K, denoms, _Lanes(nbytes), y)
+    return denoms, _Lanes(nbytes), y
 
 
-def _read_pqy(
-    K: int, denoms: list[int], lanes: _Lanes, y: list[int]
+def _sweep_columns(y: list[int], k_min: int) -> Iterator[tuple[int, list[int]]]:
+    """K = k_min..k_max in turn, with column c = 2(k_max-K) of the Pascal table of y.
+
+    y holds k_max's packed columns (2 k_max - 1 of them); the column is
+    row_N[c], N = 0..2K-2, and row_N[c] - y_c is T_K(N) on the lanes s < K
+    (the shift identity of the module docstring).
+    """
+    k_max = (len(y) + 1) // 2
+    for col in _pascal_columns(y):
+        c = len(y) - len(col)
+        if c % 2 == 0 and c <= 2 * (k_max - k_min):
+            yield k_max - c // 2, col
+
+
+def _pqy_columns(
+    K: int, cache: BernoulliCache | None
 ) -> tuple[list[int], _Lanes, list[int], list[int], list[int]]:
-    """P, Q and Y's packed columns off the Pascal table of y_0..y_{2K-2}.
+    """The d_s, their lanes, and the packed columns of P, Q and Y, for K alone.
 
     Lane s of T(N) = sum_t C(N,t) y_t is sum_j W[s][j] C(N, 2K+1-j): column
     r of P is T(2r-1), column r of Q is -T(2K-2r), and column s' of Y is
-    y_N = column 2s'+1 of W, with N = 2K-2s'.  So no T(N) past N = 2K-2
-    is read, and the table stops there.  For N <= 2K-2,
-    |T_s(N)| <= sum_t C(2K-2, t) |y_t[s]| (C(N, t) <= C(2K-2, t)), so every
-    value a check compares (an entry of P, Q or W, or d_s) fits its lane
-    (``_lane_bytes``).
+    y_N = column 2s'+1 of W, with N = 2K-2s'.  T(N) is column 0 of K's
+    table (c = 0, y_0 = 0), and no T(N) past N = 2K-2 is read.  Every
+    value a check compares fits its lane (``_lane_bytes``).
     """
-    t = [row[0] for row in _pascal_rows(y, 1)]
-    p_cols = [t[2 * r - 1] for r in range(1, K)]
-    q_cols = [-t[2 * K - 2 * r] for r in range(1, K)]
-    return denoms, lanes, p_cols, q_cols, [y[2 * K - 2 * sp] for sp in range(1, K)]
+    denoms, lanes, y = _packed_weights(K, cache)
+    ((_, t),) = _sweep_columns(y, K)
+    return denoms, lanes, t[1::2], [-x for x in t[:0:-2]], y[:0:-2]
 
 
-def _proves_inverse(
-    denoms: list[int], lanes: _Lanes, p_cols: list[int], q_cols: list[int], y_cols: list[int]
-) -> bool:
-    """P = Q and Y = -diag(d_s), as packed compares: then P A = I (``verify_inverse``)."""
-    return p_cols == q_cols and y_cols == [-lanes.unit(i, d) for i, d in enumerate(denoms)]
+def _passing(k_min: int, k_max: int, cache: BernoulliCache) -> list[tuple[int, bool]]:
+    """(K, P = Q and Y = -diag(d_s)) for K = k_min..k_max, all off the table of k_max.
+
+    With c = 2(k_max-K), P_r - Q_r = row_{2r-1}[c] + row_{2K-2r}[c] - 2 y_c
+    and column s' of Y is y_{2 k_max - 2s'} on the lanes s < K, each
+    compared modulo 2^(8 o_K) (the module docstring).  Every K is checked
+    (K >= 2) before any work; an empty range has no verdicts.
+    """
+    _check_k(k_min)
+    if k_max < k_min:
+        return []
+    denoms, lanes, y = _packed_weights(k_max, cache)
+    y_pairs = [(x, -lanes.unit(i, d)) for i, (x, d) in enumerate(zip(y[:0:-2], denoms))]
+    verdicts = []
+    for K, col in _sweep_columns(y, k_min):
+        mask = (1 << lanes.shifts[K - 1]) - 1
+        twice_yc = (2 * y[len(y) - len(col)]) & mask
+        passes = all(
+            (u + v) & mask == twice_yc for u, v in zip(col[1::2], col[:0:-2])
+        ) and all((x - e) & mask == 0 for x, e in y_pairs[: K - 1])
+        verdicts.append((K, passes))
+    return verdicts
 
 
 def build_p(K: int, cache: BernoulliCache | None = None) -> RationalMatrix:
@@ -391,7 +446,7 @@ def _first_offending(
 
 
 def verify_inverse(K: int, cache: BernoulliCache | None = None) -> InverseReport:
-    """Exact check that P = Q and P A = I and det A != 0.
+    """Exact check that P = Q and P A = I and det A != 0: the one-K sweep.
 
     All in integers, with row s of P and of Q as numerators n_s over d_s:
     P = Q by equal n_s, P A = I by n_s A = d_s e_s.  P and A are square,
@@ -407,16 +462,40 @@ def verify_inverse(K: int, cache: BernoulliCache | None = None) -> InverseReport
     W[s][2s'+1] = 2 C(2s'-1, n) b_n with n = 2s'+1-2s vanishes unless
     n = 1, where it is 2 (2s-1) D B_1 = -d_s: so P = Q and Y = -diag(d_s)
     give P A = I.  Both are checked as K-1 packed compares each
-    (``_proves_inverse``), and a passing P A = I proves det A != 0
-    (det P det A = 1).  Only when a compare fails are P and Q unpacked,
+    (``_passing``), and a passing P A = I proves det A != 0
+    (det P det A = 1).
+
+    ``verify_inverse_sweep`` makes the same compares for every K of a
+    range on the table of its largest K, by the shift identity: with
+    c = 2(k_max-K), W's column 2K+1-t is K's y_t and k_max's y_{t+c}, so
+    on the lanes s < K, T_K(N) = sum_{t<=N} C(N,t) y_{c+t} - y_c, which
+    is row_N[c] - y_c of k_max's table (C(N,t) = 0 past t = N; y_c is
+    W's column 2K+1, which K's y_0 = 0 leaves out).  The compares are read
+    modulo 2^(8 o_K), and k_max's lane bounds hold for K, as
+    C(N,t) <= C(2K-2,t) <= C(2k_max-2,t+c) (module docstring).
+
+    Only when a compare fails is K's own table built, P and Q unpacked,
     P A formed from its definition with A's rows, Bareiss elimination run
     on those rows if P A = I fails, and the first offending entries
     named; the verdicts are exact either way.
     """
-    columns = _pqy_columns(K, cache)
-    if _proves_inverse(*columns):
-        return InverseReport(K, True, True, True)
-    denoms, lanes, p_cols, q_cols, _ = columns
+    (report,) = verify_inverse_sweep(K, K, cache)
+    return report
+
+
+def verify_inverse_sweep(
+    k_min: int, k_max: int, cache: BernoulliCache | None = None
+) -> list[InverseReport]:
+    """``verify_inverse`` for K = k_min..k_max, read off one table (``_passing``)."""
+    if cache is None:
+        cache = BernoulliCache()
+    return [InverseReport(K, True, True, True) if ok else _inverse_failure(K, cache)
+            for K, ok in _passing(k_min, k_max, cache)]
+
+
+def _inverse_failure(K: int, cache: BernoulliCache) -> InverseReport:
+    """The report of a K whose compares failed, from P and Q unpacked and P A formed."""
+    denoms, lanes, p_cols, q_cols, _ = _pqy_columns(K, cache)
     p, q, a = lanes.rows(p_cols), lanes.rows(q_cols), _a_rows(K)
     pq = _first_offending("p_eq_q", p, q, denoms)
     pa = _first_offending("pa_is_identity", _product(p, a), _diagonal(denoms), denoms)
@@ -449,9 +528,9 @@ def pb_closed(K: int, s: int, sp: int, cache: BernoulliCache | None = None) -> F
 def verify_closed_forms(
     K: int, cache: BernoulliCache | None = None
 ) -> list[tuple[int, int, Fraction, Fraction, Fraction, Fraction]]:
-    """Exact check that the closed forms equal P B and P C.
+    """Exact check that the closed forms equal P B and P C: the one-K sweep.
 
-    Passes on the inverse check's compares (``_proves_inverse``), because
+    Passes on the inverse check's compares (``_passing``), because
     P A = I, hence P C = I - P B, and P B = closed for any W.  Proof of the
     last: with N = 2K-2s', column s' of P B is sum_{k odd} C(N,k) T(k);
     sum_k C(N,k) T(k) = sum_t C(N,t) 2^(N-t) y_t = S(N), as
@@ -464,10 +543,25 @@ def verify_closed_forms(
     row-major order, as a tuple (s, s', pb_closed, delta_{s,s'} - pb_closed,
     (PB)_{s,s'}, (PC)_{s,s'}); an empty list means the check passed.
     """
-    columns = _pqy_columns(K, cache)
-    if _proves_inverse(*columns):
-        return []
-    denoms, lanes, p_cols, _, _ = columns
+    (bad,) = verify_closed_forms_sweep(K, K, cache)
+    return bad
+
+
+def verify_closed_forms_sweep(
+    k_min: int, k_max: int, cache: BernoulliCache | None = None
+) -> list[list[tuple[int, int, Fraction, Fraction, Fraction, Fraction]]]:
+    """``verify_closed_forms`` for K = k_min..k_max, read off one table (``_passing``)."""
+    if cache is None:
+        cache = BernoulliCache()
+    return [[] if ok else _closed_forms_failure(K, cache)
+            for K, ok in _passing(k_min, k_max, cache)]
+
+
+def _closed_forms_failure(
+    K: int, cache: BernoulliCache
+) -> list[tuple[int, int, Fraction, Fraction, Fraction, Fraction]]:
+    """The offending entries of a K whose compares failed, from the products formed."""
+    denoms, lanes, p_cols, _, _ = _pqy_columns(K, cache)
     p = lanes.rows(p_cols)
     w, _ = _weight_rows(K, cache, range(1, K))
     closed = _product(w, _g_pb(K, range(1, K)))

@@ -6,8 +6,10 @@ one Pascal table: ``_pascal_rows(seq, sign)`` yields the rows
     row_r[i] = sum_k C(r,k) sign^(r-k) seq[i+k],   sign = +1 or -1,
 
 each built from the last by row_{r+1}[i] = row_r[i+1] + sign row_r[i], so
-an entry costs one addition and no binomial coefficient (``matrices`` reads
-P and Q off the same kernel, over lane-packed ints).  Each
+an entry costs one addition and no binomial coefficient.  ``matrices``
+reads P and Q off the same sign +1 table of lane-packed ints, column by
+column (``_pascal_columns``), so that a sweep over K holds one column of
+it at a time.  Each
 sweep takes one Bernoulli vector b_n = D B_n from ``BernoulliCache.scaled``,
 with one D for all of its pairs.
 
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from math import comb, factorial, perm
 from operator import add, sub
 from typing import NamedTuple
@@ -64,6 +66,19 @@ def _pascal_rows(seq: Sequence[int], sign: int) -> Iterator[tuple[int, ...]]:
     while row:
         yield row
         row = tuple(map(step, row[1:], row))
+
+
+def _pascal_columns(seq: Sequence[int]) -> Iterator[list[int]]:
+    """Columns i = len(seq)-1, ..., 0 of the sign +1 table; column i lists row_r[i] for every r.
+
+    row_r[i] = row_{r-1}[i] + row_{r-1}[i+1], so column i is
+    accumulate(column i+1, initial=seq[i]): the same additions as the rows,
+    with one column held at a time.
+    """
+    col: list[int] = []
+    for x in reversed(seq):
+        col = list(accumulate(col, initial=x))
+        yield col
 
 
 def _reflection_sides(

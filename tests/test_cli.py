@@ -295,6 +295,22 @@ def test_verify_conjecture_fail_line_names_first_offending_entries(capsys, monke
     ]
 
 
+@pytest.mark.parametrize("kind", ["conjecture", "closed-forms"])
+@pytest.mark.parametrize("bad", ["BadBernoulliCache", "BadB3Cache"])
+def test_verify_sweep_prints_what_each_k_prints_alone(capsys, monkeypatch, kind, bad):
+    # the range reads every K off one table, a failing K falls back to its
+    # own: the output is the one-K runs' outputs, FAIL lines included
+    import test_matrices
+
+    monkeypatch.setattr(cli, "BernoulliCache", getattr(test_matrices, bad))
+    code, out, _ = run(["verify", kind, "--k-min", "2", "--k-max", "12"], capsys)
+    alone = [run(["verify", kind, "--k-min", str(K), "--k-max", str(K)], capsys)
+             for K in range(2, 13)]
+    assert code == 1
+    assert "FAIL" in out
+    assert out == "".join(text for _, text, _ in alone)
+
+
 def test_verify_carlitz(capsys):
     code, out, _ = run(["verify", "carlitz", "--max", "12"], capsys)
     assert code == 0

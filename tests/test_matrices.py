@@ -356,24 +356,91 @@ def test_closed_forms_pass_exactly_when_pa_is_identity(make_cache):
 
 
 def test_closed_forms_form_products_only_when_the_compares_fail(monkeypatch):
-    # a pass reads one Pascal table (P and Q's) and multiplies nothing
+    # a pass reads one Pascal table (P and Q's) and multiplies nothing; a
+    # passing range reads every K off the one table of its largest K
     calls, tables = [], []
-    product, pascal_rows = matrices._product, matrices._pascal_rows
+    product, pascal_columns = matrices._product, matrices._pascal_columns
 
     def counted_product(x, y):
         calls.append(y)
         return product(x, y)
 
-    def counted_pascal_rows(seq, sign):
+    def counted_pascal_columns(seq):
         tables.append(len(seq))
-        return pascal_rows(seq, sign)
+        return pascal_columns(seq)
 
     monkeypatch.setattr(matrices, "_product", counted_product)
-    monkeypatch.setattr(matrices, "_pascal_rows", counted_pascal_rows)
+    monkeypatch.setattr(matrices, "_pascal_columns", counted_pascal_columns)
     assert verify_closed_forms(6) == []
     assert (calls, tables) == ([], [11])  # one table, of y_0 .. y_{2K-2}
+    assert matrices.verify_closed_forms_sweep(2, 12) == [[]] * 11
+    assert matrices.verify_inverse_sweep(5, 12) == [
+        matrices.InverseReport(K, True, True, True) for K in range(5, 13)
+    ]
+    assert (calls, tables) == ([], [11, 23, 23])  # one table per range, K = 12's
     assert verify_closed_forms(6, BadBernoulliCache())
     assert calls == [matrices._g_pb(6, range(1, 6)), matrices._b_rows(6), matrices._c_rows(6)]
+
+
+SWEEPS = [(2, 2), (2, 3), (2, 16), (5, 16), (9, 9), (11, 13)]
+# an odd B_n != 0 with n >= 3 first enters W's column 2K+1, which a K reads
+# off a larger K's table as y_c, at K = (n+1)/2, before its own P and Q
+SWEEP_CACHES = {**ANY_CACHES, "bad-b7": corrupted(7, Fraction(2, 5)),
+                "bad-b9": corrupted(9, Fraction(-3, 11))}
+
+
+@pytest.mark.parametrize("make_cache", SWEEP_CACHES.values(), ids=SWEEP_CACHES.keys())
+def test_sweeps_report_what_each_k_reports_alone(make_cache):
+    # every K of a range is read off the table of its largest K; a failing
+    # K is reported from its own table, so each report is the one-K report,
+    # and the compares on the shared table pass exactly where K passes alone
+    cache = make_cache()
+    for k_min, k_max in SWEEPS:
+        ks = range(k_min, k_max + 1)
+        alone = [verify_inverse(K, cache) for K in ks]
+        assert matrices._passing(k_min, k_max, cache) == [
+            (rep.K, rep.all_pass) for rep in alone
+        ], (k_min, k_max)
+        assert matrices.verify_inverse_sweep(k_min, k_max, cache) == alone, (k_min, k_max)
+        assert matrices.verify_closed_forms_sweep(k_min, k_max, make_cache()) == [
+            verify_closed_forms(K, cache) for K in ks
+        ], (k_min, k_max)
+
+
+@pytest.mark.parametrize("make_cache", SWEEP_CACHES.values(), ids=SWEEP_CACHES.keys())
+def test_every_k_reads_its_pascal_sums_off_the_largest_ks_table(make_cache):
+    # shift identity: on the lanes s < K, T_K(N) = row_N[c] - y_c of the
+    # table of k_max, c = 2(k_max-K), in k_max's scale of the Bernoulli values
+    cache = make_cache()
+    k_max = 14
+    denoms, lanes, y = matrices._packed_weights(k_max, cache)
+    seen = []
+    for K, col in matrices._sweep_columns(y, 3):
+        c = 2 * (k_max - K)
+        assert len(col) == 2 * K - 1
+        t = lanes.rows([x - y[c] for x in col])[: K - 1]  # T_K(0) .. T_K(2K-2)
+        assert all(row[0] == 0 for row in t)
+        k_denoms, k_lanes, p_cols, q_cols, y_cols = matrices._pqy_columns(K, cache)
+        scale = denoms[0] // k_denoms[0]
+        assert [d * scale for d in k_denoms] == denoms[: K - 1]
+        for cols, want in [(p_cols, [row[1::2] for row in t]),
+                           (q_cols, [[-v for v in row[:0:-2]] for row in t]),
+                           (y_cols, lanes.rows(y[:0:-2])[: K - 1])]:
+            got = [[v * scale for v in row] for row in k_lanes.rows(cols)]
+            assert got == [row[: K - 1] for row in want], K
+        seen.append(K)
+    assert seen == list(range(3, k_max + 1))
+
+
+def test_sweeps_check_every_k_before_any_work(monkeypatch):
+    def no_work(K, cache):
+        raise AssertionError("packed W before checking K")
+
+    monkeypatch.setattr(matrices, "_packed_weights", no_work)
+    for sweep in (matrices.verify_inverse_sweep, matrices.verify_closed_forms_sweep):
+        with pytest.raises(ValueError, match="got 1"):
+            sweep(1, 5)
+        assert sweep(6, 5) == []
 
 
 def test_weight_rows_follow_their_definition_for_any_cache():
@@ -400,25 +467,25 @@ def lane_bytes(K, row, d):
 
 
 def packed_columns(K, cache):
-    """matrices._pqy_columns from the dense rows of matrices._weight_rows, packed column by column.
+    """matrices._packed_weights from the dense rows of _weight_rows, packed column by column.
 
     The reference for packing each row as it is built; a test that replaces
-    ``_weight_rows`` and ``_pqy_columns`` with this feeds the checks any W.
+    ``_weight_rows`` and ``_packed_weights`` with this feeds the checks any W.
     """
     w, denoms = matrices._weight_rows(K, cache, range(1, K))
     lanes = matrices._Lanes([lane_bytes(K, row, d) for row, d in zip(w, denoms)])
     columns = list(zip(*w))[: 2 : -1]  # columns 2K..3 of W: y_1 .. y_{2K-2}
     y = [0, *(sum(v << t for v, t in zip(col, lanes.shifts)) for col in columns)]
-    return matrices._read_pqy(K, denoms, lanes, y)
+    return denoms, lanes, y
 
 
 @pytest.mark.parametrize("make_cache", ANY_CACHES.values(), ids=ANY_CACHES.keys())
 def test_columns_packed_while_built_match_column_by_column_packing(make_cache):
     cache = make_cache()
     for K in range(2, 31):
-        denoms, lanes, *cols = matrices._pqy_columns(K, cache)
-        ref_denoms, ref_lanes, *ref_cols = packed_columns(K, cache)
-        assert (denoms, lanes.nbytes, cols) == (ref_denoms, ref_lanes.nbytes, ref_cols), K
+        denoms, lanes, y = matrices._packed_weights(K, cache)
+        ref_denoms, ref_lanes, ref_y = packed_columns(K, cache)
+        assert (denoms, lanes.nbytes, y) == (ref_denoms, ref_lanes.nbytes, ref_y), K
 
 
 def inverse_rows(K, cache):
@@ -476,7 +543,7 @@ def test_lanes_hold_the_worst_case_weights(monkeypatch):
         return [[m] * len(row) for m, row in zip(sizes, rows)], denoms
 
     monkeypatch.setattr(matrices, "_weight_rows", extreme_rows)
-    monkeypatch.setattr(matrices, "_pqy_columns", packed_columns)
+    monkeypatch.setattr(matrices, "_packed_weights", packed_columns)
     cache = BernoulliCache()
     for K in range(2, 21):
         _, ref = reference_products(K, cache)
@@ -525,7 +592,7 @@ def test_p_equal_to_q_with_a_wrong_weight_column_fails_pa(monkeypatch):
         return rows, denoms
 
     monkeypatch.setattr(matrices, "_weight_rows", perturbed_rows)
-    monkeypatch.setattr(matrices, "_pqy_columns", packed_columns)
+    monkeypatch.setattr(matrices, "_packed_weights", packed_columns)
     p, q, a = build_p(K), build_q(K), build_a(K)
     assert p == q
     calls = _count_bareiss(monkeypatch)
@@ -595,6 +662,7 @@ def test_lane_rows_match_unpacking_column_by_column():
         top = (1 << (8 * b - 1)) - 1
         return rng.choice([0, 1, -1, top, -top, rng.randint(-top, top)])
 
+    assert "bias" not in vars(lanes)  # built on the first unpacking, which a pass never does
     assert lanes.rows([]) == [[] for _ in nbytes]
     for ncols in (1, 2, 9):
         for _ in range(100):

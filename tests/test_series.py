@@ -142,6 +142,10 @@ def test_pascal_rows_match_binomial_sums(seq, sign):
     # ask for more rows than the sequence has: the rows stop before the empty one
     rows = list(islice(series._pascal_rows(seq, sign), len(seq) + 3))
     assert rows == [tuple(pascal_reference(seq, sign, r)) for r in range(len(seq))]
+    if sign == 1:
+        # the same table column by column, from the right
+        columns = [[row[i] for row in rows if i < len(row)] for i in reversed(range(len(seq)))]
+        assert list(series._pascal_columns(seq)) == columns
 
 
 @pytest.mark.parametrize("s, order", [(1, 10), (2, 12), (3, 14)])
