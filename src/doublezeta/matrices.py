@@ -361,13 +361,18 @@ def _passing(k_min: int, k_max: int, cache: BernoulliCache) -> list[tuple[int, b
     return verdicts
 
 
+def _p_rows(K: int, cache: BernoulliCache | None) -> tuple[list[list[int]], list[int]]:
+    """P's int rows n_s over their row denominators d_s, not yet in lowest terms."""
+    denoms, lanes, p_cols, _, _ = _pqy_columns(K, cache)
+    return lanes.rows(p_cols), denoms
+
+
 def build_p(K: int, cache: BernoulliCache | None = None) -> RationalMatrix:
     """P_{s,r} = (2/(2s-1)) sum_n C(2r-1, 2K-2s-n+1) C(n+2s-2, n) B_n.
 
     The sum runs n = 0..2K-2s; odd-n terms vanish through B_n = 0.
     """
-    denoms, lanes, p_cols, _, _ = _pqy_columns(K, cache)
-    return _from_rows(lanes.rows(p_cols), denoms)
+    return _from_rows(*_p_rows(K, cache))
 
 
 def build_q(K: int, cache: BernoulliCache | None = None) -> RationalMatrix:

@@ -14,41 +14,55 @@ ulp, always downwards; a term of a derivative series counts its own ulps
 of a bound is count 2^-p, not an allowance per operation.  Truncation
 bounds are rounded up to whole ulps.  What is built from those values runs
 on the same ints: Euler's formula for zeta(1, k), the audits' products,
-A-weighted sums, residuals and ratios, and the H(n) = pi^2n/(2n+1)! of the
-H(a,b) audit, taken from zeta(2n).  A product or quotient is one floor, so
-one more ulp; a sum, or a multiple by an int, is exact.  A public result
+A-weighted sums, residuals and ratios.  A product or quotient is one floor,
+so one more ulp; a sum, or a multiple by an int, is exact.  A public result
 is the engine's value and error read as exact Fractions X/2^p and E/2^p,
 with no rounding, so its bound is exactly the engine's count; BigFloat
 only holds such results.  Printing rounds the value half up to the
 requested digits and the bound up to three significant digits, in
 mpmath's ``nstr`` text form.
 
-Single zeta tails use Euler-Maclaurin with the classical periodic-
-Bernoulli remainder bound; a double zeta expands its inner partial sum
-T(m) by the same machinery into a finite combination of single-zeta
-tails.  A tail sum_{m >= start} m^-k carries its own scale, sized to its
-own target.  The target is an int in units of 2^-(p + shift), shift =
-(k - 1)(bitlen(start) - 1), a unit in which the tail's value would use the
-whole p bits however small start^(1-k) is.  The tail is held only as
-finely as its target needs: in units of 2^-q with q = p + shift - cut and
-cut = min(shift, bitlen(target) - 65), at least 0.  That keeps 64 guard
-bits below the target, and 2^-q is never coarser than 2^-p.  A folded
-tail is then multiplied by its expansion coefficient before it drops to
-2^-p, and the coefficient scales an ulp error that is 2^(shift - cut)
-times smaller.  A tail's derivative terms and the T(m) expansion are both
-series sum_J rho_J x_J, summed by one loop, ``_derivative_sum``:
+An even zeta(2n) with 2n <= max(16, digits // 3) is Euler's formula,
+zeta(2n) = pi^2n T_n / (2 (2n-1)! (4^n - 1)), T_n the tangent number, and
+H(n) = pi^2n/(2n+1)! of the H(a,b) audit is read the same way.  pi is
+formed once per call by Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239),
+64 bits finer than the working unit: each term of an arctangent is one
+exact nested floor, within one ulp, and the truncation is below one ulp.
+Its even powers are kept for the call, each a product of kept powers, so
+each even value costs one counted floor.  Past that limit T_n costs more
+than the Euler-Maclaurin sum below (about break-even at 2000 and 3000
+digits), so a larger even k takes that route, as every odd k does.
+
+The other single zetas' tails use Euler-Maclaurin with the classical
+periodic-Bernoulli remainder bound; a double zeta expands its inner
+partial sum T(m) by the same machinery into a finite combination of
+single-zeta tails.  A tail sum_{m >= start} m^-k carries its own scale,
+sized to its own target.  The target is an int in units of
+2^-(p + shift), shift = (k - 1)(bitlen(start) - 1), a unit in which the
+tail's value would use the whole p bits however small start^(1-k) is.
+The tail is held only as finely as its target needs: in units of 2^-q
+with q = p + shift - cut and cut = min(shift, bitlen(target) - 65), at
+least 0.  That keeps 64 guard bits below the target, and 2^-q is never
+coarser than 2^-p.  A folded tail is then multiplied by its expansion
+coefficient before it drops to 2^-p, and the coefficient scales an ulp
+error that is 2^(shift - cut) times smaller.  A tail's derivative terms
+and the T(m) expansion are both series sum_J rho_J x_J, summed by one
+loop, ``_derivative_sum``:
 
 - rho_J = B_2J/(2J)! = (-1)^(J-1) T_J/((2J-1)! 4^J (4^J - 1)), T_J the
   tangent number, about 2/(2 pi)^(2J), is floored from those ints once per
-  J per call to r_J in units of 2^-(p + 64), shared by every series of the
-  call.  A tail floors r_J cut bits coarser again, but never coarser than
-  units of 1: the floor of a floor is still within one of its units;
-- the caller's generator reads r_J from the table and gives it with x_J,
-  an int x within e of x_J, and the shift drop into its units.  A tail's
-  x_J is d_J = (k)_{2J-1} start^(1-k-2J), held in units of 2^-(q + 16)
-  and carried by d_{J+1} = floor(d_J f_J) with f_J = (k+2J-1)(k+2J)/start^2,
-  one multiply and one divide by word-sized ints, so e_1 = 1 and
-  e_{J+1} = ceil(e_J f_J) + 1 (f_J may exceed 1: at start 17 and k = 40).
+  J per call to r_J in units of 2^-(p + 64), kept in the table's list and
+  shared by every series of the call.  The ratios and Euler's formula read
+  T_J from one list of the table.  A tail floors r_J cut bits coarser
+  again, but never coarser than units of 1: the floor of a floor is still
+  within one of its units;
+- the caller's generator reads r_J from the table by index and gives it
+  with x_J, an int x within e of x_J, and the shift drop into its units.
+  A tail's x_J is d_J = (k)_{2J-1} start^(1-k-2J), held in units of
+  2^-(q + 16) and carried by d_{J+1} = floor(d_J f_J) with
+  f_J = (k+2J-1)(k+2J)/start^2, one multiply and one divide by
+  word-sized ints, so e_1 = 1 and e_{J+1} = ceil(e_J f_J) + 1 (f_J may
+  exceed 1: at start 17 and k = 40).
 
 Term J is floor(r_J x / 2^drop), within ceil(((|r_J| + 1) e + |x|) /
 2^drop) + 1 ulps of rho_J x_J.  Terms 1..J-1 are added until the
@@ -59,10 +73,11 @@ Every public function runs at one working precision and builds one
 :class:`_EMTables` for it, with its own :class:`BernoulliCache`, and drops
 it on return; the module keeps no state between calls.  The table fixes
 every size of the call before any work: its digits, bits p, truncation
-target, direct-sum lengths and the term cap.  It memoises what the
-evaluations of one call share: the ratios rho_J, the tails and the single
-zetas.  A memoised value is a function of its key alone, so sharing
-changes no value or bound.  A double zeta reads zeta(k1) from the table too.
+target, direct-sum lengths, the term cap and the even limit.  It memoises
+what the evaluations of one call share: the tangent numbers, the ratios
+rho_J, pi's even powers, the tails and the single zetas.  A memoised value
+is a function of its key alone, so sharing changes no value or bound.  A
+double zeta reads zeta(k1) from the table too.
 
 The Euler audit runs one pass per K: every row r = 1..K-1 of weight 2K+1
 uses the same single zetas, products and zeta(2K+1), so they are evaluated
@@ -294,28 +309,62 @@ class _EMTables:
         self.bernoulli = BernoulliCache()
         # the unit of the ratios rho_J, 64 bits finer than the working unit
         self.ratio_bits = self.bits + 64
+        # an even zeta(k) up to here comes from Euler's formula; past it the
+        # tangent number T_(k/2) costs more than the Euler-Maclaurin sum
+        self.even_limit = max(16, digits // 3)
+        self._tangents: list[int] = [0]  # T_J at index J
         self._ratios: list[int] = []
+        self._pi_powers: dict[int, _Fixed] = {}
         self._tails: dict[tuple[int, int, int], _Fixed] = {}
         self._fixed: dict[int, _Fixed] = {}
 
-    def ratios(self) -> Iterator[int]:
-        """rho_J = B_2J/(2J)! floored in units of 2^-ratio_bits, J = 1, 2, ...
+    def tangent(self, J: int) -> int:
+        """The tangent number T_J, read from the call's cache once per J."""
+        tangents = self._tangents
+        while len(tangents) <= J:
+            tangents.append(self.bernoulli.tangent(len(tangents)))
+        return tangents[J]
+
+    def ratio(self, J: int) -> int:
+        """rho_J = B_2J/(2J)! floored in units of 2^-ratio_bits, for J >= 1.
 
         rho_J = (-1)^(J-1) T_J / ((2J-1)! 4^J (4^J - 1)) with T_J the
         tangent number, so each is one floor quotient of ints, formed on
-        first use and kept for the call.  |rho_J| is about 2/(2 pi)^(2J);
-        each derivative term counts the floor's error of one unit in its
-        rounding.
+        first use, in order of J, and kept for the call.  |rho_J| is about
+        2/(2 pi)^(2J); each derivative term counts the floor's error of one
+        unit in its rounding.
         """
-        for J in itertools.count(1):
-            if J > len(self._ratios):
-                t = self.bernoulli.tangent(J)
-                four = 1 << 2 * J
-                self._ratios.append(
-                    ((t if J % 2 else -t) << self.ratio_bits)
-                    // (math.factorial(2 * J - 1) * four * (four - 1))
-                )
-            yield self._ratios[J - 1]
+        ratios = self._ratios
+        while len(ratios) < J:
+            j = len(ratios) + 1
+            t, four = self.tangent(j), 1 << 2 * j
+            ratios.append(
+                ((t if j % 2 else -t) << self.ratio_bits)
+                // (math.factorial(2 * j - 1) * four * (four - 1))
+            )
+        return ratios[J - 1]
+
+    def pi_power(self, n: int) -> _Fixed:
+        """pi^(2n) in units of 2^-ratio_bits, 64 bits finer than the working unit.
+
+        pi comes from ``_pi`` once per call, on the first n >= 1, and pi^2
+        is its square.  Higher powers are formed by squaring, pi^(2n) =
+        (pi^(2 floor(n/2)))^2, times pi^2 for odd n, each product one more
+        floor: about log2 n products for one power, kept for the call, so
+        the value depends on n alone.
+        """
+        powers = self._pi_powers
+        if n not in powers:
+            if n == 0:
+                powers[0] = _Fixed(1 << self.ratio_bits, 0, self.ratio_bits)
+            elif n == 1:
+                pi = _pi(self.ratio_bits)
+                powers[1] = pi * pi
+            else:
+                half = self.pi_power(n // 2)
+                square = half * half
+                powers[n] = square * self.pi_power(1) if n % 2 else square
+        return powers[n]
 
     def tail(self, k: int, start: int, num: int = 1, den: int = 1) -> _Fixed:
         """_zeta_tail(k, start, target): its truncation times the coefficient
@@ -337,10 +386,35 @@ class _EMTables:
         return self._tails[key]
 
     def zeta_fixed(self, k: int) -> _Fixed:
-        """zeta(k) in units of 2^-bits."""
+        """zeta(k) in units of 2^-bits: Euler's formula for an even k up to
+        ``even_limit``, Euler-Maclaurin otherwise."""
         if k not in self._fixed:
-            self._fixed[k] = _zeta_single(k, self)
+            euler = k % 2 == 0 and k <= self.even_limit
+            self._fixed[k] = (_zeta_even if euler else _zeta_single)(k, self)
         return self._fixed[k]
+
+
+def _pi(q: int) -> _Fixed:
+    """pi in units of 2^-q by Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239).
+
+    atan(1/x) = sum_i (-1)^i / ((2i+1) x^(2i+1)).  Term i is
+    floor(floor(2^q / x^(2i+1)) / (2i+1)), one exact nested floor, so within
+    one ulp, and floor(2^q / x^(2i+1)) is carried by one floor quotient by
+    x^2 per term.  The sum stops at the first i where that floor is 0: the
+    terms alternate and fall, so what is left is below term i, below one
+    ulp.  Each arctangent is then within its term count plus one ulps.
+    """
+    value = error = 0
+    for x, weight in ((5, 16), (239, -4)):
+        power, square, n, total = (1 << q) // x, x * x, 1, 0  # n = 2i + 1
+        while power:
+            term = power // n
+            total += term if n % 4 == 1 else -term
+            power //= square
+            n += 2
+        value += weight * total
+        error += abs(weight) * (n // 2 + 1)
+    return _Fixed(value, error, q)
 
 
 # guard bits of the tails' derivative factors d_J
@@ -385,8 +459,8 @@ def _tail_factors(k: int, start: int, scale: int, tables: _EMTables) -> _Factors
     cut = min(tables.bits + _tail_shift(k, start) - scale, tables.ratio_bits)
     drop = tables.ratio_bits - cut + _GUARD  # r d >> drop is in units of 2^-scale
     d, e = (k << (scale + _GUARD)) // start ** (k + 1), 1
-    for J, r in enumerate(tables.ratios(), start=1):
-        yield r >> cut, d, e, drop
+    for J in itertools.count(1):
+        yield tables.ratio(J) >> cut, d, e, drop
         f = (k + 2 * J - 1) * (k + 2 * J)
         d, e = d * f // square, -(-e * f // square) + 1
 
@@ -416,6 +490,14 @@ def zeta_single(k: int, digits: int = 30) -> BigFloat:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     return _checked(_EMTables(digits).zeta_fixed(k), digits, f"zeta({k})")
+
+
+def _zeta_even(k: int, tables: _EMTables) -> _Fixed:
+    """zeta(k) for even k = 2n by Euler's formula,
+    pi^2n T_n / (2 (2n-1)! (4^n - 1)): one floor from the table's pi^2n."""
+    n = k // 2
+    den = 2 * math.factorial(k - 1) * ((1 << k) - 1)
+    return tables.pi_power(n).times(tables.tangent(n), tables.bits, den)
 
 
 def _zeta_single(k: int, tables: _EMTables) -> _Fixed:
@@ -489,7 +571,8 @@ def _folded_tails(k1: int, w: int, tables: _EMTables) -> _Factors:
     coefficient of the weight (k2 >= 2), so tail targets ignore k1."""
     rise, rise_max = k1, w - 2  # (k)_{2J-1} = k (k+1) ... (k+2J-2)
     one = 1 << tables.ratio_bits
-    for J, r in enumerate(tables.ratios(), start=1):
+    for J in itertools.count(1):
+        r = tables.ratio(J)
         coefficient = (abs(r) + 1) * rise_max
         t = tables.tail(w + 2 * J - 1, tables.double_cutoff + 1, coefficient, one)
         yield r, rise * t.value, rise * t.error, tables.ratio_bits + t.scale - tables.bits
@@ -645,12 +728,5 @@ def audit_h_ab(a: int, b: int, digits: int = 30) -> HAuditReport:
 
 
 def _h(n: int, tables: _EMTables) -> _Fixed:
-    """H(n) = pi^2n/(2n+1)! = 2 zeta(2n)/(|B_2n| 4^n (2n+1)), and H(0) = 1.
-
-    |B_2n| = 2n T_n/(4^n (4^n - 1)), so H(n) = zeta(2n) (4^n - 1)/(n T_n (2n+1)).
-    """
-    if n == 0:
-        return _Fixed(1 << tables.bits, 0, tables.bits)
-    return tables.zeta_fixed(2 * n).times(
-        (1 << 2 * n) - 1, tables.bits, n * tables.bernoulli.tangent(n) * (2 * n + 1)
-    )
+    """H(n) = pi^2n/(2n+1)!: one floor from the table's pi^2n, and H(0) = 1 exactly."""
+    return tables.pi_power(n).times(1, tables.bits, math.factorial(2 * n + 1))

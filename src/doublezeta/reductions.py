@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .matrices import _check_k, _check_row, build_a, build_p
+from .matrices import _check_k, _check_row, _p_rows, build_a
 from .rationals import _format_row, _lowest_terms, format_rational, parse_rational
 
 __all__ = [
@@ -170,8 +170,9 @@ def inverse_reduction_coefficients(K: int, constants: Sequence[Fraction]) -> Coe
     equals sum_r P_{s,r} zeta(2r, 2K+1-2r) minus (sum_r P_{s,r} c_r)
     times zeta(2K+1).  A vanishing constant term is suppressed.  The sum
     runs in integers: c over one common denominator e, each row of P as
-    build_p's int row n_s over its row denominator d_s, so row s is n_s e
-    and -n_s . (e c) over d_s e.
+    P's int row n_s over its row denominator d_s, so row s is n_s e and
+    -n_s . (e c) over d_s e.  The rows of P are read before any gcd, and
+    ``_row`` puts each table row in lowest terms once.
     """
     _check_k(K)
     constants = list(constants)
@@ -179,12 +180,12 @@ def inverse_reduction_coefficients(K: int, constants: Sequence[Fraction]) -> Coe
         raise ValueError(f"need {K - 1} constants, got {len(constants)}")
     c_den = math.lcm(*(c.denominator for c in constants))
     c_num = [c.numerator * (c_den // c.denominator) for c in constants]
-    p = build_p(K)
+    p_rows, p_denoms = _p_rows(K, None)
     bases = tuple(f"zeta({2 * r},{2 * K + 1 - 2 * r})" for r in range(1, K))
     with_const = (*bases, f"zeta({2 * K + 1})")
     flags = (None,) * K
     rows = []
-    for s, (p_row, p_den) in enumerate(zip(p.numerators, p.denominators), start=1):
+    for s, (p_row, p_den) in enumerate(zip(p_rows, p_denoms), start=1):
         target = f"zeta({2 * s})*zeta({2 * K + 1 - 2 * s})"
         const = -sum(map(mul, p_row, c_num))
         if const:

@@ -41,7 +41,7 @@ def starts_with(x, prefix):
 def test_zeta_single_reference_values():
     z3 = zeta_single(3, 30)
     assert z3.error_bound <= Fraction(1, 10**30)
-    with mp.workdps(50):
+    with mp.workdps(30 + 60):
         assert abs(z3.value - exact(mpmath.zeta(3))) <= z3.error_bound
     assert starts_with(z3.value, "1.202056903159594285399")
     z5 = zeta_single(5, 30)
@@ -49,18 +49,99 @@ def test_zeta_single_reference_values():
 
 
 def test_zeta_single_vs_mpmath_grid():
+    # the reference carries 60 digits past the target: an even zeta's bound
+    # of a few ulps lies near 10^-55 here, far below a 40-digit reference
     for k in range(2, 12):
         z = zeta_single(k, 25)
-        with mp.workdps(40):
+        with mp.workdps(25 + 60):
             assert abs(z.value - exact(mpmath.zeta(k))) <= z.error_bound
 
 
 def test_zeta_single_pi_consistency():
     z2 = zeta_single(2, 30)
     z4 = zeta_single(4, 30)
-    with mp.workdps(80):
+    with mp.workdps(30 + 60):
         assert abs(z2.value - exact(mp.pi**2 / 6)) <= z2.error_bound
         assert abs(z4.value - exact(mp.pi**4 / 90)) <= z4.error_bound
+
+
+@pytest.mark.parametrize("q", [8, 9, 10, 16, 31, 64, 100, 257, 1000, 4096, 20000])
+def test_pi_encloses_mpmath(q):
+    pi = numerics._pi(q)
+    assert pi.scale == q
+    # the reference carries 100 bits below the unit 2^-q
+    with mp.workdps(q * 3 // 10 + 40):
+        assert abs(pi.value - mp.ldexp(mp.pi, q)) <= pi.error
+
+
+def routes(monkeypatch):
+    """Record (k, digits) of each single zeta by the route that evaluates it:
+    Euler's formula or Euler-Maclaurin."""
+    seen = {"_zeta_even": [], "_zeta_single": []}
+    for name, calls in seen.items():
+        evaluate = getattr(numerics, name)
+
+        def recorded(k, tables, evaluate=evaluate, calls=calls):
+            calls.append((k, tables.digits))
+            return evaluate(k, tables)
+
+        monkeypatch.setattr(numerics, name, recorded)
+    return seen
+
+
+@pytest.mark.parametrize("digits", [1, 12, 40, 200, 1000, 2000])
+def test_even_zeta_encloses_mpmath_on_both_sides_of_the_crossover(monkeypatch, digits):
+    # Euler's formula up to the table's even limit, Euler-Maclaurin past it
+    limit = numerics._EMTables(digits).even_limit
+    below = limit - limit % 2
+    seen = routes(monkeypatch)
+    for k in (2, below, below + 2):
+        z = zeta_single(k, digits)
+        with mp.workdps(digits + 60):
+            err = abs(z.value - exact(mpmath.zeta(k)))
+        assert err <= z.error_bound <= Fraction(1, 10**digits), k
+    assert seen == {
+        "_zeta_even": [(2, digits), (below, digits)],
+        "_zeta_single": [(below + 2, digits)],
+    }
+
+
+@pytest.mark.parametrize("digits", [1, 30, 200])
+def test_h_encloses_its_pi_power(digits):
+    # H(n) = pi^2n/(2n+1)!, from the table's pi^2n in the working unit
+    table = numerics._EMTables(digits)
+    for n in (0, 1, 2, 3, 8, 17, 40):
+        h = numerics._h(n, table)
+        assert h.scale == table.bits
+        with mp.workdps(digits + 60):
+            ref = mp.ldexp(mp.pi ** (2 * n) / mp.factorial(2 * n + 1), h.scale)
+            assert abs(h.value - ref) <= h.error, n
+    assert numerics._h(0, table) == (1 << table.bits, 0, table.bits)
+
+
+def test_an_even_k_past_the_crossover_forms_no_large_tangent_number(monkeypatch):
+    # zeta(512) at 30 digits takes the Euler-Maclaurin route: the only
+    # tangent numbers read are those of its ratios, and T_256, which
+    # Euler's formula would need, is never formed
+    tables, reads = [], []
+    tangent = BernoulliCache.tangent
+
+    def counted(self, k):
+        reads.append(k)
+        return tangent(self, k)
+
+    class Tables(numerics._EMTables):
+        def __init__(self, digits):
+            super().__init__(digits)
+            tables.append(self)
+
+    monkeypatch.setattr(numerics, "_EMTables", Tables)
+    monkeypatch.setattr(BernoulliCache, "tangent", counted)
+    zeta_single(512, 30)
+    (table,) = tables
+    assert reads == list(range(1, len(table._ratios) + 1))
+    assert table.bernoulli.high_water < 2 * table.term_cap
+    assert not table._pi_powers
 
 
 def test_zeta_single_rejects_bad_args():
@@ -325,24 +406,23 @@ def test_audit_euler_reconstructs_closed_form_constant(K):
 
 def test_audit_euler_evaluates_nothing_twice(monkeypatch):
     # one pass per K: every single zeta and every Euler-Maclaurin tail of the
-    # audit is evaluated once, however many rows share it
-    singles, tails = [], []
-    zeta_single_orig, zeta_tail_orig = numerics._zeta_single, numerics._zeta_tail
-
-    def counted_single(k, tables):
-        singles.append((k, tables.digits))
-        return zeta_single_orig(k, tables)
+    # audit is evaluated once, however many rows share it.  A single zeta
+    # comes by Euler's formula (even k) or by Euler-Maclaurin (odd k), and
+    # each k by one route, once
+    tails = []
+    zeta_tail_orig = numerics._zeta_tail
 
     def counted_tail(k, start, target, tables):
         tails.append((k, start, target, tables.bits))
         return zeta_tail_orig(k, start, target, tables)
 
-    monkeypatch.setattr(numerics, "_zeta_single", counted_single)
+    seen = routes(monkeypatch)
     monkeypatch.setattr(numerics, "_zeta_tail", counted_tail)
     audit_euler(8, 40)
     # zeta(2..15) and zeta(17) at 40 digits; each row reads its zeta(2r) from
     # the same table as the products
-    assert sorted(singles) == [(k, 40) for k in [*range(2, 16), 17]]
+    assert sorted(seen["_zeta_even"]) == [(k, 40) for k in range(2, 16, 2)]
+    assert sorted(seen["_zeta_single"]) == [(k, 40) for k in [*range(3, 16, 2), 17]]
     assert tails and len(set(tails)) == len(tails)
 
 
@@ -402,8 +482,9 @@ def test_zeta_double_fixed_result_encloses_reference(monkeypatch, k1, k2):
 def test_tables_form_each_tail_once(monkeypatch, run):
     # and every tail of the call, and the T(m) fold, reads rho_J =
     # B_2J/(2J)! from the call's one table, which forms each on first use
-    # from the tangent number T_J, and none past the term cap: no T_J is
-    # read twice
+    # from the tangent number T_J, and none past the term cap.  The ratios
+    # and Euler's formula for the even zetas read T_J from one list of the
+    # table: no T_J is read twice
     tails, formed, tables = [], [], []
     reads = collections.Counter()
     zeta_tail_orig, tangent = numerics._zeta_tail, BernoulliCache.tangent
@@ -438,7 +519,7 @@ def test_tables_form_each_tail_once(monkeypatch, run):
     (table,) = tables
     assert formed == list(range(1, len(table._ratios) + 1))
     assert 0 < len(table._ratios) <= table.term_cap + 1
-    assert sorted(reads) == list(range(1, len(table._ratios) + 1))
+    assert sorted(reads) == list(range(1, len(table._tangents)))
 
 
 @pytest.mark.parametrize("k, start, scale", [(40, 17, 200), (60, 5, 200), (100, 120, 794)])
@@ -464,8 +545,8 @@ def test_tail_terms_count_the_error_of_d(k, start, scale):
         def __init__(self, term_cap):
             self.term_cap = term_cap
 
-        def ratios(self):
-            return (1 << (160 + 12 * (count - J)) for J in itertools.count(1))
+        def ratio(self, J):
+            return 1 << (160 + 12 * (count - J))
 
     exact, previous, previous_ulps = Fraction(0), 0, 0
     for n in range(1, count + 1):
@@ -543,7 +624,7 @@ def test_tail_rounding_is_counted(k, start, weight):
     num = den = 1
     if weight is not None:
         J = (k - weight + 1) // 2
-        r = next(itertools.islice(numerics._EMTables(digits).ratios(), J - 1, None))
+        r = numerics._EMTables(digits).ratio(J)
         num = (abs(r) + 1) * math.prod(range(weight - 2, weight + 2 * J - 3))
         den = 1 << table.ratio_bits
     tail = table.tail(k, start, num, den)
@@ -660,12 +741,13 @@ def test_contract_holds_at_high_precision(digits):
 
 
 @pytest.mark.parametrize("digits", [1100, 2000])
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 5])
 def test_single_contract_holds_past_a_fixed_term_cap(k, digits):
     # a tail needs about 0.37 digits derivative terms: a cap of 400 terms
-    # missed the target from 1090 digits on
+    # missed the target from 1090 digits on.  k = 3 and 5 take the
+    # Euler-Maclaurin route; k = 2 is Euler's formula at the same digits
     z = zeta_single(k, digits)
-    with mp.workdps(digits + 40):
+    with mp.workdps(digits + 60):
         err = abs(z.value - exact(mpmath.zeta(k)))
     assert err <= z.error_bound <= Fraction(1, 10**digits)
 
@@ -695,6 +777,7 @@ def test_public_bound_is_the_engine_count(digits):
 
     cases = [
         (zeta_single(5, digits), fresh().zeta_fixed(5)),
+        (zeta_single(4, digits), fresh().zeta_fixed(4)),
         (zeta_double(3, 4, digits), numerics._zeta_double(3, 4, fresh())),
         (zeta_double(1, 4, digits), numerics._zeta_one(4, fresh())),
         (audit_h_ab(1, 0, digits).direct_value, numerics._zeta_double(2, 3, fresh())),
