@@ -1,15 +1,14 @@
 """Command-line front end: verification sweeps, table exports, audits.
 
 Exit codes: 0 success / all checks passed; 1 at least one identity
-failed; 2 usage error; 3 missing prerequisite artifact (e.g. audited
-constants requested without an audit file); 141 (128 + SIGPIPE) the
-reader closed standard output before all of the output was written.
-Every error with exit 2 or 3 prints one ``error: <reason>`` line on
-stderr, whether argparse, the library or the CLI rejects the value.  One
-rule in ``main`` reports a value the library rejects, a ``ValueError``
-the command raises: ``error: <options as typed>: <message>``, where the
-options as typed are the arguments from the first one that starts with
-``-``, so ``zeta --k 1`` prints ``error: --k 1: k must be >= 2, got 1``.
+failed; 2 usage error; 141 (128 + SIGPIPE) the reader closed standard
+output before all of the output was written.  Every error with exit 2
+prints one ``error: <reason>`` line on stderr, whether argparse, the
+library or the CLI rejects the value.  One rule in ``main`` reports a
+value the library rejects, a ``ValueError`` the command raises:
+``error: <options as typed>: <message>``, where the options as typed are
+the arguments from the first one that starts with ``-``, so
+``zeta --k 1`` prints ``error: --k 1: k must be >= 2, got 1``.
 Argparse's errors and the CLI's own name their options themselves and
 get no prefix.  Each kind of ``verify``, ``reduce`` and ``audit`` has a
 parser of its own that accepts only the options it reads: ``--r`` for
@@ -25,6 +24,9 @@ was; a path that exists but is not a regular file (a device such as
 /dev/full, a FIFO) is written in place.  Numeric disagreement with the
 printed Euler constant is reported in the output, never turned into a
 failing exit code: the audit's job is to report, not to judge.
+``reduce inverse --constants exact`` takes each row's constant from the
+closed form ``reductions.euler_constant``, the value ``audit euler``
+reconstructs; no command reads its input from a file.
 
 ``main`` parses with one parser per process: ``build_parser()`` builds it
 on its first call and returns that same object afterwards.  Each parse
@@ -39,7 +41,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from stat import S_IMODE, S_ISREG
 from typing import NoReturn
 
@@ -50,7 +51,6 @@ from .rationals import format_rational, parse_rational
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
-EXIT_MISSING_PREREQUISITE = 3
 EXIT_BROKEN_PIPE = 141
 
 
@@ -233,92 +233,22 @@ def cmd_matrix(args: argparse.Namespace) -> tuple[int, str]:
 # ------------------------------------------------------------------ reduce
 
 
-def _load_audited_constants(K: int, path: str | None) -> list[Fraction]:
-    if not path:
-        raise CliError(
-            EXIT_MISSING_PREREQUISITE,
-            "audited constants need --audit-file pointing at the JSON output "
-            f"of `audit euler --K {K}`",
-        )
-    try:
-        fh = open(path, encoding="utf-8")
-    except FileNotFoundError:
-        raise CliError(
-            EXIT_MISSING_PREREQUISITE,
-            f"audit file {path!r} not found; run `audit euler --K {K} "
-            f"--digits 40 --out {path}` first",
-        )
-    except (OSError, ValueError) as exc:  # a directory, no permission, a NUL in the path
-        raise _cannot_read(path, exc)
-    try:
-        with fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise _cannot_read(path, exc)
-    except ValueError as exc:
-        raise _unusable(path, f"it is not JSON ({exc})")
-    if not isinstance(payload, dict):
-        raise _unusable(path, "it is not a JSON object")
-    if payload.get("K") != K:
-        raise CliError(
-            EXIT_MISSING_PREREQUISITE,
-            f"audit file {path!r} is for K={payload.get('K')}, need K={K}",
-        )
-    rows = payload.get("rows")
-    if not (
-        isinstance(rows, list)
-        and len(rows) == K - 1
-        and all(isinstance(row, dict) for row in rows)
-    ):
-        raise _unusable(path, f"'rows' must be a list of {K - 1} row objects")
-    constants = []
-    for i, row in enumerate(rows, 1):
-        if row.get("r") != i:
-            raise _unusable(path, f"row {i} has r={row.get('r')!r}, expected r={i}")
-        rec = row.get("reconstructed")
-        if rec is None:
-            raise CliError(
-                EXIT_MISSING_PREREQUISITE,
-                f"audit file {path!r} has no reconstructed constant for "
-                f"row r={i}; rerun the audit at higher precision",
-            )
-        if not isinstance(rec, str):  # `audit euler` writes "p/q" text or null
-            raise _unusable(path, f"its reconstructed constant {rec!r} is not \"p/q\" text")
-        try:
-            constants.append(parse_rational(rec))
-        except ValueError:
-            raise _unusable(path, f"its reconstructed constant {rec!r} is not a rational")
-    return constants
-
-
-def _unusable(path: str, reason: str) -> CliError:
-    return CliError(EXIT_MISSING_PREREQUISITE, f"audit file {path!r} is not usable: {reason}")
-
-
-def _cannot_read(path: str, exc: OSError | ValueError) -> CliError:
-    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-    return _unusable(path, f"cannot read it ({reason})")
-
-
 def cmd_reduce(args: argparse.Namespace) -> tuple[int, str]:
     if args.kind == "euler":
         table = reductions.euler_rhs_coefficients(args.K)
     elif args.kind == "inverse":
-        # the one tie between options that argparse cannot state
-        if args.audit_file is not None and args.constants != "audited":
-            raise CliError(EXIT_USAGE, "--audit-file needs --constants audited")
-        # before the audit file is read: a missing one would exit 3
+        # before the constants are read, so --K 1 is reported whatever they are
         matrices._check_k(args.K)
         spec = args.constants
         if spec == "printed":
             constants = [reductions.PRINTED_CONSTANT] * (args.K - 1)
-        elif spec == "audited":
-            constants = _load_audited_constants(args.K, args.audit_file)
+        elif spec == "exact":
+            constants = [reductions.euler_constant(args.K, r) for r in range(1, args.K)]
         elif spec.startswith("explicit:"):
             constants = [parse_rational(c) for c in spec[len("explicit:") :].split(",")]
         else:
             raise CliError(
-                EXIT_USAGE, "--constants must be printed, audited, or explicit:<c1,c2,...>"
+                EXIT_USAGE, "--constants must be printed, exact, or explicit:<c1,c2,...>"
             )
         table = reductions.inverse_reduction_coefficients(args.K, constants)
     else:
@@ -459,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     reduce = kinds("reduce", cmd_reduce, "emit reduction coefficient tables")
     reduce.add_parser("euler", parents=[K, table, out])
     p = reduce.add_parser("inverse", parents=[K, table, out])
-    p.add_argument("--constants", default="printed", help="printed | audited | explicit:<c1,...>")
-    p.add_argument("--audit-file", help="JSON output of `audit euler` (for audited)")
+    p.add_argument("--constants", default="printed", help="printed | exact | explicit:<c1,...>")
     p = reduce.add_parser("h", parents=[ab, table, out])
     p.add_argument("--pi-basis", action="store_true", help="expand H(n) factors into pi powers")
 

@@ -53,9 +53,9 @@ loop, ``_derivative_sum``:
   tangent number, about 2/(2 pi)^(2J), is floored from those ints once per
   J per call to r_J in units of 2^-(p + 64), kept in the table's list and
   shared by every series of the call.  The ratios and Euler's formula read
-  T_J from one list of the table.  A tail floors r_J cut bits coarser
-  again, but never coarser than units of 1: the floor of a floor is still
-  within one of its units;
+  T_J from the table's Bernoulli cache, which forms each T_J once.  A tail
+  floors r_J cut bits coarser again, but never coarser than units of 1:
+  the floor of a floor is still within one of its units;
 - the caller's generator reads r_J from the table by index and gives it
   with x_J, an int x within e of x_J, and the shift drop into its units.
   A tail's x_J is d_J = (k)_{2J-1} start^(1-k-2J), held in units of
@@ -312,18 +312,10 @@ class _EMTables:
         # an even zeta(k) up to here comes from Euler's formula; past it the
         # tangent number T_(k/2) costs more than the Euler-Maclaurin sum
         self.even_limit = max(16, digits // 3)
-        self._tangents: list[int] = [0]  # T_J at index J
         self._ratios: list[int] = []
         self._pi_powers: dict[int, _Fixed] = {}
         self._tails: dict[tuple[int, int, int], _Fixed] = {}
         self._fixed: dict[int, _Fixed] = {}
-
-    def tangent(self, J: int) -> int:
-        """The tangent number T_J, read from the call's cache once per J."""
-        tangents = self._tangents
-        while len(tangents) <= J:
-            tangents.append(self.bernoulli.tangent(len(tangents)))
-        return tangents[J]
 
     def ratio(self, J: int) -> int:
         """rho_J = B_2J/(2J)! floored in units of 2^-ratio_bits, for J >= 1.
@@ -337,7 +329,7 @@ class _EMTables:
         ratios = self._ratios
         while len(ratios) < J:
             j = len(ratios) + 1
-            t, four = self.tangent(j), 1 << 2 * j
+            t, four = self.bernoulli.tangent(j), 1 << 2 * j
             ratios.append(
                 ((t if j % 2 else -t) << self.ratio_bits)
                 // (math.factorial(2 * j - 1) * four * (four - 1))
@@ -497,15 +489,16 @@ def _zeta_even(k: int, tables: _EMTables) -> _Fixed:
     pi^2n T_n / (2 (2n-1)! (4^n - 1)): one floor from the table's pi^2n."""
     n = k // 2
     den = 2 * math.factorial(k - 1) * ((1 << k) - 1)
-    return tables.pi_power(n).times(tables.tangent(n), tables.bits, den)
+    return tables.pi_power(n).times(tables.bernoulli.tangent(n), tables.bits, den)
 
 
 def _zeta_single(k: int, tables: _EMTables) -> _Fixed:
     bits = tables.bits
     M = tables.cutoff
     one = 1 << bits
-    # m = 1..M-1, each floor quotient one ulp at most
-    partial = sum(one // m**k for m in range(1, M))
+    # m = 1..M-1, each floor quotient one ulp at most; past m = 2^ceil(bits/k)
+    # every quotient is 0, and M - 1 ulps are still counted
+    partial = sum(one // m**k for m in range(1, min(M, (1 << -(-bits // k)) + 1)))
     tail = tables.tail(k, M).times(1, bits)
     return _Fixed(partial + tail.value, M - 1 + tail.error, bits)
 

@@ -116,8 +116,10 @@ def euler_constant(K: int, r: int) -> Fraction:
     """The exact zeta(2K+1) constant of Euler row r, in the j < m convention.
 
     c_r = -(1 + C(2K, 2r-1) + C(2K, 2K-2r)) / 2: the printed -1/2 plus the
-    s = 0 column of A weighted by zeta(0) = -1/2.  The numeric audit
-    reconstructs exactly this value on every row.
+    s = 0 column of A weighted by zeta(0) = -1/2.  That the numeric audit
+    reconstructs this value on every row is checked, not proved: for
+    K = 2..12 at 40 digits in the tests, and for K = 2..8 in the benchmark
+    oracle.
     """
     _check_row(K, r)
     s0 = math.comb(2 * K, 2 * r - 1) + math.comb(2 * K, 2 * K - 2 * r)
@@ -133,8 +135,8 @@ def euler_rhs_coefficients(
 
     Product coefficients are the rows of A_K.  The zeta(2K+1) constant
     defaults to the printed -1/2 per row, flagged "as printed"; callers
-    may supply per-row constants (e.g. audited ones) instead.  Row r is
-    A's int row over the denominator of its constant c_r.
+    may supply per-row constants (e.g. the audit's reconstructed ones)
+    instead.  Row r is A's int row over the denominator of its constant c_r.
     """
     _check_k(K)
     if constants is None:

@@ -1,5 +1,4 @@
 import argparse
-import errno
 import io
 import json
 import os
@@ -191,14 +190,14 @@ def test_failed_run_leaves_the_old_out_file(capsys, monkeypatch, tmp_path):
     # no temporary file is left beside it
     target = tmp_path / "out.json"
     target.write_bytes(b"old bytes\n")
-    missing = str(tmp_path / "missing.json")
+    # each fails inside the command, after --out is opened
     failing = [
-        (["zeta", "--k", "1"], 2),
-        (["reduce", "inverse", "--K", "3", "--constants", "audited", "--audit-file", missing], 3),
+        ["zeta", "--k", "1"],
+        ["reduce", "inverse", "--K", "3", "--constants", "explicit:1/2"],
     ]
-    for argv, expected in failing:
+    for argv in failing:
         code, out, _ = run([*argv, "--out", str(target)], capsys)
-        assert (code, out) == (expected, "")
+        assert (code, out) == (2, "")
     # an error that is not the CLI's own propagates, and still writes nothing
     def broken(K):
         raise RuntimeError("broken builder")
@@ -253,13 +252,14 @@ def test_main_leaves_no_parser_state(capsys):
         ["zeta", "--k1", "2", "--k2", "3"],
         ["reduce", "inverse", "--K", "3", "--constants", "explicit:-1/2,-1/2"],
         ["reduce", "inverse", "--K", "3"],
+        ["reduce", "inverse", "--K", "3", "--constants", "exact"],
         ["zeta", "--k", "3", "--k1", "2", "--k2", "3"],
-        ["reduce", "inverse", "--K", "3", "--constants", "audited"],
+        ["reduce", "inverse", "--K", "3", "--constants", "explicit:1/2"],
         ["verify", "conjecture", "--k-min", "3", "--k-max", "4"],
         ["verify", "conjecture", "--k-max", "3"],
     ]
     shared = [run(argv, capsys) for argv in sequence]
-    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 3, 0, 0]
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 2, 2, 0, 0]
     for argv, result in zip(sequence, shared):
         build_parser.cache_clear()
         assert run(argv, capsys) == result, argv
@@ -386,7 +386,8 @@ ABBREVIATIONS = {
     "--m 3": ["verify", "carlitz", "--m", "3"],
     "--dig 5": ["audit", "euler", "--K", "3", "--dig", "5"],
     "--o x": ["matrix", "--K", "3", "--which", "P", "--o", "x"],
-    # --a is not --audit-file: reduce inverse does not read --a
+    "--con exact": ["reduce", "inverse", "--K", "2", "--con", "exact"],
+    # reduce inverse reads no option that starts with --a
     "--a 3": ["reduce", "inverse", "--K", "2", "--a", "3"],
 }
 
@@ -413,15 +414,17 @@ def assert_one_error_line(err):
         ["verify", "series", "--m-max", "0"],
         ["zeta", "--k", "3", "--k1", "2", "--k2", "3"],
         *LIBRARY_CHECKED,
-        # checked in the CLI: the audit file would be read before the library
-        # could reject K, and a missing one exits 3
-        ["reduce", "inverse", "--K", "1", "--constants", "audited"],
+        # checked in the CLI before the constants are read
+        ["reduce", "inverse", "--K", "1", "--constants", "exact"],
         ["zeta", "--k", "3", "--k1", "2"],
         ["zeta", "--k", "3", "--k2", "2"],
         ["zeta", "--k1", "2"],
         ["zeta"],
         ["reduce", "inverse", "--constants", "bogus"],
         ["reduce", "inverse", "--constants", ""],
+        # a retired spec, and the retired option
+        ["reduce", "inverse", "--K", "2", "--constants", "audited"],
+        ["reduce", "inverse", "--K", "2", "--constants", "audited", "--audit-file", "a.json"],
     ],
 )
 def test_verify_and_matrix_usage_errors(capsys, argv):
@@ -434,10 +437,11 @@ def test_verify_and_matrix_usage_errors(capsys, argv):
 @pytest.mark.parametrize(
     "option, argv",
     [
-        ("--constants", ["reduce", "euler", "--K", "2", "--constants", "audited",
-                         "--audit-file", "/nonexistent.json"]),
+        ("--constants", ["reduce", "euler", "--K", "2", "--constants", "audited"]),
         ("--constants", ["reduce", "euler", "--constants", "printed"]),
+        ("--constants", ["reduce", "euler", "--constants", "exact"]),
         ("--constants", ["reduce", "h", "--constants", "explicit:-1/2"]),
+        # the retired --audit-file is read by no kind
         ("--audit-file", ["reduce", "euler", "--audit-file", "audit.json"]),
         ("--audit-file", ["reduce", "h", "--audit-file", "audit.json"]),
         ("--pi-basis", ["reduce", "euler", "--pi-basis"]),
@@ -447,13 +451,13 @@ def test_verify_and_matrix_usage_errors(capsys, argv):
         ("--K", ["audit", "h", "--K", "9", "--digits", "5"]),
         ("--k-min", ["verify", "carlitz", "--k-min", "5", "--max", "3"]),
         ("--max", ["verify", "conjecture", "--k-max", "3", "--max", "3", "--order", "2"]),
-        # the audit file is read only for audited constants
+        # reduce inverse included, whatever --constants says
         ("--audit-file", ["reduce", "inverse", "--K", "2", "--audit-file", "/nonexistent.json"]),
         ("--audit-file", ["reduce", "inverse", "--K", "2", "--constants", "explicit:-1/2",
                           "--audit-file", "x.json"]),
     ],
     ids=[
-        "euler-audited", "euler-printed", "h-constants", "euler-audit-file",
+        "euler-audited", "euler-printed", "euler-exact", "h-constants", "euler-audit-file",
         "h-audit-file", "euler-pi-basis", "inverse-pi-basis", "audit-h-r",
         "reduce-euler-a", "audit-h-K", "carlitz-k-min", "conjecture-max",
         "printed-audit-file", "explicit-audit-file",
@@ -477,7 +481,7 @@ LEAF_OPTIONS = {
     ("verify", "closed-forms"): {"--k-min", "--k-max"},
     ("matrix",): {"--K", "--which"},
     ("reduce", "euler"): {"--K", "--format"},
-    ("reduce", "inverse"): {"--K", "--constants", "--audit-file", "--format"},
+    ("reduce", "inverse"): {"--K", "--constants", "--format"},
     ("reduce", "h"): {"--a", "--b", "--pi-basis", "--format"},
     ("audit", "euler"): {"--K", "--r", "--digits"},
     ("audit", "h"): {"--a", "--b", "--digits"},
@@ -520,7 +524,7 @@ def test_each_kind_accepts_only_the_options_it_reads():
         path: options | {"-h", "--help", "--out"} for path, options in LEAF_OPTIONS.items()
     }
     # the (kind, option) pairs of verify, reduce and audit, --out included
-    assert sum(len(leaves[path]) - 2 for path in leaves if len(path) == 2) == 33
+    assert sum(len(leaves[path]) - 2 for path in leaves if len(path) == 2) == 32
 
 
 @pytest.mark.parametrize(
@@ -557,6 +561,11 @@ LIBRARY_REJECTIONS = {
     "matrix --K 1 --which A":
         "error: --K 1 --which A: K must be >= 2 (matrices are (K-1)x(K-1)), got 1",
     "reduce euler --K 1": "error: --K 1: K must be >= 2 (matrices are (K-1)x(K-1)), got 1",
+    # K is checked before the constants are read
+    "reduce inverse --K 1 --constants explicit:x":
+        "error: --K 1 --constants explicit:x: K must be >= 2 (matrices are (K-1)x(K-1)), got 1",
+    "reduce inverse --K 1 --constants bogus":
+        "error: --K 1 --constants bogus: K must be >= 2 (matrices are (K-1)x(K-1)), got 1",
     "reduce h --a -1": "error: --a -1: a and b must be >= 0",
     "audit h --a 2 --b 0":
         "error: --a 2 --b 0: (a, b) must be one of [(0, 0), (0, 1), (1, 0)], got (2, 0)",
@@ -568,9 +577,10 @@ LIBRARY_REJECTIONS = {
 # the CLI's own usage errors name their options themselves: no prefix
 CLI_REJECTIONS = {
     "verify conjecture --k-min 5 --k-max 3": "error: --k-max must be >= --k-min",
-    "reduce inverse --K 2 --audit-file x.json": "error: --audit-file needs --constants audited",
     "reduce inverse --K 2 --constants bogus":
-        "error: --constants must be printed, audited, or explicit:<c1,c2,...>",
+        "error: --constants must be printed, exact, or explicit:<c1,c2,...>",
+    "reduce inverse --K 2 --constants audited":
+        "error: --constants must be printed, exact, or explicit:<c1,c2,...>",
     "zeta --k 3 --k1 2 --k2 3": "error: zeta needs --k, or both --k1 and --k2, not both forms",
 }
 
@@ -645,164 +655,26 @@ def test_reduce_inverse_explicit_past_the_int_to_str_limit(capsys):
     assert parse_rational(terms["zeta(5)"]) == -b / 3
 
 
-def test_reduce_inverse_audited_missing_file(capsys, tmp_path):
-    code, _, err = run(
-        [
-            "reduce",
-            "inverse",
-            "--K",
-            "2",
-            "--constants",
-            "audited",
-            "--audit-file",
-            str(tmp_path / "missing.json"),
-        ],
-        capsys,
-    )
-    assert code == 3
-    assert "audit euler" in err
-    assert_one_error_line(err)
-
-
-@pytest.mark.parametrize(
-    "K, content",
-    [
-        (2, "[1, 2]"),
-        (2, '{"K": 2}'),
-        (2, '{"K": 2, "rows": {"r": 1}}'),
-        (3, '{"K": 3, "rows": [{"r": 1, "reconstructed": "-11"}]}'),
-        (2, '{"K": 2, "rows": [["-11/2"]]}'),
-        (2, '{"K": 2, "rows": [{"r": 1, "reconstructed": "1/0"}]}'),
-        (2, '{"K": 2, "rows": [{"r": 1, "reconstructed": "abc"}]}'),
-        (2, '{"K": 2, "rows": [{"r": 1, "reconstructed": true}]}'),
-        (2, '{"K": 2, "rows": [{"r": 1, "reconstructed": 0.1}]}'),
-        (2, '{"K": 2, "rows": [{"r": 1, "reconstructed": -1}]}'),
-        (2, "not json"),
-    ],
-    ids=[
-        "not-an-object",
-        "no-rows",
-        "rows-not-a-list",
-        "too-few-rows",
-        "row-not-an-object",
-        "zero-denominator",
-        "not-a-rational",
-        "boolean",
-        "float",
-        "number",
-        "not-json",
-    ],
-)
-def test_reduce_inverse_audited_unusable_file(capsys, tmp_path, K, content):
-    path = tmp_path / "audit.json"
-    path.write_text(content)
-    code, out, err = run(
-        [
-            "reduce",
-            "inverse",
-            "--K",
-            str(K),
-            "--constants",
-            "audited",
-            "--audit-file",
-            str(path),
-        ],
-        capsys,
-    )
-    assert code == 3
-    assert out == ""
-    assert str(path) in err
-    assert_one_error_line(err)
-
-
-@pytest.mark.parametrize(
-    "content, reason",
-    [
-        (None, "need --audit-file"),
-        ('{"K": 3, "rows": []}', "is for K=3, need K=2"),
-        ('{"K": 2, "rows": [{"r": 1, "reconstructed": null}]}', "no reconstructed constant"),
-    ],
-    ids=["no-audit-file", "other-K", "not-reconstructed"],
-)
-def test_missing_prerequisites_are_one_error_line(capsys, tmp_path, content, reason):
-    argv = ["reduce", "inverse", "--K", "2", "--constants", "audited"]
-    if content is not None:
-        path = tmp_path / "audit.json"
-        path.write_text(content)
-        argv += ["--audit-file", str(path)]
-    code, out, err = run(argv, capsys)
-    assert (code, out) == (3, "")
-    assert_one_error_line(err)
-    assert reason in err
-
-
-def test_an_audit_file_with_a_nul_cannot_be_read(capsys):
-    # open rejects the path itself: the file is not missing, and was never read as JSON
-    argv = ["reduce", "inverse", "--K", "2", "--constants", "audited", "--audit-file", "a\x00b"]
-    assert run(argv, capsys) == (
-        3, "", "error: audit file 'a\\x00b' is not usable: cannot read it (embedded null byte)\n"
-    )
-
-
-def test_an_audit_file_that_is_a_directory_cannot_be_read(capsys, tmp_path):
-    # the path exists, so "not found; run audit euler --out <path>" would send
-    # the user to write over a directory
-    argv = ["reduce", "inverse", "--K", "2", "--constants", "audited", "--audit-file", str(tmp_path)]
-    assert run(argv, capsys) == (
-        3,
-        "",
-        f"error: audit file {str(tmp_path)!r} is not usable: cannot read it "
-        f"({os.strerror(errno.EISDIR)})\n",
-    )
-
-
-def test_audit_then_audited_inverse(capsys, tmp_path):
-    audit_path = tmp_path / "audit_k2.json"
-    code, _, _ = run(
-        ["audit", "euler", "--K", "2", "--digits", "40", "--out", str(audit_path)],
-        capsys,
-    )
+@pytest.mark.parametrize("K", range(2, 9))
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_audit_reconstructed_constants_give_the_exact_table(capsys, K, fmt):
+    # the constants `audit euler` reconstructs, passed back as explicit ones,
+    # print the table of --constants exact byte for byte
+    code, out, _ = run(["audit", "euler", "--K", str(K), "--digits", "40"], capsys)
     assert code == 0
-    payload = json.loads(audit_path.read_text())
-    assert payload["rows"][0]["reconstructed"] == "-11/2"
-    assert payload["rows"][0]["printed_constant_consistent"] is False
-
-    code, out, _ = run(
-        [
-            "reduce",
-            "inverse",
-            "--K",
-            "2",
-            "--constants",
-            "audited",
-            "--audit-file",
-            str(audit_path),
-        ],
-        capsys,
-    )
-    assert code == 0
-    terms = {t["basis"]: t["coeff"] for t in json.loads(out)["rows"][0]["terms"]}
-    # -(1/3) * (-11/2) = 11/6
-    assert terms == {"zeta(2,3)": "1/3", "zeta(5)": "11/6"}
-
-
-@pytest.mark.parametrize(
-    "reorder, bad_row",
-    [(lambda rows: rows[::-1], "row 1 has r=2"), (lambda rows: [rows[0], rows[0]], "row 2 has r=1")],
-    ids=["reversed-rows", "duplicated-rows"],
-)
-def test_reduce_inverse_audited_rows_must_be_in_r_order(capsys, tmp_path, reorder, bad_row):
-    path = tmp_path / "audit_k3.json"
-    code, _, _ = run(["audit", "euler", "--K", "3", "--out", str(path)], capsys)
-    assert code == 0
-    payload = json.loads(path.read_text())
-    payload["rows"] = reorder(payload["rows"])
-    path.write_text(json.dumps(payload))
-    argv = ["reduce", "inverse", "--K", "3", "--constants", "audited", "--audit-file", str(path)]
-    code, out, err = run(argv, capsys)
-    assert code == 3
-    assert out == ""
-    assert str(path) in err and bad_row in err
+    rows = json.loads(out)["rows"]
+    reconstructed = [row["reconstructed"] for row in rows]
+    assert None not in reconstructed
+    argv = ["reduce", "inverse", "--K", str(K), "--format", fmt, "--constants"]
+    explicit = run([*argv, "explicit:" + ",".join(reconstructed)], capsys)
+    assert explicit[0] == 0
+    assert run([*argv, "exact"], capsys) == explicit
+    if K == 2 and fmt == "json":
+        assert reconstructed == ["-11/2"]
+        assert rows[0]["printed_constant_consistent"] is False
+        terms = {t["basis"]: t["coeff"] for t in json.loads(explicit[1])["rows"][0]["terms"]}
+        # -(1/3) * (-11/2) = 11/6
+        assert terms == {"zeta(2,3)": "1/3", "zeta(5)": "11/6"}
 
 
 def test_audit_euler_rows_equal_single_row_runs(capsys):

@@ -1,4 +1,3 @@
-import collections
 import itertools
 import math
 import random
@@ -63,6 +62,23 @@ def test_zeta_single_pi_consistency():
     with mp.workdps(30 + 60):
         assert abs(z2.value - exact(mp.pi**2 / 6)) <= z2.error_bound
         assert abs(z4.value - exact(mp.pi**4 / 90)) <= z4.error_bound
+
+
+@pytest.mark.parametrize(
+    "k, digits", [(3, 100), (17, 40), (200, 100), (215, 100), (512, 1000)]
+)
+def test_direct_sum_stops_where_its_floors_are_zero(k, digits):
+    # the direct sum forms no floor past m = 2^ceil(bits/k), where each is
+    # 0, and still counts all M - 1 ulps: the value and bound of the full sum.
+    # At 100 digits bits = 430 = 2 * 215, so the last floor formed, at m = 4,
+    # is exactly 1
+    table = numerics._EMTables(digits)
+    one, M = 1 << table.bits, table.cutoff
+    tail = table.tail(k, M).times(1, table.bits)
+    full = sum(one // m**k for m in range(1, M))
+    assert numerics._zeta_single(k, table) == (
+        full + tail.value, M - 1 + tail.error, table.bits
+    )
 
 
 @pytest.mark.parametrize("q", [8, 9, 10, 16, 31, 64, 100, 257, 1000, 4096, 20000])
@@ -483,14 +499,21 @@ def test_tables_form_each_tail_once(monkeypatch, run):
     # and every tail of the call, and the T(m) fold, reads rho_J =
     # B_2J/(2J)! from the call's one table, which forms each on first use
     # from the tangent number T_J, and none past the term cap.  The ratios
-    # and Euler's formula for the even zetas read T_J from one list of the
-    # table: no T_J is read twice
-    tails, formed, tables = [], [], []
-    reads = collections.Counter()
+    # and Euler's formula for the even zetas read T_J from the table's one
+    # Bernoulli cache, which forms each T_J once and none that is not read
+    tails, formed, tables, extended = [], [], [], []
+    reads, caches = set(), set()
     zeta_tail_orig, tangent = numerics._zeta_tail, BernoulliCache.tangent
+    extend = BernoulliCache._extend
+
+    def counted_extend(self, k):
+        start = len(self._tangents)
+        extend(self, k)
+        extended.extend(range(start, len(self._tangents)))
 
     def counted_tangent(self, k):
-        reads[k] += 1
+        reads.add(k)
+        caches.add(id(self))
         return tangent(self, k)
 
     def counted_tail(k, start, target, tables):
@@ -511,15 +534,16 @@ def test_tables_form_each_tail_once(monkeypatch, run):
     monkeypatch.setattr(numerics, "_zeta_tail", counted_tail)
     monkeypatch.setattr(numerics, "_EMTables", Tables)
     monkeypatch.setattr(BernoulliCache, "tangent", counted_tangent)
+    monkeypatch.setattr(BernoulliCache, "_extend", counted_extend)
     run()
-    assert reads and max(reads.values()) == 1
     assert tails and len(set(tails)) == len(tails)
     # and all in the call's one unit 2^-bits
     assert len({t[3] for t in tails}) == 1
     (table,) = tables
     assert formed == list(range(1, len(table._ratios) + 1))
     assert 0 < len(table._ratios) <= table.term_cap + 1
-    assert sorted(reads) == list(range(1, len(table._tangents)))
+    assert caches == {id(table.bernoulli)}
+    assert sorted(reads) == extended == list(range(1, len(table.bernoulli._tangents)))
 
 
 @pytest.mark.parametrize("k, start, scale", [(40, 17, 200), (60, 5, 200), (100, 120, 794)])
