@@ -274,10 +274,7 @@ def _bigfloat_fields(x: numerics.BigFloat, digits: int) -> dict:
 
 def cmd_audit(args: argparse.Namespace) -> tuple[int, str]:
     if args.kind == "euler":
-        if args.r is None:
-            reports = numerics.audit_euler(args.K, args.digits)
-        else:
-            reports = [numerics.audit_euler_constant(args.K, args.r, args.digits)]
+        reports = numerics.audit_euler(args.K, args.digits, args.r)
         rows = []
         for rep in reports:
             rows.append(

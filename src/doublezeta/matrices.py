@@ -27,17 +27,17 @@ bytes once and reads row s as lane s's bytes of every column.  Neither
 check needs a product to pass: for any Bernoulli values
 P A = (P - Q) C - Y with Y[s][s'] = W[s][2s'+1], and P B is the (PB)
 closed form, so P = Q and Y = -diag(d_s) on that one table prove
-P A = I, P C = I - P B and P B = closed (``_passing``).  P A = I
-proves det A != 0 as well.  Only when a compare fails are P A, P B, P C
-and the closed form formed from their definitions, and Bareiss
-elimination run on A.
+P A = I, P C = I - P B and P B = closed (``_sweep``).  P A = I
+proves det A != 0 as well.  Only when a compare fails are P, Q and W
+unpacked from the table the compares read, P A, P B, P C and the closed
+form formed from their definitions, and Bareiss elimination run on A.
 
 A sweep over K = k_min..k_max reads every K off the one table of k_max
-(``_passing``), so it costs about as much as k_max alone.  Shift
-identity: W[s][j] = 2 C(j-2, j-2s) b_{j-2s} does not depend on K, so with
-k_max's scale D for every K, K's packed columns are k_max's columns
-y_t shifted by c = 2(k_max-K): y^K_t = y_{t+c} on the lanes s < K for
-t >= 1 (both hold column 2K+1-t of W), and y^K_0 = 0 leaves out the
+(``_sweep``), a failing K included, so it costs about as much as k_max
+alone.  Shift identity: W[s][j] = 2 C(j-2, j-2s) b_{j-2s} does not depend
+on K, so with k_max's scale D for every K, K's packed columns are k_max's
+columns y_t shifted by c = 2(k_max-K): y^K_t = y_{t+c} on the lanes s < K
+for t >= 1 (both hold column 2K+1-t of W), and y^K_0 = 0 leaves out the
 column 2K+1 that y_c holds.  So for N <= 2K-2, on the lanes s < K,
 
     T_K(N) = row_N[c] - y_c,   row_N[c] = sum_t C(N, t) y_{c+t},
@@ -48,11 +48,13 @@ read modulo 2^(8 o_K), o_K the byte offset of lane K.  That is exact:
 k_max's lane s bounds each value K compares in it, as K's row packs a
 subset of k_max's entries and C(N, t) <= C(2K-2, t) <= C(2k_max-2, t+c);
 so the lanes s < K of both sides fit with a spare sign bit, and then the
-two sides agree modulo 2^(8 o_K) exactly when they agree lane by lane.
+two sides agree modulo 2^(8 o_K) exactly when they agree lane by lane,
+and K's lanes unpack each side modulo 2^(8 o_K) (``_k_columns``).
 Scaling by k_max's D instead of K's multiplies P, Q, W and d_s alike, so
-no verdict changes.  The table is read column by column from the right,
-column_i = accumulate(column_{i+1}, initial=y_i), and K is checked as
-soon as column c exists: one column, O(k_max) ints, is held at a time.
+no verdict and no reported value changes.  The table is read column by
+column from the right, column_i = accumulate(column_{i+1}, initial=y_i),
+and K is checked as soon as column c exists: one column, O(k_max) ints,
+is held at a time.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ __all__ = [
     "InverseReport",
     "verify_inverse",
     "verify_inverse_sweep",
-    "pb_closed",
     "verify_closed_forms",
     "verify_closed_forms_sweep",
     "matrix_to_json",
@@ -169,46 +170,19 @@ def build_c_part(K: int) -> RationalMatrix:
     return _from_rows(_c_rows(K))
 
 
-def _weight_rows(
-    K: int, cache: BernoulliCache | None, s_values: Sequence[int]
-) -> tuple[list[list[int]], list[int]]:
-    """Rows s of the Bernoulli weight matrix W, and their denominators d_s.
+def _g_pb(K: int) -> list[list[int]]:
+    """Rows j = 2K, ..., 3 of G_PB, the closed form's binomial weights.
 
-    W[s][j] = 2 C(j-2, j-2s) b_{j-2s} for 2s <= j <= 2K and 0 below, where
-    b_n = D B_n over D = lcm of the denominators of B_0..B_{2K-2}, so row s
-    is over d_s = (2s-1) D.  j = n + 2s: the binomial factor in front of B_n
-    in P, Q and the (PB) closed form depends on j and the column only.
-    Only the n with b_n != 0 (0, 1 and the even n, for the true B_n) take a
-    binomial and a product; every other entry is a plain 0.  The exact
-    checks build the same rows in ``_pqy_columns`` and pack them as they
-    go; these dense rows serve ``pb_closed`` and the failure paths.
-    """
-    _check_k(K)
-    if cache is None:
-        cache = BernoulliCache()
-    b, big = cache.scaled(2 * K - 2)
-    nonzero = [(n, x) for n, x in enumerate(b) if x]
-    rows = []
-    for s in s_values:
-        row = [0] * (2 * K + 1)
-        for n, x in nonzero:
-            if n > 2 * K - 2 * s:
-                break
-            row[n + 2 * s] = 2 * comb(n + 2 * s - 2, n) * x
-        rows.append(row)
-    return rows, [(2 * s - 1) * big for s in s_values]
-
-
-def _g_pb(K: int, sp_values: Sequence[int]) -> list[list[int]]:
-    """G_PB[j][s'] = C(2K-2s', j-2s'-1) 2^(j-2s'-2) for j >= 2s'+2, and 0 below.
-
-    The zeros are where the closed-form sum starts: at j = 2s'+2 for s <= s';
-    for s > s' (sum from n = 0) every nonzero weight has j >= 2s >= 2s'+2.
+    G_PB[j][s'] = C(2K-2s', j-2s'-1) 2^(j-2s'-2) for j >= 2s'+2, and 0
+    below.  The zeros are where the closed-form sum starts: at j = 2s'+2
+    for s <= s'; for s > s' (sum from n = 0) every nonzero weight has
+    j >= 2s >= 2s'+2.  So G_PB is 0 on the rows j < 4, and the closed form
+    W G_PB is W's columns 2K, ..., 3 (y_1, ..., y_{2K-2}) times these rows.
     """
     return [
         [comb(2 * K - 2 * sp, j - 2 * sp - 1) << (j - 2 * sp - 2) if j >= 2 * sp + 2 else 0
-         for sp in sp_values]
-        for j in range(2 * K + 1)
+         for sp in range(1, K)]
+        for j in range(2 * K, 2, -1)
     ]
 
 
@@ -244,15 +218,22 @@ class _Lanes:
     def rows(self, columns: Sequence[int]) -> list[list[int]]:
         """The matrix whose column j is the lanes of columns[j], as row lists.
 
-        Each column is turned to bytes once; row i reads lane i's bytes,
-        from offsets[i] on, of every column.
+        Each column is turned to bytes once, modulo 2^(8 size), so any int
+        whose low lanes hold these lanes' values unpacks to them: a table
+        packed with more lanes is read on its first ones.  Row i reads lane
+        i's bytes, from offsets[i] on, of every column.
         """
         bias, size = self.bias, self.size
-        raws = [(x + bias).to_bytes(size, "little") for x in columns]
+        mask = (1 << 8 * size) - 1
+        raws = [((x + bias) & mask).to_bytes(size, "little") for x in columns]
         return [
             [int.from_bytes(raw[o : o + b], "little") - h for raw in raws]
             for o, b, h in zip(self.offsets, self.nbytes, self.halves)
         ]
+
+
+# K's d_s, lanes s < K and the packed columns of P, Q and W (``_k_columns``)
+_KColumns = tuple[list[int], _Lanes, list[int], list[int], list[int]]
 
 
 def _lane_bytes(top: int, count: int, d: int) -> int:
@@ -271,13 +252,18 @@ def _lane_bytes(top: int, count: int, d: int) -> int:
 def _packed_weights(K: int, cache: BernoulliCache | None) -> tuple[list[int], _Lanes, list[int]]:
     """The d_s, their lanes, and W's columns packed: y_0 = 0 and y_t = column 2K+1-t, t = 1..2K-2.
 
-    Row s of W (``_weight_rows``) is packed as it is built: each nonzero
+    W[s][j] = 2 C(j-2, j-2s) b_{j-2s} for 2s <= j <= 2K and 0 below, where
+    b_n = D B_n over D = lcm of the denominators of B_0..B_{2K-2}, so row s
+    is over d_s = (2s-1) D.  j = n + 2s: the binomial factor in front of B_n
+    in P, Q and the (PB) closed form depends on j and the column only.
+    Only the n with b_n != 0 (0, 1 and the even n, for the true B_n) take a
+    binomial and a product.  Row s is packed as it is built: each nonzero
     W[s][j], j >= 3, is added into y_{2K+1-j} shifted to lane s, whose
     offset is known once rows 1..s-1 are sized, so W is never held as a
     matrix.  Lane s is sized by ``_lane_bytes`` from the row's packed
     entries: their count, and the largest bitlen W[s][j] +
-    bitlen C(2K-2, 2K+1-j), which bounds every value a check compares
-    (``_pqy_columns``, ``_passing``).
+    bitlen C(2K-2, 2K+1-j), which bounds every value a check compares and
+    every value ``_k_columns`` unpacks.
     """
     _check_k(K)
     if cache is None:
@@ -321,49 +307,67 @@ def _sweep_columns(y: list[int], k_min: int) -> Iterator[tuple[int, list[int]]]:
             yield k_max - c // 2, col
 
 
-def _pqy_columns(
-    K: int, cache: BernoulliCache | None
-) -> tuple[list[int], _Lanes, list[int], list[int], list[int]]:
-    """The d_s, their lanes, and the packed columns of P, Q and Y, for K alone.
+def _k_columns(denoms: list[int], lanes: _Lanes, y: list[int], col: list[int]) -> _KColumns:
+    """K's d_s, its lanes, and the packed columns of P, Q and W, off column c of y's table.
 
-    Lane s of T(N) = sum_t C(N,t) y_t is sum_j W[s][j] C(N, 2K+1-j): column
-    r of P is T(2r-1), column r of Q is -T(2K-2r), and column s' of Y is
-    y_N = column 2s'+1 of W, with N = 2K-2s'.  T(N) is column 0 of K's
-    table (c = 0, y_0 = 0), and no T(N) past N = 2K-2 is read.  Every
-    value a check compares fits its lane (``_lane_bytes``).
+    y, denoms and lanes are k_max's (k_max >= K), and col is column
+    c = 2(k_max-K) of y's table (``_sweep_columns``), so len(col) = 2K-1.
+    On the lanes s < K, T_K(N) = col[N] - y_c (the module docstring's shift
+    identity): column r of P is T_K(2r-1), column r of Q is -T_K(2K-2r),
+    and W's columns 2K, ..., 3 are K's y_1, ..., y_{2K-2}, which are
+    y_{c+1}, ..., y_{c+2K-2}.  K's lanes, the first K-1 of k_max's, unpack
+    these ints modulo 2^(8 o_K) (``_Lanes.rows``).  Everything is in
+    k_max's scale, the d_s too, so each row over its d_s is K's own.
     """
-    denoms, lanes, y = _packed_weights(K, cache)
-    ((_, t),) = _sweep_columns(y, K)
-    return denoms, lanes, t[1::2], [-x for x in t[:0:-2]], y[:0:-2]
+    K = (len(col) + 1) // 2
+    c = len(y) - len(col)
+    y_c = y[c]
+    return (
+        denoms[: K - 1],
+        _Lanes(lanes.nbytes[: K - 1]),
+        [x - y_c for x in col[1::2]],
+        [y_c - x for x in col[:0:-2]],
+        y[c + 1 : c + 2 * K - 1],
+    )
 
 
-def _passing(k_min: int, k_max: int, cache: BernoulliCache) -> list[tuple[int, bool]]:
-    """(K, P = Q and Y = -diag(d_s)) for K = k_min..k_max, all off the table of k_max.
+def _sweep(
+    k_min: int, k_max: int, cache: BernoulliCache
+) -> Iterator[tuple[int, _KColumns | None]]:
+    """(K, None) for each K = k_min..k_max whose compares pass, else (K, ``_k_columns``).
 
-    With c = 2(k_max-K), P_r - Q_r = row_{2r-1}[c] + row_{2K-2r}[c] - 2 y_c
-    and column s' of Y is y_{2 k_max - 2s'} on the lanes s < K, each
-    compared modulo 2^(8 o_K) (the module docstring).  Every K is checked
-    (K >= 2) before any work; an empty range has no verdicts.
+    All are read off the table of k_max.  The compares are P = Q and
+    Y = -diag(d_s): with c = 2(k_max-K), P_r - Q_r = row_{2r-1}[c] +
+    row_{2K-2r}[c] - 2 y_c and column s' of Y is y_{2 k_max - 2s'} on the
+    lanes s < K, each compared modulo 2^(8 o_K) (the module docstring).  A
+    failing K is read off the same column, so the table is built once
+    whatever the verdicts.  Every K is checked (K >= 2) before any work;
+    an empty range yields nothing.
     """
     _check_k(k_min)
     if k_max < k_min:
-        return []
+        return
     denoms, lanes, y = _packed_weights(k_max, cache)
     y_pairs = [(x, -lanes.unit(i, d)) for i, (x, d) in enumerate(zip(y[:0:-2], denoms))]
-    verdicts = []
     for K, col in _sweep_columns(y, k_min):
         mask = (1 << lanes.shifts[K - 1]) - 1
         twice_yc = (2 * y[len(y) - len(col)]) & mask
         passes = all(
             (u + v) & mask == twice_yc for u, v in zip(col[1::2], col[:0:-2])
         ) and all((x - e) & mask == 0 for x, e in y_pairs[: K - 1])
-        verdicts.append((K, passes))
-    return verdicts
+        yield K, None if passes else _k_columns(denoms, lanes, y, col)
+
+
+def _own_columns(K: int, cache: BernoulliCache | None) -> _KColumns:
+    """``_k_columns`` at c = 0: K's own table, whose last column is row_N[0]."""
+    denoms, lanes, y = _packed_weights(K, cache)
+    ((_, col),) = _sweep_columns(y, K)
+    return _k_columns(denoms, lanes, y, col)
 
 
 def _p_rows(K: int, cache: BernoulliCache | None) -> tuple[list[list[int]], list[int]]:
     """P's int rows n_s over their row denominators d_s, not yet in lowest terms."""
-    denoms, lanes, p_cols, _, _ = _pqy_columns(K, cache)
+    denoms, lanes, p_cols, _, _ = _own_columns(K, cache)
     return lanes.rows(p_cols), denoms
 
 
@@ -377,7 +381,7 @@ def build_p(K: int, cache: BernoulliCache | None = None) -> RationalMatrix:
 
 def build_q(K: int, cache: BernoulliCache | None = None) -> RationalMatrix:
     """Q_{s,r} = -(2/(2s-1)) sum_n C(2K-2r, 2K-2s-n+1) C(n+2s-2, n) B_n."""
-    denoms, lanes, _, q_cols, _ = _pqy_columns(K, cache)
+    denoms, lanes, _, q_cols, _ = _own_columns(K, cache)
     return _from_rows(lanes.rows(q_cols), denoms)
 
 
@@ -467,7 +471,7 @@ def verify_inverse(K: int, cache: BernoulliCache | None = None) -> InverseReport
     W[s][2s'+1] = 2 C(2s'-1, n) b_n with n = 2s'+1-2s vanishes unless
     n = 1, where it is 2 (2s-1) D B_1 = -d_s: so P = Q and Y = -diag(d_s)
     give P A = I.  Both are checked as K-1 packed compares each
-    (``_passing``), and a passing P A = I proves det A != 0
+    (``_sweep``), and a passing P A = I proves det A != 0
     (det P det A = 1).
 
     ``verify_inverse_sweep`` makes the same compares for every K of a
@@ -479,10 +483,10 @@ def verify_inverse(K: int, cache: BernoulliCache | None = None) -> InverseReport
     modulo 2^(8 o_K), and k_max's lane bounds hold for K, as
     C(N,t) <= C(2K-2,t) <= C(2k_max-2,t+c) (module docstring).
 
-    Only when a compare fails is K's own table built, P and Q unpacked,
-    P A formed from its definition with A's rows, Bareiss elimination run
-    on those rows if P A = I fails, and the first offending entries
-    named; the verdicts are exact either way.
+    Only when a compare fails are P and Q unpacked, from the column the
+    compares read (``_k_columns``), P A formed from its definition with
+    A's rows, Bareiss elimination run on those rows if P A = I fails, and
+    the first offending entries named; the verdicts are exact either way.
     """
     (report,) = verify_inverse_sweep(K, K, cache)
     return report
@@ -491,16 +495,16 @@ def verify_inverse(K: int, cache: BernoulliCache | None = None) -> InverseReport
 def verify_inverse_sweep(
     k_min: int, k_max: int, cache: BernoulliCache | None = None
 ) -> list[InverseReport]:
-    """``verify_inverse`` for K = k_min..k_max, read off one table (``_passing``)."""
+    """``verify_inverse`` for K = k_min..k_max, read off one table (``_sweep``)."""
     if cache is None:
         cache = BernoulliCache()
-    return [InverseReport(K, True, True, True) if ok else _inverse_failure(K, cache)
-            for K, ok in _passing(k_min, k_max, cache)]
+    return [InverseReport(K, True, True, True) if cols is None else _inverse_failure(K, cols)
+            for K, cols in _sweep(k_min, k_max, cache)]
 
 
-def _inverse_failure(K: int, cache: BernoulliCache) -> InverseReport:
+def _inverse_failure(K: int, cols: _KColumns) -> InverseReport:
     """The report of a K whose compares failed, from P and Q unpacked and P A formed."""
-    denoms, lanes, p_cols, q_cols, _ = _pqy_columns(K, cache)
+    denoms, lanes, p_cols, q_cols, _ = cols
     p, q, a = lanes.rows(p_cols), lanes.rows(q_cols), _a_rows(K)
     pq = _first_offending("p_eq_q", p, q, denoms)
     pa = _first_offending("pa_is_identity", _product(p, a), _diagonal(denoms), denoms)
@@ -513,29 +517,12 @@ def _inverse_failure(K: int, cache: BernoulliCache) -> InverseReport:
     )
 
 
-def _check_indices(K: int, s: int, sp: int) -> None:
-    _check_k(K)
-    if not (1 <= s <= K - 1 and 1 <= sp <= K - 1):
-        raise IndexError(f"indices (s={s}, s'={sp}) out of range for K={K}")
-
-
-def pb_closed(K: int, s: int, sp: int, cache: BernoulliCache | None = None) -> Fraction:
-    """(P B)_{s,s'} from the closed-form Bernoulli sum, no matrix product.
-
-    (2/(2s-1)) sum_n C(2K-2s', 2s-2s'+n-1) 2^(2s-2s'+n-2) C(n+2s-2, n) B_n,
-    which is row s of W times column s' of G_PB.
-    """
-    _check_indices(K, s, sp)
-    (w,), (denom,) = _weight_rows(K, cache, [s])
-    return Fraction(sum(map(mul, w, (g for g, in _g_pb(K, [sp])))), denom)
-
-
 def verify_closed_forms(
     K: int, cache: BernoulliCache | None = None
 ) -> list[tuple[int, int, Fraction, Fraction, Fraction, Fraction]]:
     """Exact check that the closed forms equal P B and P C: the one-K sweep.
 
-    Passes on the inverse check's compares (``_passing``), because
+    Passes on the inverse check's compares (``_sweep``), because
     P A = I, hence P C = I - P B, and P B = closed for any W.  Proof of the
     last: with N = 2K-2s', column s' of P B is sum_{k odd} C(N,k) T(k);
     sum_k C(N,k) T(k) = sum_t C(N,t) 2^(N-t) y_t = S(N), as
@@ -543,10 +530,12 @@ def verify_closed_forms(
     (``verify_inverse``), so it is (S(N) - y_N) / 2; and the closed form is
     sum_{m>=1} C(N,m) 2^(m-1) y_{N-m} = (S(N) - y_N) / 2, as
     G_PB[j][s'] = C(N,m) 2^(m-1) at j = 2K+1-N+m >= 2s'+2.  Only when a
-    compare fails are P unpacked and the closed form W G_PB, P B and P C
-    formed from their definitions.  Returns every offending entry, in
-    row-major order, as a tuple (s, s', pb_closed, delta_{s,s'} - pb_closed,
-    (PB)_{s,s'}, (PC)_{s,s'}); an empty list means the check passed.
+    compare fails are P and W unpacked, from the column the compares read
+    (``_k_columns``), and the closed form W G_PB, P B and P C formed from
+    their definitions.  Returns every offending entry, in row-major order,
+    as a tuple (s, s', closed, delta_{s,s'} - closed, (PB)_{s,s'},
+    (PC)_{s,s'}), closed = (W G_PB)_{s,s'} / d_s; an empty list means the
+    check passed.
     """
     (bad,) = verify_closed_forms_sweep(K, K, cache)
     return bad
@@ -555,21 +544,20 @@ def verify_closed_forms(
 def verify_closed_forms_sweep(
     k_min: int, k_max: int, cache: BernoulliCache | None = None
 ) -> list[list[tuple[int, int, Fraction, Fraction, Fraction, Fraction]]]:
-    """``verify_closed_forms`` for K = k_min..k_max, read off one table (``_passing``)."""
+    """``verify_closed_forms`` for K = k_min..k_max, read off one table (``_sweep``)."""
     if cache is None:
         cache = BernoulliCache()
-    return [[] if ok else _closed_forms_failure(K, cache)
-            for K, ok in _passing(k_min, k_max, cache)]
+    return [[] if cols is None else _closed_forms_failure(K, cols)
+            for K, cols in _sweep(k_min, k_max, cache)]
 
 
 def _closed_forms_failure(
-    K: int, cache: BernoulliCache
+    K: int, cols: _KColumns
 ) -> list[tuple[int, int, Fraction, Fraction, Fraction, Fraction]]:
     """The offending entries of a K whose compares failed, from the products formed."""
-    denoms, lanes, p_cols, _, _ = _pqy_columns(K, cache)
+    denoms, lanes, p_cols, _, w_cols = cols
     p = lanes.rows(p_cols)
-    w, _ = _weight_rows(K, cache, range(1, K))
-    closed = _product(w, _g_pb(K, range(1, K)))
+    closed = _product(lanes.rows(w_cols), _g_pb(K))
     rows = zip(closed, _product(p, _b_rows(K)), _product(p, _c_rows(K)), denoms)
     bad = []
     for s, (cb_row, pb_row, pc_row, denom) in enumerate(rows, 1):

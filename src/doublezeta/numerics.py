@@ -64,10 +64,11 @@ loop, ``_derivative_sum``:
   word-sized ints, so e_1 = 1 and e_{J+1} = ceil(e_J f_J) + 1 (f_J may
   exceed 1: at start 17 and k = 40).
 
-Term J is floor(r_J x / 2^drop), within ceil(((|r_J| + 1) e + |x|) /
-2^drop) + 1 ulps of rho_J x_J.  Terms 1..J-1 are added until the
-remainder bound, twice |term J| plus twice that count, meets the target,
-stops falling (the series is asymptotic), or J passes the one term cap.
+A series' term J is floor(r_J x / 2^drop), within
+ceil(((|r_J| + 1) e + |x|) / 2^drop) + 1 ulps of rho_J x_J.  Terms
+1..J-1 are added until the remainder bound, twice |term J| plus twice
+that count, meets the target, stops falling (the series is asymptotic),
+or J passes the one term cap.
 
 Every public function runs at one working precision and builds one
 :class:`_EMTables` for it, with its own :class:`BernoulliCache`, and drops
@@ -84,7 +85,7 @@ uses the same single zetas, products and zeta(2K+1), so they are evaluated
 once, and row r's zeta(2r) is the one its products use.  The outer tails
 that the T(m) expansion of zeta(k1, k2) folds into, sums over m > M of
 m^-e with e = w - 1, w, w + 1, w + 3, ..., depend on the weight w only,
-so every row reads them from the call's table.  Term J of the expansion
+so every row reads them from the call's table.  The expansion's term J
 is rho_J (k1)_{2J-1} t_J, with t_J the tail of e = w + 2J - 1: a
 derivative series with x_J = (k1)_{2J-1} t_J and the call's target.  Each
 t_J is evaluated to the target divided by (|r_J| + 1) (w-2)_{2J-1}
@@ -107,7 +108,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -123,7 +124,6 @@ __all__ = [
     "rational_reconstruct",
     "AuditReport",
     "audit_euler",
-    "audit_euler_constant",
     "HAuditReport",
     "audit_h_ab",
 ]
@@ -389,7 +389,7 @@ class _EMTables:
 def _pi(q: int) -> _Fixed:
     """pi in units of 2^-q by Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239).
 
-    atan(1/x) = sum_i (-1)^i / ((2i+1) x^(2i+1)).  Term i is
+    atan(1/x) = sum_i (-1)^i / ((2i+1) x^(2i+1)).  Its term i is
     floor(floor(2^q / x^(2i+1)) / (2i+1)), one exact nested floor, so within
     one ulp, and floor(2^q / x^(2i+1)) is carried by one floor quotient by
     x^2 per term.  The sum stops at the first i where that floor is 0: the
@@ -419,7 +419,7 @@ def _derivative_sum(factors: _Factors, target: int, tables: _EMTables) -> tuple[
     """sum_J rho_J x_J, J = 1, 2, ..., in the caller's units (see above).
 
     (r_J, x, e, drop) is read from ``factors``, r_J from the table's ratios.
-    Term J is floor(r_J x / 2^drop), counted as within
+    Its term J is floor(r_J x / 2^drop), counted as within
     ceil(((|r_J| + 1) e + |x|) / 2^drop) + 1 ulps; the loop stops at the
     first J whose remainder bound meets ``target``, stops falling or passes
     the table's term cap.  Returns the sum of terms 1..J-1, that remainder
@@ -550,8 +550,8 @@ def _zeta_double(k1: int, k2: int, tables: _EMTables) -> _Fixed:
     # exponent w + alpha.  The leading two terms come first.
     result -= tables.tail(w - 1, M + 1).times(1, bits, k1 - 1)
     result -= tables.tail(w, M + 1).times(1, bits, 2)
-    # Term J is rho_J (k1)_{2J-1} m^-(k1+2J-1), and the remainder of T(m)
-    # after terms 1..J-1 is at most twice it, which sums over m > M to twice
+    # T(m)'s term J is rho_J (k1)_{2J-1} m^-(k1+2J-1), and the remainder of
+    # T(m) after terms 1..J-1 is at most twice it, which sums over m > M to twice
     # rho_J (k1)_{2J-1} t_J, t_J the outer tail of exponent w + 2J - 1: the
     # derivative series of x_J = (k1)_{2J-1} t_J, summed as a tail's is.
     value, bound, ulps = _derivative_sum(_folded_tails(k1, w, tables), tables.target, tables)
@@ -610,28 +610,23 @@ class AuditReport(NamedTuple):
     printed_constant_consistent: bool
 
 
-def audit_euler(K: int, digits: int = 40) -> list[AuditReport]:
-    """audit_euler_constant for every row r = 1..K-1, in one pass over K."""
-    return _audit_rows(K, range(1, K), digits)
-
-
-def audit_euler_constant(K: int, r: int, digits: int = 40) -> AuditReport:
-    """Compare zeta(2r, 2K+1-2r) against the A-weighted product sum.
+def audit_euler(K: int, digits: int = 40, r: int | None = None) -> list[AuditReport]:
+    """Compare each zeta(2r, 2K+1-2r) against the A-weighted product sum.
 
     residual_ratio = (lhs - sum_s A_{r,s} products_s) / zeta(2K+1); the
     printed constant is consistent iff reductions.PRINTED_CONSTANT (-1/2)
     lies within the residual's error bound.  Disagreement is reported,
-    never raised.
+    never raised.  One report per row r = 1..K-1, in one pass over K, or
+    for row r alone; K is checked before r.
     """
-    return _audit_rows(K, [r], digits)[0]
-
-
-def _audit_rows(K: int, rows: Sequence[int], digits: int) -> list[AuditReport]:
     # A, the single zetas, the products and zeta(2K+1) are shared by every
     # row; so are the outer tails, since every row has weight 2K+1.
-    _check_k(K)
-    for r in rows:
+    if r is None:
+        _check_k(K)
+        rows = range(1, K)
+    else:
         _check_row(K, r)
+        rows = [r]
     tables = _EMTables(digits)
     bits = tables.bits
     z = tables.zeta_fixed

@@ -8,16 +8,15 @@ A table row holds its coefficients as ``RationalMatrix`` holds a matrix
 row: int numerators over one positive row denominator, reduced once by
 gcd (``rationals._lowest_terms``), so == is value equality.  Beside them
 are the row's basis labels and flags; a builder makes each column's label
-once per table, not once per entry.  The Euler rows are A's int rows, the inverse rows P's int rows
-with the zeta(2K+1) term put over the same row denominator.  No Fraction
-is made per coefficient: the exports format each row's numerators over
-its denominator in one call (``rationals._format_row``), and the JSON
-export joins strings, with json.dumps only for the header, the targets,
-the labels and the flags.  ``TableRow.terms`` is a read-only view of a
-row as ``Term``s with Fraction coefficients, and ``TableRow.from_terms``
-builds the canonical row back from them.
-Coefficients are serialized as ``"p/q"``, so tables are diffable and
-round-trip bit-exactly through the JSON export.
+once per table, not once per entry.  The Euler rows are A's int rows,
+the inverse rows P's int rows with the zeta(2K+1) term put over the same
+row denominator.  No Fraction is made per coefficient: the exports
+format each row's numerators over its denominator in one call
+(``rationals._format_row``), and the JSON export joins strings, with
+json.dumps only for the header, the targets, the labels and the flags.
+Coefficients are serialized as ``"p/q"`` in lowest terms, so tables are
+diffable, and a reader that puts each row back over the lcm of its
+denominators gets the same canonical row.
 """
 
 from __future__ import annotations
@@ -30,10 +29,9 @@ from operator import mul
 from typing import NamedTuple
 
 from .matrices import _check_k, _check_row, _p_rows, build_a
-from .rationals import _format_row, _lowest_terms, format_rational, parse_rational
+from .rationals import _format_row, _lowest_terms, format_rational
 
 __all__ = [
-    "Term",
     "TableRow",
     "CoefficientTable",
     "euler_rhs_coefficients",
@@ -42,7 +40,6 @@ __all__ = [
     "expand_h_to_pi",
     "euler_constant",
     "table_to_json",
-    "table_from_json",
     "table_to_csv",
     "PRINTED_CONSTANT",
 ]
@@ -50,14 +47,6 @@ __all__ = [
 # the constant multiplying zeta(2K+1) as printed in the Euler reduction;
 # the numeric audit questions it, so it is a default, never hard-coded
 PRINTED_CONSTANT = Fraction(-1, 2)
-
-
-class Term(NamedTuple):
-    """One basis label with its exact coefficient and optional provenance."""
-
-    basis: str
-    coeff: Fraction
-    flag: str | None = None
 
 
 class TableRow(NamedTuple):
@@ -73,26 +62,6 @@ class TableRow(NamedTuple):
     numerators: tuple[int, ...]
     denominator: int
     flags: tuple[str | None, ...]
-
-    @property
-    def terms(self) -> tuple[Term, ...]:
-        """The terms in order, with their coefficients as reduced Fractions."""
-        d = self.denominator
-        return tuple(
-            Term(b, Fraction(x, d), f) for b, x, f in zip(self.bases, self.numerators, self.flags)
-        )
-
-    @classmethod
-    def from_terms(cls, target: str, terms: Sequence[Term]) -> TableRow:
-        """The row of ``terms``, over the lcm of their coefficients' denominators."""
-        den = math.lcm(*(t.coeff.denominator for t in terms))
-        return _row(
-            target,
-            tuple(t.basis for t in terms),
-            [t.coeff.numerator * (den // t.coeff.denominator) for t in terms],
-            den,
-            tuple(t.flag for t in terms),
-        )
 
 
 def _row(
@@ -231,7 +200,7 @@ def expand_h_to_pi(table: CoefficientTable) -> CoefficientTable:
     """Rewrite H(n) factors as pi^{2n} scaled by 1/(2n+1)!.
 
     Only h_ab tables carry H factors; any other table is returned as it
-    is.  Term r of an h_ab row is H(K-r) zeta(2r+1), so it becomes
+    is.  In an h_ab row, term r is H(K-r) zeta(2r+1), so it becomes
     pi^{2(K-r)} zeta(2r+1), or zeta(2K+1) at r = K where H(0) = 1, with its
     coefficient divided by (2K-2r+1)!.  The row goes over its denominator
     times (2K-1)!, the largest of those factorials, with numerator r times
@@ -283,19 +252,6 @@ def table_to_json(table: CoefficientTable) -> str:
         terms = ", ".join([p + c + e for (p, e), c in zip(parts, texts)])
         rows.append(f'{{"target": {json.dumps(row.target)}, "terms": [{terms}]}}')
     return f'{head[:-1]}, "rows": [{", ".join(rows)}]}}'
-
-
-def table_from_json(text: str) -> CoefficientTable:
-    """Parse the JSON export back to an exact table (bit-exact round trip)."""
-    payload = json.loads(text)
-    rows = tuple(
-        TableRow.from_terms(
-            row["target"],
-            [Term(t["basis"], parse_rational(t["coeff"]), t.get("flag")) for t in row["terms"]],
-        )
-        for row in payload["rows"]
-    )
-    return CoefficientTable(payload["kind"], payload["params"], rows)
 
 
 def table_to_csv(table: CoefficientTable) -> str:

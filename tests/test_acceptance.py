@@ -14,7 +14,8 @@ import pytest
 from doublezeta import matrices, numerics, reductions, series
 from doublezeta.bernoulli import BernoulliCache
 from doublezeta.cli import main as cli_main
-from test_matrices import times
+from test_matrices import closed_form, times
+from test_reductions import plain, table_from_json, terms
 
 
 def report(name: str, ok: bool) -> None:
@@ -41,9 +42,10 @@ def test_criterion_2_closed_form_cross_check(cache):
         p = matrices.build_p(K, cache)
         pb = times(p, matrices.build_b_part(K))
         pc = times(p, matrices.build_c_part(K))
+        closed = closed_form(K, cache)
         for s in range(1, K):
             for sp in range(1, K):
-                vb = matrices.pb_closed(K, s, sp, cache)
+                vb = closed.at(s - 1, sp - 1)
                 ok &= vb == pb.at(s - 1, sp - 1)
                 ok &= int(s == sp) - vb == pc.at(s - 1, sp - 1)
     report("2. closed-form PB/PC cross-check K=2..20 (exact)", ok)
@@ -83,8 +85,8 @@ def test_criterion_7_euler_audit_behavior():
     ok = True
     for K in (2, 3):
         for r in range(1, K):
-            rep = numerics.audit_euler_constant(K, r, 40)
-            fine = numerics.audit_euler_constant(K, r, 80)
+            (rep,) = numerics.audit_euler(K, 40, r)
+            (fine,) = numerics.audit_euler(K, 80, r)
             stable = (
                 abs(rep.residual_ratio.value - fine.residual_ratio.value)
                 <= rep.residual_ratio.error_bound
@@ -112,9 +114,9 @@ def test_criterion_8_inverse_reduction_numeric_closure():
         values[f"zeta({2 * K + 1})"] = numerics.zeta_single(2 * K + 1, digits)
         table = reductions.inverse_reduction_coefficients(K, audited)
         for s, row in enumerate(table.rows, start=1):
-            terms = [(term.coeff, values[term.basis]) for term in row.terms]
-            acc = sum(c * x.value for c, x in terms)
-            bound = sum(abs(c) * x.error_bound for c, x in terms)
+            pairs = [(term.coeff, values[term.basis]) for term in terms(row)]
+            acc = sum(c * x.value for c, x in pairs)
+            bound = sum(abs(c) * x.error_bound for c, x in pairs)
             x = numerics.zeta_single(2 * s, digits)
             y = numerics.zeta_single(2 * K + 1 - 2 * s, digits)
             # |xy - XY| <= |X| e_y + |Y| e_x + e_x e_y
@@ -209,5 +211,5 @@ def test_criterion_9_determinism_and_schema(capsys):
         reductions.inverse_reduction_coefficients(5, [Fraction(-1, 2)] * 4),
         reductions.h_ab_coefficients(2, 1),
     ]:
-        ok &= reductions.table_from_json(reductions.table_to_json(table)) == table
+        ok &= table_from_json(reductions.table_to_json(table)) == plain(table)
     report("9. byte-identical reruns and schema-valid exports", ok)

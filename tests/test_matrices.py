@@ -18,7 +18,6 @@ from doublezeta.matrices import (
     build_p,
     build_q,
     matrix_to_json,
-    pb_closed,
     verify_closed_forms,
     verify_inverse,
 )
@@ -280,6 +279,24 @@ def g_q(K: int) -> list[list[int]]:
             for j in range(2 * K + 1)]
 
 
+def g_pb(K: int) -> list[list[int]]:
+    """G_PB[j][s'] = C(2K-2s', j-2s'-1) 2^(j-2s'-2) for j >= 2s'+2, so that (P B) = W G_PB."""
+    return [[math.comb(2 * K - 2 * sp, j - 2 * sp - 1) << (j - 2 * sp - 2) if j >= 2 * sp + 2
+             else 0 for sp in range(1, K)] for j in range(2 * K + 1)]
+
+
+def weight_rows(K, cache):
+    """W's rows s = 1..K-1 and their d_s, by definition, as dense int lists.
+
+    W[s][j] = 2 C(j-2, j-2s) b_{j-2s} for 2s <= j <= 2K and 0 below, with
+    b_n = D B_n, so row s is over d_s = (2s-1) D.
+    """
+    b, big = (cache or BernoulliCache()).scaled(2 * K - 2)
+    w = [[2 * math.comb(j - 2, j - 2 * s) * b[j - 2 * s] if j >= 2 * s else 0
+          for j in range(2 * K + 1)] for s in range(1, K)]
+    return w, [(2 * s - 1) * big for s in range(1, K)]
+
+
 def reference_pqy(K, w):
     """The int numerator rows of P = W G_P, Q = W G_Q and Y, W's columns 2s'+1."""
     return {
@@ -293,16 +310,16 @@ def reference_products(K, cache):
     """The d_s and the int numerator rows of P, Q, Y, P A, P B, P C and the closed form.
 
     All by the reference product: ``reference_pqy``, then P times A, B
-    and C, and W G_PB.
+    and C, and W G_PB, the (PB) closed form.
     """
-    w, denoms = matrices._weight_rows(K, cache, range(1, K))
+    w, denoms = weight_rows(K, cache)
     ref = reference_pqy(K, w)
     return denoms, {
         **ref,
         "PA": old_product(ref["P"], matrices._a_rows(K)),
         "PB": old_product(ref["P"], matrices._b_rows(K)),
         "PC": old_product(ref["P"], matrices._c_rows(K)),
-        "closed": old_product(w, matrices._g_pb(K, range(1, K))),
+        "closed": old_product(w, g_pb(K)),
     }
 
 
@@ -357,9 +374,11 @@ def test_closed_forms_pass_exactly_when_pa_is_identity(make_cache):
 
 def test_closed_forms_form_products_only_when_the_compares_fail(monkeypatch):
     # a pass reads one Pascal table (P and Q's) and multiplies nothing; a
-    # passing range reads every K off the one table of its largest K
-    calls, tables = [], []
+    # range reads every K off the one table of its largest K, and a failing
+    # K is reported off that table too: W is packed once per range
+    calls, tables, packed = [], [], []
     product, pascal_columns = matrices._product, matrices._pascal_columns
+    packed_weights = matrices._packed_weights
 
     def counted_product(x, y):
         calls.append(y)
@@ -369,8 +388,13 @@ def test_closed_forms_form_products_only_when_the_compares_fail(monkeypatch):
         tables.append(len(seq))
         return pascal_columns(seq)
 
+    def counted_packed_weights(K, cache):
+        packed.append(K)
+        return packed_weights(K, cache)
+
     monkeypatch.setattr(matrices, "_product", counted_product)
     monkeypatch.setattr(matrices, "_pascal_columns", counted_pascal_columns)
+    monkeypatch.setattr(matrices, "_packed_weights", counted_packed_weights)
     assert verify_closed_forms(6) == []
     assert (calls, tables) == ([], [11])  # one table, of y_0 .. y_{2K-2}
     assert matrices.verify_closed_forms_sweep(2, 12) == [[]] * 11
@@ -379,7 +403,15 @@ def test_closed_forms_form_products_only_when_the_compares_fail(monkeypatch):
     ]
     assert (calls, tables) == ([], [11, 23, 23])  # one table per range, K = 12's
     assert verify_closed_forms(6, BadBernoulliCache())
-    assert calls == [matrices._g_pb(6, range(1, 6)), matrices._b_rows(6), matrices._c_rows(6)]
+    assert calls == [matrices._g_pb(6), matrices._b_rows(6), matrices._c_rows(6)]
+    inverse = matrices.verify_inverse_sweep
+    closed_forms = matrices.verify_closed_forms_sweep
+    for sweep, failed in [(inverse, lambda rep: not rep.all_pass), (closed_forms, bool)]:
+        tables.clear()
+        packed.clear()
+        reports = sweep(2, 12, BadBernoulliCache())
+        assert [K for K, rep in enumerate(reports, 2) if failed(rep)] == list(range(3, 13))
+        assert (packed, tables) == ([12], [23]), sweep.__name__
 
 
 SWEEPS = [(2, 2), (2, 3), (2, 16), (5, 16), (9, 9), (11, 13)]
@@ -391,14 +423,14 @@ SWEEP_CACHES = {**ANY_CACHES, "bad-b7": corrupted(7, Fraction(2, 5)),
 
 @pytest.mark.parametrize("make_cache", SWEEP_CACHES.values(), ids=SWEEP_CACHES.keys())
 def test_sweeps_report_what_each_k_reports_alone(make_cache):
-    # every K of a range is read off the table of its largest K; a failing
-    # K is reported from its own table, so each report is the one-K report,
-    # and the compares on the shared table pass exactly where K passes alone
+    # every K of a range is read off the table of its largest K, a failing
+    # K's report too, in k_max's scale; each report is the one-K report, and
+    # the compares on the shared table pass exactly where K passes alone
     cache = make_cache()
     for k_min, k_max in SWEEPS:
         ks = range(k_min, k_max + 1)
         alone = [verify_inverse(K, cache) for K in ks]
-        assert matrices._passing(k_min, k_max, cache) == [
+        assert [(K, cols is None) for K, cols in matrices._sweep(k_min, k_max, cache)] == [
             (rep.K, rep.all_pass) for rep in alone
         ], (k_min, k_max)
         assert matrices.verify_inverse_sweep(k_min, k_max, cache) == alone, (k_min, k_max)
@@ -410,7 +442,9 @@ def test_sweeps_report_what_each_k_reports_alone(make_cache):
 @pytest.mark.parametrize("make_cache", SWEEP_CACHES.values(), ids=SWEEP_CACHES.keys())
 def test_every_k_reads_its_pascal_sums_off_the_largest_ks_table(make_cache):
     # shift identity: on the lanes s < K, T_K(N) = row_N[c] - y_c of the
-    # table of k_max, c = 2(k_max-K), in k_max's scale of the Bernoulli values
+    # table of k_max, c = 2(k_max-K), in k_max's scale of the Bernoulli values;
+    # K's lanes, the first K-1 of k_max's, read P, Q and W's columns 2K..3
+    # off the table modulo 2^(8 o_K) (matrices._k_columns)
     cache = make_cache()
     k_max = 14
     denoms, lanes, y = matrices._packed_weights(k_max, cache)
@@ -418,16 +452,16 @@ def test_every_k_reads_its_pascal_sums_off_the_largest_ks_table(make_cache):
     for K, col in matrices._sweep_columns(y, 3):
         c = 2 * (k_max - K)
         assert len(col) == 2 * K - 1
-        t = lanes.rows([x - y[c] for x in col])[: K - 1]  # T_K(0) .. T_K(2K-2)
-        assert all(row[0] == 0 for row in t)
-        k_denoms, k_lanes, p_cols, q_cols, y_cols = matrices._pqy_columns(K, cache)
-        scale = denoms[0] // k_denoms[0]
-        assert [d * scale for d in k_denoms] == denoms[: K - 1]
-        for cols, want in [(p_cols, [row[1::2] for row in t]),
-                           (q_cols, [[-v for v in row[:0:-2]] for row in t]),
-                           (y_cols, lanes.rows(y[:0:-2])[: K - 1])]:
-            got = [[v * scale for v in row] for row in k_lanes.rows(cols)]
-            assert got == [row[: K - 1] for row in want], K
+        k_denoms, k_lanes, p_cols, q_cols, w_cols = matrices._k_columns(denoms, lanes, y, col)
+        assert k_lanes.nbytes == lanes.nbytes[: K - 1]
+        assert k_lanes.rows([col[0] - y[c]]) == [[0]] * (K - 1)  # T_K(0) = 0
+        w, own_denoms = weight_rows(K, cache)
+        scale = denoms[0] // own_denoms[0]
+        assert k_denoms == [d * scale for d in own_denoms]
+        ref = reference_pqy(K, w)
+        for cols, want in [(p_cols, ref["P"]), (q_cols, ref["Q"]),
+                           (w_cols, [row[:2:-1] for row in w])]:
+            assert k_lanes.rows(cols) == [[v * scale for v in row] for row in want], K
         seen.append(K)
     assert seen == list(range(3, k_max + 1))
 
@@ -444,16 +478,14 @@ def test_sweeps_check_every_k_before_any_work(monkeypatch):
 
 
 def test_weight_rows_follow_their_definition_for_any_cache():
-    # only zero b_n are skipped, so a corrupted odd B_n still reaches W
+    # W's packed columns 2K..3 unpack to the rows of its definition; only
+    # zero b_n are skipped, so a corrupted odd B_n still reaches W
     for make_cache in CACHES.values():
         cache = make_cache()
         for K in range(2, 31):
-            b, big = cache.scaled(2 * K - 2)
-            w = [[2 * math.comb(j - 2, j - 2 * s) * b[j - 2 * s] if j >= 2 * s else 0
-                  for j in range(2 * K + 1)] for s in range(1, K)]
-            assert matrices._weight_rows(K, cache, range(1, K)) == (
-                w, [(2 * s - 1) * big for s in range(1, K)]
-            ), K
+            w, denoms = weight_rows(K, cache)
+            d, lanes, _, _, w_cols = matrices._own_columns(K, cache)
+            assert (lanes.rows(w_cols), d) == ([row[:2:-1] for row in w], denoms), K
 
 
 def lane_bytes(K, row, d):
@@ -467,12 +499,13 @@ def lane_bytes(K, row, d):
 
 
 def packed_columns(K, cache):
-    """matrices._packed_weights from the dense rows of _weight_rows, packed column by column.
+    """matrices._packed_weights from the dense rows of weight_rows, packed column by column.
 
     The reference for packing each row as it is built; a test that replaces
-    ``_weight_rows`` and ``_packed_weights`` with this feeds the checks any W.
+    ``weight_rows`` here and ``matrices._packed_weights`` with this feeds
+    the checks any W.
     """
-    w, denoms = matrices._weight_rows(K, cache, range(1, K))
+    w, denoms = weight_rows(K, cache)
     lanes = matrices._Lanes([lane_bytes(K, row, d) for row, d in zip(w, denoms)])
     columns = list(zip(*w))[: 2 : -1]  # columns 2K..3 of W: y_1 .. y_{2K-2}
     y = [0, *(sum(v << t for v, t in zip(col, lanes.shifts)) for col in columns)]
@@ -497,8 +530,9 @@ def inverse_rows(K, cache):
     def minus(x, y):
         return [[u - v for u, v in zip(*rows)] for rows in zip(x, y)]
 
-    denoms, lanes, *cols = matrices._pqy_columns(K, cache)
-    p, q, y = map(lanes.rows, cols)
+    denoms, lanes, *cols = matrices._own_columns(K, cache)
+    p, q, w = map(lanes.rows, cols)
+    y = [row[::-2] for row in w]  # W's columns 3, 5, ..., 2K-1 of columns 2K..3
     pa = minus(old_product(minus(p, q), matrices._c_rows(K)), y)
     return denoms, {"P": p, "Q": q, "Y": y, "PA": pa}
 
@@ -521,11 +555,11 @@ def test_every_compared_value_fits_its_lane_with_a_spare_sign_bit(make_cache):
     # the lane bound holds for any Bernoulli values, odd B_n != 0 included
     cache = make_cache()
     for K in range(2, 51 if make_cache is BernoulliCache else 31):
-        w, denoms = matrices._weight_rows(K, cache, range(1, K))
+        w, denoms = weight_rows(K, cache)
         ref = reference_pqy(K, w)
         one = [[d if i == j else 0 for j in range(K - 1)] for i, d in enumerate(denoms)]
-        lanes = matrices._pqy_columns(K, cache)[1]
-        for m in [ref["P"], ref["Q"], ref["Y"], one]:
+        lanes = matrices._packed_weights(K, cache)[1]
+        for m in [ref["P"], ref["Q"], ref["Y"], one, [row[:2:-1] for row in w]]:
             for row, b in zip(m, lanes.nbytes, strict=True):
                 assert all(abs(x).bit_length() < 8 * b for x in row), K
 
@@ -535,14 +569,14 @@ def test_lanes_hold_the_worst_case_weights(monkeypatch):
     # makes T_s(2K-2) = sum_t C(2K-2, t) |W[s][2K+1-t]|, the sum that
     # _lane_bytes bounds by count 2^top: the bound's one inequality that
     # depends on the weights is then an equality
-    original = matrices._weight_rows
+    original = weight_rows
 
-    def extreme_rows(K, cache, s_values):
-        rows, denoms = original(K, cache, s_values)
+    def extreme_rows(K, cache):
+        rows, denoms = original(K, cache)
         sizes = [max(map(abs, row)) * (-1) ** s for s, row in enumerate(rows)]
         return [[m] * len(row) for m, row in zip(sizes, rows)], denoms
 
-    monkeypatch.setattr(matrices, "_weight_rows", extreme_rows)
+    monkeypatch.setitem(globals(), "weight_rows", extreme_rows)
     monkeypatch.setattr(matrices, "_packed_weights", packed_columns)
     cache = BernoulliCache()
     for K in range(2, 21):
@@ -553,7 +587,7 @@ def test_lanes_hold_the_worst_case_weights(monkeypatch):
 
 @pytest.mark.parametrize("K", [45, 60])
 def test_inverse_and_lanes_hold_beyond_the_sweep(cache, K):
-    w, denoms = matrices._weight_rows(K, cache, range(1, K))
+    w, denoms = weight_rows(K, cache)
     ref = reference_pqy(K, w)
     assert verify_inverse(K, cache).all_pass
     assert build_p(K, cache) == matrices._from_rows(ref["P"], denoms)
@@ -564,10 +598,10 @@ def test_lanes_are_narrower_than_the_old_uniform_bound(cache):
     # the old rule sized lane s as 2^(2K-2) max_j|W[s][j]| + d_s; weighting
     # each entry by its own C(2K-2, t) saves about a fifth of the bytes
     for K in (20, 30, 40):
-        w, denoms = matrices._weight_rows(K, cache, range(1, K))
+        w, denoms = weight_rows(K, cache)
         old = sum(((max(map(abs, row)) << (2 * K - 2)) + d).bit_length() // 8 + 1
                   for row, d in zip(w, denoms))
-        assert matrices._pqy_columns(K, cache)[1].size <= 0.85 * old, K
+        assert matrices._packed_weights(K, cache)[1].size <= 0.85 * old, K
 
 
 def test_p_equal_to_q_with_a_wrong_weight_column_fails_pa(monkeypatch):
@@ -581,17 +615,15 @@ def test_p_equal_to_q_with_a_wrong_weight_column_fails_pa(monkeypatch):
     f = {1: 1, 2 * K - 2: -1}
     delta = [sum((-1) ** (t + k) * math.comb(t, k) * v for k, v in f.items())
              for t in range(2 * K - 1)]
-    original = matrices._weight_rows
+    original = weight_rows
 
-    def perturbed_rows(k, cache, s_values):
-        rows, denoms = original(k, cache, s_values)
-        for sv, row in zip(s_values, rows):
-            if sv == s:
-                for t in range(1, 2 * K - 1):
-                    row[2 * K + 1 - t] += delta[t]
+    def perturbed_rows(k, cache):
+        rows, denoms = original(k, cache)
+        for t in range(1, 2 * K - 1):
+            rows[s - 1][2 * K + 1 - t] += delta[t]
         return rows, denoms
 
-    monkeypatch.setattr(matrices, "_weight_rows", perturbed_rows)
+    monkeypatch.setitem(globals(), "weight_rows", perturbed_rows)
     monkeypatch.setattr(matrices, "_packed_weights", packed_columns)
     p, q, a = build_p(K), build_q(K), build_a(K)
     assert p == q
@@ -751,11 +783,18 @@ def test_verify_inverse(cache, K):
     assert report.all_pass
 
 
+def closed_form(K, cache):
+    """(P B) from the closed-form Bernoulli sum W G_PB, no matrix product, as a RationalMatrix."""
+    denoms, ref = reference_products(K, cache)
+    return matrices._from_rows(ref["closed"], denoms)
+
+
 def test_pb_pc_closed_examples(cache):
-    assert pb_closed(3, 1, 1, cache) == Fraction(4, 15)
+    closed = closed_form(3, cache)
+    assert closed.at(0, 0) == Fraction(4, 15)
     pc = times(build_p(3, cache), build_c_part(3))
     assert pc.at(0, 0) == Fraction(11, 15)
-    assert pb_closed(3, 1, 2, cache) + pc.at(0, 1) == 0
+    assert closed.at(0, 1) + pc.at(0, 1) == 0
 
 
 def test_closed_forms_match_products(cache):
@@ -763,10 +802,11 @@ def test_closed_forms_match_products(cache):
         p = build_p(K, cache)
         pb = times(p, build_b_part(K))
         pc = times(p, build_c_part(K))
+        closed = closed_form(K, cache)
         for s in range(1, K):
             for sp in range(1, K):
-                assert pb_closed(K, s, sp, cache) == pb.at(s - 1, sp - 1)
-                assert int(s == sp) - pb_closed(K, s, sp, cache) == pc.at(s - 1, sp - 1)
+                assert closed.at(s - 1, sp - 1) == pb.at(s - 1, sp - 1)
+                assert int(s == sp) - closed.at(s - 1, sp - 1) == pc.at(s - 1, sp - 1)
         assert verify_closed_forms(K, cache) == []
 
 
@@ -782,8 +822,9 @@ def test_checks_fail_under_a_corrupted_cache(K):
     p = build_p(K, bad)
     pb = times(p, build_b_part(K))
     pc = times(p, build_c_part(K))
+    closed = closed_form(K, bad)
     for s, sp, *values in offending:
-        vb = pb_closed(K, s, sp, bad)
+        vb = closed.at(s - 1, sp - 1)
         assert values == [
             vb,
             int(s == sp) - vb,
@@ -816,13 +857,6 @@ def test_report_names_the_first_offending_entries(K):
         expected.append((check, i + 1, j + 1, x.at(i, j), y.at(i, j)))
     assert report.offending == tuple(expected)
     assert verify_inverse(K).offending == ()
-
-
-def test_closed_form_index_errors(cache):
-    with pytest.raises(IndexError):
-        pb_closed(3, 0, 1, cache)
-    with pytest.raises(IndexError):
-        pb_closed(3, 1, 3, cache)
 
 
 def test_matrix_json_schema():

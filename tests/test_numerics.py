@@ -14,7 +14,6 @@ import doublezeta.numerics as numerics
 from doublezeta.numerics import (
     BigFloat,
     audit_euler,
-    audit_euler_constant,
     audit_h_ab,
     rational_reconstruct,
     zeta_double,
@@ -78,6 +77,32 @@ def test_direct_sum_stops_where_its_floors_are_zero(k, digits):
     full = sum(one // m**k for m in range(1, M))
     assert numerics._zeta_single(k, table) == (
         full + tail.value, M - 1 + tail.error, table.bits
+    )
+
+
+@pytest.mark.parametrize("k1, k2, digits", [(2, 3, 30), (4, 5, 100), (2, 9, 40)])
+def test_double_direct_sum_counts_two_ulps_per_m(k1, k2, digits):
+    # the direct part sums m = 2..M.  Each m contributes < 1 + (m-1)/m^k2
+    # ulps: the inner partial sum is below the truth by < m - 1 ulps, which
+    # m^-k2 scales, and the quotient's floor adds one; that is < 2 per m, so
+    # 2 (M - 1) ulps.  zeta(k1, k2) is that part plus zeta(k1) tail(k2),
+    # the two leading terms of the T(m) expansion and the derivative series
+    # of the folded tails, here rebuilt from the same table.
+    table = numerics._EMTables(digits)
+    bits, M, w = table.bits, table.double_cutoff, k1 + k2
+    one = 1 << bits
+    inner = direct = 0
+    for m in range(2, M + 1):
+        inner += one // (m - 1) ** k1
+        direct += inner // m**k2
+    x = numerics._Fixed(direct, 2 * (M - 1), bits)
+    x += table.zeta_fixed(k1) * table.tail(k2, M + 1)
+    x -= table.tail(w - 1, M + 1).times(1, bits, k1 - 1)
+    x -= table.tail(w, M + 1).times(1, bits, 2)
+    series = numerics._folded_tails(k1, w, table)
+    value, bound, ulps = numerics._derivative_sum(series, table.target, table)
+    assert numerics._zeta_double(k1, k2, table) == (
+        x.value - value, x.error + bound + ulps, bits
     )
 
 
@@ -260,20 +285,20 @@ def test_rational_reconstruct():
 
 
 def test_audit_euler_k2():
-    rep = audit_euler_constant(2, 1, 40)
+    rep = audit_euler(2, 40, 1)[0]
     assert not rep.printed_constant_consistent
     assert rep.reconstructed == Fraction(-11, 2)
     assert abs(rep.residual_ratio.value + Fraction(11, 2)) <= rep.residual_ratio.error_bound
 
 
 def test_audit_euler_k3():
-    assert audit_euler_constant(3, 1, 40).reconstructed == Fraction(-11)
-    assert audit_euler_constant(3, 2, 40).reconstructed == Fraction(-18)
+    assert audit_euler(3, 40, 1)[0].reconstructed == Fraction(-11)
+    assert audit_euler(3, 40, 2)[0].reconstructed == Fraction(-18)
 
 
 def test_audit_euler_precision_stable():
-    lo = audit_euler_constant(2, 1, 30)
-    hi = audit_euler_constant(2, 1, 60)
+    lo = audit_euler(2, 30, 1)[0]
+    hi = audit_euler(2, 60, 1)[0]
     assert (
         abs(lo.residual_ratio.value - hi.residual_ratio.value)
         <= lo.residual_ratio.error_bound
@@ -281,7 +306,7 @@ def test_audit_euler_precision_stable():
 
 
 def test_audit_euler_low_precision_reports_absent():
-    rep = audit_euler_constant(2, 1, 1)
+    rep = audit_euler(2, 1, 1)[0]
     # completing without reconstruction is valid; no exception either way
     assert rep.reconstructed is None or rep.reconstructed == Fraction(-11, 2)
 
@@ -303,7 +328,7 @@ def test_audit_euler_equals_single_rows(K, digits):
     rows = audit_euler(K, digits)
     assert [rep.r for rep in rows] == list(range(1, K))
     for rep in rows:
-        single = audit_euler_constant(K, rep.r, digits)
+        (single,) = audit_euler(K, digits, rep.r)
         assert _report_fields(rep) == _report_fields(single)
 
 
@@ -314,7 +339,7 @@ def test_audit_euler_equals_single_rows(K, digits):
         lambda: zeta_double(2, 3, -1),
         lambda: zeta_double(1, 3, 0),
         lambda: audit_euler(2, 0),
-        lambda: audit_euler_constant(2, 1, -2),
+        lambda: audit_euler(2, -2, 1),
         lambda: audit_h_ab(0, 0, 0),
     ],
     ids=[
@@ -338,7 +363,7 @@ PUBLIC_CALLS = pytest.mark.parametrize(
         lambda d: zeta_double(2, 3, d),
         lambda d: zeta_double(1, 3, d),
         lambda d: audit_euler(2, d),
-        lambda d: audit_euler_constant(2, 1, d),
+        lambda d: audit_euler(2, d, 1),
         lambda d: audit_h_ab(0, 0, d),
     ],
     ids=[
@@ -386,10 +411,11 @@ def test_audit_euler_rejects_bad_rows():
         audit_euler(1, 40)
     for r in (0, 3):
         with pytest.raises(ValueError):
-            audit_euler_constant(3, r, 40)
+            audit_euler(3, 40, r)
 
 
-# every public function that takes K, each going through matrices._check_k
+# every public function that takes K, each going through matrices._check_k;
+# the audit of one row's constant is audit_euler with r
 TAKES_K = {
     "build_a": matrices.build_a,
     "build_p": matrices.build_p,
@@ -400,7 +426,7 @@ TAKES_K = {
     "inverse_reduction_coefficients": lambda K: reductions.inverse_reduction_coefficients(K, []),
     "euler_constant": lambda K: reductions.euler_constant(K, 1),
     "audit_euler": audit_euler,
-    "audit_euler_constant": lambda K: audit_euler_constant(K, 1),
+    "audit_euler_constant": lambda K: audit_euler(K, r=1),
 }
 
 
@@ -838,9 +864,10 @@ def test_audit_h_ab_detects_a_wrong_coefficient(monkeypatch, a, b, index):
 
     def wrong_coefficients(a, b):
         table = h_ab_coefficients(a, b)
-        terms = list(table.rows[0].terms)
-        terms[index] = terms[index]._replace(coeff=2 * terms[index].coeff)
-        row = reductions.TableRow.from_terms(table.rows[0].target, terms)
+        (row,) = table.rows
+        nums = list(row.numerators)
+        nums[index] *= 2
+        row = reductions._row(row.target, row.bases, nums, row.denominator, row.flags)
         return table._replace(rows=(row,))
 
     monkeypatch.setattr(numerics, "h_ab_coefficients", wrong_coefficients)

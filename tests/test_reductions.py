@@ -1,23 +1,22 @@
 import json
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from doublezeta.bernoulli import BernoulliCache
 from doublezeta.matrices import build_a, build_p
-from doublezeta.rationals import format_rational
+from doublezeta.rationals import format_rational, parse_rational
 from doublezeta.reductions import (
     PRINTED_CONSTANT,
     CoefficientTable,
     TableRow,
-    Term,
     euler_constant,
     euler_rhs_coefficients,
     expand_h_to_pi,
     h_ab_coefficients,
     inverse_reduction_coefficients,
-    table_from_json,
     table_to_csv,
     table_to_json,
 )
@@ -28,8 +27,50 @@ def cache():
     return BernoulliCache()
 
 
+class Term(NamedTuple):
+    """One basis label with its exact coefficient and optional provenance."""
+
+    basis: str
+    coeff: Fraction
+    flag: str | None = None
+
+
+def terms(row):
+    """The terms of a TableRow in order, with their coefficients as reduced Fractions."""
+    d = row.denominator
+    return [Term(b, Fraction(x, d), f) for b, x, f in zip(row.bases, row.numerators, row.flags)]
+
+
+def plain(table):
+    """A table as (kind, params, rows), each row the tuple of its TableRow fields."""
+    return table.kind, table.params, [tuple(row) for row in table.rows]
+
+
+def table_from_json(text):
+    """The JSON export read back as ``plain`` reads a table.
+
+    Each row goes over the lcm of its coefficients' denominators.  The
+    export writes each coefficient in lowest terms, so that lcm puts the
+    row in lowest terms over a positive denominator, and a canonical row
+    reads back as the same tuple: the round trip is ==.
+    """
+    payload = json.loads(text)
+    rows = []
+    for row in payload["rows"]:
+        coeffs = [parse_rational(t["coeff"]) for t in row["terms"]]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        rows.append((
+            row["target"],
+            tuple(t["basis"] for t in row["terms"]),
+            tuple(c.numerator * (den // c.denominator) for c in coeffs),
+            den,
+            tuple(t.get("flag") for t in row["terms"]),
+        ))
+    return payload["kind"], payload["params"], rows
+
+
 def coeff_of(row, basis):
-    matches = [t.coeff for t in row.terms if t.basis == basis]
+    matches = [t.coeff for t in terms(row) if t.basis == basis]
     assert len(matches) <= 1
     return matches[0] if matches else Fraction(0)
 
@@ -39,7 +80,7 @@ def test_euler_table_k2():
     (row,) = table.rows
     assert row.target == "zeta(2,3)"
     assert coeff_of(row, "zeta(2)*zeta(3)") == 3
-    const = [t for t in row.terms if t.basis == "zeta(5)"]
+    const = [t for t in terms(row) if t.basis == "zeta(5)"]
     assert const[0].coeff == PRINTED_CONSTANT == Fraction(-1, 2)
     assert const[0].flag == "as printed"
 
@@ -56,7 +97,7 @@ def test_euler_table_custom_constants():
         3, [Fraction(-11), Fraction(-18)], constants_flag="audited"
     )
     assert coeff_of(table.rows[0], "zeta(7)") == -11
-    assert table.rows[1].terms[0].flag == "audited"
+    assert terms(table.rows[1])[0].flag == "audited"
     with pytest.raises(ValueError):
         euler_rhs_coefficients(3, [Fraction(0)])
 
@@ -78,7 +119,7 @@ def test_inverse_table_k3_matrix_part(cache):
             label = f"zeta({2 * r},{7 - 2 * r})"
             assert coeff_of(row, label) == p.at(s - 1, r - 1)
         # zero constants are suppressed entirely
-        assert all("*" in t.basis or "," in t.basis for t in row.terms)
+        assert all("*" in t.basis or "," in t.basis for t in terms(row))
 
 
 def _reference_inverse_constants(K, constants, cache):
@@ -109,7 +150,7 @@ def test_inverse_table_constant_matches_fraction_sum(K, cache):
         expected = _reference_inverse_constants(K, constants, cache)
         for row, want in zip(table.rows, expected, strict=True):
             assert coeff_of(row, label) == want
-            assert (label in [t.basis for t in row.terms]) == (want != 0)
+            assert (label in [t.basis for t in terms(row)]) == (want != 0)
 
 
 @pytest.mark.parametrize("K", [3, 4, 5, 6, 12, 30])
@@ -122,7 +163,7 @@ def test_inverse_table_suppresses_vanishing_constant(K, cache):
     label = f"zeta({2 * K + 1})"
     assert coeff_of(table.rows[0], label) == -1
     for row in table.rows[1:]:
-        assert label not in [t.basis for t in row.terms]
+        assert label not in [t.basis for t in terms(row)]
         assert label not in row.bases and len(row.numerators) == K - 1
     assert_same_exports(table, old_inverse(K, constants, cache))
 
@@ -130,7 +171,7 @@ def test_inverse_table_suppresses_vanishing_constant(K, cache):
 def test_h_ab_examples():
     t00 = h_ab_coefficients(0, 0)
     (row,) = t00.rows
-    assert [(t.basis, t.coeff) for t in row.terms] == [("H(0)*zeta(3)", Fraction(1))]
+    assert [(t.basis, t.coeff) for t in terms(row)] == [("H(0)*zeta(3)", Fraction(1))]
 
     t10 = h_ab_coefficients(1, 0)
     assert coeff_of(t10.rows[0], "H(1)*zeta(3)") == 3
@@ -167,14 +208,14 @@ def test_composition_recovers_products():
         for s in range(1, K):
             row = inverse.rows[s - 1]
             acc: dict[str, Fraction] = {}
-            for term in row.terms:
+            for term in terms(row):
                 if term.basis.startswith("zeta(") and "," in term.basis:
                     r = next(
                         i + 1
                         for i, er in enumerate(euler.rows)
                         if er.target == term.basis
                     )
-                    for et in euler.rows[r - 1].terms:
+                    for et in terms(euler.rows[r - 1]):
                         acc[et.basis] = acc.get(et.basis, Fraction(0)) + term.coeff * et.coeff
                 else:
                     acc[term.basis] = acc.get(term.basis, Fraction(0)) + term.coeff
@@ -189,7 +230,7 @@ def test_json_round_trip():
         inverse_reduction_coefficients(4, [Fraction(-1, 2)] * 3),
         h_ab_coefficients(2, 1),
     ]:
-        assert table_from_json(table_to_json(table)) == table
+        assert table_from_json(table_to_json(table)) == plain(table)
 
 
 def test_csv_flatten():
@@ -324,8 +365,8 @@ def old_to_csv(table):
 def assert_same_exports(table, reference):
     assert table_to_json(table) == old_to_json(reference)
     assert table_to_csv(table) == old_to_csv(reference)
-    assert table_from_json(table_to_json(table)) == table
-    assert [(row.target, list(row.terms)) for row in table.rows] == reference[2]
+    assert table_from_json(table_to_json(table)) == plain(table)
+    assert [(row.target, terms(row)) for row in table.rows] == reference[2]
 
 
 # more digits than Python's int-to-str limit of 4300
@@ -371,9 +412,9 @@ def test_exports_write_a_flag_as_json_does(K):
 def test_json_export_of_empty_tables_and_rows():
     empty = CoefficientTable("euler_reduction", {"K": 2})
     assert table_to_json(empty) == old_to_json(("euler_reduction", {"K": 2}, []))
-    table = CoefficientTable("h_ab", {}, (TableRow.from_terms("t", []),))
+    table = CoefficientTable("h_ab", {}, (TableRow("t", (), (), 1, ()),))
     assert table_to_json(table) == old_to_json(("h_ab", {}, [("t", [])]))
-    assert table_from_json(table_to_json(table)) == table
+    assert table_from_json(table_to_json(table)) == plain(table)
 
 
 @pytest.mark.parametrize("a, b", [(a, b) for a in range(8) for b in range(8 - a)])
@@ -384,7 +425,8 @@ def test_h_exports_match_the_fraction_reference(a, b):
 
 
 def test_rows_are_canonical():
-    # lowest terms over a positive denominator, as TableRow.from_terms builds them
+    # lowest terms over a positive denominator, so each row is the row over
+    # the lcm of its coefficients' denominators that the JSON reader builds
     tables = [
         euler_rhs_coefficients(6),
         euler_rhs_coefficients(6, [Fraction(4, 6), 2, Fraction(0), HUGE, Fraction(-5, 8)]),
@@ -397,4 +439,4 @@ def test_rows_are_canonical():
         for row in table.rows:
             assert row.denominator > 0
             assert math.gcd(row.denominator, *row.numerators) == 1
-            assert TableRow.from_terms(row.target, row.terms) == row
+        assert table_from_json(table_to_json(table)) == plain(table)
