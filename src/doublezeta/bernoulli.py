@@ -35,14 +35,13 @@ class BernoulliCache:
 
     The cache is a value, not global state: independent instances always
     agree entrywise because the recurrence is deterministic.  Besides
-    T_1..T_m it keeps only the last Brent-Harvey column, column m, and
-    each B_n as a Fraction once ``get`` has been asked for it.
+    T_1..T_m it keeps only the last Brent-Harvey column, column m; ``get``
+    forms each B_n's Fraction from T_{n/2} when it is asked, and keeps none.
     """
 
     def __init__(self) -> None:
         self._tangents: list[int] = [0]  # T_k at index k; index 0 is unused
         self._column: list[int] = []
-        self._values: dict[int, Fraction] = {}
 
     @property
     def high_water(self) -> int:
@@ -60,25 +59,20 @@ class BernoulliCache:
 
     def get(self, n: int) -> Fraction:
         """B_n, extending the store through index n if needed."""
-        value = self._values.get(n)
-        if value is None:
-            if n < 0:
-                raise ValueError(f"Bernoulli index must be >= 0, got {n}")
-            k = n // 2
-            if k >= len(self._tangents):
-                self._extend(k)
-            if n == 0:
-                value = Fraction(1)
-            elif n == 1:
-                value = Fraction(-1, 2)
-            elif n % 2:
-                value = Fraction(0)
-            else:
-                four = 1 << n
-                sign = 1 if k % 2 else -1
-                value = Fraction(sign * n * self._tangents[k], four * (four - 1))
-            self._values[n] = value
-        return value
+        if n < 0:
+            raise ValueError(f"Bernoulli index must be >= 0, got {n}")
+        k = n // 2
+        if k >= len(self._tangents):
+            self._extend(k)
+        if n == 0:
+            return Fraction(1)
+        if n == 1:
+            return Fraction(-1, 2)
+        if n % 2:
+            return Fraction(0)
+        four = 1 << n
+        sign = 1 if k % 2 else -1
+        return Fraction(sign * n * self._tangents[k], four * (four - 1))
 
     def scaled(self, n: int) -> tuple[tuple[int, ...], int]:
         """(b, D) with b_k = D B_k for k <= n, D the lcm of the denominators of B_0..B_n.

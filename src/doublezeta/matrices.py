@@ -27,7 +27,8 @@ bytes once and reads row s as lane s's bytes of every column.  Neither
 check needs a product to pass: for any Bernoulli values
 P A = (P - Q) C - Y with Y[s][s'] = W[s][2s'+1], and P B is the (PB)
 closed form, so P = Q and Y = -diag(d_s) on that one table prove
-P A = I, P C = I - P B and P B = closed (``_sweep``).  P A = I
+P A = I, P C = I - P B and P B = closed (``_sweep``; the proofs are in
+``verify_inverse_sweep`` and ``verify_closed_forms_sweep``).  P A = I
 proves det A != 0 as well.  Only when a compare fails are P, Q and W
 unpacked from the table the compares read, P A, P B, P C and the closed
 form formed from their definitions, and Bareiss elimination run on A.
@@ -80,9 +81,7 @@ __all__ = [
     "build_p",
     "build_q",
     "InverseReport",
-    "verify_inverse",
     "verify_inverse_sweep",
-    "verify_closed_forms",
     "verify_closed_forms_sweep",
     "matrix_to_json",
 ]
@@ -332,7 +331,7 @@ def _k_columns(denoms: list[int], lanes: _Lanes, y: list[int], col: list[int]) -
 
 
 def _sweep(
-    k_min: int, k_max: int, cache: BernoulliCache
+    k_min: int, k_max: int, cache: BernoulliCache | None
 ) -> Iterator[tuple[int, _KColumns | None]]:
     """(K, None) for each K = k_min..k_max whose compares pass, else (K, ``_k_columns``).
 
@@ -454,8 +453,10 @@ def _first_offending(
     )
 
 
-def verify_inverse(K: int, cache: BernoulliCache | None = None) -> InverseReport:
-    """Exact check that P = Q and P A = I and det A != 0: the one-K sweep.
+def verify_inverse_sweep(
+    k_min: int, k_max: int, cache: BernoulliCache | None = None
+) -> list[InverseReport]:
+    """Exact check that P = Q and P A = I and det A != 0, for K = k_min..k_max.
 
     All in integers, with row s of P and of Q as numerators n_s over d_s:
     P = Q by equal n_s, P A = I by n_s A = d_s e_s.  P and A are square,
@@ -470,34 +471,16 @@ def verify_inverse(K: int, cache: BernoulliCache | None = None) -> InverseReport
     binomial inversion (T(0) = y_0 = 0, N even).  For the true B_n,
     W[s][2s'+1] = 2 C(2s'-1, n) b_n with n = 2s'+1-2s vanishes unless
     n = 1, where it is 2 (2s-1) D B_1 = -d_s: so P = Q and Y = -diag(d_s)
-    give P A = I.  Both are checked as K-1 packed compares each
-    (``_sweep``), and a passing P A = I proves det A != 0
-    (det P det A = 1).
-
-    ``verify_inverse_sweep`` makes the same compares for every K of a
-    range on the table of its largest K, by the shift identity: with
-    c = 2(k_max-K), W's column 2K+1-t is K's y_t and k_max's y_{t+c}, so
-    on the lanes s < K, T_K(N) = sum_{t<=N} C(N,t) y_{c+t} - y_c, which
-    is row_N[c] - y_c of k_max's table (C(N,t) = 0 past t = N; y_c is
-    W's column 2K+1, which K's y_0 = 0 leaves out).  The compares are read
-    modulo 2^(8 o_K), and k_max's lane bounds hold for K, as
-    C(N,t) <= C(2K-2,t) <= C(2k_max-2,t+c) (module docstring).
+    give P A = I.  Both are checked as K-1 packed compares each, and a
+    passing P A = I proves det A != 0 (det P det A = 1).  Every K is read
+    off the one table of k_max (``_sweep``, by the module docstring's shift
+    identity), so the range costs about as much as k_max alone.
 
     Only when a compare fails are P and Q unpacked, from the column the
     compares read (``_k_columns``), P A formed from its definition with
     A's rows, Bareiss elimination run on those rows if P A = I fails, and
     the first offending entries named; the verdicts are exact either way.
     """
-    (report,) = verify_inverse_sweep(K, K, cache)
-    return report
-
-
-def verify_inverse_sweep(
-    k_min: int, k_max: int, cache: BernoulliCache | None = None
-) -> list[InverseReport]:
-    """``verify_inverse`` for K = k_min..k_max, read off one table (``_sweep``)."""
-    if cache is None:
-        cache = BernoulliCache()
     return [InverseReport(K, True, True, True) if cols is None else _inverse_failure(K, cols)
             for K, cols in _sweep(k_min, k_max, cache)]
 
@@ -517,36 +500,26 @@ def _inverse_failure(K: int, cols: _KColumns) -> InverseReport:
     )
 
 
-def verify_closed_forms(
-    K: int, cache: BernoulliCache | None = None
-) -> list[tuple[int, int, Fraction, Fraction, Fraction, Fraction]]:
-    """Exact check that the closed forms equal P B and P C: the one-K sweep.
+def verify_closed_forms_sweep(
+    k_min: int, k_max: int, cache: BernoulliCache | None = None
+) -> list[list[tuple[int, int, Fraction, Fraction, Fraction, Fraction]]]:
+    """Exact check that the closed forms equal P B and P C, for K = k_min..k_max.
 
     Passes on the inverse check's compares (``_sweep``), because
     P A = I, hence P C = I - P B, and P B = closed for any W.  Proof of the
     last: with N = 2K-2s', column s' of P B is sum_{k odd} C(N,k) T(k);
     sum_k C(N,k) T(k) = sum_t C(N,t) 2^(N-t) y_t = S(N), as
     sum_k C(N,k) C(k,t) = C(N,t) 2^(N-t), and sum_k (-1)^k C(N,k) T(k) = y_N
-    (``verify_inverse``), so it is (S(N) - y_N) / 2; and the closed form is
-    sum_{m>=1} C(N,m) 2^(m-1) y_{N-m} = (S(N) - y_N) / 2, as
+    (``verify_inverse_sweep``), so it is (S(N) - y_N) / 2; and the closed
+    form is sum_{m>=1} C(N,m) 2^(m-1) y_{N-m} = (S(N) - y_N) / 2, as
     G_PB[j][s'] = C(N,m) 2^(m-1) at j = 2K+1-N+m >= 2s'+2.  Only when a
     compare fails are P and W unpacked, from the column the compares read
     (``_k_columns``), and the closed form W G_PB, P B and P C formed from
-    their definitions.  Returns every offending entry, in row-major order,
-    as a tuple (s, s', closed, delta_{s,s'} - closed, (PB)_{s,s'},
-    (PC)_{s,s'}), closed = (W G_PB)_{s,s'} / d_s; an empty list means the
-    check passed.
+    their definitions.  Returns, for each K, every offending entry in
+    row-major order, as a tuple (s, s', closed, delta_{s,s'} - closed,
+    (PB)_{s,s'}, (PC)_{s,s'}), closed = (W G_PB)_{s,s'} / d_s; an empty
+    list means K passed.
     """
-    (bad,) = verify_closed_forms_sweep(K, K, cache)
-    return bad
-
-
-def verify_closed_forms_sweep(
-    k_min: int, k_max: int, cache: BernoulliCache | None = None
-) -> list[list[tuple[int, int, Fraction, Fraction, Fraction, Fraction]]]:
-    """``verify_closed_forms`` for K = k_min..k_max, read off one table (``_sweep``)."""
-    if cache is None:
-        cache = BernoulliCache()
     return [[] if cols is None else _closed_forms_failure(K, cols)
             for K, cols in _sweep(k_min, k_max, cache)]
 

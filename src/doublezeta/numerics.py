@@ -582,18 +582,21 @@ def _zeta_one(k: int, tables: _EMTables) -> _Fixed:
     return total.times(1, tables.bits, 2)
 
 
-def rational_reconstruct(x: BigFloat, max_denominator: int = 64) -> Fraction | None:
-    """The unique p/q with q <= max_denominator inside the error interval.
+# the largest denominator a reconstructed constant may have; every Euler
+# constant c_r has denominator 2 (``reductions.euler_constant``)
+_DENOMINATOR_BOUND = 64
+
+
+def rational_reconstruct(x: BigFloat) -> Fraction | None:
+    """The unique p/q with q <= 64 (``_DENOMINATOR_BOUND``) inside the error interval.
 
     Distinct rationals with denominators <= D differ by at least 1/D^2,
     so a candidate is unique whenever the interval is shorter than that.
     Returns None when no candidate fits or uniqueness cannot be shown.
     """
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be >= 1")
-    if 2 * x.error_bound >= Fraction(1, max_denominator * max_denominator):
+    if 2 * x.error_bound >= Fraction(1, _DENOMINATOR_BOUND * _DENOMINATOR_BOUND):
         return None
-    candidate = x.value.limit_denominator(max_denominator)
+    candidate = x.value.limit_denominator(_DENOMINATOR_BOUND)
     return candidate if abs(candidate - x.value) <= x.error_bound else None
 
 

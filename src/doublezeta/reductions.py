@@ -95,32 +95,22 @@ def euler_constant(K: int, r: int) -> Fraction:
     return Fraction(-(1 + s0), 2)
 
 
-def euler_rhs_coefficients(
-    K: int,
-    constants: Sequence[Fraction] | None = None,
-    constants_flag: str | None = None,
-) -> CoefficientTable:
+def euler_rhs_coefficients(K: int) -> CoefficientTable:
     """Row r: zeta(2r, 2K+1-2r) as products plus a zeta(2K+1) constant.
 
-    Product coefficients are the rows of A_K.  The zeta(2K+1) constant
-    defaults to the printed -1/2 per row, flagged "as printed"; callers
-    may supply per-row constants (e.g. the audit's reconstructed ones)
-    instead.  Row r is A's int row over the denominator of its constant c_r.
+    Product coefficients are the rows of A_K.  The zeta(2K+1) constant is
+    the printed -1/2 (``PRINTED_CONSTANT``) on every row, flagged "as
+    printed"; the exact constants are ``euler_constant``'s, which
+    ``reduce inverse --constants exact`` applies.  So row r is -1 on
+    zeta(2K+1) and A's int row times 2, all over 2.
     """
     _check_k(K)
-    if constants is None:
-        constants = [PRINTED_CONSTANT] * (K - 1)
-        flag = "as printed"
-    else:
-        constants = list(constants)
-        flag = constants_flag
-    if len(constants) != K - 1:
-        raise ValueError(f"need {K - 1} constants, got {len(constants)}")
+    c = PRINTED_CONSTANT
     bases = (
         f"zeta({2 * K + 1})",
         *(f"zeta({2 * s})*zeta({2 * K + 1 - 2 * s})" for s in range(1, K)),
     )
-    flags = (flag,) + (None,) * (K - 1)
+    flags = ("as printed",) + (None,) * (K - 1)
     rows = tuple(
         _row(
             f"zeta({2 * r},{2 * K + 1 - 2 * r})",
@@ -129,7 +119,7 @@ def euler_rhs_coefficients(
             c.denominator,
             flags,
         )
-        for r, (c, a_row) in enumerate(zip(constants, build_a(K).numerators), start=1)
+        for r, a_row in enumerate(build_a(K).numerators, start=1)
     )
     return CoefficientTable(kind="euler_reduction", params={"K": K}, rows=rows)
 

@@ -29,10 +29,9 @@ def cache():
 
 
 def test_criterion_1_conjecture_sweep(cache):
-    ok = True
-    for K in range(2, 41):
-        rep = matrices.verify_inverse(K, cache)
-        ok &= rep.all_pass
+    reports = matrices.verify_inverse_sweep(2, 40, cache)
+    ok = [rep.K for rep in reports] == list(range(2, 41))
+    ok &= all(rep.all_pass for rep in reports)
     report("1. conjecture sweep K=2..40: P=Q, PA=AP=I, det(A)!=0 (exact)", ok)
 
 

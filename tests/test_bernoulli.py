@@ -99,8 +99,12 @@ def test_cache_determinism_and_fill_order():
         a = BernoulliCache()
         b = BernoulliCache()
         a.get(top)
+        seen = 0
         for n in order:
             b.get(n)
+            # get(n) extends the store through T_{n//2}, and no further
+            seen = max(seen, n)
+            assert b.high_water == 2 * (seen // 2) + 1
         assert [a.get(i) for i in range(top + 1)] == [b.get(i) for i in range(top + 1)]
         assert a.high_water >= top
 

@@ -142,9 +142,9 @@ def test_unwritable_out_fails_before_the_command_runs(capsys, monkeypatch, tmp_p
     # the --out file is made before any work, so an unusable path is
     # reported at once
     def not_called(*args):
-        raise AssertionError("verify_inverse ran before --out was opened")
+        raise AssertionError("verify_inverse_sweep ran before --out was opened")
 
-    monkeypatch.setattr(matrices, "verify_inverse", not_called)
+    monkeypatch.setattr(matrices, "verify_inverse_sweep", not_called)
     (tmp_path / "regular-file").write_text("")
     path = str(tmp_path / parent / "x")
     argv = ["verify", "conjecture", "--k-min", "100", "--k-max", "100", "--out", path]

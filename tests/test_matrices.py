@@ -18,8 +18,8 @@ from doublezeta.matrices import (
     build_p,
     build_q,
     matrix_to_json,
-    verify_closed_forms,
-    verify_inverse,
+    verify_closed_forms_sweep,
+    verify_inverse_sweep,
 )
 from doublezeta.rationals import format_rational
 
@@ -221,7 +221,7 @@ def _count_bareiss(monkeypatch):
 def test_passing_pa_check_proves_det_without_bareiss(monkeypatch):
     calls = _count_bareiss(monkeypatch)
     for K in (2, 5, 12):
-        report = verify_inverse(K)
+        report = verify_inverse_sweep(K, K)[0]
         assert report.pa_is_identity and report.det_nonzero
     assert calls == []
 
@@ -237,10 +237,10 @@ def test_pa_product_is_formed_only_when_a_check_fails(monkeypatch):
         return original(x, y)
 
     monkeypatch.setattr(matrices, "_product", product)
-    assert verify_inverse(6).all_pass
+    assert verify_inverse_sweep(6, 6)[0].all_pass
     assert calls == []
     bad = BadBernoulliCache()
-    report = verify_inverse(6, bad)
+    report = verify_inverse_sweep(6, 6, bad)[0]
     assert not report.pa_is_identity
     _, ref = reference_products(6, bad)
     assert calls == [(ref["P"], matrices._a_rows(6))]
@@ -256,7 +256,7 @@ def test_fallback_reports_a_singular_stand_in(monkeypatch):
 
     original = matrices._a_rows
     monkeypatch.setattr(matrices, "_a_rows", singular_a)
-    report = verify_inverse(6, BadBernoulliCache())
+    report = verify_inverse_sweep(6, 6, BadBernoulliCache())[0]
     assert not report.pa_is_identity
     assert not report.det_nonzero
     assert not report.all_pass
@@ -324,7 +324,7 @@ def reference_products(K, cache):
 
 
 def closed_form_report(K, cache):
-    """The report of verify_closed_forms, entry by entry from the reference products."""
+    """verify_closed_forms_sweep(K, K)[0], entry by entry from the reference products."""
     denoms, ref = reference_products(K, cache)
     bad = []
     rows = zip(ref["closed"], ref["PB"], ref["PC"], denoms)
@@ -367,9 +367,9 @@ def test_closed_forms_pass_exactly_when_pa_is_identity(make_cache):
     for K in range(2, 21):
         _, ref = reference_products(K, cache)
         assert ref["closed"] == ref["PB"], K
-        report = verify_closed_forms(K, cache)
+        report = verify_closed_forms_sweep(K, K, cache)[0]
         assert report == closed_form_report(K, cache), K
-        assert (report == []) == verify_inverse(K, cache).pa_is_identity, K
+        assert (report == []) == verify_inverse_sweep(K, K, cache)[0].pa_is_identity, K
 
 
 def test_closed_forms_form_products_only_when_the_compares_fail(monkeypatch):
@@ -395,14 +395,14 @@ def test_closed_forms_form_products_only_when_the_compares_fail(monkeypatch):
     monkeypatch.setattr(matrices, "_product", counted_product)
     monkeypatch.setattr(matrices, "_pascal_columns", counted_pascal_columns)
     monkeypatch.setattr(matrices, "_packed_weights", counted_packed_weights)
-    assert verify_closed_forms(6) == []
+    assert verify_closed_forms_sweep(6, 6)[0] == []
     assert (calls, tables) == ([], [11])  # one table, of y_0 .. y_{2K-2}
     assert matrices.verify_closed_forms_sweep(2, 12) == [[]] * 11
     assert matrices.verify_inverse_sweep(5, 12) == [
         matrices.InverseReport(K, True, True, True) for K in range(5, 13)
     ]
     assert (calls, tables) == ([], [11, 23, 23])  # one table per range, K = 12's
-    assert verify_closed_forms(6, BadBernoulliCache())
+    assert verify_closed_forms_sweep(6, 6, BadBernoulliCache())[0]
     assert calls == [matrices._g_pb(6), matrices._b_rows(6), matrices._c_rows(6)]
     inverse = matrices.verify_inverse_sweep
     closed_forms = matrices.verify_closed_forms_sweep
@@ -429,13 +429,13 @@ def test_sweeps_report_what_each_k_reports_alone(make_cache):
     cache = make_cache()
     for k_min, k_max in SWEEPS:
         ks = range(k_min, k_max + 1)
-        alone = [verify_inverse(K, cache) for K in ks]
+        alone = [verify_inverse_sweep(K, K, cache)[0] for K in ks]
         assert [(K, cols is None) for K, cols in matrices._sweep(k_min, k_max, cache)] == [
             (rep.K, rep.all_pass) for rep in alone
         ], (k_min, k_max)
         assert matrices.verify_inverse_sweep(k_min, k_max, cache) == alone, (k_min, k_max)
         assert matrices.verify_closed_forms_sweep(k_min, k_max, make_cache()) == [
-            verify_closed_forms(K, cache) for K in ks
+            verify_closed_forms_sweep(K, K, cache)[0] for K in ks
         ], (k_min, k_max)
 
 
@@ -589,7 +589,7 @@ def test_lanes_hold_the_worst_case_weights(monkeypatch):
 def test_inverse_and_lanes_hold_beyond_the_sweep(cache, K):
     w, denoms = weight_rows(K, cache)
     ref = reference_pqy(K, w)
-    assert verify_inverse(K, cache).all_pass
+    assert verify_inverse_sweep(K, K, cache)[0].all_pass
     assert build_p(K, cache) == matrices._from_rows(ref["P"], denoms)
     assert build_q(K, cache) == matrices._from_rows(ref["Q"], denoms)
 
@@ -628,14 +628,14 @@ def test_p_equal_to_q_with_a_wrong_weight_column_fails_pa(monkeypatch):
     p, q, a = build_p(K), build_q(K), build_a(K)
     assert p == q
     calls = _count_bareiss(monkeypatch)
-    report = verify_inverse(K)
+    report = verify_inverse_sweep(K, K)[0]
     assert report.p_eq_q and not report.pa_is_identity
     pa = times(p, a)
     i, j = next((i, j) for i in range(K - 1) for j in range(K - 1)
                 if pa.at(i, j) != int(i == j))
     assert report.offending[0] == ("pa_is_identity", i + 1, j + 1, pa.at(i, j), int(i == j))
     assert calls == [K - 1]
-    offending = verify_closed_forms(K)
+    offending = verify_closed_forms_sweep(K, K)[0]
     assert offending and offending == closed_form_report(K, None)
 
 
@@ -655,7 +655,7 @@ def test_report_matches_the_reference_under_a_corrupted_odd_bernoulli(make_cache
                 ((i, j) for i in range(K - 1) for j in range(K - 1)
                  if x.at(i, j) != y.at(i, j)), 1)
         ]
-        report = verify_inverse(K, bad)
+        report = verify_inverse_sweep(K, K, bad)[0]
         assert report.offending == tuple(expected), K
         assert report.det_nonzero
 
@@ -779,7 +779,7 @@ def test_product_of_exported_matrices_matches_reference(cache):
 
 @pytest.mark.parametrize("K", [2, 3, 10])
 def test_verify_inverse(cache, K):
-    report = verify_inverse(K, cache)
+    report = verify_inverse_sweep(K, K, cache)[0]
     assert report.all_pass
 
 
@@ -807,17 +807,17 @@ def test_closed_forms_match_products(cache):
             for sp in range(1, K):
                 assert closed.at(s - 1, sp - 1) == pb.at(s - 1, sp - 1)
                 assert int(s == sp) - closed.at(s - 1, sp - 1) == pc.at(s - 1, sp - 1)
-        assert verify_closed_forms(K, cache) == []
+        assert verify_closed_forms_sweep(K, K, cache)[0] == []
 
 
 @pytest.mark.parametrize("K", [3, 5, 8])
 def test_checks_fail_under_a_corrupted_cache(K):
     bad = BadBernoulliCache()
-    report = verify_inverse(K, bad)
+    report = verify_inverse_sweep(K, K, bad)[0]
     assert not report.p_eq_q
     assert not report.pa_is_identity
     assert report.det_nonzero
-    offending = verify_closed_forms(K, bad)
+    offending = verify_closed_forms_sweep(K, K, bad)[0]
     assert offending
     p = build_p(K, bad)
     pb = times(p, build_b_part(K))
@@ -836,7 +836,7 @@ def test_checks_fail_under_a_corrupted_cache(K):
 @pytest.mark.parametrize("K", [3, 5, 8])
 def test_failing_pa_check_runs_bareiss_once(monkeypatch, K):
     calls = _count_bareiss(monkeypatch)
-    report = verify_inverse(K, BadBernoulliCache())
+    report = verify_inverse_sweep(K, K, BadBernoulliCache())[0]
     assert not report.pa_is_identity
     assert report.det_nonzero
     assert calls == [K - 1]
@@ -845,7 +845,7 @@ def test_failing_pa_check_runs_bareiss_once(monkeypatch, K):
 @pytest.mark.parametrize("K", [3, 5, 8])
 def test_report_names_the_first_offending_entries(K):
     bad = BadBernoulliCache()
-    report = verify_inverse(K, bad)
+    report = verify_inverse_sweep(K, K, bad)[0]
     p, q, a = build_p(K, bad), build_q(K, bad), build_a(K)
     one = identity(K - 1)
     expected = []
@@ -856,7 +856,7 @@ def test_report_names_the_first_offending_entries(K):
         i, j = next((i, j) for i in range(K - 1) for j in range(K - 1) if x.at(i, j) != y.at(i, j))
         expected.append((check, i + 1, j + 1, x.at(i, j), y.at(i, j)))
     assert report.offending == tuple(expected)
-    assert verify_inverse(K).offending == ()
+    assert verify_inverse_sweep(K, K)[0].offending == ()
 
 
 def test_matrix_json_schema():

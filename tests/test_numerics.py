@@ -275,13 +275,20 @@ def test_monotone_refinement():
 
 def test_rational_reconstruct():
     eps = Fraction(1, 10**30)
-    assert rational_reconstruct(BigFloat(Fraction(1, 2), eps), 10) == Fraction(1, 2)
+    assert rational_reconstruct(BigFloat(Fraction(1, 2), eps)) == Fraction(1, 2)
     third = BigFloat(Fraction(2**100 // 3, 2**100), eps)
-    assert rational_reconstruct(third, 10) == Fraction(1, 3)
-    assert rational_reconstruct(BigFloat(Fraction(2, 5), Fraction(1, 5)), 10) is None
+    assert rational_reconstruct(third) == Fraction(1, 3)
+    assert rational_reconstruct(BigFloat(Fraction(2, 5), Fraction(1, 5))) is None
     # a candidate is accepted within the exact bound, with no slack beyond it
-    assert rational_reconstruct(BigFloat(Fraction(1, 2) + eps, eps), 10) == Fraction(1, 2)
-    assert rational_reconstruct(BigFloat(Fraction(1, 2) + 2 * eps, eps), 10) is None
+    assert rational_reconstruct(BigFloat(Fraction(1, 2) + eps, eps)) == Fraction(1, 2)
+    assert rational_reconstruct(BigFloat(Fraction(1, 2) + 2 * eps, eps)) is None
+    # the denominator bound is 64: distinct p/q with q <= 64 are 1/64^2
+    # apart, so an interval narrower than that names at most one of them
+    below = Fraction(1, 2 * 64**2) - eps  # 2 error < 1/64^2
+    assert rational_reconstruct(BigFloat(Fraction(1, 64), below)) == Fraction(1, 64)
+    assert rational_reconstruct(BigFloat(Fraction(63, 64), below)) == Fraction(63, 64)
+    assert rational_reconstruct(BigFloat(Fraction(1, 2), Fraction(1, 2 * 64**2))) is None
+    assert rational_reconstruct(BigFloat(Fraction(1, 65), eps)) is None
 
 
 def test_audit_euler_k2():
@@ -415,13 +422,14 @@ def test_audit_euler_rejects_bad_rows():
 
 
 # every public function that takes K, each going through matrices._check_k;
-# the audit of one row's constant is audit_euler with r
+# the audit of one row's constant is audit_euler with r, and the one-K
+# checks are the sweeps over K..K
 TAKES_K = {
     "build_a": matrices.build_a,
     "build_p": matrices.build_p,
     "build_q": matrices.build_q,
-    "verify_inverse": matrices.verify_inverse,
-    "verify_closed_forms": matrices.verify_closed_forms,
+    "verify_inverse": lambda K: matrices.verify_inverse_sweep(K, K),
+    "verify_closed_forms": lambda K: matrices.verify_closed_forms_sweep(K, K),
     "euler_rhs_coefficients": reductions.euler_rhs_coefficients,
     "inverse_reduction_coefficients": lambda K: reductions.inverse_reduction_coefficients(K, []),
     "euler_constant": lambda K: reductions.euler_constant(K, 1),

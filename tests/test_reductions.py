@@ -12,6 +12,7 @@ from doublezeta.reductions import (
     PRINTED_CONSTANT,
     CoefficientTable,
     TableRow,
+    _row,
     euler_constant,
     euler_rhs_coefficients,
     expand_h_to_pi,
@@ -90,16 +91,6 @@ def test_euler_table_k3_row1():
     row = table.rows[0]
     assert coeff_of(row, "zeta(2)*zeta(5)") == 5
     assert coeff_of(row, "zeta(4)*zeta(3)") == 2
-
-
-def test_euler_table_custom_constants():
-    table = euler_rhs_coefficients(
-        3, [Fraction(-11), Fraction(-18)], constants_flag="audited"
-    )
-    assert coeff_of(table.rows[0], "zeta(7)") == -11
-    assert terms(table.rows[1])[0].flag == "audited"
-    with pytest.raises(ValueError):
-        euler_rhs_coefficients(3, [Fraction(0)])
 
 
 def test_inverse_table_k2_printed():
@@ -202,9 +193,8 @@ def test_composition_recovers_products():
     # substituting the Euler rows into the inverse table is P*A = I at
     # the table level: the product row collapses to its own label
     for K in range(2, 12):
-        constants = [Fraction(-1, 2)] * (K - 1)
-        euler = euler_rhs_coefficients(K, constants, constants_flag="x")
-        inverse = inverse_reduction_coefficients(K, constants)
+        euler = euler_rhs_coefficients(K)
+        inverse = inverse_reduction_coefficients(K, [Fraction(-1, 2)] * (K - 1))
         for s in range(1, K):
             row = inverse.rows[s - 1]
             acc: dict[str, Fraction] = {}
@@ -263,11 +253,9 @@ def test_euler_constant():
 # a row (target, [Term, ...]), every coefficient a Fraction.
 
 
-def old_euler(K, constants=None, constants_flag=None):
+def old_euler(K, constants=None, flag="as printed"):
     if constants is None:
-        constants, flag = [PRINTED_CONSTANT] * (K - 1), "as printed"
-    else:
-        flag = constants_flag
+        constants = [PRINTED_CONSTANT] * (K - 1)
     a = build_a(K)
     rows = []
     for r in range(1, K):
@@ -391,12 +379,26 @@ def test_inverse_exports_match_the_fraction_reference(K, cache):
 @pytest.mark.parametrize("K", range(2, 31))
 def test_euler_exports_match_the_fraction_reference(K):
     assert_same_exports(euler_rhs_coefficients(K), old_euler(K))
-    for constants in _export_constant_sets(K):
-        table = euler_rhs_coefficients(K, constants, constants_flag="audited")
-        assert_same_exports(table, old_euler(K, constants, "audited"))
-    # custom constants without a flag
-    mixed = _constant_sets(K)[3]
-    assert_same_exports(euler_rhs_coefficients(K, mixed), old_euler(K, mixed))
+
+
+def flagged_euler(K, constants, flag):
+    """Euler rows with per-row zeta(2K+1) constants under one flag, built by ``_row``."""
+    bases = (
+        f"zeta({2 * K + 1})",
+        *(f"zeta({2 * s})*zeta({2 * K + 1 - 2 * s})" for s in range(1, K)),
+    )
+    flags = (flag,) + (None,) * (K - 1)
+    rows = tuple(
+        _row(
+            f"zeta({2 * r},{2 * K + 1 - 2 * r})",
+            bases,
+            [c.numerator, *(x * c.denominator for x in a_row)],
+            c.denominator,
+            flags,
+        )
+        for r, (c, a_row) in enumerate(zip(constants, build_a(K).numerators), start=1)
+    )
+    return CoefficientTable("euler_reduction", {"K": K}, rows)
 
 
 @pytest.mark.parametrize("K", [2, 5, 12])
@@ -405,7 +407,7 @@ def test_exports_write_a_flag_as_json_does(K):
     # a backslash and a non-ASCII character are escaped as in the reference
     flag = 'audited "at 40" \\ digits, \u03b6'
     for constants in _export_constant_sets(K):
-        table = euler_rhs_coefficients(K, constants, constants_flag=flag)
+        table = flagged_euler(K, constants, flag)
         assert_same_exports(table, old_euler(K, constants, flag))
 
 
@@ -429,7 +431,7 @@ def test_rows_are_canonical():
     # the lcm of its coefficients' denominators that the JSON reader builds
     tables = [
         euler_rhs_coefficients(6),
-        euler_rhs_coefficients(6, [Fraction(4, 6), 2, Fraction(0), HUGE, Fraction(-5, 8)]),
+        inverse_reduction_coefficients(6, [Fraction(4, 6), 2, Fraction(0), HUGE, Fraction(-5, 8)]),
         inverse_reduction_coefficients(6, [Fraction(-1, 2)] * 5),
         inverse_reduction_coefficients(6, [build_a(6).at(r, 0) for r in range(5)]),
         h_ab_coefficients(2, 1),
