@@ -24,6 +24,7 @@ downstream formula in this package assumes it.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from math import isqrt, lcm, prod
 
@@ -35,8 +36,9 @@ class BernoulliCache:
 
     The cache is a value, not global state: independent instances always
     agree entrywise because the recurrence is deterministic.  Besides
-    T_1..T_m it keeps only the last Brent-Harvey column, column m; ``get``
-    forms each B_n's Fraction from T_{n/2} when it is asked, and keeps none.
+    T_1..T_m it keeps only the last Brent-Harvey column, column m.  ``get``,
+    ``scaled`` and ``bernoulli_range`` all read B_n off T_{n/2} through one
+    formula, ``_pairs``, when they are asked, and keep no B_n.
     """
 
     def __init__(self) -> None:
@@ -52,27 +54,14 @@ class BernoulliCache:
         """T_k for k >= 1, extending the store through index k if needed."""
         if k < 1:
             raise ValueError(f"tangent index must be >= 1, got {k}")
-        tangents = self._tangents
-        if k >= len(tangents):
-            self._extend(k)
-        return tangents[k]
+        self._extend(k)
+        return self._tangents[k]
 
     def get(self, n: int) -> Fraction:
         """B_n, extending the store through index n if needed."""
         if n < 0:
             raise ValueError(f"Bernoulli index must be >= 0, got {n}")
-        k = n // 2
-        if k >= len(self._tangents):
-            self._extend(k)
-        if n == 0:
-            return Fraction(1)
-        if n == 1:
-            return Fraction(-1, 2)
-        if n % 2:
-            return Fraction(0)
-        four = 1 << n
-        sign = 1 if k % 2 else -1
-        return Fraction(sign * n * self._tangents[k], four * (four - 1))
+        return Fraction(*next(self._pairs(n, n + 1)))
 
     def scaled(self, n: int) -> tuple[tuple[int, ...], int]:
         """(b, D) with b_k = D B_k for k <= n, D the lcm of the denominators of B_0..B_n.
@@ -87,23 +76,28 @@ class BernoulliCache:
             big = lcm(*(x.denominator for x in bern))
             return tuple(x.numerator * (big // x.denominator) for x in bern), big
         big = _primorial(n + 1)
-        if n == 0:
-            return (big,), big
-        if n // 2 >= len(self._tangents):
-            self._extend(n // 2)
+        return tuple(num * big // den for num, den in self._pairs(0, n + 1)), big
+
+    def _pairs(self, start: int, stop: int) -> Iterator[tuple[int, int]]:
+        """B_n as an unreduced (numerator, denominator) for start <= n < stop.
+
+        The store is extended once, before the first pair; each pair then
+        reads T_{n//2}.  The only place that writes the convention.
+        """
+        self._extend((stop - 1) // 2)
         tangents = self._tangents
-        b = [big, -big // 2]
-        for m in range(2, n + 1):
-            if m % 2:
-                b.append(0)
+        for n in range(start, stop):
+            if n % 2:
+                yield (-1, 2) if n == 1 else (0, 1)
+            elif n:
+                four = 1 << n
+                x = n * tangents[n // 2]
+                yield x if n % 4 == 2 else -x, four * (four - 1)
             else:
-                four = 1 << m
-                x = m * tangents[m // 2] * big // (four * (four - 1))
-                b.append(x if m % 4 == 2 else -x)
-        return tuple(b), big
+                yield 1, 1
 
     def _extend(self, k: int) -> None:
-        """Append T_j to the store for every j <= k, one column at a time."""
+        """Append T_j for every j <= k not yet stored, one column at a time."""
         tangents, col = self._tangents, self._column
         for j in range(len(tangents), k + 1):
             if j == 1:
@@ -133,5 +127,4 @@ def bernoulli_range(n_max: int) -> list[Fraction]:
     """B_0 ... B_{n_max} as a list, from one fresh ``BernoulliCache``."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    cache = BernoulliCache()
-    return [cache.get(i) for i in range(n_max + 1)]
+    return [Fraction(num, den) for num, den in BernoulliCache()._pairs(0, n_max + 1)]

@@ -477,7 +477,7 @@ def _zeta_tail(k: int, start: int, target: int, tables: _EMTables) -> _Fixed:
     return _Fixed(value, bound + ulps + 2, scale)
 
 
-def zeta_single(k: int, digits: int = 30) -> BigFloat:
+def zeta_single(k: int, digits: int) -> BigFloat:
     """Riemann zeta at an integer k >= 2, |error| <= 10^-digits."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -503,7 +503,7 @@ def _zeta_single(k: int, tables: _EMTables) -> _Fixed:
     return _Fixed(partial + tail.value, M - 1 + tail.error, bits)
 
 
-def zeta_double(k1: int, k2: int, digits: int = 30) -> BigFloat:
+def zeta_double(k1: int, k2: int, digits: int) -> BigFloat:
     """Double zeta sum_{j < m} j^{-k1} m^{-k2}, |error| <= 10^-digits.
 
     Requires k2 >= 2 (convergence of the outer sum).  For k1 >= 2 the outer
@@ -613,7 +613,7 @@ class AuditReport(NamedTuple):
     printed_constant_consistent: bool
 
 
-def audit_euler(K: int, digits: int = 40, r: int | None = None) -> list[AuditReport]:
+def audit_euler(K: int, digits: int, r: int | None = None) -> list[AuditReport]:
     """Compare each zeta(2r, 2K+1-2r) against the A-weighted product sum.
 
     residual_ratio = (lhs - sum_s A_{r,s} products_s) / zeta(2K+1); the
@@ -676,7 +676,7 @@ class HAuditReport(NamedTuple):
     agrees_within_bounds: bool
 
 
-def audit_h_ab(a: int, b: int, digits: int = 30) -> HAuditReport:
+def audit_h_ab(a: int, b: int, digits: int) -> HAuditReport:
     """Check the H(a,b) coefficient formula against direct summation.
 
     Supported scope: (a, b) in {(0,0), (1,0), (0,1)} - the depth-1 and

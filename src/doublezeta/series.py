@@ -126,7 +126,7 @@ class Mismatch(NamedTuple):
 
 
 def verify_reflection(
-    s_max: int, m_max: int, order: int, cache: BernoulliCache | None = None
+    s_max: int, m_max: int, order: int, cache: BernoulliCache
 ) -> list[tuple[int, int, Mismatch | None]]:
     """Check the reflection identity coefficient-wise up to order - m.
 
@@ -143,8 +143,6 @@ def verify_reflection(
                 raise ValueError(
                     f"order {order} leaves no comparable coefficient for s={s}, m={m}"
                 )
-    if cache is None:
-        cache = BernoulliCache()
     b, big = cache.scaled(order)
     results = []
     for s in range(1, s_max + 1):
@@ -159,7 +157,7 @@ def verify_reflection(
 
 
 def verify_carlitz(
-    n_max: int, cache: BernoulliCache | None = None
+    n_max: int, cache: BernoulliCache
 ) -> list[tuple[int, int, Fraction, Fraction]]:
     """Carlitz's symmetric Bernoulli identity for 0 <= m <= n <= n_max.
 
@@ -169,8 +167,6 @@ def verify_carlitz(
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if cache is None:
-        cache = BernoulliCache()
     b, big = cache.scaled(2 * n_max)
     width = n_max + 1
     # rows[m][n] = D sum_k C(m,k) B_{n+k}, so the side (m, n) is (-1)^m rows[m][n] / D

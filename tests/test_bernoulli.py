@@ -94,19 +94,23 @@ def test_sign_alternation_of_even_values():
 
 
 def test_cache_determinism_and_fill_order():
-    for order in ((7, 30, 2, 19), (401, 7, 250)):
-        top = max(order)
-        a = BernoulliCache()
-        b = BernoulliCache()
-        a.get(top)
+    # tangent(k) reads T_k, and get(n) and scaled(n) read T_{n//2}: each call
+    # extends the store once, through the largest index it reads, and no further
+    for calls in (
+        (("get", 7), ("tangent", 15), ("scaled", 30), ("get", 2), ("scaled", 19)),
+        (("scaled", 401), ("get", 7), ("tangent", 250), ("scaled", 0), ("get", 250)),
+        (("scaled", 0), ("tangent", 1), ("get", 1), ("scaled", 45), ("tangent", 40), ("get", 81)),
+    ):
+        cache = BernoulliCache()
         seen = 0
-        for n in order:
-            b.get(n)
-            # get(n) extends the store through T_{n//2}, and no further
-            seen = max(seen, n)
-            assert b.high_water == 2 * (seen // 2) + 1
-        assert [a.get(i) for i in range(top + 1)] == [b.get(i) for i in range(top + 1)]
-        assert a.high_water >= top
+        for name, i in calls:
+            value = getattr(cache, name)(i)
+            seen = max(seen, i if name == "tangent" else i // 2)
+            assert cache.high_water == 2 * seen + 1, (calls, name, i)
+            assert value == getattr(BernoulliCache(), name)(i), (calls, name, i)
+        top = 2 * seen + 1
+        assert [cache.get(i) for i in range(top + 1)] == bernoulli_range(top)
+        assert cache.high_water == top
 
 
 def test_generating_function_consistency():

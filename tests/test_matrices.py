@@ -156,6 +156,7 @@ def test_determinant_examples():
     assert matrices._bareiss(matrices._a_rows(3)) == -15
     assert matrices._bareiss([[1, 2], [2, 4]]) == 0
     assert matrices._bareiss([[0, 1], [1, 0]]) == -1  # a row swap flips the sign
+    assert matrices._bareiss([[0, 1], [0, 2]]) == 0  # no pivot in the first column
 
 
 def test_determinant_against_permutation_oracle():

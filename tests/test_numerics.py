@@ -433,8 +433,8 @@ TAKES_K = {
     "euler_rhs_coefficients": reductions.euler_rhs_coefficients,
     "inverse_reduction_coefficients": lambda K: reductions.inverse_reduction_coefficients(K, []),
     "euler_constant": lambda K: reductions.euler_constant(K, 1),
-    "audit_euler": audit_euler,
-    "audit_euler_constant": lambda K: audit_euler(K, r=1),
+    "audit_euler": lambda K: audit_euler(K, 40),
+    "audit_euler_constant": lambda K: audit_euler(K, 40, r=1),
 }
 
 
@@ -1019,7 +1019,13 @@ def test_nstr_matches_mpmath(x, digits):
 
 @pytest.mark.parametrize(
     "x, digits, text",
-    [("0", 3, "0.0"), ("9.9996", 4, "10.0"), ("-0.000012345", 3, "-1.23e-5"), ("123456", 3, "1.23e+5")],
+    [
+        ("0", 3, "0.0"),
+        ("9.9996", 4, "10.0"),
+        ("-0.000012345", 3, "-1.23e-5"),
+        ("123456", 3, "1.23e+5"),
+        ("5/7", 3, "0.714"),  # the bit lengths put 5/7 one decade too high
+    ],
 )
 def test_nstr_examples(x, digits, text):
     assert numerics._nstr(Fraction(x), digits) == text

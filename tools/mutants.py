@@ -153,6 +153,62 @@ MUTANTS = (
         "error += abs(weight) * (n // 2 - 1)",
         ("tests/test_numerics.py::test_pi_encloses_mpmath",),
     ),
+    Mutant(
+        "Bareiss reads a zero column as determinant 1",
+        "matrices.py",
+        "            else:\n                return 0\n",
+        "            else:\n                return 1\n",
+        ("tests/test_matrices.py::test_determinant_examples",),
+    ),
+    Mutant(
+        "_nstr never lowers its exponent",
+        "numerics.py",
+        "    while scaled(-e)[0] < 1:\n        e -= 1\n",
+        "    while scaled(-e)[0] < 1:\n        break\n",
+        ("tests/test_numerics.py::test_nstr_examples",),
+    ),
+    Mutant(
+        "Carlitz skips m = 0",
+        "series.py",
+        "        if rows[m][n] != (-1) ** (m + n) * rows[n][m]",
+        "        if m and rows[m][n] != (-1) ** (m + n) * rows[n][m]",
+        ("tests/test_series.py::test_carlitz_matches_reference_under_a_corrupted_cache",),
+    ),
+    Mutant(
+        "reflection order bound one lower",
+        "series.py",
+        "if order < 2 * s - 2 + m:",
+        "if order < 2 * s - 3 + m:",
+        ("tests/test_series.py::test_reflection_rejects_tiny_order",),
+    ),
+    Mutant(
+        "reflection compares from degree 1",
+        "series.py",
+        "if x != y), None)",
+        "if x != y and i), None)",
+        ("tests/test_series.py::test_reflection_matches_reference_under_a_corrupted_cache",),
+    ),
+    Mutant(
+        "tangent recurrence with a + 1 for a + 2",
+        "bernoulli.py",
+        "prev = a * c + (a + 2) * prev",
+        "prev = a * c + (a + 1) * prev",
+        ("tests/test_bernoulli.py::test_tangent_numbers_are_oeis_a000182",),
+    ),
+    Mutant(
+        "B_2k's sign rule flipped",
+        "bernoulli.py",
+        "x if n % 4 == 2 else -x",
+        "x if n % 4 == 0 else -x",
+        ("tests/test_bernoulli.py::test_sign_alternation_of_even_values",),
+    ),
+    Mutant(
+        "B_1 = +1/2",
+        "bernoulli.py",
+        "(-1, 2)",
+        "(1, 2)",
+        ("tests/test_bernoulli.py::test_stated_values",),
+    ),
 )
 
 # mutants that no test can kill, each with the reason
