@@ -19,7 +19,10 @@ product of the primes p <= n+1, so each D B_n is one exact int quotient
 (``BernoulliCache.scaled``).  See Brent and Harvey, "Fast computation of
 Bernoulli, tangent and secant numbers" (2013, arXiv:1108.0286).  Note the
 convention: B_1 = -1/2 (the "first" Bernoulli numbers).  Every
-downstream formula in this package assumes it.
+downstream formula in this package assumes it, and reads it from one
+place, ``BernoulliCache._pairs``: the P/Q kernel and the export through
+``scaled``, and ``numerics`` directly for rho_J = B_2J/(2J)! and Euler's
+formula for zeta(2n).  No other code turns T_k into B_n.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import isqrt, lcm, prod
 
-__all__ = ["BernoulliCache", "bernoulli_range"]
+__all__ = ["BernoulliCache"]
 
 
 class BernoulliCache:
@@ -36,9 +39,9 @@ class BernoulliCache:
 
     The cache is a value, not global state: independent instances always
     agree entrywise because the recurrence is deterministic.  Besides
-    T_1..T_m it keeps only the last Brent-Harvey column, column m.  ``get``,
-    ``scaled`` and ``bernoulli_range`` all read B_n off T_{n/2} through one
-    formula, ``_pairs``, when they are asked, and keep no B_n.
+    T_1..T_m it keeps only the last Brent-Harvey column, column m.  ``get``
+    and ``scaled`` read B_n off T_{n/2} through one formula, ``_pairs``,
+    when they are asked, and keep no B_n.
     """
 
     def __init__(self) -> None:
@@ -49,13 +52,6 @@ class BernoulliCache:
     def high_water(self) -> int:
         """Largest index known so far: T_1..T_m give B_0..B_{2m+1}."""
         return 2 * len(self._tangents) - 1
-
-    def tangent(self, k: int) -> int:
-        """T_k for k >= 1, extending the store through index k if needed."""
-        if k < 1:
-            raise ValueError(f"tangent index must be >= 1, got {k}")
-        self._extend(k)
-        return self._tangents[k]
 
     def get(self, n: int) -> Fraction:
         """B_n, extending the store through index n if needed."""
@@ -122,9 +118,3 @@ def _primorial(m: int) -> int:
             sieve[p * p :: p] = bytes(len(range(p * p, m + 1, p)))
     return prod(p for p in range(m + 1) if sieve[p])
 
-
-def bernoulli_range(n_max: int) -> list[Fraction]:
-    """B_0 ... B_{n_max} as a list, from one fresh ``BernoulliCache``."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return [Fraction(num, den) for num, den in BernoulliCache()._pairs(0, n_max + 1)]

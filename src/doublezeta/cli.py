@@ -45,8 +45,8 @@ from stat import S_IMODE, S_ISREG
 from typing import NoReturn
 
 from . import matrices, numerics, reductions, series
-from .bernoulli import BernoulliCache, bernoulli_range
-from .rationals import format_rational, parse_rational
+from .bernoulli import BernoulliCache
+from .rationals import _format_row, format_rational, parse_rational
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -137,18 +137,14 @@ class _OutFile:
 
 
 def cmd_bernoulli(args: argparse.Namespace) -> tuple[int, str]:
-    values = bernoulli_range(args.max)
+    texts = _format_row(*BernoulliCache().scaled(args.max))
     if args.format == "json":
-        payload = {
-            "kind": "bernoulli",
-            "max": args.max,
-            "values": [format_rational(v) for v in values],
-        }
+        payload = {"kind": "bernoulli", "max": args.max, "values": texts}
         text = json.dumps(payload, separators=(", ", ": ")) + "\n"
     elif args.format == "csv":
-        text = "\n".join(f"{n},{format_rational(v)}" for n, v in enumerate(values)) + "\n"
+        text = "\n".join(f"{n},{t}" for n, t in enumerate(texts)) + "\n"
     else:
-        text = "\n".join(f"B_{n} = {format_rational(v)}" for n, v in enumerate(values)) + "\n"
+        text = "\n".join(f"B_{n} = {t}" for n, t in enumerate(texts)) + "\n"
     return EXIT_OK, text
 
 

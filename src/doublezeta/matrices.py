@@ -61,6 +61,7 @@ is held at a time.
 from __future__ import annotations
 
 import json
+from collections import deque
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -292,25 +293,11 @@ def _packed_weights(K: int, cache: BernoulliCache | None) -> tuple[list[int], _L
     return denoms, _Lanes(nbytes), y
 
 
-def _sweep_columns(y: list[int], k_min: int) -> Iterator[tuple[int, list[int]]]:
-    """K = k_min..k_max in turn, with column c = 2(k_max-K) of the Pascal table of y.
-
-    y holds k_max's packed columns (2 k_max - 1 of them); the column is
-    row_N[c], N = 0..2K-2, and row_N[c] - y_c is T_K(N) on the lanes s < K
-    (the shift identity of the module docstring).
-    """
-    k_max = (len(y) + 1) // 2
-    for col in _pascal_columns(y):
-        c = len(y) - len(col)
-        if c % 2 == 0 and c <= 2 * (k_max - k_min):
-            yield k_max - c // 2, col
-
-
 def _k_columns(denoms: list[int], lanes: _Lanes, y: list[int], col: list[int]) -> _KColumns:
     """K's d_s, its lanes, and the packed columns of P, Q and W, off column c of y's table.
 
     y, denoms and lanes are k_max's (k_max >= K), and col is column
-    c = 2(k_max-K) of y's table (``_sweep_columns``), so len(col) = 2K-1.
+    c = 2(k_max-K) of y's table (``_sweep``), so len(col) = 2K-1.
     On the lanes s < K, T_K(N) = col[N] - y_c (the module docstring's shift
     identity): column r of P is T_K(2r-1), column r of Q is -T_K(2K-2r),
     and W's columns 2K, ..., 3 are K's y_1, ..., y_{2K-2}, which are
@@ -335,8 +322,10 @@ def _sweep(
 ) -> Iterator[tuple[int, _KColumns | None]]:
     """(K, None) for each K = k_min..k_max whose compares pass, else (K, ``_k_columns``).
 
-    All are read off the table of k_max.  The compares are P = Q and
-    Y = -diag(d_s): with c = 2(k_max-K), P_r - Q_r = row_{2r-1}[c] +
+    All are read off the Pascal table of y, k_max's packed columns: K's
+    column is row_N[c], N = 0..2K-2, c = 2(k_max-K), and row_N[c] - y_c is
+    T_K(N) on the lanes s < K (the shift identity of the module docstring).
+    The compares are P = Q and Y = -diag(d_s): P_r - Q_r = row_{2r-1}[c] +
     row_{2K-2r}[c] - 2 y_c and column s' of Y is y_{2 k_max - 2s'} on the
     lanes s < K, each compared modulo 2^(8 o_K) (the module docstring).  A
     failing K is read off the same column, so the table is built once
@@ -348,19 +337,25 @@ def _sweep(
         return
     denoms, lanes, y = _packed_weights(k_max, cache)
     y_pairs = [(x, -lanes.unit(i, d)) for i, (x, d) in enumerate(zip(y[:0:-2], denoms))]
-    for K, col in _sweep_columns(y, k_min):
-        mask = (1 << lanes.shifts[K - 1]) - 1
-        twice_yc = (2 * y[len(y) - len(col)]) & mask
-        passes = all(
-            (u + v) & mask == twice_yc for u, v in zip(col[1::2], col[:0:-2])
-        ) and all((x - e) & mask == 0 for x, e in y_pairs[: K - 1])
-        yield K, None if passes else _k_columns(denoms, lanes, y, col)
+    for col in _pascal_columns(y):
+        c = len(y) - len(col)
+        if c % 2 == 0 and c <= 2 * (k_max - k_min):
+            K = k_max - c // 2
+            mask = (1 << lanes.shifts[K - 1]) - 1
+            twice_yc = (2 * y[c]) & mask
+            passes = all(
+                (u + v) & mask == twice_yc for u, v in zip(col[1::2], col[:0:-2])
+            ) and all((x - e) & mask == 0 for x, e in y_pairs[: K - 1])
+            yield K, None if passes else _k_columns(denoms, lanes, y, col)
 
 
 def _own_columns(K: int, cache: BernoulliCache | None) -> _KColumns:
-    """``_k_columns`` at c = 0: K's own table, whose last column is row_N[0]."""
+    """``_k_columns`` at c = 0: K's own table, whose last column is row_N[0].
+
+    The table is walked holding one column at a time, not stored.
+    """
     denoms, lanes, y = _packed_weights(K, cache)
-    ((_, col),) = _sweep_columns(y, K)
+    (col,) = deque(_pascal_columns(y), maxlen=1)
     return _k_columns(denoms, lanes, y, col)
 
 

@@ -23,13 +23,13 @@ requested digits and the bound up to three significant digits, in
 mpmath's ``nstr`` text form.
 
 An even zeta(2n) with 2n <= max(16, digits // 3) is Euler's formula,
-zeta(2n) = pi^2n T_n / (2 (2n-1)! (4^n - 1)), T_n the tangent number, and
-H(n) = pi^2n/(2n+1)! of the H(a,b) audit is read the same way.  pi is
-formed once per call by Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239),
-64 bits finer than the working unit: each term of an arctangent is one
-exact nested floor, within one ulp, and the truncation is below one ulp.
-Its even powers are kept for the call, each a product of kept powers, so
-each even value costs one counted floor.  Past that limit T_n costs more
+zeta(2n) = |B_2n| (2 pi)^2n / (2 (2n)!), and H(n) = pi^2n/(2n+1)! of the
+H(a,b) audit is read the same way.  pi is formed once per call by
+Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239), 64 bits finer than
+the working unit: each term of an arctangent is one exact nested floor,
+within one ulp, and the truncation is below one ulp.  Its even powers are
+kept for the call, each a product of kept powers, so each even value
+costs one counted floor.  Past that limit B_2n costs more
 than the Euler-Maclaurin sum below (about break-even at 2000 and 3000
 digits), so a larger even k takes that route, as every odd k does.
 
@@ -49,11 +49,12 @@ error that is 2^(shift - cut) times smaller.  A tail's derivative terms
 and the T(m) expansion are both series sum_J rho_J x_J, summed by one
 loop, ``_derivative_sum``:
 
-- rho_J = B_2J/(2J)! = (-1)^(J-1) T_J/((2J-1)! 4^J (4^J - 1)), T_J the
-  tangent number, about 2/(2 pi)^(2J), is floored from those ints once per
-  J per call to r_J in units of 2^-(p + 64), kept in the table's list and
-  shared by every series of the call.  The ratios and Euler's formula read
-  T_J from the table's Bernoulli cache, which forms each T_J once.  A tail
+- rho_J = B_2J/(2J)!, about 2/(2 pi)^(2J), is floored from B_2J's
+  numerator and denominator and (2J)! once per J per call to r_J in units
+  of 2^-(p + 64), kept in the table's list and shared by every series of
+  the call.  The ratios and Euler's formula read each B_2n as a pair of
+  ints from the table's Bernoulli cache (``BernoulliCache._pairs``, the one
+  place that writes the convention), which forms each once.  A tail
   floors r_J cut bits coarser again, but never coarser than units of 1:
   the floor of a floor is still within one of its units;
 - the caller's generator reads r_J from the table by index and gives it
@@ -75,7 +76,7 @@ Every public function runs at one working precision and builds one
 it on return; the module keeps no state between calls.  The table fixes
 every size of the call before any work: its digits, bits p, truncation
 target, direct-sum lengths, the term cap and the even limit.  It memoises
-what the evaluations of one call share: the tangent numbers, the ratios
+what the evaluations of one call share: the Bernoulli numbers, the ratios
 rho_J, pi's even powers, the tails and the single zetas.  A memoised value
 is a function of its key alone, so sharing changes no value or bound.  A
 double zeta reads zeta(k1) from the table too.
@@ -309,8 +310,8 @@ class _EMTables:
         self.bernoulli = BernoulliCache()
         # the unit of the ratios rho_J, 64 bits finer than the working unit
         self.ratio_bits = self.bits + 64
-        # an even zeta(k) up to here comes from Euler's formula; past it the
-        # tangent number T_(k/2) costs more than the Euler-Maclaurin sum
+        # an even zeta(k) up to here comes from Euler's formula; past it
+        # B_k costs more than the Euler-Maclaurin sum
         self.even_limit = max(16, digits // 3)
         self._ratios: list[int] = []
         self._pi_powers: dict[int, _Fixed] = {}
@@ -320,20 +321,16 @@ class _EMTables:
     def ratio(self, J: int) -> int:
         """rho_J = B_2J/(2J)! floored in units of 2^-ratio_bits, for J >= 1.
 
-        rho_J = (-1)^(J-1) T_J / ((2J-1)! 4^J (4^J - 1)) with T_J the
-        tangent number, so each is one floor quotient of ints, formed on
-        first use, in order of J, and kept for the call.  |rho_J| is about
-        2/(2 pi)^(2J); each derivative term counts the floor's error of one
-        unit in its rounding.
+        B_2J is the cache's pair (num, den), so each is one floor quotient
+        of ints, formed on first use, in order of J, and kept for the call.
+        |rho_J| is about 2/(2 pi)^(2J); each derivative term counts the
+        floor's error of one unit in its rounding.
         """
         ratios = self._ratios
         while len(ratios) < J:
-            j = len(ratios) + 1
-            t, four = self.bernoulli.tangent(j), 1 << 2 * j
-            ratios.append(
-                ((t if j % 2 else -t) << self.ratio_bits)
-                // (math.factorial(2 * j - 1) * four * (four - 1))
-            )
+            n = 2 * len(ratios) + 2
+            num, den = next(self.bernoulli._pairs(n, n + 1))
+            ratios.append((num << self.ratio_bits) // (den * math.factorial(n)))
         return ratios[J - 1]
 
     def pi_power(self, n: int) -> _Fixed:
@@ -486,10 +483,9 @@ def zeta_single(k: int, digits: int) -> BigFloat:
 
 def _zeta_even(k: int, tables: _EMTables) -> _Fixed:
     """zeta(k) for even k = 2n by Euler's formula,
-    pi^2n T_n / (2 (2n-1)! (4^n - 1)): one floor from the table's pi^2n."""
-    n = k // 2
-    den = 2 * math.factorial(k - 1) * ((1 << k) - 1)
-    return tables.pi_power(n).times(tables.bernoulli.tangent(n), tables.bits, den)
+    |B_2n| (2 pi)^2n / (2 (2n)!): one floor from the table's pi^2n."""
+    num, den = next(tables.bernoulli._pairs(k, k + 1))
+    return tables.pi_power(k // 2).times(abs(num) << k, tables.bits, 2 * den * math.factorial(k))
 
 
 def _zeta_single(k: int, tables: _EMTables) -> _Fixed:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from doublezeta.bernoulli import BernoulliCache, bernoulli_range
+from doublezeta.bernoulli import BernoulliCache
 
 
 def bernoulli_oracle(n: int) -> Fraction:
@@ -33,6 +33,12 @@ def bernoulli_recursion(n_max: int) -> list[Fraction]:
     return values
 
 
+def bernoulli_values(n_max: int) -> list[Fraction]:
+    """B_0..B_{n_max} read by get, in order, from one fresh cache."""
+    cache = BernoulliCache()
+    return [cache.get(n) for n in range(n_max + 1)]
+
+
 def test_stated_values():
     assert BernoulliCache().get(0) == 1
     assert BernoulliCache().get(1) == Fraction(-1, 2)
@@ -51,7 +57,7 @@ def test_matches_oracle_entrywise(n):
 
 
 def test_matches_recursion_through_300():
-    assert bernoulli_range(300) == bernoulli_recursion(300)
+    assert bernoulli_values(300) == bernoulli_recursion(300)
 
 
 def test_von_staudt_clausen_denominators():
@@ -63,22 +69,22 @@ def test_von_staudt_clausen_denominators():
 
 
 def test_range_examples():
-    assert bernoulli_range(1) == [1, Fraction(-1, 2)]
-    assert bernoulli_range(4) == [
+    assert bernoulli_values(1) == [1, Fraction(-1, 2)]
+    assert bernoulli_values(4) == [
         1,
         Fraction(-1, 2),
         Fraction(1, 6),
         0,
         Fraction(-1, 30),
     ]
-    assert bernoulli_range(7)[-1] == 0
+    assert bernoulli_values(7)[-1] == 0
 
 
 def test_rejects_negative():
     with pytest.raises(ValueError):
         BernoulliCache().get(-1)
     with pytest.raises(ValueError):
-        bernoulli_range(-1)
+        BernoulliCache().scaled(-1)
 
 
 def test_odd_vanishing_sweep():
@@ -94,22 +100,23 @@ def test_sign_alternation_of_even_values():
 
 
 def test_cache_determinism_and_fill_order():
-    # tangent(k) reads T_k, and get(n) and scaled(n) read T_{n//2}: each call
-    # extends the store once, through the largest index it reads, and no further
+    # get(n) and scaled(n) read T_{n//2}: each call extends the store once,
+    # through the largest index it reads, and no further
     for calls in (
-        (("get", 7), ("tangent", 15), ("scaled", 30), ("get", 2), ("scaled", 19)),
-        (("scaled", 401), ("get", 7), ("tangent", 250), ("scaled", 0), ("get", 250)),
-        (("scaled", 0), ("tangent", 1), ("get", 1), ("scaled", 45), ("tangent", 40), ("get", 81)),
+        (("get", 7), ("get", 30), ("scaled", 30), ("get", 2), ("scaled", 19)),
+        (("scaled", 401), ("get", 7), ("get", 500), ("scaled", 0), ("get", 250)),
+        (("scaled", 0), ("get", 2), ("get", 1), ("scaled", 45), ("get", 80), ("get", 81)),
     ):
         cache = BernoulliCache()
         seen = 0
         for name, i in calls:
             value = getattr(cache, name)(i)
-            seen = max(seen, i if name == "tangent" else i // 2)
+            seen = max(seen, i // 2)
             assert cache.high_water == 2 * seen + 1, (calls, name, i)
             assert value == getattr(BernoulliCache(), name)(i), (calls, name, i)
         top = 2 * seen + 1
-        assert [cache.get(i) for i in range(top + 1)] == bernoulli_range(top)
+        b, big = BernoulliCache().scaled(top)
+        assert [cache.get(i) for i in range(top + 1)] == [Fraction(x, big) for x in b]
         assert cache.high_water == top
 
 
@@ -151,7 +158,7 @@ def test_scaled_vector_uses_the_subclass_get():
     assert big == math.lcm(2, 6, 29, 42, 30, 66)
     assert Fraction(b[4], big) == Fraction(1, 29)
     assert [Fraction(x, big) for i, x in enumerate(b) if i != 4] == [
-        x for i, x in enumerate(bernoulli_range(10)) if i != 4
+        x for i, x in enumerate(bernoulli_values(10)) if i != 4
     ]
     with pytest.raises(ValueError):
         BernoulliCache().scaled(-1)
@@ -163,18 +170,20 @@ def bernfrac(n: int) -> Fraction:
 
 
 def test_tangent_numbers_are_oeis_a000182():
+    # the store holds T_1..T_8 once B_16 is read, and each B_2k is
+    # (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
+    a000182 = [1, 2, 16, 272, 7936, 353792, 22368256, 1903757312]
     cache = BernoulliCache()
-    assert [cache.tangent(k) for k in range(1, 9)] == [
-        1, 2, 16, 272, 7936, 353792, 22368256, 1903757312
-    ]
+    assert [
+        (-1) ** (k - 1) * cache.get(2 * k) * 4**k * (4**k - 1) / (2 * k) for k in range(8, 0, -1)
+    ] == a000182[::-1]
+    assert cache._tangents[1:] == a000182
     assert cache.high_water == 17
-    with pytest.raises(ValueError):
-        cache.tangent(0)
 
 
 def test_get_scaled_and_range_match_mpmath_through_600():
     reference = [bernfrac(n) for n in range(601)]
-    assert bernoulli_range(600) == reference
+    assert bernoulli_values(600) == reference
     cache = BernoulliCache()
     assert [cache.get(n) for n in range(600, -1, -1)] == reference[::-1]
     big = 1

@@ -47,6 +47,21 @@ def test_bernoulli_past_the_int_to_str_limit(capsys):
     assert parse_rational(value) == BernoulliCache().get(2200)
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 300])
+def test_bernoulli_export_writes_each_value_as_format_rational(capsys, fmt, n_max):
+    cache = BernoulliCache()
+    texts = [format_rational(cache.get(n)) for n in range(n_max + 1)]
+    code, out, err = run(["bernoulli", "--max", str(n_max), "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        values = ", ".join(f'"{t}"' for t in texts)
+        assert out == f'{{"kind": "bernoulli", "max": {n_max}, "values": [{values}]}}\n'
+    else:
+        lines = [f"{n},{t}" if fmt == "csv" else f"B_{n} = {t}" for n, t in enumerate(texts)]
+        assert out == "\n".join(lines) + "\n"
+
+
 def test_closed_stdout_exits_quietly():
     # the output (about 400 kB) is far more than a pipe buffer, so the write
     # meets the closed pipe, buffered or not: unbuffered text output would
@@ -158,10 +173,10 @@ def test_unwritable_out_fails_before_the_command_runs(capsys, monkeypatch, tmp_p
 def test_empty_out_is_a_usage_error(capsys, monkeypatch, tmp_path):
     # "" names no file; read as the working directory, it would put a
     # temporary file in the directory above it
-    def not_called(n_max):
-        raise AssertionError("bernoulli_range ran before --out was opened")
+    def not_called():
+        raise AssertionError("the Bernoulli export ran before --out was opened")
 
-    monkeypatch.setattr(cli, "bernoulli_range", not_called)
+    monkeypatch.setattr(cli, "BernoulliCache", not_called)
     cwd = tmp_path / "cwd"
     cwd.mkdir()
     monkeypatch.chdir(cwd)

@@ -160,16 +160,39 @@ def test_h_encloses_its_pi_power(digits):
     assert numerics._h(0, table) == (1 << table.bits, 0, table.bits)
 
 
+@pytest.mark.parametrize("digits", [30, 400])
+def test_ratios_are_the_floor_of_b_2j_over_its_factorial(digits):
+    # rho_J = B_2J/(2J)!, with B_2J read off get(2J), floored in units of
+    # 2^-ratio_bits: the ratios take the Bernoulli convention from the cache
+    table, cache = numerics._EMTables(digits), BernoulliCache()
+    for J in range(1, 81):
+        rho = cache.get(2 * J) / math.factorial(2 * J)
+        assert table.ratio(J) == math.floor(rho * 2**table.ratio_bits), (digits, J)
+
+
+@pytest.mark.parametrize("digits", [1, 30, 200])
+def test_even_zeta_is_eulers_formula_over_b_2n(digits):
+    # zeta(2n) = |B_2n| (2 pi)^2n / (2 (2n)!), with B_2n read off get(2n):
+    # one floor of that rational times the table's pi^2n, whose result
+    # depends on the rational's value only
+    table, cache = numerics._EMTables(digits), BernoulliCache()
+    for k in range(2, 101, 2):
+        c = abs(cache.get(k)) * 2**k / (2 * math.factorial(k))
+        assert numerics._zeta_even(k, table) == table.pi_power(k // 2).times(
+            c.numerator, table.bits, c.denominator
+        ), (digits, k)
+
+
 def test_an_even_k_past_the_crossover_forms_no_large_tangent_number(monkeypatch):
     # zeta(512) at 30 digits takes the Euler-Maclaurin route: the only
-    # tangent numbers read are those of its ratios, and T_256, which
-    # Euler's formula would need, is never formed
+    # Bernoulli numbers read are those of its ratios, and B_512, whose
+    # tangent number T_256 Euler's formula would need, is never formed
     tables, reads = [], []
-    tangent = BernoulliCache.tangent
+    pairs = BernoulliCache._pairs
 
-    def counted(self, k):
-        reads.append(k)
-        return tangent(self, k)
+    def counted(self, start, stop):
+        reads.extend(range(start, stop))
+        return pairs(self, start, stop)
 
     class Tables(numerics._EMTables):
         def __init__(self, digits):
@@ -177,11 +200,11 @@ def test_an_even_k_past_the_crossover_forms_no_large_tangent_number(monkeypatch)
             tables.append(self)
 
     monkeypatch.setattr(numerics, "_EMTables", Tables)
-    monkeypatch.setattr(BernoulliCache, "tangent", counted)
+    monkeypatch.setattr(BernoulliCache, "_pairs", counted)
     zeta_single(512, 30)
     (table,) = tables
-    assert reads == list(range(1, len(table._ratios) + 1))
-    assert table.bernoulli.high_water < 2 * table.term_cap
+    assert reads == list(range(2, 2 * len(table._ratios) + 1, 2))
+    assert table.bernoulli.high_water == 2 * len(table._ratios) + 1 < 2 * table.term_cap
     assert not table._pi_powers
 
 
@@ -532,12 +555,13 @@ def test_zeta_double_fixed_result_encloses_reference(monkeypatch, k1, k2):
 def test_tables_form_each_tail_once(monkeypatch, run):
     # and every tail of the call, and the T(m) fold, reads rho_J =
     # B_2J/(2J)! from the call's one table, which forms each on first use
-    # from the tangent number T_J, and none past the term cap.  The ratios
-    # and Euler's formula for the even zetas read T_J from the table's one
-    # Bernoulli cache, which forms each T_J once and none that is not read
+    # from B_2J, and none past the term cap.  The ratios and Euler's
+    # formula for the even zetas read B_2J from the table's one Bernoulli
+    # cache, which forms each tangent number T_J once and none that is not
+    # read
     tails, formed, tables, extended = [], [], [], []
     reads, caches = set(), set()
-    zeta_tail_orig, tangent = numerics._zeta_tail, BernoulliCache.tangent
+    zeta_tail_orig, pairs = numerics._zeta_tail, BernoulliCache._pairs
     extend = BernoulliCache._extend
 
     def counted_extend(self, k):
@@ -545,10 +569,10 @@ def test_tables_form_each_tail_once(monkeypatch, run):
         extend(self, k)
         extended.extend(range(start, len(self._tangents)))
 
-    def counted_tangent(self, k):
-        reads.add(k)
+    def counted_pairs(self, start, stop):
+        reads.update(n // 2 for n in range(start, stop))
         caches.add(id(self))
-        return tangent(self, k)
+        return pairs(self, start, stop)
 
     def counted_tail(k, start, target, tables):
         tails.append((k, start, target, tables.bits))
@@ -567,7 +591,7 @@ def test_tables_form_each_tail_once(monkeypatch, run):
 
     monkeypatch.setattr(numerics, "_zeta_tail", counted_tail)
     monkeypatch.setattr(numerics, "_EMTables", Tables)
-    monkeypatch.setattr(BernoulliCache, "tangent", counted_tangent)
+    monkeypatch.setattr(BernoulliCache, "_pairs", counted_pairs)
     monkeypatch.setattr(BernoulliCache, "_extend", counted_extend)
     run()
     assert tails and len(set(tails)) == len(tails)

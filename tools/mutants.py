@@ -113,6 +113,20 @@ MUTANTS = (
         ("tests/test_numerics.py::test_double_direct_sum_counts_two_ulps_per_m",),
     ),
     Mutant(
+        "rho_J over (2J-1)! for (2J)!",
+        "numerics.py",
+        "den * math.factorial(n))",
+        "den * math.factorial(n - 1))",
+        ("tests/test_numerics.py::test_ratios_are_the_floor_of_b_2j_over_its_factorial",),
+    ),
+    Mutant(
+        "Euler's formula with 2^(2n-1) for 4^n",
+        "numerics.py",
+        "abs(num) << k,",
+        "abs(num) << k - 1,",
+        ("tests/test_numerics.py::test_even_zeta_is_eulers_formula_over_b_2n",),
+    ),
+    Mutant(
         "--out opened after the command runs",
         "cli.py",
         "        if args.out is not None:\n"
@@ -200,7 +214,10 @@ MUTANTS = (
         "bernoulli.py",
         "x if n % 4 == 2 else -x",
         "x if n % 4 == 0 else -x",
-        ("tests/test_bernoulli.py::test_sign_alternation_of_even_values",),
+        (
+            "tests/test_numerics.py::test_zeta_single_reference_values",
+            "tests/test_bernoulli.py::test_sign_alternation_of_even_values",
+        ),
     ),
     Mutant(
         "B_1 = +1/2",
